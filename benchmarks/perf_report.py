@@ -4,8 +4,9 @@
 ``BENCH_perf.json`` -- three experiments, one per PR-1 optimisation:
 
 * ``recognition``  -- the width sweep from ``test_scaling.py``, timed
-  with the memo/path-cache disabled (the pre-optimisation baseline) and
-  again warm-memoized; asserts >= 3x at width 16.
+  with no memo and cold per-CCC path caches (``memo=False`` on a fresh
+  extraction each call) and again warm-memoized; asserts >= 3x at
+  width 16.
 * ``switchsim``    -- the domino-adder precharge/evaluate workload;
   compares actual net solves against the naive (re-solve everything)
   count the engine tracks alongside; asserts >= 2x fewer.
@@ -52,7 +53,6 @@ from repro.extraction.rctree import uniform_ladder              # noqa: E402
 from repro.netlist.builder import CellBuilder                   # noqa: E402
 from repro.netlist.flatten import flatten                       # noqa: E402
 from repro.process.technology import strongarm_technology       # noqa: E402
-from repro.recognition import conduction                        # noqa: E402
 from repro.recognition.memo import ClassificationMemo           # noqa: E402
 from repro.recognition.recognizer import recognize              # noqa: E402
 from repro.switchsim.engine import SwitchSimulator              # noqa: E402
@@ -83,12 +83,9 @@ def bench_recognition() -> dict:
     for w in WIDTHS:
         flat = flats[w]
 
-        # Pre-optimisation baseline: no memo, no conduction-path cache.
-        conduction.PATH_CACHE_ENABLED = False
-        try:
-            base_s = _best(lambda: recognize(flat, memo=False))
-        finally:
-            conduction.PATH_CACHE_ENABLED = True
+        # Baseline: no memo, and fresh CCCs each call, so every
+        # conduction-path cache starts cold.
+        base_s = _best(lambda: recognize(flat, memo=False))
 
         # Optimised: warm shared memo (steady-state of a sweep/session).
         memo = ClassificationMemo()

@@ -7,22 +7,20 @@ chip-scale workload (:func:`repro.designs.chip_scale` at ~1k through
 
 * **cold table build** through the shared :class:`DesignCache` -- the
   target-rooted path sweeps and the name-free CCC template cache;
-* **legacy table build** (sweeps and templates disabled, fresh CCCs) at
-  the scales where it is still affordable, asserting the two builders
-  produce **byte-identical** packed arrays -- any divergence fails the
-  build regardless of speed;
+* **legacy table build** -- the per-instance, per-pair oracle in
+  ``tests/oracles.py`` on fresh CCCs -- at the scales where it is still
+  affordable, asserting the two produce **byte-identical** packed
+  arrays -- any divergence fails the build regardless of speed;
 * **recognition** and **STA timing-graph construction** riding the same
   warm CCC path caches the build populated;
-* **warm-cache re-build** (identity hit) and an **ArtifactStore
-  round-trip** (persist by content fingerprint, reload into a fresh
-  cache, byte-identity checked again);
+* **warm-cache re-build** (identity hit);
 * a short **vector-engine smoke** so the largest scale is exercised
   end-to-end: build + recognition + simulation.
 
-Results land in ``benchmarks/BENCH_setup.json``.  The new builder must
-clear ``FLOOR`` (10x over the legacy builder) at the 10k scale --
-waived (with the reason recorded in the JSON) only on hosts with fewer
-than 2 CPUs, matching the switchsim report's convention.
+Results land in ``benchmarks/BENCH_setup.json``.  The builder must
+clear ``FLOOR`` (10x over the oracle) at the 10k scale -- waived (with
+the reason recorded in the JSON) only on hosts with fewer than 2 CPUs,
+matching the switchsim report's convention.
 
 Usage::
 
@@ -39,27 +37,28 @@ import pathlib
 import sys
 import time
 
-from repro.designs import chip_scale
-from repro.extraction.annotate import annotate
-from repro.netlist.flatten import flatten
-from repro.perf.cache import DesignCache
-from repro.process.corners import Corner
-from repro.process.technology import strongarm_technology
-from repro.recognition import conduction
-from repro.store.artifact import ArtifactStore
-from repro.switchsim import SwitchSimulator
-from repro.switchsim import tables as tables_mod
-from repro.switchsim.tables import PackedSwitchTables
-from repro.timing.arccache import ArcPriceCache
-from repro.timing.delay import ArcDelayCalculator
-from repro.timing.graph import build_timing_graph
+# The oracle lives with the tests, outside the package.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+
+from repro.designs import chip_scale                            # noqa: E402
+from repro.extraction.annotate import annotate                  # noqa: E402
+from repro.netlist.flatten import flatten                       # noqa: E402
+from repro.perf.cache import DesignCache                        # noqa: E402
+from repro.process.corners import Corner                        # noqa: E402
+from repro.process.technology import strongarm_technology       # noqa: E402
+from repro.recognition import conduction                        # noqa: E402
+from repro.switchsim import SwitchSimulator                     # noqa: E402
+from repro.timing.arccache import ArcPriceCache                 # noqa: E402
+from repro.timing.delay import ArcDelayCalculator               # noqa: E402
+from repro.timing.graph import build_timing_graph               # noqa: E402
+from tests.oracles import direct_tables, table_mismatches       # noqa: E402
 
 OUT_JSON = pathlib.Path(__file__).parent / "BENCH_setup.json"
 
 SCALES = {"1k": 1000, "5k": 5000, "10k": 10000,
           "25k": 25000, "50k": 50000}
-#: Scales where the legacy (per-pair DFS, no templates) builder still
-#: finishes in minutes; beyond 10k only the new path is timed.
+#: Scales where the oracle (per-pair DFS, no templates) still finishes
+#: in minutes; beyond 10k only the production builder is timed.
 LEGACY_SCALES = frozenset({"1k", "5k", "10k"})
 FLOOR = 10.0          # new-vs-legacy build speedup floor
 FLOOR_SCALE = "10k"   # the floor only binds when this scale is included
@@ -67,50 +66,17 @@ FLOOR_MIN_CPUS = 2
 SEED = 12345
 SMOKE_STEPS = 4
 
-#: Every numpy column of the packed tables, for byte-identity checks.
-_TABLE_ARRAYS = (
-    "row_net", "row_ccc", "row_wave", "path_ptr", "path_src",
-    "path_src_rail", "path_g", "cond_ptr", "cond_gate", "cond_level",
-    "cond_internal", "cond_path", "aff_later_ptr", "aff_later_rows",
-)
 
-
-def tables_identical(a: PackedSwitchTables, b: PackedSwitchTables) -> bool:
-    """True when every packed array (and the name-keyed side tables)
-    of ``a`` and ``b`` is byte-for-byte identical."""
-    for name in _TABLE_ARRAYS:
-        x, y = getattr(a, name), getattr(b, name)
-        if x.dtype != y.dtype or x.shape != y.shape:
-            return False
-        if x.tobytes() != y.tobytes():
-            return False
-    if a.row_name != b.row_name:
-        return False
-    if len(a.affected_rows) != len(b.affected_rows):
-        return False
-    for da, db in zip(a.affected_rows, b.affected_rows):
-        if set(da) != set(db):
-            return False
-        if any(da[k].tolist() != db[k].tolist() for k in da):
-            return False
-    return True
-
-
-def legacy_build(target: int) -> PackedSwitchTables:
-    """Build tables the PR 6 way: per-pair DFS, no template stamping.
+def legacy_build(target: int) -> tuple[dict, float]:
+    """(oracle arrays, seconds) for ``chip_scale(target)``.
 
     A fresh flatten gives fresh CCCs, so nothing leaks in from the
-    sweep-warmed caches of the new build.
+    sweep-warmed caches of the production build.
     """
     flat = flatten(chip_scale(target).cell)
-    sweep, tmpl = conduction.SWEEP_ENABLED, tables_mod.TEMPLATES_ENABLED
-    conduction.SWEEP_ENABLED = False
-    tables_mod.TEMPLATES_ENABLED = False
-    try:
-        return PackedSwitchTables.build(flat)
-    finally:
-        conduction.SWEEP_ENABLED = sweep
-        tables_mod.TEMPLATES_ENABLED = tmpl
+    t0 = time.perf_counter()
+    arrays = direct_tables(flat)
+    return arrays, time.perf_counter() - t0
 
 
 def make_smoke_plan(cs, steps: int) -> list[list[tuple[str, int]]]:
@@ -132,13 +98,11 @@ def make_smoke_plan(cs, steps: int) -> list[list[tuple[str, int]]]:
     return plan
 
 
-def bench_scale(label: str, target: int, store_dir: pathlib.Path,
-                check_legacy: bool) -> dict:
+def bench_scale(label: str, target: int, check_legacy: bool) -> dict:
     cs = chip_scale(target)
     flat = flatten(cs.cell)
     tech = strongarm_technology()
-    store = ArtifactStore(str(store_dir / label))
-    cache = DesignCache(store=store)
+    cache = DesignCache()
     print(f"[{label}] {len(flat.transistors)} transistors, "
           f"{len(flat.nets)} nets")
 
@@ -147,9 +111,9 @@ def bench_scale(label: str, target: int, store_dir: pathlib.Path,
     tables = cache.switch_tables(flat)
     cold_total_s = time.perf_counter() - t0
     build_s = tables.build_wall_s  # pure build; cold_total adds
-    enum_after = conduction.enumeration_counters()  # fp + store write
+    enum_after = conduction.enumeration_counters()
     print(f"[{label}] cold build {build_s:.2f}s "
-          f"({cold_total_s:.2f}s with fingerprint + store write; "
+          f"({cold_total_s:.2f}s with fingerprint; "
           f"rows={tables.row_net.size}, "
           f"template hits={tables.template_hits})")
 
@@ -158,12 +122,12 @@ def bench_scale(label: str, target: int, store_dir: pathlib.Path,
     # not be separated by minutes of recognition and STA.
     legacy = None
     if check_legacy:
-        old = legacy_build(target)
-        legacy_s = old.build_wall_s  # pure build, same meter as new_s
-        identical = tables_identical(tables, old)
+        old, legacy_s = legacy_build(target)
+        mismatches = table_mismatches(tables, old)
+        identical = not mismatches
         speedup = legacy_s / max(build_s, 1e-9)
         print(f"[{label}] legacy build {legacy_s:.2f}s -> {speedup:.1f}x, "
-              f"{'byte-identical' if identical else 'DIVERGED'}")
+              f"{'byte-identical' if identical else f'DIVERGED {mismatches}'}")
         legacy = {"build_s": round(legacy_s, 4),
                   "speedup": round(speedup, 3),
                   "byte_identical": identical}
@@ -185,22 +149,11 @@ def bench_scale(label: str, target: int, store_dir: pathlib.Path,
     sta_graph_s = time.perf_counter() - t0
     print(f"[{label}] STA graph {sta_graph_s:.2f}s ({len(graph.arcs)} arcs)")
 
-    # Warm paths: identity hit in the same cache, then a store reload
-    # into a fresh cache (fresh flatten -> same fingerprint).
+    # Warm path: an identity hit in the same cache.
     t0 = time.perf_counter()
     again = cache.switch_tables(flat)
     warm_hit_s = time.perf_counter() - t0
     assert again is tables, "warm switch_tables must be an identity hit"
-
-    flat2 = flatten(cs.cell)
-    cache2 = DesignCache(store=store)
-    t0 = time.perf_counter()
-    loaded = cache2.switch_tables(flat2)
-    store_load_s = time.perf_counter() - t0
-    store_identical = (loaded.loaded_from_store
-                       and tables_identical(tables, loaded))
-    print(f"[{label}] store reload {store_load_s:.2f}s, "
-          f"{'byte-identical' if store_identical else 'DIVERGED'}")
 
     sim = SwitchSimulator(flat, engine="vector", tables=tables)
     plan = make_smoke_plan(cs, SMOKE_STEPS)
@@ -226,19 +179,12 @@ def bench_scale(label: str, target: int, store_dir: pathlib.Path,
             "template_hits": int(tables.template_hits),
             "target_sweeps": int(enum_after["target_sweeps"]
                                  - enum_before.get("target_sweeps", 0)),
-            "pair_enumerations": int(
-                enum_after["pair_enumerations"]
-                - enum_before.get("pair_enumerations", 0)),
         },
         "legacy": legacy,
         "recognition_s": round(recognition_s, 4),
         "sta_graph_s": round(sta_graph_s, 4),
         "sta_arcs": len(graph.arcs),
-        "warm": {
-            "cache_hit_s": round(warm_hit_s, 6),
-            "store_load_s": round(store_load_s, 4),
-            "store_byte_identical": store_identical,
-        },
+        "warm": {"cache_hit_s": round(warm_hit_s, 6)},
         "smoke": {"steps": SMOKE_STEPS, "events": events,
                   "wall_s": round(smoke_s, 4)},
     }
@@ -249,10 +195,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--scales", default=",".join(SCALES),
         help="comma-separated subset of %s (default: all)" % list(SCALES))
-    parser.add_argument(
-        "--store-dir", default=None,
-        help="ArtifactStore root for the persistence round-trip "
-             "(default: a temp dir)")
     args = parser.parse_args(argv)
     labels = [s.strip() for s in args.scales.split(",") if s.strip()]
     unknown = [s for s in labels if s not in SCALES]
@@ -262,12 +204,9 @@ def main(argv=None) -> int:
     cpus = os.cpu_count() or 1
     print(f"setup bench: scales {labels}, {cpus} CPU(s)")
 
-    import tempfile
-    with tempfile.TemporaryDirectory() as td:
-        store_dir = pathlib.Path(args.store_dir or td)
-        results = {label: bench_scale(label, SCALES[label], store_dir,
-                                      check_legacy=label in LEGACY_SCALES)
-                   for label in labels}
+    results = {label: bench_scale(label, SCALES[label],
+                                  check_legacy=label in LEGACY_SCALES)
+               for label in labels}
 
     floor_binds = FLOOR_SCALE in labels
     floor_enforced = floor_binds and cpus >= FLOOR_MIN_CPUS
@@ -290,9 +229,8 @@ def main(argv=None) -> int:
     print(f"wrote {OUT_JSON.name}")
 
     diverged = [label for label, r in results.items()
-                if (r["legacy"] is not None
-                    and not r["legacy"]["byte_identical"])
-                or not r["warm"]["store_byte_identical"]]
+                if r["legacy"] is not None
+                and not r["legacy"]["byte_identical"]]
     if diverged:
         print(f"\nFAIL: packed tables diverged at {diverged}",
               file=sys.stderr)

@@ -231,12 +231,6 @@ class CbvCampaign:
         if store is not None:
             from repro.store.checkpoint import stage_keys
             keys = stage_keys(bundle, checks=checks, timeout_s=timeout_s)
-        if (store is not None and cache is not None
-                and getattr(cache, "store", None) is None):
-            # Let the session cache persist/load packed switch tables
-            # under their content fingerprint: a resumed campaign or a
-            # sibling fleet worker then skips the table build entirely.
-            cache.store = store
         trace.emit("campaign_start", name=bundle.name)
 
         def load_checkpoint(flow: FlowStage, key: str):
@@ -697,8 +691,6 @@ class CbvCampaign:
         tables = getattr(sim, "_tables", None)
         if tables is not None:
             setup["table_build_seconds"] = float(tables.build_wall_s)
-            setup["store_table_loaded"] = (
-                1.0 if tables.loaded_from_store else 0.0)
             setup.update({k: float(v)
                           for k, v in tables.counters().items()})
         problems: list[str] = []

@@ -50,15 +50,18 @@ _NONCANONICAL_KEYS = frozenset({
     # how many processes ran the battery (run mechanics, not a verdict;
     # serial, parallel, and fleet-sharded runs must compare identical)
     "workers",
-    # setup-path effectiveness: sweep/enumeration counts depend on which
-    # consumer warmed the shared CCC path caches first, and the template
-    # hit count differs between a fresh build and a store load
+    # setup-path effectiveness: sweep counts depend on which consumer
+    # warmed the shared CCC path caches first, and template hits count
+    # work saved, not work concluded.  ``path_sweeps`` and
+    # ``pair_enumerations`` are no longer emitted, but stage checkpoints
+    # written by older releases carry them and must replay to the same
+    # canonical report.
     "path_sweeps", "target_sweeps", "pair_enumerations", "path_cache_hits",
+    "packed_template_hits",
     # fleet supervision events (which worker hung or which shard was
     # quarantined is run mechanics; the degraded *verdict* itself rides
     # in the stage statuses, which the canonical form keeps)
-    "packed_template_hits", "workers_hung", "poison_shards",
-    "leases_rearmed",
+    "workers_hung", "poison_shards", "leases_rearmed",
 })
 #: ``chaos_`` covers injected-fault totals: a survivable fault schedule
 #: must leave the canonical report identical to a fault-free run, so
@@ -123,11 +126,7 @@ def render_report(report: CbvReport, max_queue_items: int = 20) -> str:
 #: line; ``table_build_seconds`` keeps its unit.
 _SETUP_TRACE_KEYS = (
     ("table_build_seconds", "build"),
-    ("store_table_loaded", "store-load"),
-    ("store_table_hits", "store-hits"),
-    ("path_sweeps", "sweeps"),
     ("target_sweeps", "tsweeps"),
-    ("pair_enumerations", "pair-enums"),
     ("path_cache_hits", "path-hits"),
     ("packed_template_hits", "tpl-hits"),
 )
@@ -150,7 +149,7 @@ def render_trace(trace: CampaignTrace, max_events: int | None = None) -> str:
     """Human-readable event log (one line per trace event).
 
     Stages that exercised the setup path (packed-table builds, path
-    sweeps, store loads) get a second, indented ``setup:`` line so a
+    sweeps) get a second, indented ``setup:`` line so a
     designer can see at a glance where build time went and what the
     caches saved.
     """

@@ -34,11 +34,7 @@ from repro.process.technology import Technology
 from repro.recognition.ccc import ChannelConnectedComponent, extract_cccs
 from repro.recognition.memo import ClassificationMemo
 from repro.recognition.recognizer import RecognizedDesign, recognize
-from repro.switchsim.tables import (
-    PackedSwitchTables,
-    load_switch_tables,
-    save_switch_tables,
-)
+from repro.switchsim.tables import PackedSwitchTables
 
 
 class DesignCache:
@@ -50,18 +46,10 @@ class DesignCache:
         Classification memo to share; a fresh one is created by default
         so the cache is fully self-contained (pass the process-wide memo
         if you want cross-session template reuse).
-    store:
-        Optional :class:`~repro.store.artifact.ArtifactStore`.  When
-        set, :meth:`switch_tables` first tries to load packed tables
-        persisted under their content fingerprint and persists fresh
-        builds, so fleet workers and resumed campaigns skip the most
-        expensive setup step entirely.
     """
 
-    def __init__(self, memo: ClassificationMemo | None = None,
-                 store=None) -> None:
+    def __init__(self, memo: ClassificationMemo | None = None) -> None:
         self.memo = memo if memo is not None else ClassificationMemo()
-        self.store = store
         # key -> (keyed objects kept alive, value)
         self._recognized: dict[tuple, tuple] = {}
         self._parasitics: dict[tuple, tuple] = {}
@@ -74,9 +62,6 @@ class DesignCache:
         # them, so folding them into hits/misses would double-count.
         self.ccc_hits = 0
         self.ccc_misses = 0
-        self.store_table_hits = 0
-        self.store_table_misses = 0
-        self.store_table_writes = 0
 
     # -- recognition ---------------------------------------------------------
 
@@ -163,11 +148,6 @@ class DesignCache:
         Every hit therefore re-checks the tables' content fingerprint
         (memoized per mutation epoch, so unmutated hits stop re-hashing)
         and rebuilds on mismatch instead of serving stale arrays.
-
-        With a ``store`` attached, a miss first tries
-        :func:`load_switch_tables` (keyed by the same fingerprint) and
-        persists any fresh build, so the next worker or resumed
-        campaign loads in milliseconds instead of rebuilding.
         """
         key = (id(flat), float(l_min_um))
         entry = self._switch_tables.get(key)
@@ -176,19 +156,8 @@ class DesignCache:
             self.hits += 1
             return entry[1]
         self.misses += 1
-        tables = None
-        if self.store is not None:
-            tables = load_switch_tables(self.store, flat, l_min_um)
-            if tables is not None:
-                self.store_table_hits += 1
-            else:
-                self.store_table_misses += 1
-        if tables is None:
-            tables = PackedSwitchTables.build(flat, l_min_um=l_min_um,
-                                              cccs=self.cccs(flat))
-            if self.store is not None and save_switch_tables(self.store,
-                                                             tables):
-                self.store_table_writes += 1
+        tables = PackedSwitchTables.build(flat, l_min_um=l_min_um,
+                                          cccs=self.cccs(flat))
         self._switch_tables[key] = (flat, tables)
         return tables
 
@@ -197,21 +166,20 @@ class DesignCache:
     def counters(self) -> dict[str, int]:
         out = {"cache_hits": self.hits, "cache_misses": self.misses,
                "cache_ccc_hits": self.ccc_hits,
-               "cache_ccc_misses": self.ccc_misses,
-               "store_table_hits": self.store_table_hits,
-               "store_table_misses": self.store_table_misses,
-               "store_table_writes": self.store_table_writes}
+               "cache_ccc_misses": self.ccc_misses}
         out.update(self.memo.counters())
         return out
 
 
 def collect_counters(*sources) -> dict[str, float]:
-    """Merge perf-counter dicts (later sources win on key collisions).
+    """Merge perf-counter dicts into one, coercing values to float.
 
     Accepts plain dicts or objects exposing ``counters()`` -- e.g. a
     ``SwitchSimulator``, a :class:`DesignCache`, or a
     ``ClassificationMemo`` -- skipping ``None`` so call sites can pass
-    optional components unconditionally.
+    optional components unconditionally.  Raises ``ValueError`` naming
+    the key when two sources set the same one: a silent overwrite
+    would drop a counter from the report.
     """
     merged: dict[str, float] = {}
     for src in sources:
@@ -219,5 +187,8 @@ def collect_counters(*sources) -> dict[str, float]:
             continue
         counters = src.counters() if hasattr(src, "counters") else src
         for name, value in counters.items():
+            if name in merged:
+                raise ValueError(
+                    f"counter {name!r} is set by more than one source")
             merged[name] = float(value)
     return merged

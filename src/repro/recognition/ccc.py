@@ -65,9 +65,9 @@ class ChannelConnectedComponent:
 
         ``path_cache``/``signature_cache`` and the lazily-attached sweep
         state (see :func:`repro.recognition.conduction._sweep_state`)
-        are pure derived memos -- dropping them keeps checkpoint and
-        packed-table store blobs small and guarantees an unpickled CCC
-        re-derives them against its own object graph.
+        are pure derived memos -- dropping them keeps checkpoint blobs
+        small and guarantees an unpickled CCC re-derives them against
+        its own object graph.
         """
         state = dict(self.__dict__)
         state["path_cache"] = {}

@@ -11,69 +11,59 @@ the path, the gate net and the polarity (an NMOS conducts when its gate
 is 1, a PMOS when its gate is 0).  A path conducts when all its device
 conditions hold; conduction between two nets is the OR over paths.
 
-Enumeration strategy
---------------------
+Which paths, in which order
+---------------------------
+The answer for a pair ``(source, target)`` is defined by a per-pair
+depth-first walk (``tests/oracles.py`` keeps it as the reference the
+property tests compare against): a LIFO stack from ``source`` whose
+children are pushed in adjacency order -- a preorder visiting children
+in *reversed* adjacency order -- in which rails other than the source
+terminate paths, no net is revisited, and paths requiring some gate at
+both levels are dropped.  Classification signatures, packed-table
+layouts and the timing graph all index path lists positionally, so the
+order is part of the contract.
+
+One target-rooted sweep
+-----------------------
 Every consumer (table build, the reference engine, recognition, the
-electrical checks) asks for paths between some channel net and each of
-``vdd``, ``gnd``, and the CCC's ports.  Enumerating each (source,
-target) pair independently re-walks the same switch graph once per
-target, which dominated setup cost at chip scale.  The default strategy
-is therefore a **single-source, all-targets sweep**
-(:func:`sweep_conduction_paths`): one depth-first traversal from the
-source that records an arrival at *every* net it reaches, filling
-``ccc.path_cache`` for all (source, target) pairs in one pass.
-
-The sweep is bit-identical -- content *and* order -- to the historical
-per-pair DFS (kept as the ``source == target`` /
-``PATH_CACHE_ENABLED = False`` fallback and as the benchmark baseline):
-
-* The old enumerator popped a LIFO stack whose children were pushed in
-  adjacency order, i.e. a preorder walk visiting children in *reversed*
-  adjacency order.  The sweep recurses in ``reversed(adj[net])`` order,
-  so its preorder matches.
-* A per-pair DFS for target T never extends a path past an arrival at
-  T, so T appears in no state's visited set; the extra subtrees the
-  sweep explores beyond an arrival at T therefore contain no further
-  T-arrivals, and restricting the sweep's preorder to arrivals at T
-  reproduces the pair enumeration for T exactly.
-* Contradictory prefixes (some gate required at both levels) can never
-  become consistent again -- conditions only accumulate -- so the sweep
-  prunes them at the first contradictory edge.  The old walk explored
-  them and discarded every resulting path; pruning changes no output
-  and no ``max_paths`` accounting (only consistent paths ever counted).
-
-Target-rooted sweeps
---------------------
-The dominant query shape is many sources against a *few shared
-targets* (every channel net against vdd, gnd, and the CCC's ports), so
-source-rooted sweeps still re-walk the graph once per net.
-:func:`sweep_paths_to_target` flips the root: one traversal from the
-shared target fills the ``(source, target)`` cache slot for **every**
-source at once.  Two facts make it bit-identical to the per-pair DFS:
+electrical checks, STA arc extraction) asks for paths between some
+channel net and a *few shared targets*: ``vdd``, ``gnd`` and the CCC's
+ports.  :func:`conduction_paths` therefore answers a pair from one
+traversal rooted at the target (:func:`sweep_paths_to_target`), which
+records every simple path from the target to *every* net at once and
+serves each later source from the same record.  Three facts make it
+bit-identical -- content *and* order -- to the per-pair walk:
 
 * **Reversal bijection.**  For ``source != target``, reversing a
-  simple path maps the per-pair DFS's path set (source-rooted, rails
+  simple path maps the per-pair walk's path set (source-rooted, rails
   terminal, no revisits) one-to-one onto the arrivals of a
   target-rooted traversal under the same rules, and a device's
   condition does not depend on traversal direction.  Walking an
   arrival's parent chain back toward the root therefore yields devices
   and conditions already in source-to-target order.
-* **Order restoration.**  The pair DFS emits paths in preorder with
-  children in reversed-adjacency order -- equivalently, sorted by the
-  sequence of child ranks (position of each chosen edge in the
+* **Order restoration.**  The per-pair walk emits paths in preorder
+  with children in reversed-adjacency order -- equivalently, sorted by
+  the sequence of child ranks (position of each chosen edge in the
   reversed adjacency list of the net it leaves).  Equal rank prefixes
   force identical net prefixes, and no key is a strict prefix of
   another (that would put the target mid-path), so sorting the
   reversed arrivals by their forward rank sequences reproduces the
-  pair enumeration order exactly.
+  per-pair order exactly.
+* **Contradiction pruning.**  Conditions only accumulate along a path,
+  so a contradictory prefix never becomes consistent again; the sweep
+  prunes it at the first contradictory edge.  That changes no output
+  and no ``max_paths`` accounting (only consistent paths count).
 
-Because that sort key is total, the *record* order of a target-rooted
-sweep is immaterial, which frees the traversal strategy: small CCCs
-run a per-node Python DFS, while CCCs of ``_BFS_MIN_DEVICES`` devices
-or more run a level-synchronous vectorized BFS (:func:`_sweep_bfs`)
-that expands whole frontier levels with numpy and tracks each partial
+Because that sort key is total, the *record* order of the sweep is
+immaterial, which frees the traversal strategy: small CCCs run a
+per-node Python DFS, while CCCs of ``_BFS_MIN_DEVICES`` devices or more
+run a level-synchronous vectorized BFS (:func:`_sweep_bfs`) that
+expands whole frontier levels with numpy and tracks each partial
 path's state as uint64 bitmasks.  Both produce the same buckets,
 overflow set, and materialized paths.
+
+``source == target`` is not a pair any consumer asks about (a loop back
+to the source joins no two nets) and raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -84,28 +74,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.netlist.devices import Transistor
 from repro.netlist.nets import is_rail_name, is_supply_name
 from repro.recognition.ccc import ChannelConnectedComponent
 
-#: Benchmark escape hatch: ``benchmarks/perf_report.py`` flips this off
-#: to measure the uncached baseline.  Leave on everywhere else.
-PATH_CACHE_ENABLED = True
-
-#: Benchmark escape hatch: ``benchmarks/setup_report.py`` flips this off
-#: to time the historical per-(source, target) enumeration.  Leave on
-#: everywhere else; results are bit-identical either way.
-SWEEP_ENABLED = True
-
 #: Monotonic module-level enumeration counters (see
-#: :func:`enumeration_counters`).  ``path_sweeps`` counts source-rooted
-#: all-targets traversals, ``target_sweeps`` target-rooted all-sources
-#: traversals, ``pair_enumerations`` legacy per-pair walks, and
-#: ``path_cache_hits`` requests served straight from ``ccc.path_cache``.
+#: :func:`enumeration_counters`).  ``target_sweeps`` counts
+#: target-rooted all-sources traversals and ``path_cache_hits``
+#: requests served straight from ``ccc.path_cache``.
 _COUNTERS = {
-    "path_sweeps": 0,
     "target_sweeps": 0,
-    "pair_enumerations": 0,
     "path_cache_hits": 0,
 }
 
@@ -165,123 +142,34 @@ def conduction_paths(
 ) -> list[ConductionPath]:
     """All simple channel paths from ``source`` to ``target``.
 
-    ``source``/``target`` may be rails or channel nets.  Contradictory
-    paths (requiring a gate at both levels) are dropped.  Raises if the
-    enumeration exceeds ``max_paths`` -- a guard against pathological
-    networks, not a silent truncation.
+    ``source``/``target`` may be rails or channel nets, but not the same
+    net (``ValueError``).  Contradictory paths (requiring a gate at both
+    levels) are dropped.  Raises ``RuntimeError`` if the enumeration
+    exceeds ``max_paths`` -- a guard against pathological networks, not
+    a silent truncation.
 
     Results are memoized on ``ccc.path_cache`` (sound: a CCC's topology
     is immutable after extraction, and :class:`ConductionPath` is
     frozen).  Clock inference, classification, latch finding, and the
     electrical checks all enumerate the same (net, rail) pairs.  A cache
-    miss runs :func:`sweep_conduction_paths` from ``source``, filling
-    the cache for every target in one traversal; ``source == target``
-    (loop paths back to the source, which the sweep's visited-set
-    discipline cannot express) falls back to the per-pair enumerator.
+    miss materializes the pair from :func:`sweep_paths_to_target`,
+    which runs once per target and serves every source.
     """
-    cache_key = (source, target, max_paths)
-    if PATH_CACHE_ENABLED:
-        cached = ccc.path_cache.get(cache_key)
-        if cached is not None:
-            _COUNTERS["path_cache_hits"] += 1
-            return list(cached)
-        if SWEEP_ENABLED and source != target:
-            state = _sweep_state(ccc)
-            # Prefer a target-rooted sweep: rails (and, via explicit
-            # sweep_paths_to_target calls, ports) are shared by every
-            # source in the CCC, so one traversal answers them all.
-            ts = state.get(("tsweep", target, max_paths))
-            if ts is None and is_rail_name(target):
-                ts = sweep_paths_to_target(ccc, target, max_paths,
-                                           want=source)
-            if ts is not None:
-                sid = _graph(ccc)["net_ids"].get(source)
-                if sid is not None and sid in ts["overflow"]:
-                    raise RuntimeError(
-                        f"conduction path enumeration between {source!r} "
-                        f"and {target!r} exceeded {max_paths} paths"
-                    )
-                return list(
-                    _materialize_target(ccc, source, target, max_paths, ts))
-            overflowed = state.get((source, max_paths))
-            if overflowed is None:
-                sweep_conduction_paths(ccc, source, max_paths, want=target)
-                overflowed = state[(source, max_paths)]
-            if target in overflowed:
-                raise RuntimeError(
-                    f"conduction path enumeration between {source!r} and "
-                    f"{target!r} exceeded {max_paths} paths"
-                )
-            return list(_materialize(ccc, source, target, max_paths, state))
-    return _enumerate_pair(ccc, source, target, max_paths)
-
-
-def _enumerate_pair(
-    ccc: ChannelConnectedComponent,
-    source: str,
-    target: str,
-    max_paths: int,
-) -> list[ConductionPath]:
-    """The historical per-(source, target) DFS.
-
-    Still the authority for ``source == target`` (where the visited-set
-    exception below admits loop paths) and the uncached / legacy
-    baseline for benchmarks.  The sweep is property-tested bit-identical
-    against this for ``source != target``.
-    """
-    _COUNTERS["pair_enumerations"] += 1
-    cache_key = (source, target, max_paths)
-    # Adjacency: net -> [(device, other_net)]
-    adj: dict[str, list[tuple[Transistor, str]]] = {}
-    for t in ccc.transistors:
-        d, s = t.channel_terminals()
-        adj.setdefault(d, []).append((t, s))
-        adj.setdefault(s, []).append((t, d))
-
-    paths: list[ConductionPath] = []
-    stack: list[tuple[str, tuple[str, ...], tuple[tuple[str, bool], ...], frozenset[str]]] = [
-        (source, (), (), frozenset({source}))
-    ]
-    while stack:
-        net, devs, conds, visited = stack.pop()
-        if net == target and devs:
-            path = ConductionPath(devices=devs, conditions=conds)
-            if not path.is_contradictory():
-                paths.append(path)
-                if len(paths) > max_paths:
-                    raise RuntimeError(
-                        f"conduction path enumeration between {source!r} and "
-                        f"{target!r} exceeded {max_paths} paths"
-                    )
-            continue
-        if net != source and is_rail_name(net):
-            # Rails terminate paths: conduction through the opposite rail
-            # is a crowbar condition, not a logic path.
-            continue
-        for t, other in adj.get(net, []):
-            if t.name in devs:
-                continue
-            if other in visited and other != target:
-                continue
-            level = t.polarity == "nmos"
-            if is_rail_name(t.gate):
-                # Rail-gated device: a constant switch.  An NMOS gated by
-                # vdd (or PMOS by gnd) is always on and adds no condition;
-                # the opposite polarity is permanently off and kills the
-                # path.
-                if is_supply_name(t.gate) != level:
-                    continue
-                new_conds = conds
-            else:
-                new_conds = conds + ((t.gate, level),)
-            stack.append((
-                other,
-                devs + (t.name,),
-                new_conds,
-                visited | {other},
-            ))
-    ccc.path_cache[cache_key] = tuple(paths)
-    return paths
+    if source == target:
+        raise ValueError(
+            f"conduction paths need two distinct nets, got {source!r} twice")
+    cached = ccc.path_cache.get((source, target, max_paths))
+    if cached is not None:
+        _COUNTERS["path_cache_hits"] += 1
+        return list(cached)
+    ts = sweep_paths_to_target(ccc, target, max_paths, want=source)
+    sid = _graph(ccc)["net_ids"].get(source)
+    if sid is not None and sid in ts["overflow"]:
+        raise RuntimeError(
+            f"conduction path enumeration between {source!r} and "
+            f"{target!r} exceeded {max_paths} paths"
+        )
+    return list(_materialize_target(ccc, source, target, max_paths, ts))
 
 
 def _sweep_state(ccc: ChannelConnectedComponent) -> dict:
@@ -290,187 +178,15 @@ def _sweep_state(ccc: ChannelConnectedComponent) -> dict:
     Not a dataclass field: CCC objects round-trip through checkpoint
     pickles written before this attribute existed, and
     ``ChannelConnectedComponent.__getstate__`` strips it on serialize
-    anyway.  Keys: ``"adj"`` -> the precomputed switch-graph adjacency;
-    ``(source, max_paths)`` -> frozenset of targets whose enumeration
-    overflowed ``max_paths`` (their cache slots stay empty and any
-    request for them raises, exactly like the per-pair walk).
+    anyway.  Keys: ``"graph"`` -> the int-indexed switch graph
+    (:func:`_graph`); ``("tsweep", target, max_paths)`` -> that
+    target's sweep record (:func:`sweep_paths_to_target`).
     """
     state = getattr(ccc, "_sweep_state", None)
     if state is None:
         state = {}
         ccc._sweep_state = state
     return state
-
-
-def _adjacency(ccc: ChannelConnectedComponent) -> dict[str, list]:
-    """Precomputed adjacency: net -> [(device, other, cond, other_is_rail)].
-
-    ``cond`` is the ``(gate, level)`` the edge contributes, or ``None``
-    for an always-on rail-gated device.  Permanently-off devices (NMOS
-    gated by gnd, PMOS by vdd) are dropped entirely -- the per-pair walk
-    skipped them at every expansion; eliding them preserves the relative
-    order of the surviving entries, which the preorder depends on.
-    """
-    state = _sweep_state(ccc)
-    adj = state.get("adj")
-    if adj is not None:
-        return adj
-    adj = {}
-    for t in ccc.transistors:
-        level = t.polarity == "nmos"
-        if is_rail_name(t.gate):
-            if is_supply_name(t.gate) != level:
-                continue  # permanently off: contributes no edge
-            cond = None
-        else:
-            cond = (t.gate, level)
-        d, s = t.channel_terminals()
-        adj.setdefault(d, []).append((t.name, s, cond, is_rail_name(s)))
-        adj.setdefault(s, []).append((t.name, d, cond, is_rail_name(d)))
-    state["adj"] = adj
-    return adj
-
-
-def sweep_conduction_paths(
-    ccc: ChannelConnectedComponent,
-    source: str,
-    max_paths: int = 10000,
-    want: str | None = None,
-) -> None:
-    """One traversal from ``source`` collecting paths to *every* net.
-
-    Records, per reached net, the arrival order of every simple path
-    from ``source`` as compact parent-pointer nodes (O(1) per arrival;
-    a node is ``(parent_node, device, condition)``).  Results land in
-    the CCC's sweep state and are materialized into
-    ``ccc.path_cache[(source, target, max_paths)]`` lazily, on the
-    first request per target (:func:`_materialize`) -- chip-scale
-    builds only ever consume the rail/port targets, so eagerly building
-    :class:`ConductionPath` tuples for every internal-net pair would
-    dominate the sweep.
-
-    Targets whose path count exceeds ``max_paths`` are recorded as
-    overflowed instead; a later request for them raises the same
-    ``RuntimeError`` the per-pair walk would have.  ``want`` names the
-    target the triggering caller asked for, so its overflow raises
-    immediately (mid-sweep, nothing recorded) rather than deferred.
-
-    The traversal is an explicit-stack preorder DFS over the switch
-    graph, visiting children in ``reversed(adj[net])`` order to match
-    the legacy LIFO walk -- see the module docstring for the
-    bit-identity argument.
-    """
-    _COUNTERS["path_sweeps"] += 1
-    adj = _adjacency(ccc)
-    raw: dict[str, list] = {}
-    overflowed: set[str] = set()
-    dev_set: set[str] = set()
-    # Per-gate required-level multiset: gate -> [count needing 0,
-    # count needing 1].  A new condition whose opposite level is
-    # already required makes the whole subtree contradictory.
-    req: dict[str, list[int]] = {}
-    visited = {source}
-    # Frame: (net, via_device, via_cond, path_node, child_iterator);
-    # the via-edge's state is undone when the iterator is exhausted.
-    frames: list[tuple] = [
-        (source, None, None, None, iter(reversed(adj.get(source, ()))))
-    ]
-    while frames:
-        frame = frames[-1]
-        parent_node = frame[3]
-        descended = False
-        for dev, other, cond, other_is_rail in frame[4]:
-            if dev in dev_set or other in visited:
-                continue
-            if cond is not None:
-                gate, level = cond
-                ent = req.get(gate)
-                if ent is None:
-                    ent = req[gate] = [0, 0]
-                if ent[0 if level else 1]:
-                    continue  # contradictory from here down: prune
-                ent[1 if level else 0] += 1
-            # Preorder arrival at ``other``: record one path ending here.
-            node = (parent_node, dev, cond)
-            if other not in overflowed:
-                bucket = raw.get(other)
-                if bucket is None:
-                    bucket = raw[other] = []
-                bucket.append(node)
-                if len(bucket) > max_paths:
-                    if other == want:
-                        raise RuntimeError(
-                            f"conduction path enumeration between "
-                            f"{source!r} and {other!r} exceeded "
-                            f"{max_paths} paths"
-                        )
-                    overflowed.add(other)
-                    del raw[other]
-            if other_is_rail:
-                # Rails terminate paths; undo the condition in place.
-                if cond is not None:
-                    req[gate][1 if level else 0] -= 1
-                continue
-            dev_set.add(dev)
-            visited.add(other)
-            frames.append(
-                (other, dev, cond, node, iter(reversed(adj.get(other, ())))))
-            descended = True
-            break
-        if not descended:
-            frames.pop()
-            via_dev = frame[1]
-            if via_dev is not None:
-                dev_set.remove(via_dev)
-                visited.remove(frame[0])
-            via_cond = frame[2]
-            if via_cond is not None:
-                req[via_cond[0]][1 if via_cond[1] else 0] -= 1
-
-    state = _sweep_state(ccc)
-    state[("raw", source, max_paths)] = raw
-    state[(source, max_paths)] = frozenset(overflowed)
-
-
-def _materialize(
-    ccc: ChannelConnectedComponent,
-    source: str,
-    target: str,
-    max_paths: int,
-    state: dict,
-) -> tuple[ConductionPath, ...]:
-    """Turn one target's recorded sweep nodes into cached paths.
-
-    Walks each parent-pointer chain back to the source and reverses,
-    yielding devices and conditions in source-to-target order -- the
-    exact tuples the per-pair walk would have built, in the same
-    (preorder arrival) sequence.  The consumed bucket is dropped; the
-    materialized tuple lives in ``ccc.path_cache`` from here on.  A
-    missing bucket means the sweep proved there are no paths (target
-    unreached or outside the CCC's switch graph): the empty answer is
-    cached like any other.
-    """
-    cached = ccc.path_cache.get((source, target, max_paths))
-    if cached is not None:
-        return cached
-    raw = state.get(("raw", source, max_paths))
-    nodes = raw.pop(target, ()) if raw is not None else ()
-    paths = []
-    for node in nodes:
-        devs: list[str] = []
-        conds: list[tuple[str, bool]] = []
-        while node is not None:
-            node, dev, cond = node
-            devs.append(dev)
-            if cond is not None:
-                conds.append(cond)
-        devs.reverse()
-        conds.reverse()
-        paths.append(ConductionPath(devices=tuple(devs),
-                                    conditions=tuple(conds)))
-    result = tuple(paths)
-    ccc.path_cache[(source, target, max_paths)] = result
-    return result
 
 
 def _graph(ccc: ChannelConnectedComponent) -> dict:
@@ -486,11 +202,13 @@ def _graph(ccc: ChannelConnectedComponent) -> dict:
     Layout: ``net_ids``/``nets`` name<->id maps (nets appearing as a
     live channel terminal, rails included), ``net_rail`` per-id rail
     flags, ``adj[i]`` entries ``(dev, other, gid, lvl, other_rail,
-    arr_rank)`` in the same construction order as :func:`_adjacency`
-    (permanently-off devices elided, order preserved), ``dev_names`` in
-    ``ccc.transistors`` order, ``dev_gate``/``dev_level`` the device's
-    condition as a gate id (-1 for none) and required level, and
-    ``gate_names`` the gate id->name table.
+    arr_rank)`` in ``ccc.transistors`` order (permanently-off devices
+    -- NMOS gated by gnd, PMOS by vdd -- elided, which keeps the
+    relative order of the rest, all the rank sort depends on),
+    ``dev_names`` in ``ccc.transistors`` order,
+    ``dev_gate``/``dev_level`` the device's condition as a gate id (-1
+    for none) and required level, and ``gate_names`` the gate id->name
+    table.
     """
     state = _sweep_state(ccc)
     g = state.get("graph")
@@ -751,14 +469,13 @@ def sweep_paths_to_target(
     """One traversal rooted at ``target`` collecting paths from *every*
     source.
 
-    The complement of :func:`sweep_conduction_paths` for the dominant
-    query shape -- all channel nets against one shared target (a rail
-    or port): a single preorder DFS from ``target`` records every
-    arrival as a compact node, bucketed by arrived-at net, so that
-    pair ``(u, target)`` materializes from bucket ``u`` by walking
+    The dominant query shape is all channel nets against one shared
+    target (a rail or port): a single traversal from ``target`` records
+    every arrival as a compact node, bucketed by arrived-at net, so
+    that pair ``(u, target)`` materializes from bucket ``u`` by walking
     parent chains (already in u-to-target order) and sorting by
     forward rank sequences.  See the module docstring for why this is
-    bit-identical -- content and order -- to the per-pair DFS.
+    bit-identical -- content and order -- to the per-pair walk.
 
     Returns (and caches under ``("tsweep", target, max_paths)`` in the
     sweep state) a dict of numpy node columns
@@ -781,11 +498,10 @@ def sweep_paths_to_target(
         return ts
     _COUNTERS["target_sweeps"] += 1
     g = _graph(ccc)
-    tid_early = g["net_ids"].get(target)
-    if (tid_early is not None
-            and len(ccc.transistors) >= _BFS_MIN_DEVICES):
-        want_id_ = g["net_ids"].get(want, -3) if want is not None else -3
-        ts = _sweep_bfs(g, tid_early, target, want_id_, max_paths)
+    tid = g["net_ids"].get(target)
+    want_id = g["net_ids"].get(want, -3) if want is not None else -3
+    if tid is not None and len(ccc.transistors) >= _BFS_MIN_DEVICES:
+        ts = _sweep_bfs(g, tid, target, want_id, max_paths)
         state[skey] = ts
         return ts
     # Node columns live interleaved in one ``array.array`` while the
@@ -797,8 +513,6 @@ def sweep_paths_to_target(
     cols = array("i")
     buckets: dict[int, array] = {}
     overflow: set[int] = set()
-    tid = g["net_ids"].get(target)
-    want_id = g["net_ids"].get(want, -3) if want is not None else -3
     if tid is not None:
         radj = g["radj"]
         req: list[list[int]] = [[0, 0] for _ in g["gate_names"]]

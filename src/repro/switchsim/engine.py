@@ -43,7 +43,11 @@ from dataclasses import dataclass
 
 from repro.netlist.flatten import FlatNetlist
 from repro.recognition.ccc import ChannelConnectedComponent, extract_cccs
-from repro.recognition.conduction import ConductionPath, conduction_paths
+from repro.recognition.conduction import (
+    ConductionPath,
+    conduction_paths,
+    sweep_paths_to_target,
+)
 from repro.switchsim.values import Logic, NetState
 
 _EMPTY: frozenset[str] = frozenset()
@@ -172,8 +176,6 @@ class SwitchSimulator:
     # -- construction -------------------------------------------------------
 
     def _build_tables(self) -> None:
-        from repro.recognition import conduction as _conduction
-
         for ccc in self.cccs:
             table: dict[str, list[_SourcePaths]] = {}
             affected: dict[str, set[str]] = {}
@@ -181,14 +183,11 @@ class SwitchSimulator:
                 n for n in ccc.channel_nets
                 if self.flat.nets[n].is_port
             )
-            if (_conduction.PATH_CACHE_ENABLED
-                    and _conduction.SWEEP_ENABLED):
-                # One target-rooted sweep per source fills the pair
-                # cache for every channel net at once; the per-net
-                # queries below then materialize from it instead of
-                # running one traversal per (net, source) pair.
-                for src in sources:
-                    _conduction.sweep_paths_to_target(ccc, src)
+            # One target-rooted sweep per source fills the pair cache
+            # for every channel net at once; the per-net queries below
+            # then materialize from it.
+            for src in sources:
+                sweep_paths_to_target(ccc, src)
             for net in ccc.channel_nets:
                 entries = []
                 deps: set[str] = {net}

@@ -55,20 +55,8 @@ from repro.netlist.nets import is_rail_name
 from repro.recognition.ccc import ChannelConnectedComponent, extract_cccs
 from repro.recognition.conduction import (
     _graph as switch_graph,
-    conduction_paths,
     sweep_paths_to_target,
 )
-
-#: Version of the :class:`PackedSwitchTables` persistence payload; bump
-#: when the pickled layout changes so stale store blobs are ignored
-#: instead of misread.
-TABLES_STORE_SCHEMA = 1
-
-#: Benchmark escape hatch: ``benchmarks/setup_report.py`` flips this off
-#: (together with ``conduction.SWEEP_ENABLED``) to time the historical
-#: per-instance enumeration.  Leave on everywhere else; the stamped
-#: arrays are byte-identical either way.
-TEMPLATES_ENABLED = True
 
 
 def csr_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -96,7 +84,8 @@ class _CCCTemplate:
     preorder, wave levels, dirty sets -- coincides, so one enumerated
     template can be stamped per instance by substituting names.  The
     stamped arrays are byte-identical to what enumerating the instance
-    directly would produce (asserted by tests and the setup benchmark).
+    directly would produce (asserted against the per-instance oracle in
+    ``tests/oracles.py`` by tests and the setup benchmark).
 
     Local id space: channel nets take ids ``0..n-1`` in sorted order
     (so local id == solve position); external gate nets take ids from
@@ -237,11 +226,8 @@ class PackedSwitchTables:
         self.aff_later_ptr: np.ndarray = np.zeros(1, np.int64)
         self.aff_later_rows: np.ndarray = np.empty(0, np.int64)
         # -- provenance ------------------------------------------------
-        #: Wall-clock seconds :meth:`build` spent (0.0 when the tables
-        #: were loaded from an :class:`~repro.store.ArtifactStore`).
+        #: Wall-clock seconds :meth:`build` spent.
         self.build_wall_s: float = 0.0
-        #: True when this instance came from a store blob, not a build.
-        self.loaded_from_store: bool = False
         #: CCC instances served from the template cache during build.
         self.template_hits: int = 0
 
@@ -319,20 +305,7 @@ class PackedSwitchTables:
             for t in flat.transistors
         }
 
-        def path_conductance(path) -> float:
-            # Bit-identical to the reference engine's series formula.
-            inv_total = 0.0
-            for dev in path.devices:
-                g = conductance[dev]
-                if g <= 0:
-                    return 0.0
-                inv_total += 1.0 / g
-            return 1.0 / inv_total if inv_total else float("inf")
-
-        if TEMPLATES_ENABLED:
-            self._stamp_templates(flat, nid, conductance)
-        else:
-            self._enumerate_direct(flat, nid, path_conductance)
+        self._stamp_templates(flat, nid, conductance)
 
         # Incremental condition machinery: materialize each condition's
         # owning path, then group conditions by (gate net, section)
@@ -394,132 +367,6 @@ class PackedSwitchTables:
         self.build_wall_s = time.perf_counter() - t_start
         return self
 
-    def _enumerate_direct(self, flat: FlatNetlist, nid: dict[str, int],
-                          path_conductance) -> None:
-        """The historical per-instance build loop, kept verbatim.
-
-        Benchmark baseline (``TEMPLATES_ENABLED = False``) and the
-        authority the template path is asserted byte-identical against.
-        """
-        row_net: list[int] = []
-        row_ccc: list[int] = []
-        row_wave: list[int] = []
-        path_ptr: list[int] = [0]
-        path_src: list[int] = []
-        path_src_rail: list[bool] = []
-        path_g: list[float] = []
-        cond_ptr: list[int] = [0]
-        cond_gate: list[int] = []
-        cond_level: list[int] = []
-        cond_internal: list[bool] = []
-        aff_later: list[list[int]] = []
-
-        for ccc in self.cccs:
-            base = len(row_net)
-            sorted_nets = sorted(ccc.channel_nets)
-            pos = {net: i for i, net in enumerate(sorted_nets)}
-            sources = ["vdd", "gnd"] + sorted(
-                n for n in ccc.channel_nets
-                if flat.nets[n].is_port
-            )
-            deps_of: dict[str, set[str]] = {}
-            for net in sorted_nets:
-                deps: set[str] = {net}
-                for src in sources:
-                    if src == net:
-                        continue
-                    paths = conduction_paths(ccc, net, src)
-                    if not paths:
-                        continue
-                    if src not in ("vdd", "gnd"):
-                        deps.add(src)
-                    src_id = nid[src]
-                    is_rail = src in ("vdd", "gnd")
-                    for p in paths:
-                        path_src.append(src_id)
-                        path_src_rail.append(is_rail)
-                        path_g.append(path_conductance(p))
-                        for gate, level in p.conditions:
-                            cond_gate.append(nid[gate])
-                            cond_level.append(1 if level else 0)
-                            cond_internal.append(gate in ccc.channel_nets)
-                            deps.add(gate)
-                        cond_ptr.append(len(cond_gate))
-                path_ptr.append(len(path_src))
-                deps_of[net] = deps
-                row_net.append(nid[net])
-                row_ccc.append(ccc.index)
-
-            # Static wave levels.  Two constraints (see module docs):
-            #   wave(net) > wave(d)   for deps d at an earlier position
-            #     (net must see d's freshly-applied value), and
-            #   wave(net) >= wave(r)  for readers r at an earlier
-            #     position that depend on net (r must still see net's
-            #     pre-pass value when it solves).
-            # Every constraint edge runs from an earlier to a later
-            # sorted position, so one ascending pass reaches the
-            # fixpoint.
-            readers_of: dict[str, list[str]] = {}
-            for net in sorted_nets:
-                for d in deps_of[net]:
-                    if d in pos and pos[d] > pos[net]:
-                        readers_of.setdefault(d, []).append(net)
-            wave: dict[str, int] = {}
-            for net in sorted_nets:
-                w = 0
-                for d in deps_of[net]:
-                    if d in pos and pos[d] < pos[net]:
-                        w = max(w, wave[d] + 1)
-                for r in readers_of.get(net, ()):
-                    w = max(w, wave[r])
-                wave[net] = w
-                row_wave.append(w)
-
-            # Dirty propagation: trigger -> rows, and per-row expansion
-            # restricted to later positions (what the sequential pass
-            # would still reach after the trigger changed).
-            affected: dict[str, set[str]] = {}
-            for net in sorted_nets:
-                for trigger in deps_of[net]:
-                    affected.setdefault(trigger, set()).add(net)
-            self.affected_rows.append({
-                trigger: np.array(sorted(base + pos[m] for m in nets_),
-                                  dtype=np.int64)
-                for trigger, nets_ in affected.items()
-            })
-            for net in sorted_nets:
-                later = affected.get(net, ())
-                aff_later.append(sorted(
-                    base + pos[m] for m in later if pos[m] > pos[net]))
-
-            for gate in ccc.gate_nets():
-                self.gate_readers.setdefault(gate, []).append(ccc.index)
-            for net in ccc.channel_nets:
-                self.net_cccs.setdefault(net, []).append(ccc.index)
-                if flat.nets[net].is_port:
-                    self.port_cccs.setdefault(net, []).append(ccc.index)
-
-        self.n_rows = len(row_net)
-        self.row_net = np.array(row_net, np.int64)
-        self.row_name = [self.net_names[i] for i in row_net]
-        self.row_ccc = np.array(row_ccc, np.int64)
-        self.row_wave = np.array(row_wave, np.int64)
-        self.path_ptr = np.array(path_ptr, np.int64)
-        self.path_src = np.array(path_src, np.int64)
-        self.path_src_rail = np.array(path_src_rail, bool)
-        self.path_g = np.array(path_g, np.float64)
-        self.cond_ptr = np.array(cond_ptr, np.int64)
-        self.cond_gate = np.array(cond_gate, np.int64)
-        self.cond_level = np.array(cond_level, np.int8)
-        self.cond_internal = np.array(cond_internal, bool)
-        ptr = [0]
-        flat_rows: list[int] = []
-        for targets in aff_later:
-            flat_rows.extend(targets)
-            ptr.append(len(flat_rows))
-        self.aff_later_ptr = np.array(ptr, np.int64)
-        self.aff_later_rows = np.array(flat_rows, np.int64)
-
     @staticmethod
     def _compute_template(ccc: ChannelConnectedComponent,
                           sorted_nets: list[str], flat: FlatNetlist,
@@ -534,9 +381,10 @@ class PackedSwitchTables:
         from arrival to root, which *is* source-to-target device order
         (module docs of :mod:`repro.recognition.conduction`), and a
         lexsort on forward rank sequences restores the per-pair
-        enumeration order, so the packed segment is byte-identical to
-        what :meth:`_enumerate_direct` appends for this CCC -- including
-        ``path_g`` floats, accumulated in the same per-device sequence.
+        enumeration order, so the packed segment is byte-identical to a
+        per-pair enumeration of this CCC -- including ``path_g`` floats,
+        accumulated in the same per-device sequence as the reference
+        engine's series formula.
         """
         idx = {nm: i for i, nm in enumerate(local_names)}
         n = len(sorted_nets)
@@ -584,7 +432,7 @@ class PackedSwitchTables:
                     continue
                 if net_gid in ts["overflow"]:
                     # Same raise, in the same (net, src) iteration
-                    # order, as the per-pair enumeration.
+                    # order, as ``conduction_paths``.
                     raise RuntimeError(
                         f"conduction path enumeration between {net!r} and "
                         f"{src!r} exceeded {max_paths} paths"
@@ -723,7 +571,7 @@ class PackedSwitchTables:
         Stamping substitutes global net ids for a template's local ids
         and offsets row positions by the instance's base row; every
         other decision is baked into the template, so the concatenated
-        arrays equal direct enumeration byte for byte.
+        arrays equal per-instance enumeration byte for byte.
         """
         templates: dict = {}
         row_net_chunks: list[np.ndarray] = []
@@ -822,102 +670,3 @@ class PackedSwitchTables:
             if self.n_rows else 0,
             "packed_template_hits": self.template_hits,
         }
-
-    # -- persistence ----------------------------------------------------
-
-    @staticmethod
-    def store_key_for(fingerprint: str) -> str:
-        """ArtifactStore key for tables with the given content fingerprint.
-
-        A namespaced SHA-256 so packed-table blobs can never collide
-        with stage-checkpoint keys, versioned by
-        :data:`TABLES_STORE_SCHEMA`.
-        """
-        return hashlib.sha256(
-            f"packed-switch-tables:v{TABLES_STORE_SCHEMA}:{fingerprint}"
-            .encode()).hexdigest()
-
-    def store_key(self) -> str:
-        return self.store_key_for(self.fingerprint)
-
-    def to_payload(self) -> dict:
-        """Store payload: everything but the netlist reference.
-
-        The CCC list rides along (the vector engine reads channel/gate
-        net names from it) but its memo caches are stripped by
-        ``ChannelConnectedComponent.__getstate__`` at pickle time.
-        """
-        state = dict(self.__dict__)
-        state["flat"] = None
-        return {"schema": TABLES_STORE_SCHEMA,
-                "l_min_um": self.l_min_um,
-                "fingerprint": self.fingerprint,
-                "state": state}
-
-    @classmethod
-    def from_payload(cls, payload: dict,
-                     flat: FlatNetlist) -> "PackedSwitchTables":
-        """Rehydrate stored tables against ``flat``.
-
-        Raises ``ValueError`` on schema mismatch or malformed payloads;
-        callers decide whether to quarantine.  The caller is
-        responsible for checking :meth:`matches` against the netlist it
-        intends to simulate.
-        """
-        if not isinstance(payload, dict) or "state" not in payload:
-            raise ValueError("malformed packed-switch-tables payload")
-        if payload.get("schema") != TABLES_STORE_SCHEMA:
-            raise ValueError(
-                f"packed-switch-tables schema {payload.get('schema')!r} != "
-                f"{TABLES_STORE_SCHEMA}")
-        self = cls()
-        self.__dict__.update(payload["state"])
-        self.flat = flat
-        self.loaded_from_store = True
-        self.build_wall_s = 0.0
-        return self
-
-
-def save_switch_tables(store, tables: PackedSwitchTables) -> bool:
-    """Persist built tables under their fingerprint key.
-
-    Returns True when a new blob was written (False when the key
-    already exists or a concurrent writer beat us -- both fine: blobs
-    are content-addressed, any copy is as good as ours).
-    """
-    key = tables.store_key()
-    if store.has(key):
-        return False
-    meta = {"kind": "packed-switch-tables",
-            "schema": TABLES_STORE_SCHEMA,
-            "fingerprint": tables.fingerprint,
-            "l_min_um": tables.l_min_um,
-            "rows": tables.n_rows}
-    return store.put(key, tables.to_payload(), meta=meta) is not None
-
-
-def load_switch_tables(store, flat: FlatNetlist,
-                       l_min_um: float = 0.35) -> PackedSwitchTables | None:
-    """Load tables for ``flat`` from the store, or ``None``.
-
-    ``None`` covers every non-usable case -- key absent, blob corrupt
-    (already quarantined by the store), payload malformed (quarantined
-    here), or fingerprint/l_min mismatch -- so callers fall back to a
-    fresh build unconditionally.
-    """
-    from repro.store.artifact import CorruptArtifact, StoreMiss
-
-    fp = PackedSwitchTables.fingerprint_of(flat, l_min_um)
-    key = PackedSwitchTables.store_key_for(fp)
-    try:
-        payload, _meta = store.get(key)
-    except (StoreMiss, CorruptArtifact):
-        return None
-    try:
-        tables = PackedSwitchTables.from_payload(payload, flat)
-    except (ValueError, KeyError, TypeError):
-        store.invalidate(key, reason="malformed packed-switch-tables payload")
-        return None
-    if tables.fingerprint != fp or float(tables.l_min_um) != float(l_min_um):
-        return None
-    return tables

@@ -101,7 +101,7 @@ class VectorSwitchSimulator(SwitchSimulator):
                  cache=None):
         if tables is None:
             # A DesignCache routes through its shared CCC extraction
-            # and (when it has a store) the persisted-table fast path.
+            # and hands out one build per (unmutated) netlist.
             if cache is not None:
                 tables = cache.switch_tables(flat, l_min_um=l_min_um)
             else:

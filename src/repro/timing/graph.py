@@ -298,32 +298,30 @@ def _break_cycles(graph: TimingGraph) -> None:
     for arc in graph.arcs:
         adjacency.setdefault(arc.src, []).append(arc)
 
-    on_stack: set[str] = set()
-
-    def dfs(net: str) -> None:
-        nonlocal dropped
-        color[net] = 1
-        on_stack.add(net)
-        for arc in adjacency.get(net, []):
-            if color.get(arc.dst, 0) == 0:
-                kept.append(arc)
-                dfs(arc.dst)
-            elif arc.dst in on_stack:
-                dropped += 1  # back-edge: break the loop here
+    # Explicit-stack DFS: each frame is (net, iterator over its arcs),
+    # so a long chain cannot exhaust the interpreter's recursion limit.
+    # Gray (1) nets are exactly the ones on the stack.
+    for root in order:
+        if color.get(root, 0):
+            continue
+        color[root] = 1
+        stack = [(root, iter(adjacency.get(root, ())))]
+        while stack:
+            net, arcs = stack[-1]
+            for arc in arcs:
+                state = color.get(arc.dst, 0)
+                if state == 0:
+                    kept.append(arc)
+                    color[arc.dst] = 1
+                    stack.append((arc.dst, iter(adjacency.get(arc.dst, ()))))
+                    break
+                if state == 1:
+                    dropped += 1  # back-edge: break the loop here
+                else:
+                    kept.append(arc)
             else:
-                kept.append(arc)
-        on_stack.discard(net)
-        color[net] = 2
-
-    import sys
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 10000))
-    try:
-        for net in order:
-            if color.get(net, 0) == 0:
-                dfs(net)
-    finally:
-        sys.setrecursionlimit(old_limit)
+                color[net] = 2
+                stack.pop()
 
     if dropped:
         graph.notes.append(f"broke {dropped} feedback arc(s) for acyclic analysis")

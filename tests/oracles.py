@@ -1,0 +1,253 @@
+"""Reference implementations the production fast paths must match.
+
+Slow on purpose: each is the straightforward form of an algorithm that
+production runs in a faster form, kept here so the property tests, the
+differential tests and ``benchmarks/setup_report.py`` can demand
+bit-identical results.
+
+* :func:`enumerate_pair` -- the per-(source, target) depth-first walk
+  that defines which conduction paths a pair has, and in which order.
+  :func:`repro.recognition.conduction.conduction_paths` answers the
+  same question from one target-rooted sweep per target.
+* :func:`direct_tables` -- the packed switch tables built CCC instance
+  by CCC instance from per-pair walks.
+  :meth:`repro.switchsim.tables.PackedSwitchTables.build` stamps
+  per-CCC-shape templates from sweeps instead, and must match it byte
+  for byte (:func:`table_mismatches`).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.netlist.flatten import FlatNetlist
+from repro.netlist.nets import is_rail_name, is_supply_name
+from repro.recognition.ccc import ChannelConnectedComponent, extract_cccs
+from repro.recognition.conduction import ConductionPath
+
+#: Every numpy column of the packed tables.
+TABLE_ARRAYS = (
+    "row_net", "row_ccc", "row_wave", "path_ptr", "path_src",
+    "path_src_rail", "path_g", "cond_ptr", "cond_gate", "cond_level",
+    "cond_internal", "cond_path", "aff_later_ptr", "aff_later_rows",
+)
+
+
+def enumerate_pair(
+    ccc: ChannelConnectedComponent,
+    source: str,
+    target: str,
+    max_paths: int = 10000,
+) -> list[ConductionPath]:
+    """All simple channel paths from ``source`` to ``target``, one pair
+    at a time.
+
+    A LIFO walk from ``source`` pushing children in adjacency order:
+    rails other than the source terminate paths, no net is revisited
+    (except ``target`` when it equals ``source``, which admits loop
+    paths), and contradictory paths are dropped.  Raises the same
+    ``RuntimeError`` as ``conduction_paths`` past ``max_paths``.
+    Touches no cache, so a comparison against ``conduction_paths``
+    never reads back its own answer.
+    """
+    adj: dict[str, list] = {}
+    for t in ccc.transistors:
+        d, s = t.channel_terminals()
+        adj.setdefault(d, []).append((t, s))
+        adj.setdefault(s, []).append((t, d))
+
+    paths: list[ConductionPath] = []
+    stack = [(source, (), (), frozenset({source}))]
+    while stack:
+        net, devs, conds, visited = stack.pop()
+        if net == target and devs:
+            path = ConductionPath(devices=devs, conditions=conds)
+            if not path.is_contradictory():
+                paths.append(path)
+                if len(paths) > max_paths:
+                    raise RuntimeError(
+                        f"conduction path enumeration between {source!r} and "
+                        f"{target!r} exceeded {max_paths} paths"
+                    )
+            continue
+        if net != source and is_rail_name(net):
+            # Rails terminate paths: conduction through the opposite rail
+            # is a crowbar condition, not a logic path.
+            continue
+        for t, other in adj.get(net, []):
+            if t.name in devs:
+                continue
+            if other in visited and other != target:
+                continue
+            level = t.polarity == "nmos"
+            if is_rail_name(t.gate):
+                # Rail-gated device: a constant switch.  An NMOS gated by
+                # vdd (or PMOS by gnd) is always on and adds no condition;
+                # the opposite polarity is permanently off.
+                if is_supply_name(t.gate) != level:
+                    continue
+                new_conds = conds
+            else:
+                new_conds = conds + ((t.gate, level),)
+            stack.append((other, devs + (t.name,), new_conds,
+                          visited | {other}))
+    return paths
+
+
+def direct_tables(flat: FlatNetlist, l_min_um: float = 0.35) -> dict:
+    """The packed switch-table arrays of ``flat``, built directly.
+
+    Extracts fresh CCCs and enumerates every (channel net, source) pair
+    with :func:`enumerate_pair` -- no sweeps, no templates -- packing
+    the result in the layout :mod:`repro.switchsim.tables` documents.
+    Returns every array named in :data:`TABLE_ARRAYS` plus
+    ``row_name`` and ``affected_rows``.
+    """
+    names = sorted(flat.nets)
+    for rail in ("vdd", "gnd"):
+        if rail not in flat.nets:
+            names.append(rail)
+    nid = {n: i for i, n in enumerate(names)}
+    conductance = {
+        t.name: (1.0 if t.polarity == "nmos" else 0.4)
+                * t.w_um / t.effective_length(l_min_um)
+        for t in flat.transistors
+    }
+
+    def path_conductance(path: ConductionPath) -> float:
+        # The reference engine's series formula, device by device.
+        inv_total = 0.0
+        for dev in path.devices:
+            g = conductance[dev]
+            if g <= 0:
+                return 0.0
+            inv_total += 1.0 / g
+        return 1.0 / inv_total if inv_total else float("inf")
+
+    row_net: list[int] = []
+    row_ccc: list[int] = []
+    row_wave: list[int] = []
+    path_ptr: list[int] = [0]
+    path_src: list[int] = []
+    path_src_rail: list[bool] = []
+    path_g: list[float] = []
+    cond_ptr: list[int] = [0]
+    cond_gate: list[int] = []
+    cond_level: list[int] = []
+    cond_internal: list[bool] = []
+    aff_later: list[list[int]] = []
+    affected_rows: list[dict[str, np.ndarray]] = []
+
+    for ccc in extract_cccs(flat):
+        base = len(row_net)
+        sorted_nets = sorted(ccc.channel_nets)
+        pos = {net: i for i, net in enumerate(sorted_nets)}
+        sources = ["vdd", "gnd"] + sorted(
+            n for n in ccc.channel_nets if flat.nets[n].is_port)
+        deps_of: dict[str, set[str]] = {}
+        for net in sorted_nets:
+            deps: set[str] = {net}
+            for src in sources:
+                if src == net:
+                    continue
+                paths = enumerate_pair(ccc, net, src)
+                if not paths:
+                    continue
+                if src not in ("vdd", "gnd"):
+                    deps.add(src)
+                for p in paths:
+                    path_src.append(nid[src])
+                    path_src_rail.append(src in ("vdd", "gnd"))
+                    path_g.append(path_conductance(p))
+                    for gate, level in p.conditions:
+                        cond_gate.append(nid[gate])
+                        cond_level.append(1 if level else 0)
+                        cond_internal.append(gate in ccc.channel_nets)
+                        deps.add(gate)
+                    cond_ptr.append(len(cond_gate))
+            path_ptr.append(len(path_src))
+            deps_of[net] = deps
+            row_net.append(nid[net])
+            row_ccc.append(ccc.index)
+
+        # Static wave levels: wave(net) > wave(d) for deps d at an
+        # earlier position, wave(net) >= wave(r) for earlier readers r.
+        readers_of: dict[str, list[str]] = {}
+        for net in sorted_nets:
+            for d in deps_of[net]:
+                if d in pos and pos[d] > pos[net]:
+                    readers_of.setdefault(d, []).append(net)
+        wave: dict[str, int] = {}
+        for net in sorted_nets:
+            w = 0
+            for d in deps_of[net]:
+                if d in pos and pos[d] < pos[net]:
+                    w = max(w, wave[d] + 1)
+            for r in readers_of.get(net, ()):
+                w = max(w, wave[r])
+            wave[net] = w
+            row_wave.append(w)
+
+        # Dirty propagation: trigger -> rows, and per-row expansion
+        # restricted to later positions.
+        affected: dict[str, set[str]] = {}
+        for net in sorted_nets:
+            for trigger in deps_of[net]:
+                affected.setdefault(trigger, set()).add(net)
+        affected_rows.append({
+            trigger: np.array(sorted(base + pos[m] for m in nets_),
+                              dtype=np.int64)
+            for trigger, nets_ in affected.items()
+        })
+        for net in sorted_nets:
+            later = affected.get(net, ())
+            aff_later.append(sorted(
+                base + pos[m] for m in later if pos[m] > pos[net]))
+
+    aff_ptr = [0]
+    aff_flat: list[int] = []
+    for targets in aff_later:
+        aff_flat.extend(targets)
+        aff_ptr.append(len(aff_flat))
+    cond_ptr_arr = np.array(cond_ptr, np.int64)
+    return {
+        "row_net": np.array(row_net, np.int64),
+        "row_ccc": np.array(row_ccc, np.int64),
+        "row_wave": np.array(row_wave, np.int64),
+        "path_ptr": np.array(path_ptr, np.int64),
+        "path_src": np.array(path_src, np.int64),
+        "path_src_rail": np.array(path_src_rail, bool),
+        "path_g": np.array(path_g, np.float64),
+        "cond_ptr": cond_ptr_arr,
+        "cond_gate": np.array(cond_gate, np.int64),
+        "cond_level": np.array(cond_level, np.int8),
+        "cond_internal": np.array(cond_internal, bool),
+        "cond_path": np.repeat(np.arange(len(path_src), dtype=np.int32),
+                               np.diff(cond_ptr_arr)),
+        "aff_later_ptr": np.array(aff_ptr, np.int64),
+        "aff_later_rows": np.array(aff_flat, np.int64),
+        "row_name": [names[i] for i in row_net],
+        "affected_rows": affected_rows,
+    }
+
+
+def table_mismatches(tables, reference: dict) -> list[str]:
+    """Names of the packed arrays in which ``tables`` (a built
+    :class:`~repro.switchsim.tables.PackedSwitchTables`) differs from
+    ``reference`` (:func:`direct_tables`) in dtype, shape or bytes;
+    empty when they are identical."""
+    bad = []
+    for name in TABLE_ARRAYS:
+        x, y = getattr(tables, name), reference[name]
+        if (x.dtype != y.dtype or x.shape != y.shape
+                or x.tobytes() != y.tobytes()):
+            bad.append(name)
+    if tables.row_name != reference["row_name"]:
+        bad.append("row_name")
+    ours, theirs = tables.affected_rows, reference["affected_rows"]
+    if len(ours) != len(theirs) or any(
+            set(a) != set(b) or any(a[k].tolist() != b[k].tolist()
+                                    for k in a)
+            for a, b in zip(ours, theirs)):
+        bad.append("affected_rows")
+    return bad

@@ -1,5 +1,7 @@
 """Tests for the session DesignCache and counter aggregation."""
 
+import pytest
+
 from repro.designs.adders import domino_carry_adder
 from repro.netlist.flatten import flatten
 from repro.perf import DesignCache, collect_counters
@@ -94,9 +96,12 @@ def test_collect_counters_merges_and_coerces():
         def counters(self):
             return {"b": 2}
 
-    merged = collect_counters({"a": 1}, None, Src(), {"a": 3.5})
-    assert merged == {"a": 3.5, "b": 2.0}
+    merged = collect_counters({"a": 1}, None, Src(), {"c": 3.5})
+    assert merged == {"a": 1.0, "b": 2.0, "c": 3.5}
     assert all(isinstance(v, float) for v in merged.values())
+    # Two sources setting one key is refused, not silently overwritten.
+    with pytest.raises(ValueError, match="'b'"):
+        collect_counters({"a": 1}, Src(), {"b": 3.5})
 
 
 def test_counters_include_memo():

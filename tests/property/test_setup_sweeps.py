@@ -1,34 +1,35 @@
-"""Property tests: path sweeps ≡ the per-pair DFS enumerator.
+"""Property tests: the target-rooted sweep ≡ the per-pair DFS oracle.
 
-The single-source sweep (:func:`sweep_conduction_paths`) and the
-target-rooted sweep (:func:`sweep_paths_to_target`) replace the
-per-(net, source) DFS of older releases as the engine behind
-``conduction_paths``.  Their contract is *bit-identity*: for every
-(source, target) pair the materialized path list must match the legacy
-enumerator element-for-element -- same devices, same conditions, same
-**order** -- because classification signatures, packed-table layouts,
-and the timing graph all hash or index path lists positionally.
+The target-rooted sweep (:func:`sweep_paths_to_target`) is the engine
+behind ``conduction_paths``.  Its contract is *bit-identity*: for every
+(source, target) pair the materialized path list must match the
+per-pair walk (:func:`tests.oracles.enumerate_pair`) element-for-element
+-- same devices, same conditions, same **order** -- because
+classification signatures, packed-table layouts, and the timing graph
+all hash or index path lists positionally.
 
 Hypothesis drives random transistor soups (cycles, pass-gate meshes,
 self-gated channels, floating nets) through every (source, target)
-pair of every CCC, comparing both sweep routes against
-:func:`_enumerate_pair`, including the exact overflow error when a
-tiny ``max_paths`` cap is exceeded.
+pair of every CCC, on both sweep strategies (Python DFS and vectorized
+BFS), including the exact overflow error when a tiny ``max_paths`` cap
+is exceeded.  A chip-scale differential test covers every channel net
+against the rails and ports of a ~1k-device design.
 """
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.designs import chip_scale
 from repro.netlist.builder import CellBuilder
 from repro.netlist.flatten import flatten
 from repro.recognition import conduction
 from repro.recognition.ccc import extract_cccs
 from repro.recognition.conduction import (
-    _enumerate_pair,
     conduction_paths,
     sweep_paths_to_target,
 )
+from tests.oracles import enumerate_pair
 
 PORTS = ["p0", "p1", "p2"]
 INTERNAL = ["x0", "x1", "x2", "x3"]
@@ -65,16 +66,16 @@ def _endpoints(ccc):
     return sorted(ccc.channel_nets) + ["vdd", "gnd"]
 
 
-def _legacy(ccc, src, tgt, max_paths):
-    """(paths, error-str) from the per-pair DFS authority."""
+def _oracle(ccc, src, tgt, max_paths):
+    """(paths, error-str) from the per-pair DFS oracle."""
     try:
-        return _enumerate_pair(ccc, src, tgt, max_paths), None
+        return enumerate_pair(ccc, src, tgt, max_paths), None
     except RuntimeError as err:
         return None, str(err)
 
 
 def _check_pair(ccc, src, tgt, max_paths, via):
-    expected, expected_err = _legacy(ccc, src, tgt, max_paths)
+    expected, expected_err = _oracle(ccc, src, tgt, max_paths)
     try:
         got, got_err = conduction_paths(ccc, src, tgt, max_paths), None
     except RuntimeError as err:
@@ -87,11 +88,14 @@ def _check_pair(ccc, src, tgt, max_paths, via):
 
 @given(network)
 @settings(max_examples=80, deadline=None)
-def test_net_rooted_sweep_matches_per_pair_dfs(devices):
-    """``conduction_paths`` (sweep-backed) over every pair == legacy."""
+def test_conduction_paths_matches_per_pair_dfs(devices):
+    """``conduction_paths`` over every pair of distinct nets == the
+    oracle, each pair's sweep started on demand by its first query."""
     for ccc in _cccs(devices):
         for src in _endpoints(ccc):
             for tgt in _endpoints(ccc):
+                if src == tgt:
+                    continue
                 _check_pair(ccc, src, tgt, 10000, via="sweep")
 
 
@@ -99,8 +103,7 @@ def test_net_rooted_sweep_matches_per_pair_dfs(devices):
 @settings(max_examples=80, deadline=None)
 def test_target_rooted_sweep_matches_per_pair_dfs(devices):
     """A pre-installed target-rooted sweep answers every source
-    identically to the legacy enumerator (ports and internal nets too,
-    not just the rails that install one automatically)."""
+    identically to the oracle (ports and internal nets too)."""
     for ccc in _cccs(devices):
         nets = _endpoints(ccc)
         for tgt in nets:
@@ -164,32 +167,19 @@ def test_overflow_parity_at_tiny_caps(devices, max_paths):
                 _check_pair(ccc, src, tgt, max_paths, via="overflow")
 
 
-def test_source_equals_target_falls_back_to_dfs():
-    """Loop paths back to the source can't ride the sweep's visited-set
-    discipline; the dispatch must hand them to the per-pair DFS."""
+def test_source_equals_target_raises():
+    """A loop back to the source joins no two nets; no consumer asks
+    for one, and the sweep's visited-set discipline cannot express it."""
     b = CellBuilder("loop", ports=["a", "en"])
     b.nmos("en", "a", "x0", w=2.0)
     b.nmos("en", "x0", "a", w=2.0)
     ccc = extract_cccs(flatten(b.build()))[0]
-    assert conduction_paths(ccc, "a", "a") == _enumerate_pair(
-        ccc, "a", "a", 10000)
-
-
-def test_sweep_disabled_still_correct():
-    """With SWEEP_ENABLED off (the benchmark baseline) results are
-    unchanged -- the flag selects a strategy, not a semantics."""
-    b = CellBuilder("nand2", ports=["a", "b", "y"])
-    b.nand(["a", "b"], "y")
-    flat = flatten(b.build())
-    on = extract_cccs(flat)[0]
-    off = extract_cccs(flat)[0]
-    sweep = conduction.SWEEP_ENABLED
-    try:
-        conduction.SWEEP_ENABLED = False
-        baseline = conduction_paths(off, "y", "gnd")
-    finally:
-        conduction.SWEEP_ENABLED = sweep
-    assert conduction_paths(on, "y", "gnd") == baseline
+    with pytest.raises(ValueError, match="'a' twice"):
+        conduction_paths(ccc, "a", "a")
+    # The oracle keeps its loop-path semantics: the loop both ways.
+    loops = enumerate_pair(ccc, "a", "a")
+    assert sorted(p.devices for p in loops) == [("mn1", "mn2"),
+                                                ("mn2", "mn1")]
 
 
 def test_cache_hit_counter_moves():
@@ -205,8 +195,8 @@ def test_cache_hit_counter_moves():
 
 @pytest.mark.parametrize("max_paths", [1, 10000])
 def test_overflow_message_matches_legacy_exactly(max_paths):
-    """The sweep path's overflow error is byte-for-byte the legacy
-    message (tools match on it)."""
+    """The sweep path's overflow error is byte-for-byte the per-pair
+    walk's message (tools match on it)."""
     b = CellBuilder("par", ports=["x", "y", "e0", "e1"])
     b.nmos("e0", "x", "y", w=2.0)
     b.nmos("e1", "x", "y", w=2.0)
@@ -217,7 +207,7 @@ def test_overflow_message_matches_legacy_exactly(max_paths):
         return
     legacy_msg = sweep_msg = None
     try:
-        _enumerate_pair(extract_cccs(flat)[0], "x", "y", max_paths)
+        enumerate_pair(extract_cccs(flat)[0], "x", "y", max_paths)
     except RuntimeError as err:
         legacy_msg = str(err)
     try:
@@ -225,3 +215,25 @@ def test_overflow_message_matches_legacy_exactly(max_paths):
     except RuntimeError as err:
         sweep_msg = str(err)
     assert legacy_msg is not None and sweep_msg == legacy_msg
+
+
+def test_chip_scale_pairs_match_per_pair_dfs():
+    """Differential at bench scale: on ``chip_scale(1000)`` every channel
+    net against each rail and each other port of its CCC -- the pairs
+    production asks for -- equals the oracle.  Both 48-device CCCs
+    there take the vectorized BFS side of ``_BFS_MIN_DEVICES``."""
+    flat = flatten(chip_scale(1000).cell)
+    cccs = extract_cccs(flat)
+    assert any(len(c.transistors) >= conduction._BFS_MIN_DEVICES
+               for c in cccs)
+    pairs = 0
+    for ccc in cccs:
+        ports = sorted(n for n in ccc.channel_nets if flat.nets[n].is_port)
+        for net in sorted(ccc.channel_nets):
+            for tgt in ["vdd", "gnd"] + ports:
+                if tgt == net:
+                    continue
+                assert (conduction_paths(ccc, net, tgt)
+                        == enumerate_pair(ccc, net, tgt)), (net, tgt)
+                pairs += 1
+    assert pairs > 900

@@ -1,62 +1,22 @@
-"""Setup-path tests: template stamping, table persistence, CCC sharing.
+"""Setup-path tests: template stamping and CCC sharing.
 
-The packed-table builder now stamps name-free CCC templates and rides
-target-rooted path sweeps; this file pins the two invariants that make
-that safe -- the stamped arrays are **byte-identical** to the direct
-per-CCC enumeration of older releases, and a store round-trip
-reproduces them exactly -- plus the cache-sharing contracts
-(`DesignCache.cccs`, store-backed `switch_tables`) and a chip-scale
-reference-vs-vector regression.
+The packed-table builder stamps name-free CCC templates and rides
+target-rooted path sweeps; this file pins the invariant that makes that
+safe -- the stamped arrays are **byte-identical** to a per-instance
+build from per-pair walks (:func:`tests.oracles.direct_tables`) -- plus
+the cache-sharing contracts (`DesignCache.cccs`, `switch_tables`) and a
+chip-scale reference-vs-vector regression.
 """
 
-import numpy as np
 import pytest
 
 from repro.designs import chip_scale
 from repro.netlist.builder import CellBuilder
 from repro.netlist.flatten import flatten
 from repro.perf.cache import DesignCache
-from repro.recognition import conduction
-from repro.store.artifact import ArtifactStore
 from repro.switchsim import SwitchSimulator
-from repro.switchsim import tables as tables_mod
-from repro.switchsim.tables import (
-    PackedSwitchTables,
-    load_switch_tables,
-    save_switch_tables,
-)
-
-ARRAYS = (
-    "row_net", "row_ccc", "row_wave", "path_ptr", "path_src",
-    "path_src_rail", "path_g", "cond_ptr", "cond_gate", "cond_level",
-    "cond_internal", "cond_path", "aff_later_ptr", "aff_later_rows",
-)
-
-
-def assert_tables_identical(a: PackedSwitchTables, b: PackedSwitchTables):
-    for name in ARRAYS:
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype, name
-        assert x.shape == y.shape, name
-        assert x.tobytes() == y.tobytes(), name
-    assert a.row_name == b.row_name
-    assert len(a.affected_rows) == len(b.affected_rows)
-    for da, db in zip(a.affected_rows, b.affected_rows):
-        assert set(da) == set(db)
-        for k in da:
-            assert da[k].tolist() == db[k].tolist()
-
-
-def build_legacy(cell) -> PackedSwitchTables:
-    """PR 6 behaviour: per-pair DFS, no template stamping, fresh CCCs."""
-    sweep, tmpl = conduction.SWEEP_ENABLED, tables_mod.TEMPLATES_ENABLED
-    conduction.SWEEP_ENABLED = False
-    tables_mod.TEMPLATES_ENABLED = False
-    try:
-        return PackedSwitchTables.build(flatten(cell))
-    finally:
-        conduction.SWEEP_ENABLED = sweep
-        tables_mod.TEMPLATES_ENABLED = tmpl
+from repro.switchsim.tables import PackedSwitchTables
+from tests.oracles import direct_tables, table_mismatches
 
 
 def tiled_cell():
@@ -76,58 +36,13 @@ def tiled_cell():
 @pytest.mark.parametrize("make_cell", [
     tiled_cell,
     lambda: chip_scale(300).cell,
-], ids=["tiled-slices", "chipscale-300"])
+    lambda: chip_scale(1000).cell,
+], ids=["tiled-slices", "chipscale-300", "chipscale-1000"])
 def test_template_build_byte_identical_to_direct(make_cell):
     cell = make_cell()
     new = PackedSwitchTables.build(flatten(cell))
-    old = build_legacy(cell)
     assert new.template_hits > 0  # the cache actually engaged
-    assert_tables_identical(new, old)
-
-
-def test_store_roundtrip_byte_identical(tmp_path):
-    cell = tiled_cell()
-    flat = flatten(cell)
-    built = PackedSwitchTables.build(flat)
-    store = ArtifactStore(str(tmp_path))
-    assert save_switch_tables(store, built)
-    assert not save_switch_tables(store, built)  # idempotent
-
-    flat2 = flatten(cell)  # fresh netlist, same fingerprint
-    loaded = load_switch_tables(store, flat2)
-    assert loaded is not None
-    assert loaded.loaded_from_store and loaded.build_wall_s == 0.0
-    assert loaded.matches(flat2, 0.35)
-    assert_tables_identical(built, loaded)
-
-
-def test_store_miss_and_mismatches_return_none(tmp_path):
-    store = ArtifactStore(str(tmp_path))
-    cell = tiled_cell()
-    flat = flatten(cell)
-    # Key absent.
-    assert load_switch_tables(store, flat) is None
-    built = PackedSwitchTables.build(flat)
-    save_switch_tables(store, built)
-    # Different l_min is a different fingerprint -> miss, not a stale hit.
-    assert load_switch_tables(store, flat, l_min_um=0.5) is None
-    # Geometry mutation changes the fingerprint -> miss.
-    flat.transistors[0].w_um *= 2.0
-    flat.note_mutation()
-    assert load_switch_tables(store, flat) is None
-
-
-def test_store_quarantines_malformed_payload(tmp_path):
-    store = ArtifactStore(str(tmp_path))
-    flat = flatten(tiled_cell())
-    key = PackedSwitchTables.store_key_for(
-        PackedSwitchTables.fingerprint_of(flat, 0.35))
-    store.put(key, {"schema": 999, "garbage": True})
-    assert load_switch_tables(store, flat) is None
-    # The bad blob was invalidated: the key is free for a good write.
-    built = PackedSwitchTables.build(flat)
-    assert save_switch_tables(store, built)
-    assert load_switch_tables(store, flatten(tiled_cell())) is not None
+    assert table_mismatches(new, direct_tables(flatten(cell))) == []
 
 
 def test_fingerprint_memoized_per_epoch():
@@ -156,26 +71,6 @@ def test_design_cache_shares_cccs_across_consumers():
     # Declared mutation invalidates the shared extraction.
     flat.note_mutation()
     assert cache.cccs(flat) is not cccs
-
-
-def test_design_cache_store_backed_tables(tmp_path):
-    store = ArtifactStore(str(tmp_path))
-    cell = tiled_cell()
-
-    cache1 = DesignCache(store=store)
-    built = cache1.switch_tables(flatten(cell))
-    assert not built.loaded_from_store
-    assert cache1.store_table_misses == 1
-    assert cache1.store_table_writes == 1
-
-    cache2 = DesignCache(store=store)
-    loaded = cache2.switch_tables(flatten(cell))
-    assert loaded.loaded_from_store
-    assert cache2.store_table_hits == 1
-    assert_tables_identical(built, loaded)
-    for key in ("store_table_hits", "store_table_misses",
-                "store_table_writes"):
-        assert key in cache2.counters()
 
 
 def test_chipscale_vector_matches_reference_bit_for_bit():

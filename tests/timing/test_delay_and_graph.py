@@ -10,7 +10,12 @@ from repro.process.corners import Corner
 from repro.process.technology import strongarm_technology
 from repro.recognition.recognizer import recognize
 from repro.timing.delay import ArcDelayCalculator
-from repro.timing.graph import build_timing_graph
+from repro.timing.graph import (
+    DelayArc,
+    TimingGraph,
+    _break_cycles,
+    build_timing_graph,
+)
 from repro.timing.pessimism import PessimismSettings
 
 
@@ -117,6 +122,41 @@ def test_storage_loop_broken(tech):
     srcs = {a.src for a in graph.arcs}
     dsts = {a.dst for a in graph.arcs}
     assert srcs or dsts  # something remains
+
+
+def _arc_graph(edges):
+    graph = TimingGraph()
+    for src, dst in edges:
+        graph.add(DelayArc(src, dst, 1e-12, 2e-12, "gate"))
+    return graph
+
+
+def test_break_cycles_kept_arc_order_is_pinned():
+    """Roots in sorted order, arcs in insertion order, an arc kept when
+    it is traversed: the kept list is the DFS's arc preorder, which the
+    chip-scale canonical digests also depend on."""
+    graph = _arc_graph([("a", "b"), ("b", "c"), ("c", "a"), ("b", "d"),
+                        ("d", "b"), ("a", "d"), ("e", "a")])
+    _break_cycles(graph)
+    assert [(a.src, a.dst) for a in graph.arcs] == [
+        ("a", "b"), ("b", "c"), ("b", "d"), ("a", "d"), ("e", "a")]
+    assert graph.notes == ["broke 2 feedback arc(s) for acyclic analysis"]
+    assert [a.dst for a in graph.fanout["b"]] == ["c", "d"]
+
+
+def test_break_cycles_long_ring_needs_no_recursion():
+    """A 20,000-arc ring is one DFS chain 20,000 nets deep."""
+    import sys
+
+    n = 20_000
+    names = [f"n{i:05d}" for i in range(n)]
+    graph = _arc_graph(zip(names, names[1:] + names[:1]))
+    limit = sys.getrecursionlimit()
+    _break_cycles(graph)
+    assert sys.getrecursionlimit() == limit
+    assert len(graph.arcs) == n - 1
+    assert (graph.arcs[-1].src, graph.arcs[-1].dst) == (names[-2], names[-1])
+    assert graph.notes == ["broke 1 feedback arc(s) for acyclic analysis"]
 
 
 def test_pessimism_scale_widens_bounds(tech):
