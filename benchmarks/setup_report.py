@@ -13,14 +13,22 @@ chip-scale workload (:func:`repro.designs.chip_scale` at ~1k through
   arrays -- any divergence fails the build regardless of speed;
 * **recognition** and **STA timing-graph construction** riding the same
   warm CCC path caches the build populated;
+* **legacy STA graph** -- :class:`tests.oracles.OracleDelayCalculator`,
+  one model evaluation per device of every path of every arc, with the
+  arc-price cache on as production runs it -- at 1k and 5k, asserting
+  **bit-identical** arcs and notes;
 * **warm-cache re-build** (identity hit);
-* a short **vector-engine smoke** so the largest scale is exercised
-  end-to-end: build + recognition + simulation.
+* a short **vector-engine smoke** on the built tables, so the largest
+  scale is exercised end-to-end.  The tables are released before
+  recognition, which never reads them.
 
-Results land in ``benchmarks/BENCH_setup.json``.  The builder must
-clear ``FLOOR`` (10x over the oracle) at the 10k scale -- waived (with
-the reason recorded in the JSON) only on hosts with fewer than 2 CPUs,
-matching the switchsim report's convention.
+Results are merged into ``benchmarks/BENCH_setup.json`` by scale: a run
+replaces only the rows of the scales it ran, and stamps each with the
+commit (``git describe --always --dirty``) and ``cpu_count`` it was
+measured at.  The builder must clear ``FLOOR`` (10x over the oracle) at
+the 10k scale -- waived (with the reason recorded in the JSON) only on
+hosts with fewer than 2 CPUs, matching the switchsim report's
+convention.
 
 Usage::
 
@@ -34,6 +42,8 @@ import argparse
 import json
 import os
 import pathlib
+import resource
+import subprocess
 import sys
 import time
 
@@ -51,7 +61,12 @@ from repro.switchsim import SwitchSimulator                     # noqa: E402
 from repro.timing.arccache import ArcPriceCache                 # noqa: E402
 from repro.timing.delay import ArcDelayCalculator               # noqa: E402
 from repro.timing.graph import build_timing_graph               # noqa: E402
-from tests.oracles import direct_tables, table_mismatches       # noqa: E402
+from tests.oracles import (                                      # noqa: E402
+    OracleDelayCalculator,
+    arc_rows,
+    direct_tables,
+    table_mismatches,
+)
 
 OUT_JSON = pathlib.Path(__file__).parent / "BENCH_setup.json"
 
@@ -60,6 +75,8 @@ SCALES = {"1k": 1000, "5k": 5000, "10k": 10000,
 #: Scales where the oracle (per-pair DFS, no templates) still finishes
 #: in minutes; beyond 10k only the production builder is timed.
 LEGACY_SCALES = frozenset({"1k", "5k", "10k"})
+#: Scales where the STA oracle runs (about 200 s at 5k on 2 CPUs).
+STA_LEGACY_SCALES = frozenset({"1k", "5k"})
 FLOOR = 10.0          # new-vs-legacy build speedup floor
 FLOOR_SCALE = "10k"   # the floor only binds when this scale is included
 FLOOR_MIN_CPUS = 2
@@ -98,7 +115,20 @@ def make_smoke_plan(cs, steps: int) -> list[list[tuple[str, int]]]:
     return plan
 
 
-def bench_scale(label: str, target: int, check_legacy: bool) -> dict:
+def current_commit() -> str:
+    """``git describe --always --dirty`` of the checkout, or "unknown"."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=pathlib.Path(__file__).resolve().parent, check=True,
+            capture_output=True, text=True)
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return out.stdout.strip() or "unknown"
+
+
+def bench_scale(label: str, target: int, check_legacy: bool,
+                check_sta_legacy: bool) -> dict:
     cs = chip_scale(target)
     flat = flatten(cs.cell)
     tech = strongarm_technology()
@@ -124,6 +154,7 @@ def bench_scale(label: str, target: int, check_legacy: bool) -> dict:
     if check_legacy:
         old, legacy_s = legacy_build(target)
         mismatches = table_mismatches(tables, old)
+        del old
         identical = not mismatches
         speedup = legacy_s / max(build_s, 1e-9)
         print(f"[{label}] legacy build {legacy_s:.2f}s -> {speedup:.1f}x, "
@@ -131,23 +162,6 @@ def bench_scale(label: str, target: int, check_legacy: bool) -> dict:
         legacy = {"build_s": round(legacy_s, 4),
                   "speedup": round(speedup, 3),
                   "byte_identical": identical}
-
-    t0 = time.perf_counter()
-    design = cache.recognized(flat)
-    recognition_s = time.perf_counter() - t0
-    print(f"[{label}] recognition {recognition_s:.2f}s "
-          f"({len(design.classifications)} CCCs)")
-
-    parasitics = cache.parasitics(flat, tech)
-    fast = annotate(flat, parasitics, tech, Corner.FAST)
-    slow = annotate(flat, parasitics, tech, Corner.SLOW)
-    t0 = time.perf_counter()
-    # Arc-price cache on, as the production driver runs it: the N
-    # stamped copies of a bit-slice price their arcs once.
-    graph = build_timing_graph(design, ArcDelayCalculator(fast, slow),
-                               arc_cache=ArcPriceCache())
-    sta_graph_s = time.perf_counter() - t0
-    print(f"[{label}] STA graph {sta_graph_s:.2f}s ({len(graph.arcs)} arcs)")
 
     # Warm path: an identity hit in the same cache.
     t0 = time.perf_counter()
@@ -166,6 +180,48 @@ def bench_scale(label: str, target: int, check_legacy: bool) -> dict:
     smoke_s = time.perf_counter() - t0
     print(f"[{label}] vector smoke {smoke_s:.2f}s, {events} events")
 
+    # Recognition and STA never read the packed tables; releasing them
+    # (about 1 GB at 25k) keeps the largest scales inside host memory.
+    table_counts = {"rows": int(tables.row_net.size),
+                    "paths": int(tables.path_src.size),
+                    "conditions": int(tables.cond_gate.size),
+                    "template_hits": int(tables.template_hits)}
+    del tables, again, sim
+    cache._switch_tables.clear()
+
+    t0 = time.perf_counter()
+    design = cache.recognized(flat)
+    recognition_s = time.perf_counter() - t0
+    print(f"[{label}] recognition {recognition_s:.2f}s "
+          f"({len(design.classifications)} CCCs)")
+
+    parasitics = cache.parasitics(flat, tech)
+    fast = annotate(flat, parasitics, tech, Corner.FAST)
+    slow = annotate(flat, parasitics, tech, Corner.SLOW)
+    t0 = time.perf_counter()
+    # Arc-price cache on, as the production driver runs it: the N
+    # stamped copies of a bit-slice price their arcs once.
+    graph = build_timing_graph(design, ArcDelayCalculator(fast, slow),
+                               arc_cache=ArcPriceCache())
+    sta_graph_s = time.perf_counter() - t0
+    print(f"[{label}] STA graph {sta_graph_s:.2f}s ({len(graph.arcs)} arcs)")
+
+    sta_legacy = None
+    if check_sta_legacy:
+        t0 = time.perf_counter()
+        oracle = build_timing_graph(design, OracleDelayCalculator(fast, slow),
+                                    arc_cache=ArcPriceCache())
+        sta_legacy_s = time.perf_counter() - t0
+        identical = (arc_rows(graph) == arc_rows(oracle)
+                     and graph.notes == oracle.notes)
+        speedup = sta_legacy_s / max(sta_graph_s, 1e-9)
+        print(f"[{label}] legacy STA graph {sta_legacy_s:.2f}s -> "
+              f"{speedup:.1f}x, "
+              f"{'bit-identical' if identical else 'DIVERGED'}")
+        sta_legacy = {"sta_legacy_s": round(sta_legacy_s, 4),
+                      "speedup": round(speedup, 3),
+                      "bit_identical": identical}
+
     return {
         "transistors": len(flat.transistors),
         "nets": len(flat.nets),
@@ -173,10 +229,7 @@ def bench_scale(label: str, target: int, check_legacy: bool) -> dict:
         "build": {
             "new_s": round(build_s, 4),
             "cold_total_s": round(cold_total_s, 4),
-            "rows": int(tables.row_net.size),
-            "paths": int(tables.path_src.size),
-            "conditions": int(tables.cond_gate.size),
-            "template_hits": int(tables.template_hits),
+            **table_counts,
             "target_sweeps": int(enum_after["target_sweeps"]
                                  - enum_before.get("target_sweeps", 0)),
         },
@@ -184,10 +237,30 @@ def bench_scale(label: str, target: int, check_legacy: bool) -> dict:
         "recognition_s": round(recognition_s, 4),
         "sta_graph_s": round(sta_graph_s, 4),
         "sta_arcs": len(graph.arcs),
+        "sta_legacy": sta_legacy,
         "warm": {"cache_hit_s": round(warm_hit_s, 6)},
         "smoke": {"steps": SMOKE_STEPS, "events": events,
                   "wall_s": round(smoke_s, 4)},
+        # Process-wide high-water mark, so it covers the scales run
+        # before this one in the same invocation.
+        "peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
+
+
+def merge_payload(results: dict) -> dict:
+    """The committed payload with ``results`` replacing its rows by
+    scale; rows of scales not run this time are kept as they were."""
+    payload = {}
+    if OUT_JSON.exists():
+        payload = json.loads(OUT_JSON.read_text(encoding="utf-8"))
+    payload.pop("cpu_count", None)  # per row since rows are merged
+    payload.setdefault("scales", {}).update(results)
+    payload.update(seed=SEED, build_speedup_floor=FLOOR,
+                   floor_scale=FLOOR_SCALE)
+    payload.setdefault("floor_enforced", False)
+    payload.setdefault("floor_waived", False)
+    return payload
 
 
 def main(argv=None) -> int:
@@ -202,37 +275,46 @@ def main(argv=None) -> int:
         parser.error(f"unknown scale(s) {unknown}; choose from {list(SCALES)}")
 
     cpus = os.cpu_count() or 1
-    print(f"setup bench: scales {labels}, {cpus} CPU(s)")
+    commit = current_commit()
+    print(f"setup bench: scales {labels}, {cpus} CPU(s), commit {commit}")
 
-    results = {label: bench_scale(label, SCALES[label],
-                                  check_legacy=label in LEGACY_SCALES)
-               for label in labels}
+    results = {}
+    for label in labels:
+        results[label] = bench_scale(
+            label, SCALES[label], check_legacy=label in LEGACY_SCALES,
+            check_sta_legacy=label in STA_LEGACY_SCALES)
+        results[label].update(commit=commit, cpu_count=cpus)
 
     floor_binds = FLOOR_SCALE in labels
     floor_enforced = floor_binds and cpus >= FLOOR_MIN_CPUS
     floor_waived = floor_binds and not floor_enforced
-    payload = {
-        "cpu_count": cpus,
-        "seed": SEED,
-        "scales": results,
-        "build_speedup_floor": FLOOR,
-        "floor_scale": FLOOR_SCALE,
-        "floor_enforced": floor_enforced,
-        "floor_waived": floor_waived,
-    }
-    if floor_waived:
-        payload["floor_waived_reason"] = (
-            f"host has {cpus} CPU(s); the build-speedup floor is only "
-            f"meaningful with >= {FLOOR_MIN_CPUS}")
+    payload = merge_payload(results)
+    if floor_binds:
+        # The floor fields describe the row at FLOOR_SCALE, so only a
+        # run that re-measured that row rewrites them.
+        payload.update(floor_enforced=floor_enforced,
+                       floor_waived=floor_waived)
+        payload.pop("floor_waived_reason", None)
+        if floor_waived:
+            payload["floor_waived_reason"] = (
+                f"host has {cpus} CPU(s); the build-speedup floor is only "
+                f"meaningful with >= {FLOOR_MIN_CPUS}")
     OUT_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                         encoding="utf-8")
-    print(f"wrote {OUT_JSON.name}")
+    print(f"wrote {OUT_JSON.name} (rows {sorted(payload['scales'])})")
 
     diverged = [label for label, r in results.items()
                 if r["legacy"] is not None
                 and not r["legacy"]["byte_identical"]]
     if diverged:
         print(f"\nFAIL: packed tables diverged at {diverged}",
+              file=sys.stderr)
+        return 1
+    sta_diverged = [label for label, r in results.items()
+                    if r["sta_legacy"] is not None
+                    and not r["sta_legacy"]["bit_identical"]]
+    if sta_diverged:
+        print(f"\nFAIL: STA arcs diverged from the oracle at {sta_diverged}",
               file=sys.stderr)
         return 1
     if floor_enforced:

@@ -17,6 +17,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.extraction.caps import NetParasitics, Parasitics
+from repro.netlist.devices import Transistor
 from repro.netlist.flatten import FlatNetlist
 from repro.process.corners import Corner
 from repro.process.technology import Technology
@@ -53,17 +54,44 @@ class NetLoad:
 
 @dataclass
 class AnnotatedDesign:
-    """A flat netlist plus per-net loads at one corner."""
+    """A flat netlist plus per-net loads at one corner.
+
+    ``ron_table`` maps each device shape ``(polarity, W, L_eff)`` to its
+    switching resistance at this corner; :meth:`on_resistance` fills it
+    on first use.
+    """
 
     flat: FlatNetlist
     technology: Technology
     corner: Corner
     loads: dict[str, NetLoad] = field(default_factory=dict)
+    ron_table: dict[tuple[str, float, float], float] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def load(self, net: str) -> NetLoad:
         if net not in self.loads:
             self.loads[net] = NetLoad(net=net, wire=NetParasitics(net=net))
         return self.loads[net]
+
+    def on_resistance(self, device: Transistor) -> float:
+        """Switching resistance of ``device`` at this corner (ohms).
+
+        A full-custom design stamps a handful of device shapes hundreds
+        of times, so the table is keyed by shape *value*: each shape
+        costs one :meth:`~repro.process.mosfet.MosfetModel.on_resistance`
+        evaluation per corner, and an in-place resize reads a new key
+        instead of a stale entry.
+        """
+        tech = self.technology
+        l_eff = device.effective_length(tech.l_min_um)
+        key = (device.polarity, device.w_um, l_eff)
+        r_on = self.ron_table.get(key)
+        if r_on is None:
+            model = tech.mosfet(device.polarity, self.corner)
+            r_on = model.on_resistance(tech.vdd_at(self.corner),
+                                       device.w_um, l_eff)
+            self.ron_table[key] = r_on
+        return r_on
 
 
 def annotate(

@@ -15,7 +15,7 @@ honest without full slew propagation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.extraction.annotate import AnnotatedDesign
 from repro.process.corners import Corner
@@ -39,6 +39,23 @@ class ArcDelay:
 SLEW_FRACTION = 0.5
 
 
+@dataclass
+class CccPrices:
+    """(FAST, SLOW) resistances already priced for one CCC's arcs.
+
+    ``devices`` is keyed by device name and ``paths`` by a path's device
+    tuple.  A conduction path lies on one arc per gate net it crosses,
+    so sharing one memo across a CCC's arcs prices each device and each
+    path once.  Names do not change when a device is resized, so a memo
+    must not outlive the loop that builds it:
+    :func:`~repro.timing.graph.build_timing_graph` makes one per CCC.
+    """
+
+    devices: dict[str, tuple[float, float]] = field(default_factory=dict)
+    paths: dict[tuple[str, ...], tuple[float, float]] = field(
+        default_factory=dict)
+
+
 class ArcDelayCalculator:
     """Computes bounded delays for conduction-path-driven transitions.
 
@@ -59,6 +76,13 @@ class ArcDelayCalculator:
     ):
         if fast.corner is not Corner.FAST or slow.corner is not Corner.SLOW:
             raise ValueError("calculator expects FAST and SLOW annotated designs")
+        # Pricing reads device geometry from FAST's netlist only, and
+        # environment_key() pins SLOW's technology only: both corners
+        # must annotate the same netlist on the same technology.
+        if fast.flat is not slow.flat:
+            raise ValueError("FAST and SLOW must annotate the same netlist")
+        if fast.technology is not slow.technology:
+            raise ValueError("FAST and SLOW must share one technology")
         self.fast = fast
         self.slow = slow
         self.pessimism = pessimism or PessimismSettings()
@@ -66,21 +90,26 @@ class ArcDelayCalculator:
 
     # -- path resistance -----------------------------------------------------
 
-    def _path_resistance(self, path: ConductionPath, design: AnnotatedDesign) -> float:
-        tech = design.technology
-        vdd = tech.vdd_at(design.corner)
-        values = []
+    def _path_bounds(self, path: ConductionPath,
+                     prices: CccPrices) -> tuple[float, float]:
+        """(FAST, SLOW) resistance of one path, device values read from
+        each corner's shape table through ``prices.devices``."""
+        fast = []
+        slow = []
         for name in path.devices:
-            device = self._device_fast[name]
-            model = tech.mosfet(device.polarity, design.corner)
-            values.append(model.on_resistance(
-                vdd, device.w_um, device.effective_length(tech.l_min_um)
-            ))
+            device_prices = prices.devices.get(name)
+            if device_prices is None:
+                device = self._device_fast[name]
+                device_prices = (self.fast.on_resistance(device),
+                                 self.slow.on_resistance(device))
+                prices.devices[name] = device_prices
+            fast.append(device_prices[0])
+            slow.append(device_prices[1])
         # Summed in sorted order so the result depends only on the
         # multiset of device resistances, never on device *names* --
         # which is what lets topologically identical bit-slices share
         # one bit-identical resistance via the arc-price cache.
-        return sum(sorted(values))
+        return sum(sorted(fast)), sum(sorted(slow))
 
     def _load(self, net: str, design: AnnotatedDesign, maximal: bool) -> float:
         load = design.load(net)
@@ -95,7 +124,9 @@ class ArcDelayCalculator:
     # -- public delay queries ------------------------------------------------------
 
     def drive_bounds(
-        self, paths_through_input: list[ConductionPath]
+        self,
+        paths_through_input: list[ConductionPath],
+        prices: CccPrices | None = None,
     ) -> tuple[float, float]:
         """(min, max) driver resistance over the given conduction paths.
 
@@ -103,14 +134,22 @@ class ArcDelayCalculator:
         at the FAST corner, max at the SLOW corner.  It is a pure
         function of the driver topology and device geometry, which
         makes it the cacheable unit shared by identical bit-slices
-        (:mod:`repro.timing.arccache`).
+        (:mod:`repro.timing.arccache`).  ``prices`` is the memo shared
+        by the arcs of one CCC; without one, the arc is priced alone.
         """
         if not paths_through_input:
             raise ValueError("arc needs at least one conduction path")
-        r_min = min(self._path_resistance(path, self.fast)
-                    for path in paths_through_input)
-        r_max = max(self._path_resistance(path, self.slow)
-                    for path in paths_through_input)
+        if prices is None:
+            prices = CccPrices()
+        bounds = []
+        for path in paths_through_input:
+            path_prices = prices.paths.get(path.devices)
+            if path_prices is None:
+                path_prices = self._path_bounds(path, prices)
+                prices.paths[path.devices] = path_prices
+            bounds.append(path_prices)
+        r_min = min(r_fast for r_fast, _ in bounds)
+        r_max = max(r_slow for _, r_slow in bounds)
         return r_min, r_max
 
     def delay_from_drive(

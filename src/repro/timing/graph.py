@@ -24,7 +24,7 @@ from repro.recognition.conduction import conduction_paths
 from repro.recognition.families import CircuitFamily
 from repro.recognition.recognizer import RecognizedDesign
 from repro.recognition.signature import topology_signature
-from repro.timing.delay import ArcDelayCalculator
+from repro.timing.delay import ArcDelayCalculator, CccPrices
 
 
 @dataclass
@@ -189,15 +189,19 @@ def build_timing_graph(
                 for n in sig.devices
             )
 
+        # Nothing resizes a device while this CCC's arcs are built, so
+        # they can share one memo of device and path resistances.
+        prices = CccPrices()
+
         def price(src: str, dst: str, kind: str, paths: list) -> DelayArc:
             if arc_cache is not None and src in sig.labels and dst in sig.labels:
                 key = (sig.key, geometry, sig.labels[src], sig.labels[dst],
                        kind, env_key)
                 r_min, r_max = arc_cache.drive_bounds(
-                    key, lambda: calculator.drive_bounds(paths))
-                delay = calculator.delay_from_drive(r_min, r_max, dst)
+                    key, lambda: calculator.drive_bounds(paths, prices))
             else:
-                delay = calculator.arc_delay(paths, dst)
+                r_min, r_max = calculator.drive_bounds(paths, prices)
+            delay = calculator.delay_from_drive(r_min, r_max, dst)
             return DelayArc(src=src, dst=dst, d_min=delay.d_min,
                             d_max=delay.d_max, kind=kind, paths=tuple(paths))
 

@@ -14,6 +14,11 @@ bit-identical results.
   :meth:`repro.switchsim.tables.PackedSwitchTables.build` stamps
   per-CCC-shape templates from sweeps instead, and must match it byte
   for byte (:func:`table_mismatches`).
+* :class:`OracleDelayCalculator` -- STA arc pricing with one
+  ``MosfetModel.on_resistance`` call per device of every path of every
+  arc.  :class:`repro.timing.delay.ArcDelayCalculator` reads per-shape
+  resistance tables and prices each device and path once per CCC, and
+  must produce float-for-float the same arcs.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from repro.netlist.flatten import FlatNetlist
 from repro.netlist.nets import is_rail_name, is_supply_name
 from repro.recognition.ccc import ChannelConnectedComponent, extract_cccs
 from repro.recognition.conduction import ConductionPath
+from repro.timing.delay import ArcDelayCalculator
 
 #: Every numpy column of the packed tables.
 TABLE_ARRAYS = (
@@ -251,3 +257,38 @@ def table_mismatches(tables, reference: dict) -> list[str]:
             for a, b in zip(ours, theirs)):
         bad.append("affected_rows")
     return bad
+
+
+class OracleDelayCalculator(ArcDelayCalculator):
+    """Arc pricing without the shape tables or the per-CCC memo.
+
+    Every path of every arc is priced afresh, and every device on it
+    costs one model evaluation.  Only the pricing differs from the
+    production calculator; loads and derates are inherited.
+    """
+
+    def path_resistance(self, path: ConductionPath, design) -> float:
+        tech = design.technology
+        vdd = tech.vdd_at(design.corner)
+        values = []
+        for name in path.devices:
+            device = self._device_fast[name]
+            model = tech.mosfet(device.polarity, design.corner)
+            values.append(model.on_resistance(
+                vdd, device.w_um, device.effective_length(tech.l_min_um)
+            ))
+        return sum(sorted(values))
+
+    def drive_bounds(self, paths_through_input, prices=None):
+        if not paths_through_input:
+            raise ValueError("arc needs at least one conduction path")
+        r_min = min(self.path_resistance(path, self.fast)
+                    for path in paths_through_input)
+        r_max = max(self.path_resistance(path, self.slow)
+                    for path in paths_through_input)
+        return r_min, r_max
+
+
+def arc_rows(graph) -> list[tuple]:
+    """``(src, dst, kind, d_min, d_max)`` of every arc, in graph order."""
+    return [(a.src, a.dst, a.kind, a.d_min, a.d_max) for a in graph.arcs]

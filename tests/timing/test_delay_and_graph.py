@@ -45,6 +45,23 @@ def test_calculator_requires_correct_corners(tech):
         ArcDelayCalculator(typ, typ)
 
 
+def test_calculator_requires_one_netlist_and_technology(tech):
+    def inverter():
+        b = CellBuilder("x", ports=["a", "y"])
+        b.inverter("a", "y")
+        return flatten(b.build())
+
+    flat, other = inverter(), inverter()
+    par = WireloadModel().extract(flat, tech.wires)
+    fast = annotate(flat, par, tech, Corner.FAST)
+    ArcDelayCalculator(fast, annotate(flat, par, tech, Corner.SLOW))
+    with pytest.raises(ValueError, match="same netlist"):
+        ArcDelayCalculator(fast, annotate(other, par, tech, Corner.SLOW))
+    with pytest.raises(ValueError, match="one technology"):
+        ArcDelayCalculator(
+            fast, annotate(flat, par, strongarm_technology(), Corner.SLOW))
+
+
 def test_inverter_graph_and_bounds(tech):
     design, calc = make_stack(tech, lambda b: b.inverter("a", "y"), ["a", "y"])
     graph = build_timing_graph(design, calc)
