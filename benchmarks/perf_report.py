@@ -10,9 +10,11 @@
 * ``switchsim``    -- the domino-adder precharge/evaluate workload;
   compares actual net solves against the naive (re-solve everything)
   count the engine tracks alongside; asserts >= 2x fewer.
-* ``battery``      -- serial vs ``parallel=N`` over the same context;
-  asserts byte-identical findings (speedup is reported, not asserted:
-  at this design scale pool startup dominates).
+* ``battery``      -- the serial battery's wall time, and its sharded
+  form: the registry split into 1, 2, 4 and 17 contiguous slices, each
+  run serially and joined with ``merge_shard_batteries`` exactly as the
+  fleet joins its shard jobs; asserts the merge equals the serial
+  battery (findings, per-check slots and timing order, triage stats).
 
 ``BENCH_timing.json`` -- the incremental timing engine:
 
@@ -27,8 +29,8 @@
   reports.
 * ``incremental_sta`` -- random arc re-pricings on the domino adder;
   asserts incremental arrival windows equal a from-scratch analyzer's.
-* ``battery_timing`` -- the setup/race check inside the parallel
-  battery; asserts byte-identical findings with the check present.
+* ``battery_timing`` -- the setup/race check inside the sharded
+  battery; asserts the same identity with the check present.
 
 Run directly::
 
@@ -45,6 +47,8 @@ import sys
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+# The repo root, for the in-process shard merge in tests/sharding.py.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
 from repro.checks.driver import make_context                    # noqa: E402
 from repro.checks.registry import run_battery                   # noqa: E402
@@ -61,9 +65,12 @@ from repro.timing.clocking import TwoPhaseClock                 # noqa: E402
 from repro.timing.constraints import generate_constraints       # noqa: E402
 from repro.timing.driver import analyze_design                  # noqa: E402
 from repro.timing.sizing import close_timing                    # noqa: E402
+from tests.sharding import sharded_battery                      # noqa: E402
 
 WIDTHS = (2, 4, 8, 16)
 REPEATS = 5
+#: Shard counts of the sharded-battery gates; 17 is one check per shard.
+SHARD_COUNTS = (1, 2, 4, 17)
 
 
 def _best(fn) -> float:
@@ -146,20 +153,30 @@ def bench_switchsim(width: int = 8, cycles: int = 20) -> dict:
     }
 
 
-def bench_battery(width: int = 8, workers: int = 4) -> dict:
+def _sharded_identical(ctx, serial) -> bool:
+    """True when every shard count's merge equals the serial battery."""
+    for shards in SHARD_COUNTS:
+        merged = sharded_battery(ctx, shards)
+        if (merged.findings != serial.findings
+                or merged.per_check != serial.per_check
+                or list(merged.per_check_seconds)
+                != list(serial.per_check_seconds)
+                or merged.queues.stats() != serial.queues.stats()):
+            return False
+    return True
+
+
+def bench_battery(width: int = 8) -> dict:
     ctx = make_context(flatten(domino_carry_adder(width)),
                        strongarm_technology(),
                        clock=TwoPhaseClock(period_s=6.25e-9))
     serial_s = _best(lambda: run_battery(ctx))
-    parallel_s = _best(lambda: run_battery(ctx, parallel=workers))
     serial = run_battery(ctx)
-    par = run_battery(ctx, parallel=workers)
     return {
-        "workers": workers,
         "findings": len(serial.findings),
         "serial_ms": serial_s * 1e3,
-        "parallel_ms": parallel_s * 1e3,
-        "identical_findings": par.findings == serial.findings,
+        "shard_counts": list(SHARD_COUNTS),
+        "identical_findings": _sharded_identical(ctx, serial),
         "per_check_seconds": serial.per_check_seconds,
     }
 
@@ -276,19 +293,18 @@ def bench_incremental_sta(width: int = 8, edits: int = 24) -> dict:
     }
 
 
-def bench_battery_timing(width: int = 4, workers: int = 4) -> dict:
-    """Parallel battery identity with the setup/race check on board."""
+def bench_battery_timing(width: int = 4) -> dict:
+    """Sharded battery identity with the setup/race check on board."""
     ctx = make_context(flatten(domino_carry_adder(width)),
                        strongarm_technology(),
                        clock=TwoPhaseClock(period_s=6.25e-9),
                        clock_hints=("clk",))
     serial = run_battery(ctx)
-    par = run_battery(ctx, parallel=workers)
     return {
-        "workers": workers,
         "findings": len(serial.findings),
         "timing_findings": len(serial.of_check("timing_setup_race")),
-        "identical_findings": par.findings == serial.findings,
+        "shard_counts": list(SHARD_COUNTS),
+        "identical_findings": _sharded_identical(ctx, serial),
         "timing_check_present": "timing_setup_race" in serial.per_check,
     }
 
@@ -309,7 +325,7 @@ def timing_report() -> dict:
         "sizing_reports_identical": sz["reports_identical"],
         "incremental_sta_identical":
             report["incremental_sta"]["identical_to_full"],
-        "battery_parallel_identical_with_timing_check":
+        "battery_sharded_identical_with_timing_check":
             report["battery_timing"]["identical_findings"]
             and report["battery_timing"]["timing_check_present"],
     }
@@ -328,7 +344,7 @@ def main() -> dict:
     ok = {
         "recognition_speedup_w16_ge_3x": rec16["speedup"] >= 3.0,
         "switchsim_solve_reduction_ge_2x": sw["solve_reduction"] >= 2.0,
-        "battery_parallel_identical": report["battery"]["identical_findings"],
+        "battery_sharded_identical": report["battery"]["identical_findings"],
     }
     report["acceptance"] = ok
 
@@ -346,8 +362,8 @@ def main() -> dict:
     print(f"switchsim w8: {sw['exhaustive_net_solves']} exhaustive -> "
           f"{sw['net_solves']} solves ({sw['solve_reduction']:.2f}x fewer)")
     print(f"battery: serial {report['battery']['serial_ms']:.1f} ms, "
-          f"parallel {report['battery']['parallel_ms']:.1f} ms, "
-          f"identical={report['battery']['identical_findings']}")
+          f"sharded {SHARD_COUNTS} identical="
+          f"{report['battery']['identical_findings']}")
     el1k = timing["elmore"][1000]
     sz = timing["sizing_loop"]
     print(f"elmore 1k-ladder: one legacy query "

@@ -42,7 +42,7 @@ class Finding:
     metrics: dict[str, float] = field(default_factory=dict)
     #: Free-form long-form context; the battery uses it for the full
     #: traceback of a synthesized crash finding.  Empty for ordinary
-    #: findings, so serial/parallel byte-identity is unaffected.
+    #: findings, so serial/sharded byte-identity is unaffected.
     detail: str = ""
 
     def metric(self, name: str, default: float = 0.0) -> float:
@@ -138,8 +138,8 @@ class CheckContext:
     supply_offsets_v: dict[str, float] = field(default_factory=dict)
     #: Session :class:`repro.perf.DesignCache` that produced this context,
     #: if any.  Checks may use it for derived artifacts (e.g. the other
-    #: corner); it is stripped before the context is shipped to battery
-    #: worker processes, so treat it as an optimisation, never a dependency.
+    #: corner); fleet battery shards build their contexts without one,
+    #: so treat it as an optimisation, never a dependency.
     cache: object | None = field(default=None, repr=False, compare=False)
 
     @property

@@ -3,33 +3,26 @@
 ``run_battery`` executes every registered check (the complete section-4.2
 list) over one context and returns the findings plus the triage queues.
 
-The battery is embarrassingly parallel -- checks only read the shared
-context -- so ``run_battery(ctx, parallel=N)`` fans the registry out over
-a process pool.  The context is pickled once into each worker (its
-session cache stripped first: caches are process-local), and results are
-reassembled in registry order, so parallel output is byte-identical to
-serial.  This mirrors the paper's farm of "several hundred workstations
-... used for the verification effort": the unit of distribution is one
-whole check over one design.
+The battery runs serially, in registry order.  Spreading it over
+processes -- the paper's farm of "several hundred workstations ... used
+for the verification effort" -- is :mod:`repro.fleet`'s job: it runs
+contiguous slices of the registry as shard jobs and joins them with
+:func:`repro.fleet.merge.merge_shard_batteries`, which reproduces this
+runner's output exactly because each slice runs here, serially.
 
 Fault isolation
 ---------------
-No check may kill the battery.  A check that raises, exceeds its
-``timeout_s`` budget, or hard-kills its pool worker is converted into a
-synthesized ``Severity.VIOLATION`` crash :class:`Finding` (subject
-``check:<name>``, traceback in ``Finding.detail``) occupying the crashed
-check's registry slot, so findings order stays deterministic and
-identical between serial and parallel runs.  Pool-worker deaths get a
-bounded number of batch retries (``retries``), then a final pass that
-isolates each unresolved check in its own single-worker pool so only the
-true culprit is charged with the crash.  Per-check timeouts in pool mode
-are a liveness bound measured from when the coordinator starts waiting,
-not a precise per-check stopwatch.
+No check may kill the battery.  A check that raises or exceeds its
+``timeout_s`` budget is converted into a synthesized
+``Severity.VIOLATION`` crash :class:`Finding` (subject ``check:<name>``,
+traceback in ``Finding.detail``) occupying the crashed check's registry
+slot, so findings order stays deterministic.  A check that kills its
+whole process is the fleet's case: its shard is retried, then
+quarantined as poison (see :class:`repro.fleet.merge.PoisonShards`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
 import traceback
@@ -80,9 +73,9 @@ def crash_finding(name: str, kind: str, message: str, detail: str = "",
                   seconds: float = 0.0) -> Finding:
     """A synthesized VIOLATION recording that a check itself failed.
 
-    ``kind`` is ``exception`` / ``timeout`` / ``worker-death``; the crash
-    lands in the designer queue like any other violation, so a broken
-    tool can never silently pass a design.
+    ``kind`` is ``exception`` or ``timeout``; the crash lands in the
+    designer queue like any other violation, so a broken tool can never
+    silently pass a design.
     """
     return Finding(
         check=name,
@@ -114,7 +107,7 @@ class BatteryResult:
     #: Wall-clock seconds per check class name, in run order.
     per_check_seconds: dict[str, float] = field(default_factory=dict)
     #: Check name -> crash detail (traceback / diagnosis) for every check
-    #: that raised, timed out, or killed its worker.  Empty on a clean run.
+    #: that raised or timed out.  Empty on a clean run.
     crashes: dict[str, str] = field(default_factory=dict)
 
     def of_check(self, name: str) -> list[Finding]:
@@ -159,57 +152,25 @@ class BatteryResult:
         )
 
 
-# Worker-process state for the parallel battery.  The context is shipped
-# once via the pool initializer (not per task): it dominates the payload,
-# and every check in the worker reuses the same unpickled copy.
-_WORKER_CTX: CheckContext | None = None
-
-
-def _battery_worker_init(ctx: CheckContext) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
-
-
-def _battery_worker_run(
-    task: tuple[int, type[Check]],
-) -> tuple[int, str, list[Finding] | None, float, tuple[str, str] | None]:
-    """Run one check in a worker; exceptions come back as data, so they
-    never depend on the exception type being picklable."""
-    idx, check_cls = task
-    check = check_cls()
-    start = time.perf_counter()
-    try:
-        produced = check.run(_WORKER_CTX)
-    except Exception as exc:
-        return (idx, check.name, None, time.perf_counter() - start,
-                (f"{type(exc).__name__}: {exc}", traceback.format_exc()))
-    return idx, check.name, produced, time.perf_counter() - start, None
-
-
-def _timeout_row(name: str, timeout_s: float) -> _Row:
-    detail = f"check {name!r} exceeded its {timeout_s:.3g} s budget"
-    finding = crash_finding(name, "timeout",
-                            f"timed out after {timeout_s:.3g} s",
-                            detail, timeout_s)
-    return _Row(name, [finding], timeout_s, detail)
+def _exception_row(name: str, exc: Exception, detail: str,
+                   seconds: float) -> _Row:
+    finding = crash_finding(name, "exception", f"{type(exc).__name__}: {exc}",
+                            detail, seconds)
+    return _Row(name, [finding], seconds, detail)
 
 
 def _guarded_run(check_cls: type[Check], ctx: CheckContext,
                  timeout_s: float | None) -> _Row:
-    """Run one check in-process; crashes and timeouts become rows."""
+    """Run one check; crashes and timeouts become rows."""
     check = check_cls()
     name = check.name
     start = time.perf_counter()
     if timeout_s is None:
         try:
             produced = check.run(ctx)
-        except Exception as exc:
-            seconds = time.perf_counter() - start
-            detail = traceback.format_exc()
-            finding = crash_finding(name, "exception",
-                                    f"{type(exc).__name__}: {exc}",
-                                    detail, seconds)
-            return _Row(name, [finding], seconds, detail)
+        except Exception as exc:  # noqa: BLE001 -- isolation is the point
+            return _exception_row(name, exc, traceback.format_exc(),
+                                  time.perf_counter() - start)
         return _Row(name, produced, time.perf_counter() - start)
 
     # With a budget, the check runs on a daemon thread we can abandon; a
@@ -229,213 +190,52 @@ def _guarded_run(check_cls: type[Check], ctx: CheckContext,
     worker.join(timeout_s)
     seconds = time.perf_counter() - start
     if worker.is_alive():
-        return _timeout_row(name, timeout_s)
+        detail = f"check {name!r} exceeded its {timeout_s:.3g} s budget"
+        finding = crash_finding(name, "timeout",
+                                f"timed out after {timeout_s:.3g} s",
+                                detail, timeout_s)
+        return _Row(name, [finding], timeout_s, detail)
     if "exc" in box:
-        exc, detail = box["exc"], box["detail"]
-        finding = crash_finding(name, "exception",
-                                f"{type(exc).__name__}: {exc}",
-                                detail, seconds)
-        return _Row(name, [finding], seconds, detail)
+        return _exception_row(name, box["exc"], box["detail"], seconds)
     return _Row(name, box.get("findings", []), seconds)
-
-
-def _emit_row(trace, row: _Row) -> None:
-    if trace is None:
-        return
-    if row.crash:
-        trace.emit("check_crash", name=row.name, wall_s=row.seconds,
-                   detail=row.crash)
-    trace.emit("check_end", name=row.name, wall_s=row.seconds,
-               status="crash" if row.crash else "ok",
-               counters={"findings": float(len(row.findings))})
-
-
-def _run_serial(ctx: CheckContext, checks: tuple[type[Check], ...],
-                timeout_s: float | None, trace) -> list[_Row]:
-    rows = []
-    for check_cls in checks:
-        if trace is not None:
-            trace.emit("check_start", name=check_cls.name)
-        row = _guarded_run(check_cls, ctx, timeout_s)
-        _emit_row(trace, row)
-        rows.append(row)
-    return rows
-
-
-def _resolve_future(fut, name: str, timeout_s: float | None):
-    """Wait on one worker future; returns (_Row | None, timed_out, broken).
-
-    ``None`` row with ``broken`` means the pool died under this future and
-    the task must be retried or isolated.
-    """
-    from concurrent.futures import BrokenExecutor
-    from concurrent.futures import TimeoutError as FutureTimeout
-
-    try:
-        _, rname, produced, seconds, crash = fut.result(timeout=timeout_s)
-    except FutureTimeout:
-        return _timeout_row(name, timeout_s), True, False
-    except BrokenExecutor:
-        return None, False, True
-    except Exception as exc:  # e.g. an unpicklable result
-        detail = traceback.format_exc()
-        finding = crash_finding(name, "exception",
-                                f"{type(exc).__name__}: {exc}", detail)
-        return _Row(name, [finding], 0.0, detail), False, False
-    if crash is not None:
-        message, detail = crash
-        finding = crash_finding(rname, "exception", message, detail, seconds)
-        return _Row(rname, [finding], seconds, detail), False, False
-    return _Row(rname, produced, seconds), False, False
-
-
-def _shutdown_pool(pool, timed_out: bool) -> None:
-    """Tear a pool down; hung workers (timeouts) are terminated so the
-    battery -- and interpreter exit -- never block on them."""
-    if timed_out:
-        for proc in list(getattr(pool, "_processes", {}).values()):
-            proc.terminate()
-    pool.shutdown(wait=not timed_out, cancel_futures=True)
-
-
-def _run_pool_batch(payload: CheckContext,
-                    batch: list[tuple[int, type[Check]]],
-                    workers: int, timeout_s: float | None, trace,
-                    rows: list[_Row | None]) -> list[tuple[int, type[Check]]]:
-    """One pool over ``batch``; fills ``rows`` and returns the tasks left
-    unresolved by a broken pool (a worker died)."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(
-        max_workers=min(workers, len(batch)),
-        initializer=_battery_worker_init,
-        initargs=(payload,),
-    )
-    from concurrent.futures import BrokenExecutor
-
-    unresolved: list[tuple[int, type[Check]]] = []
-    timed_out = False
-    try:
-        futures = []
-        for pos, task in enumerate(batch):
-            if trace is not None:
-                trace.emit("check_start", name=task[1].name)
-            try:
-                futures.append((task, pool.submit(_battery_worker_run, task)))
-            except BrokenExecutor:
-                # A worker died mid-submission: everything not yet
-                # submitted is unresolved too.
-                unresolved.extend(batch[pos:])
-                break
-        for (idx, check_cls), fut in futures:
-            row, hit_timeout, broken = _resolve_future(
-                fut, check_cls.name, timeout_s)
-            timed_out = timed_out or hit_timeout
-            if broken:
-                unresolved.append((idx, check_cls))
-            else:
-                rows[idx] = row
-                _emit_row(trace, row)
-    finally:
-        _shutdown_pool(pool, timed_out)
-    return unresolved
-
-
-def _run_isolated(payload: CheckContext, task: tuple[int, type[Check]],
-                  timeout_s: float | None, trace) -> _Row:
-    """Last resort: one single-worker pool per check, so a worker death
-    is attributable to exactly this check."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    idx, check_cls = task
-    name = check_cls.name
-    if trace is not None:
-        trace.emit("check_start", name=name)
-    pool = ProcessPoolExecutor(max_workers=1,
-                               initializer=_battery_worker_init,
-                               initargs=(payload,))
-    timed_out = False
-    try:
-        fut = pool.submit(_battery_worker_run, task)
-        row, timed_out, broken = _resolve_future(fut, name, timeout_s)
-        if broken:
-            detail = (f"worker process died while running check {name!r} "
-                      f"(hard exit or signal)")
-            row = _Row(name, [crash_finding(name, "worker-death",
-                                            "worker process died", detail)],
-                       0.0, detail)
-    finally:
-        _shutdown_pool(pool, timed_out)
-    _emit_row(trace, row)
-    return row
-
-
-def _run_parallel(ctx: CheckContext, checks: tuple[type[Check], ...],
-                  workers: int, timeout_s: float | None, retries: int,
-                  trace) -> list[_Row]:
-    # The session cache is process-local (and may hold unpicklable or
-    # merely useless state in a worker); ship the context without it.
-    payload = dataclasses.replace(ctx, cache=None)
-    rows: list[_Row | None] = [None] * len(checks)
-    pending = list(enumerate(checks))
-    for _attempt in range(retries + 1):
-        if not pending:
-            break
-        pending = _run_pool_batch(payload, pending, workers, timeout_s,
-                                  trace, rows)
-    # Whatever repeatedly broke the shared pool gets one last, isolated
-    # shot each; a death here is charged to that check alone.
-    for task in pending:
-        rows[task[0]] = _run_isolated(payload, task, timeout_s, trace)
-    return rows  # type: ignore[return-value]
 
 
 def run_battery(
     ctx: CheckContext,
     checks: tuple[type[Check], ...] = ALL_CHECKS,
-    parallel: int | None = None,
     timeout_s: float | None = None,
-    retries: int = 1,
     trace=None,
 ) -> BatteryResult:
-    """Run the battery; order follows the registry.
+    """Run the battery serially; order follows the registry.
 
-    ``parallel=N`` runs the checks across ``N`` worker processes.
-    Findings are assembled in registry order regardless of completion
-    order, so the result is byte-identical to a serial run; only
-    ``per_check_seconds`` differs (worker wall-clock vs in-process).
-    ``parallel=None`` or ``1`` stays in-process.
-
-    ``timeout_s`` bounds each check's wall-clock; ``retries`` bounds the
-    batch re-runs after a pool-worker death.  A check that raises, times
-    out, or kills its worker becomes a VIOLATION crash finding (see
+    ``timeout_s`` bounds each check's wall-clock.  A check that raises or
+    times out becomes a VIOLATION crash finding (see
     :func:`crash_finding`) -- the battery itself never raises for a
     misbehaving check.  ``trace`` is an optional
     :class:`repro.core.trace.CampaignTrace` receiving check start/stop
     and crash events.
     """
-    if parallel is not None and parallel < 1:
-        raise ValueError(f"parallel must be >= 1, got {parallel}")
     if timeout_s is not None and timeout_s <= 0:
         raise ValueError(f"timeout_s must be positive, got {timeout_s}")
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
     if trace is not None:
         trace.emit("battery_start", counters={
-            "checks": float(len(checks)),
-            "workers": float(parallel or 1),
-        })
-    if parallel is not None and parallel > 1 and len(checks) > 1:
-        rows = _run_parallel(ctx, checks, min(parallel, len(checks)),
-                             timeout_s, retries, trace)
-    else:
-        rows = _run_serial(ctx, checks, timeout_s, trace)
+            "checks": float(len(checks)), "workers": 1.0})
 
     findings: list[Finding] = []
     per_check: dict[str, list[Finding]] = {}
     per_check_seconds: dict[str, float] = {}
     crashes: dict[str, str] = {}
-    for row in rows:
+    for check_cls in checks:
+        if trace is not None:
+            trace.emit("check_start", name=check_cls.name)
+        row = _guarded_run(check_cls, ctx, timeout_s)
+        if trace is not None:
+            if row.crash:
+                trace.emit("check_crash", name=row.name, wall_s=row.seconds,
+                           detail=row.crash)
+            trace.emit("check_end", name=row.name, wall_s=row.seconds,
+                       status="crash" if row.crash else "ok",
+                       counters={"findings": float(len(row.findings))})
         findings.extend(row.findings)
         per_check.setdefault(row.name, []).extend(row.findings)
         per_check_seconds[row.name] = (

@@ -8,9 +8,9 @@ the battery so each setup endpoint and each race constraint becomes one
 by the designer-filter model, violations queue with slack metrics.
 
 The check is a pure function of the shared context (it builds its own
-graph and analyzer), so it parallelizes like every other battery member:
-``run_battery(parallel=N)`` reassembles its findings in registry order,
-byte-identical to a serial run.
+graph and analyzer), so it shards like every other battery member: the
+fleet runs it in whichever battery shard holds its registry slot, and
+the merged findings are byte-identical to a serial run.
 
 It needs both delay corners; contexts built without a SLOW annotation
 or without a clock (e.g. quick feasibility studies) skip it silently.

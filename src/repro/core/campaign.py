@@ -79,6 +79,20 @@ def _enum_delta(before: dict[str, int]) -> dict[str, float]:
             for k, v in enumeration_counters().items()}
 
 
+def _check_stage_checkpoint(flow: FlowStage, payload) -> None:
+    """Raise unless ``payload`` is ``flow``'s stage checkpoint.
+
+    The event slice is validated up front so replay cannot fail halfway
+    through its side effects.
+    """
+    result = payload.get("result") if isinstance(payload, dict) else None
+    if (not isinstance(result, StageResult) or result.stage is not flow
+            or not isinstance(payload.get("artifacts"), dict)):
+        raise ValueError("payload shape is not a stage checkpoint")
+    for d in payload["events"]:
+        TraceEvent.from_dict(d)
+
+
 @dataclass
 class DesignBundle:
     """Everything the flow needs to verify one design.
@@ -176,7 +190,7 @@ class CbvCampaign:
     def __init__(self, bundle: DesignBundle):
         self.bundle = bundle
 
-    def run(self, *, cache=None, parallel: int | None = None,
+    def run(self, *, cache=None,
             checks: tuple[type[Check], ...] = ALL_CHECKS,
             timeout_s: float | None = None,
             trace: CampaignTrace | None = None,
@@ -190,7 +204,7 @@ class CbvCampaign:
         extraction, and corner annotation route through it (and through
         :func:`repro.checks.driver.make_context`), so a session verifying
         several views of one netlist derives each artifact once.
-        ``parallel`` / ``timeout_s`` / ``checks`` are handed to
+        ``timeout_s`` / ``checks`` are handed to
         :func:`repro.checks.registry.run_battery`.
 
         ``store`` is a :class:`repro.store.ArtifactStore`: every stage
@@ -205,7 +219,8 @@ class CbvCampaign:
         as ``checkpoint.write_error``, and a store stuck in ENOSPC
         degraded mode as a single ``store.degraded`` event after which
         the campaign runs un-checkpointed -- and never abort the
-        campaign (see :class:`repro.store.checkpoint.CheckpointWriter`).
+        campaign (see :func:`repro.store.checkpoint.load_checkpoint`
+        and :class:`repro.store.checkpoint.CheckpointWriter`).
 
         ``until`` stops the flow after the named stage (inclusive) -- a
         partial run whose intermediate products stay available on
@@ -225,45 +240,12 @@ class CbvCampaign:
         # Imported here, not at module top: repro.store fingerprints
         # FlowStage-keyed inputs, so a module-level import would be
         # circular (store -> core.stages -> core -> campaign -> store).
-        from repro.store.artifact import CorruptArtifact, StoreMiss
-        from repro.store.checkpoint import CheckpointWriter
+        from repro.store.checkpoint import CheckpointWriter, load_checkpoint
         writer = CheckpointWriter(store, trace)
         if store is not None:
             from repro.store.checkpoint import stage_keys
             keys = stage_keys(bundle, checks=checks, timeout_s=timeout_s)
         trace.emit("campaign_start", name=bundle.name)
-
-        def load_checkpoint(flow: FlowStage, key: str):
-            """(result, artifacts, events) from the store, or None.
-
-            Any verification failure -- including a payload that decodes
-            but has the wrong shape -- quarantines the blob, emits
-            ``checkpoint.corrupt``, and falls back to execution.
-            """
-            try:
-                payload, _meta = store.get(key)
-            except StoreMiss:
-                return None
-            except CorruptArtifact as exc:
-                trace.emit("checkpoint.corrupt", name=flow.value,
-                           detail=str(exc))
-                return None
-            result = payload.get("result") if isinstance(payload, dict) else None
-            try:
-                if (not isinstance(result, StageResult)
-                        or result.stage is not flow
-                        or not isinstance(payload.get("artifacts"), dict)):
-                    raise ValueError("payload shape is not a stage checkpoint")
-                # Validate the event slice up front so replay cannot fail
-                # halfway through its side effects.
-                for d in payload["events"]:
-                    TraceEvent.from_dict(d)
-            except Exception as exc:  # noqa: BLE001 -- degrade to re-run
-                store.invalidate(key)
-                trace.emit("checkpoint.corrupt", name=flow.value,
-                           detail=f"{key}: {type(exc).__name__}: {exc}")
-                return None
-            return result, payload["artifacts"], payload["events"]
 
         def run_stage(flow: FlowStage, fn: Callable[[], StageResult],
                       requires: tuple[str, ...] = (),
@@ -283,9 +265,12 @@ class CbvCampaign:
 
             key = keys.get(flow)
             if store is not None and resume and key is not None:
-                loaded = load_checkpoint(flow, key)
+                loaded = load_checkpoint(
+                    store, key, flow.value, trace,
+                    lambda payload: _check_stage_checkpoint(flow, payload))
                 if loaded is not None:
-                    result, artifacts, events = loaded
+                    result = loaded["result"]
+                    artifacts, events = loaded["artifacts"], loaded["events"]
                     rerun = result.status in (StageStatus.ERROR,
                                               StageStatus.SKIPPED)
                     if not rerun:
@@ -456,7 +441,7 @@ class CbvCampaign:
             if battery_runner is not None:
                 battery = battery_runner(ctx, trace)
             else:
-                battery = run_battery(ctx, checks=checks, parallel=parallel,
+                battery = run_battery(ctx, checks=checks,
                                       timeout_s=timeout_s, trace=trace)
             art["battery"] = battery
             stats = battery.queues.stats()

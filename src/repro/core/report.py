@@ -9,9 +9,9 @@ Two JSON shapes exist:
   wall-clock fields, cache/store/chaos counters, worker ids / worker
   counts, and ``checkpoint.*`` / ``store.*`` trace events are stripped.
   Two runs over the same design produce byte-identical canonical JSON
-  whether they ran cold, resumed from a checkpoint store, ran the
-  battery in parallel, were sharded across a :mod:`repro.fleet` worker
-  pool, or survived an injected fault schedule (:mod:`repro.chaos`);
+  whether they ran cold, resumed from a checkpoint store, had their
+  battery sharded across a :mod:`repro.fleet` worker pool, or survived
+  an injected fault schedule (:mod:`repro.chaos`);
   this is the form the resume, fleet, and chaos acceptance tests (and
   the CI smoke jobs) compare.
 
@@ -48,7 +48,7 @@ _NONCANONICAL_KEYS = frozenset({
     # classification-memo effectiveness (process-history dependent)
     "classify_hits", "classify_misses", "gate_hits", "gate_misses",
     # how many processes ran the battery (run mechanics, not a verdict;
-    # serial, parallel, and fleet-sharded runs must compare identical)
+    # serial and fleet-sharded runs must compare identical)
     "workers",
     # setup-path effectiveness: sweep counts depend on which consumer
     # warmed the shared CCC path caches first, and template hits count
@@ -90,11 +90,6 @@ def canonical_counters(counters: dict) -> dict:
     :mod:`repro.scenarios.report` -- must strip the same keys.
     """
     return {k: v for k, v in counters.items() if is_canonical_key(k)}
-
-
-# Backwards-compatible private aliases.
-_is_canonical_key = is_canonical_key
-_canonical_counters = canonical_counters
 
 
 def render_report(report: CbvReport, max_queue_items: int = 20) -> str:
@@ -195,9 +190,6 @@ def trace_to_dicts(trace: CampaignTrace, canonical: bool) -> list[dict]:
                 del d["counters"]
         out.append(d)
     return out
-
-
-_trace_to_dicts = trace_to_dicts
 
 
 def report_to_dict(report: CbvReport, canonical: bool = False) -> dict:

@@ -19,10 +19,10 @@ designs, and grepped by CI without a parser.  Event kinds:
                     traceback when the status is ``error``
 ``stage_skipped``   the stage never ran (upstream artifacts missing)
 ``battery_start``   the check battery began (``counters``: checks, workers)
-``check_start``     one check dispatched (re-emitted on a pool retry)
+``check_start``     one check dispatched
 ``check_end``       it finished; ``status`` ``ok``/``crash``
-``check_crash``     a check raised, timed out, or killed its worker;
-                    ``detail`` carries the traceback
+``check_crash``     a check raised or timed out; ``detail`` carries the
+                    traceback
 ``battery_end``     battery totals
 ``campaign_end``    run totals (``counters`` include cache counters)
 ================  ===========================================================
@@ -36,8 +36,9 @@ additionally emit a ``checkpoint.*`` namespace:
 ``checkpoint.rerun``       a checkpoint existed but its status (ERROR /
                            SKIPPED / crashed battery) forces re-execution
 ``checkpoint.corrupt``     a stored blob failed verification; it was
-                           quarantined and the stage re-runs (``detail``
-                           carries the diagnosis)
+                           quarantined and the stage re-runs, or the
+                           fleet shard read raises (``detail`` carries
+                           the diagnosis)
 ``checkpoint.write``       a completed stage was durably checkpointed
 ``checkpoint.write_error`` the checkpoint write itself failed; the
                            campaign continues without durability for

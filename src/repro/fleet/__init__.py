@@ -49,7 +49,6 @@ from repro.fleet.merge import (
     PoisonShards,
     ShardMissing,
     assemble_scenario_report,
-    load_scenario_shard,
     make_battery_runner,
     merge_shard_batteries,
     shard_store_key,
@@ -95,7 +94,6 @@ __all__ = [
     "design_flow_hook",
     "execute_job",
     "finalize_job",
-    "load_scenario_shard",
     "make_battery_runner",
     "merge_shard_batteries",
     "partition_checks",

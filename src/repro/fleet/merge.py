@@ -14,12 +14,12 @@ re-derivation of the triage split, so the merged
 report matches a single-process run's.
 
 The merge is installed into the finalize campaign as a
-``battery_runner`` (see :meth:`CbvCampaign.run`): it loads every shard,
-emits the battery start/end envelope the serial runner would, and
-replays the shard check events into the campaign trace in order.  A
-missing or corrupt shard raises :class:`ShardMissing` -- inside the
-campaign's stage isolation that degrades to a circuit-stage ERROR, not
-a crash.
+``battery_runner`` (see :meth:`CbvCampaign.run`): it loads every shard
+through :func:`repro.store.checkpoint.load_checkpoint`, emits the
+battery start/end envelope the serial runner would, and replays the
+shard check events into the campaign trace in order.  A missing or
+corrupt shard raises :class:`ShardMissing` -- inside the campaign's
+stage isolation that degrades to a circuit-stage ERROR, not a crash.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.core.stages import FlowStage
 from repro.core.trace import CampaignTrace
 from repro.fleet.jobs import FleetConfig, ShardSpec
 from repro.store.artifact import ArtifactStore, StoreError
-from repro.store.checkpoint import stage_keys
+from repro.store.checkpoint import load_checkpoint, stage_keys
 from repro.store.fingerprint import FINGERPRINT_SCHEMA_VERSION, _digest
 
 #: The per-check trace events a shard persists for the merged log; the
@@ -100,59 +100,47 @@ def merge_shard_batteries(payloads: list[dict]) -> BatteryResult:
     )
 
 
-def load_shard(store: ArtifactStore, key: str, shard: ShardSpec) -> dict:
-    try:
-        payload, _meta = store.get(key)
-    except StoreError as exc:
-        raise ShardMissing(
-            f"battery shard {shard.label()} unavailable: {exc}") from exc
+def _check_battery_shard(payload) -> None:
+    """Raise unless ``payload`` has a battery shard's shape."""
     if (not isinstance(payload, dict) or "battery" not in payload
             or not isinstance(payload.get("events"), list)):
-        store.invalidate(key)
-        raise ShardMissing(
-            f"battery shard {shard.label()} payload has the wrong shape")
-    return payload
+        raise ValueError("payload shape is not a battery shard")
 
 
-def load_scenario_shard(store: ArtifactStore, key: str,
-                        shard: ShardSpec) -> dict:
-    """One scenario shard's ``{"samples", "events"}`` payload.
+def _load_shard(store: ArtifactStore, key: str, label: str, trace,
+                valid) -> dict:
+    """One shard's payload; :class:`ShardMissing` when absent or bad.
 
-    Same discipline as :func:`load_shard`: a missing blob raises
-    :class:`ShardMissing`, a wrong-shaped one is invalidated first so a
-    retry recomputes it instead of re-tripping.
+    A wrong-shaped blob is quarantined on the way, so a retry recomputes
+    it instead of re-tripping.
     """
-    try:
-        payload, _meta = store.get(key)
-    except StoreError as exc:
-        raise ShardMissing(
-            f"scenario shard {shard.label()} unavailable: {exc}") from exc
-    if (not isinstance(payload, dict)
-            or not isinstance(payload.get("samples"), dict)
-            or not isinstance(payload.get("events"), list)):
-        store.invalidate(key)
-        raise ShardMissing(
-            f"scenario shard {shard.label()} payload has the wrong shape")
+    payload = load_checkpoint(store, key, label, trace, valid)
+    if payload is None:
+        raise ShardMissing(f"{label} is missing or corrupt")
     return payload
 
 
 def assemble_scenario_report(store: ArtifactStore, spec,
-                             shards: tuple[ShardSpec, ...]):
+                             shards: tuple[ShardSpec, ...],
+                             trace: CampaignTrace):
     """Load every shard (in shard order) and build the rollup report.
 
     Shard order is sample-index order (contiguous ranges), so the
     assembled trace -- and therefore the canonical report JSON -- is
     byte-identical to the serial :class:`ScenarioCampaign`'s no matter
-    which workers computed which shards.
+    which workers computed which shards.  A missing or wrong-shaped
+    shard raises :class:`ShardMissing`; ``trace`` receives its
+    ``checkpoint.corrupt`` event.
     """
     # Imported lazily: repro.scenarios imports repro.fleet.jobs for the
     # shard partitioner, so a module-level import here would be a cycle.
-    from repro.scenarios.report import assemble_report
+    from repro.scenarios.report import assemble_report, check_scenario_shard
     from repro.scenarios.spec import shard_key
 
     payloads = [
-        load_scenario_shard(
-            store, shard_key(spec, s.index, s.count), s)
+        _load_shard(store, shard_key(spec, s.index, s.count),
+                    f"scenario shard {s.label()}", trace,
+                    check_scenario_shard)
         for s in sorted(shards, key=lambda s: s.index)
     ]
     return assemble_report(spec, payloads)
@@ -181,7 +169,9 @@ def make_battery_runner(store: ArtifactStore, bundle,
             raise PoisonShards(
                 f"{len(poisoned)} battery shard(s) quarantined as poison "
                 f"(each repeatedly killed its worker): {labels}")
-        payloads = [load_shard(store, shard_store_key(bundle, s, config), s)
+        payloads = [_load_shard(store, shard_store_key(bundle, s, config),
+                                f"battery shard {s.label()}", trace,
+                                _check_battery_shard)
                     for s in shards]
         trace.emit("battery_start", counters={
             "checks": float(len(config.checks)),

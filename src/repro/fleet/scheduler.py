@@ -12,7 +12,12 @@ The subsystem has two front doors over one engine:
 The shared engine (:class:`_Pool`) spawns ``workers`` OS processes
 (``fork`` start method where the platform has it, else ``spawn``),
 seeds the :class:`~repro.fleet.queue.WorkQueue`, and runs a
-single-threaded event loop over the shared outbox:
+single-threaded event loop over the shared outbox until it has been
+asked to stop and every accepted name has finished.  The front doors
+and the service (:mod:`repro.service`) all drive it the same way:
+names arrive through ``add_design``; a batch front door adds its whole
+suite and calls ``request_stop`` before ``run``, while the service
+keeps adding names until it shuts down.  The loop:
 
 * ``heartbeat`` messages renew the sender's lease; a lease that goes
   ``FleetConfig.lease_s`` without one is broken and its job requeued --
@@ -53,7 +58,7 @@ from __future__ import annotations
 import multiprocessing
 import queue as queue_mod
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.campaign import CbvReport
 from repro.core.report import report_from_dict
@@ -133,38 +138,36 @@ class _Pool:
     job; it submits follow-up work via ``pool.submit`` and records
     finished names via ``pool.finish``.  The pool itself is agnostic
     about job kinds -- that is the hook's whole purpose.
+
+    Names arrive only through :meth:`add_design`, and :meth:`run`
+    returns once :meth:`request_stop` has been called and every
+    accepted name has finished.  ``config`` is copied, never mutated:
+    with ``store_dir`` unset, each pool gets a fresh temporary store.
     """
 
-    def __init__(self, names, *, workers: int, config: FleetConfig,
-                 on_job_done, dynamic: bool = False,
-                 on_design_failed=None) -> None:
+    def __init__(self, *, workers: int, config: FleetConfig,
+                 on_job_done, on_design_failed=None) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if not names and not dynamic:
-            raise ValueError("nothing to run: empty suite")
-        if config.store_dir is None:
-            config.store_dir = tempfile.mkdtemp(prefix="repro-fleet-store-")
-        self.names = list(names)
+        config = replace(config, store_dir=(
+            config.store_dir
+            or tempfile.mkdtemp(prefix="repro-fleet-store-")))
+        self.names: list[str] = []
         self.workers = workers
         self.config = config
         self.on_job_done = on_job_done
         self.on_design_failed = on_design_failed
-        #: Dynamic mode (the service front end): the pool outlives any
-        #: fixed suite -- names arrive via :meth:`add_design`, and the
-        #: loop runs until :meth:`request_stop` *and* every accepted
-        #: name has finished.
-        self.dynamic = dynamic
         self._stopping = False
-        #: Thread-safe injection point for dynamic mode: callables
-        #: queued here run on the scheduler thread at the next tick,
-        #: which is the only thread allowed to touch pool state.
+        #: Thread-safe injection point: callables queued here run on
+        #: the scheduler thread at the next tick, which is the only
+        #: thread allowed to touch pool state.
         self._injected: queue_mod.Queue = queue_mod.Queue()
         self.respawn_budget = (config.max_respawns
                                if config.max_respawns is not None
                                else workers)
         self.ctx = _pick_context()
         self.outbox = self.ctx.Queue()
-        self.metrics = FleetMetrics(workers=workers, designs=len(self.names))
+        self.metrics = FleetMetrics(workers=workers)
         self.ftrace = CampaignTrace(worker_id="fleet")
         self.wq = WorkQueue(lease_s=config.lease_s)
         self.watch = Stopwatch()
@@ -199,15 +202,15 @@ class _Pool:
         """Run ``fn(pool)`` on the scheduler thread at the next tick.
 
         The only thread-safe entry point: everything else on the pool
-        assumes single-threaded access, so a dynamic front end (the
-        service's asyncio loop lives on another thread) funnels every
-        mutation -- ``add_design`` + ``submit``, ``request_stop`` --
-        through here.
+        assumes single-threaded access, so a front end on another
+        thread (the service's asyncio loop) funnels every mutation once
+        the loop runs -- ``add_design`` + ``submit``, ``request_stop``
+        -- through here.
         """
         self._injected.put(fn)
 
     def add_design(self, name: str) -> None:
-        """Accept one more name into a dynamic pool (scheduler thread)."""
+        """Accept one more name (scheduler thread, or before :meth:`run`)."""
         if name in self.names:
             raise ValueError(f"duplicate design name: {name}")
         self.names.append(name)
@@ -370,10 +373,8 @@ class _Pool:
             self.on_job_done(self, job, payload.get("result") or {})
 
     def _done(self) -> bool:
-        finished = len(self.results) + len(self.failed) >= len(self.names)
-        if self.dynamic:
-            return self._stopping and finished
-        return finished
+        return (self._stopping and len(self.results) + len(self.failed)
+                >= len(self.names))
 
     def _run_injected(self) -> None:
         """Drain the thread-safe callback queue (one tick's worth)."""
@@ -604,8 +605,11 @@ def run_fleet(suite: dict, *, workers: int = 4,
             "design_done", name=job.design,
             status="ok" if result.get("ok") else "needs-triage")
 
-    pool = _Pool(suite, workers=workers, config=config,
+    pool = _Pool(workers=workers, config=config,
                  on_job_done=design_flow_hook(config, finish=finish))
+    for name in suite:
+        pool.add_design(name)
+    pool.request_stop()
     return pool.run([prepare_job(name, ref) for name, ref in suite.items()])
 
 
@@ -648,6 +652,8 @@ def run_scenario_fleet(scenarios: dict, *, workers: int = 4,
         initial.extend(shard_jobs)
         initial.append(scenario_rollup_job(name, ref, shard_jobs))
 
-    pool = _Pool(scenarios, workers=workers, config=config,
-                 on_job_done=on_job_done)
+    pool = _Pool(workers=workers, config=config, on_job_done=on_job_done)
+    for name in scenarios:
+        pool.add_design(name)
+    pool.request_stop()
     return pool.run(initial)

@@ -52,6 +52,7 @@ from repro.fleet.jobs import FleetConfig, Job, JobKind, resolve_bundle
 from repro.fleet.merge import CHECK_EVENTS, make_battery_runner, shard_store_key
 from repro.perf.stopwatch import Stopwatch
 from repro.store.artifact import ArtifactStore
+from repro.store.checkpoint import load_checkpoint
 
 #: Artifacts the battery stage cannot run without; prepare must have
 #: produced (and checkpointed) all of them for sharding to be safe.
@@ -144,7 +145,7 @@ def _run_scenario_shard(job: Job, store: ArtifactStore,
     # Lazy: repro.scenarios imports repro.fleet.jobs, so the import
     # must not run at this module's import time (cycle through
     # repro.fleet.__init__).
-    from repro.scenarios.campaign import load_shard_checkpoint
+    from repro.scenarios.report import check_scenario_shard
     from repro.scenarios.runner import run_shard
     from repro.scenarios.spec import resolve_scenario, shard_key
 
@@ -157,7 +158,7 @@ def _run_scenario_shard(job: Job, store: ArtifactStore,
     # instead of recomputing -- the exact validation the serial
     # campaign's ``resume=True`` applies, so corrupt or wrong-shaped
     # blobs are quarantined and the shard re-runs.
-    payload = load_shard_checkpoint(store, key, label, wt)
+    payload = load_checkpoint(store, key, label, wt, check_scenario_shard)
     replayed = payload is not None
     if payload is None:
         # Running the same shard twice (retry, expired lease) is
@@ -180,7 +181,8 @@ def _run_scenario_shard(job: Job, store: ArtifactStore,
     }
 
 
-def _run_scenario_rollup(job: Job, store: ArtifactStore) -> dict:
+def _run_scenario_rollup(job: Job, store: ArtifactStore,
+                         wt: CampaignTrace) -> dict:
     from repro.fleet.merge import assemble_scenario_report
     from repro.scenarios.spec import resolve_scenario
 
@@ -188,7 +190,7 @@ def _run_scenario_rollup(job: Job, store: ArtifactStore) -> dict:
     # A missing/corrupt shard raises ShardMissing -> the job errors and
     # the scheduler retries it (the shard jobs completed, so a retry
     # reloads or a re-run recomputes what the store actually holds).
-    report = assemble_scenario_report(store, spec, job.shards)
+    report = assemble_scenario_report(store, spec, job.shards, wt)
     return {"report": report.to_dict(), "ok": report.ok()}
 
 
@@ -204,7 +206,7 @@ def execute_job(job: Job, store: ArtifactStore, config: FleetConfig,
     if job.kind is JobKind.SCENARIO:
         return _run_scenario_shard(job, store, wt)
     if job.kind is JobKind.ROLLUP:
-        return _run_scenario_rollup(job, store)
+        return _run_scenario_rollup(job, store, wt)
     raise ValueError(f"unknown job kind: {job.kind!r}")
 
 

@@ -27,6 +27,7 @@ from repro.core.trace import CampaignTrace
 from repro.fleet.jobs import partition_checks
 from repro.scenarios.report import (
     ScenarioReport,
+    check_scenario_shard,
     finish_report,
     sample_events,
 )
@@ -57,7 +58,7 @@ class ScenarioCampaign:
     def run(self, *, store=None, resume: bool = False,
             trace: CampaignTrace | None = None) -> ScenarioReport:
         """Execute (or resume) every shard; returns the sealed report."""
-        from repro.store.checkpoint import CheckpointWriter
+        from repro.store.checkpoint import CheckpointWriter, load_checkpoint
 
         spec = self.spec
         if trace is None:
@@ -72,7 +73,8 @@ class ScenarioCampaign:
                    if store is not None else None)
             payload = None
             if store is not None and resume:
-                payload = self._load(store, key, label, trace)
+                payload = load_checkpoint(store, key, label, trace,
+                                          check_scenario_shard)
             replayed = payload is not None
             if payload is None:
                 payload = run_shard(spec, lo, hi, worker_id=trace.worker_id)
@@ -88,35 +90,3 @@ class ScenarioCampaign:
                         "shard": f"{index + 1}/{len(bounds)}",
                     }, label=label)
         return finish_report(spec, rollup, trace)
-
-    def _load(self, store, key: str, label: str,
-              trace: CampaignTrace) -> dict | None:
-        return load_shard_checkpoint(store, key, label, trace)
-
-
-def load_shard_checkpoint(store, key: str, label: str,
-                          trace: CampaignTrace) -> dict | None:
-    """A verified scenario-shard payload from the store, or None.
-
-    Wrong-shaped payloads are quarantined (``checkpoint.corrupt``) and
-    the shard re-runs -- checkpoint faults degrade, never abort.  Shared
-    by the serial campaign's ``resume=True`` and the fleet's SCENARIO
-    jobs, so cross-run fleet resume validates exactly like serial.
-    """
-    from repro.store.artifact import CorruptArtifact, StoreMiss
-
-    try:
-        payload, _meta = store.get(key)
-    except StoreMiss:
-        return None
-    except CorruptArtifact as exc:
-        trace.emit("checkpoint.corrupt", name=label, detail=str(exc))
-        return None
-    if (not isinstance(payload, dict)
-            or not isinstance(payload.get("samples"), dict)
-            or not isinstance(payload.get("events"), list)):
-        store.invalidate(key)
-        trace.emit("checkpoint.corrupt", name=label,
-                   detail="payload shape is not a scenario shard")
-        return None
-    return payload

@@ -85,6 +85,19 @@ class ScenarioReport:
         return cls(spec, rollup, trace)
 
 
+def check_scenario_shard(payload) -> None:
+    """Raise unless ``payload`` has a scenario shard's shape.
+
+    The validator every scenario-shard checkpoint read passes to
+    :func:`repro.store.checkpoint.load_checkpoint`: the serial
+    campaign's resume, the fleet's shard jobs and its rollup.
+    """
+    if (not isinstance(payload, dict)
+            or not isinstance(payload.get("samples"), dict)
+            or not isinstance(payload.get("events"), list)):
+        raise ValueError("payload shape is not a scenario shard")
+
+
 def sample_events(payload: dict) -> list[dict]:
     """The replayable ``scenario.sample`` slice of one shard payload."""
     return [e for e in payload.get("events", ())

@@ -6,10 +6,11 @@ One process, three layers of concurrency, one owner per piece of state:
   records, the tenant scheduler, the verdict index counters.  Protocol
   handlers and pool notifications all mutate state here, so none of it
   needs a lock;
-* the **pool thread** runs :class:`repro.fleet.scheduler._Pool` in
-  dynamic mode.  The loop reaches it only through the pool's
-  thread-safe ``call_soon`` injection queue; the pool reaches back only
-  through ``loop.call_soon_threadsafe``.  Blocking work the loop needs
+* the **pool thread** runs :class:`repro.fleet.scheduler._Pool`,
+  which gains a name per launched campaign and stops only on shutdown.
+  The loop reaches it only through the pool's thread-safe
+  ``call_soon`` injection queue; the pool reaches back only through
+  ``loop.call_soon_threadsafe``.  Blocking work the loop needs
   (fingerprinting a bundle, store reads) runs in the default executor;
 * the **worker processes** under the pool are unchanged -- the service
   is a new front door over the same engine ``run_fleet`` drives.
@@ -27,7 +28,7 @@ from __future__ import annotations
 import asyncio
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.report import report_from_dict, report_to_json
 from repro.core.trace import CampaignTrace
@@ -64,9 +65,11 @@ class ServiceConfig:
     default_weight: float = 1.0
     default_tenant_inflight: int = 4
     default_tenant_queue: int = 64
-    #: Pool/worker knobs.  The service forces ``fleet_timeout_s`` to
-    #: ``None``: that bound is a per-run safety net, meaningless for a
-    #: pool that intentionally runs forever.
+    #: Pool/worker knobs.  The service runs on a copy with
+    #: ``fleet_timeout_s`` forced to ``None`` (that bound is a per-run
+    #: safety net, meaningless for a pool that intentionally runs
+    #: forever) and, when ``store_dir`` is unset, a fresh temporary
+    #: store.
     fleet: FleetConfig | None = None
 
 
@@ -111,9 +114,9 @@ class VerificationService:
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
         fleet = self.config.fleet or FleetConfig()
-        if fleet.store_dir is None:
-            fleet.store_dir = tempfile.mkdtemp(prefix="repro-service-store-")
-        fleet.fleet_timeout_s = None
+        fleet = replace(fleet, fleet_timeout_s=None, store_dir=(
+            fleet.store_dir
+            or tempfile.mkdtemp(prefix="repro-service-store-")))
         self.fleet_config = fleet
         self.store = ArtifactStore(fleet.store_dir)
         self.verdicts = VerdictIndex(self.store)
@@ -148,8 +151,7 @@ class VerificationService:
         self.loop = asyncio.get_running_loop()
         self._closed = asyncio.Event()
         self._pool = _Pool(
-            [], workers=self.config.workers, config=self.fleet_config,
-            dynamic=True,
+            workers=self.config.workers, config=self.fleet_config,
             on_job_done=self._pool_job_done,
             on_design_failed=self._pool_design_failed)
         self._flow = design_flow_hook(self.fleet_config,

@@ -16,7 +16,8 @@ instead of recomputing them.
   behavioural inputs.
 * :mod:`repro.store.checkpoint` -- the stage -> inputs dependency map
   and per-stage key derivation, so an edit invalidates exactly the
-  stages whose inputs changed.
+  stages whose inputs changed, plus the one checkpoint reader and
+  writer every campaign and fleet shard shares.
 * :mod:`repro.store.verdicts` -- the cross-user verdict cache: sealed
   campaign reports keyed by (design fingerprint, battery invocation),
   so a re-submission of a verified design is answered with zero
@@ -35,6 +36,7 @@ from repro.store.checkpoint import (
     CheckpointWriter,
     DesignFingerprint,
     design_fingerprint,
+    load_checkpoint,
     stage_key,
     stage_keys,
 )
@@ -60,6 +62,7 @@ __all__ = [
     "CheckpointWriter",
     "DesignFingerprint",
     "design_fingerprint",
+    "load_checkpoint",
     "stage_key",
     "stage_keys",
     "STAGE_INPUTS",

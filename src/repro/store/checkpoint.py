@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.core.stages import FlowStage
 from repro.process.corners import Corner, corner_spec
+from repro.store.artifact import CorruptArtifact, StoreMiss
 from repro.store.fingerprint import (
     FINGERPRINT_SCHEMA_VERSION,
     _digest,
@@ -110,9 +111,9 @@ def stage_key(fp: DesignFingerprint, stage: FlowStage, *,
 
     ``checks`` / ``timeout_s`` are the battery invocation parameters;
     they key only the circuit-verification stage (a different check
-    list or budget may legitimately change its findings).  Worker count
-    is deliberately excluded: the battery guarantees parallel output is
-    byte-identical to serial.
+    list or budget may legitimately change its findings).  How the
+    battery is split across fleet shards is not part of the key: the
+    merged shards are byte-identical to one serial battery.
     """
     parts: list = ["stage", FINGERPRINT_SCHEMA_VERSION, stage.value,
                    sorted(fp.subset(STAGE_INPUTS[stage]).items())]
@@ -130,13 +131,44 @@ def stage_keys(bundle, *, checks: tuple = (),
             for stage in STAGE_INPUTS}
 
 
+def load_checkpoint(store, key: str, label: str, trace, valid):
+    """The verified payload stored under ``key``, or ``None``.
+
+    The one place campaign code (CBV stages, scenario shards, and the
+    fleet's battery and scenario shards) reads checkpoints back.  A miss
+    returns ``None``.  A blob that fails its checksum is quarantined by
+    the store itself; a blob that decodes but makes ``valid(payload)``
+    raise is quarantined here with :meth:`ArtifactStore.invalidate
+    <repro.store.artifact.ArtifactStore.invalidate>`.  Either way the
+    fault is logged as a ``checkpoint.corrupt`` trace event named
+    ``label`` and the caller sees ``None`` -- it re-runs the work, or
+    (for a fleet shard it cannot re-run) raises.
+    """
+    try:
+        payload, _meta = store.get(key)
+    except StoreMiss:
+        return None
+    except CorruptArtifact as exc:
+        trace.emit("checkpoint.corrupt", name=label, detail=str(exc))
+        return None
+    try:
+        valid(payload)
+    except Exception as exc:  # noqa: BLE001 -- any shape fault degrades
+        store.invalidate(key)
+        trace.emit("checkpoint.corrupt", name=label,
+                   detail=f"{key}: {type(exc).__name__}: {exc}")
+        return None
+    return payload
+
+
 class CheckpointWriter:
     """Best-effort checkpoint writes with graceful ENOSPC degradation.
 
     The one place campaign code (CBV stages and scenario shards alike)
-    persists checkpoints.  The contract: **a checkpoint write is never
-    fatal**.  A transient fault surfaces as a ``checkpoint.write_error``
-    trace event and the campaign moves on; a store that has entered
+    persists checkpoints; :func:`load_checkpoint` is its reader.  The
+    contract: **a checkpoint write is never fatal**.  A transient fault
+    surfaces as a ``checkpoint.write_error`` trace event and the
+    campaign moves on; a store that has entered
     ENOSPC degraded mode (:attr:`repro.store.ArtifactStore.degraded`)
     is announced exactly once per campaign with a ``store.degraded``
     trace event carrying a ``store_degraded`` counter, after which the

@@ -37,27 +37,27 @@ class ArcPriceCache:
     """Session-scoped memo of drive bounds, safe to share across builds."""
 
     def __init__(self) -> None:
-        self._store: dict[tuple, tuple[float, float]] = {}
+        self._bounds: dict[tuple, tuple[float, float]] = {}
         self.hits = 0
         self.misses = 0
 
     def drive_bounds(self, key: tuple, compute) -> tuple[float, float]:
         """Cached (r_min, r_max) drive bounds; ``compute()`` on a miss."""
-        cached = self._store.get(key)
+        cached = self._bounds.get(key)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
         bounds = compute()
-        self._store[key] = bounds
+        self._bounds[key] = bounds
         return bounds
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._bounds)
 
     def counters(self) -> dict[str, int]:
         return {
             "arc_cache_hits": self.hits,
             "arc_cache_misses": self.misses,
-            "arc_cache_entries": len(self._store),
+            "arc_cache_entries": len(self._bounds),
         }

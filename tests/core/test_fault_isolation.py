@@ -1,13 +1,14 @@
 """Injected-fault suite: no check or stage may kill a campaign run.
 
-Covers the fault-isolation contract end to end: crashing / hanging /
-worker-killing checks in serial, ``parallel=2``, and inside a full
-campaign; stage-level ERROR degradation; the structured trace; and the
-triage dedupe/waiver regressions.
+Covers the fault-isolation contract end to end: crashing and hanging
+checks in the serial battery, in its sharded (fleet) form, and inside a
+full campaign; stage-level ERROR degradation; the structured trace; and
+the triage dedupe/waiver regressions.  A check that kills its whole
+process is the fleet's poison-shard case
+(``tests/fleet/test_chaos_fleet.py``).
 """
 
 import json
-import os
 import time
 
 import pytest
@@ -26,9 +27,8 @@ from repro.netlist.flatten import flatten
 from repro.perf import DesignCache
 from repro.process.technology import strongarm_technology
 from repro.timing.clocking import TwoPhaseClock
+from tests.sharding import sharded_battery
 
-
-# Module-level check classes: they must be picklable for the pool tests.
 
 class BoomCheck(Check):
     """Raises unconditionally."""
@@ -47,15 +47,6 @@ class SlothCheck(Check):
     def run(self, ctx):
         time.sleep(2.0)
         return []
-
-
-class WorkerKillerCheck(Check):
-    """Hard-kills its process: simulates a segfaulting tool."""
-
-    name = "worker_killer"
-
-    def run(self, ctx):
-        os._exit(3)
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +88,8 @@ CRASHY = (BetaRatioCheck, BoomCheck, DeviceSizeCheck)
 
 
 def shapes(findings):
+    """Findings without their metrics: a crash finding records its wall
+    seconds, which differ between any two runs."""
     return [(f.check, f.subject, f.severity, f.message) for f in findings]
 
 
@@ -122,10 +115,15 @@ def test_serial_raising_check_becomes_crash_finding(ctx):
 
 def test_parallel_crash_findings_match_serial_order(ctx):
     serial = run_battery(ctx, checks=CRASHY)
-    par = run_battery(ctx, checks=CRASHY, parallel=2)
-    assert shapes(par.findings) == shapes(serial.findings)
-    assert par.crashes.keys() == {"boom"}
-    assert par.queues.stats().violations == serial.queues.stats().violations
+    for shards in (1, 2, 4, 17):
+        merged = sharded_battery(ctx, shards, checks=CRASHY)
+        assert shapes(merged.findings) == shapes(serial.findings), shards
+        assert ({k: shapes(v) for k, v in merged.per_check.items()}
+                == {k: shapes(v) for k, v in serial.per_check.items()})
+        assert merged.crashes.keys() == {"boom"}
+        assert merged.queues.stats() == serial.queues.stats(), shards
+        # The crash sits in the crashed check's slot.
+        assert list(merged.per_check_seconds) == [c.name for c in CRASHY]
 
 
 def test_serial_timeout_becomes_crash_finding(ctx):
@@ -141,33 +139,17 @@ def test_serial_timeout_becomes_crash_finding(ctx):
 
 
 def test_parallel_timeout_becomes_crash_finding(ctx):
-    result = run_battery(ctx, checks=(SlothCheck, BetaRatioCheck),
-                         parallel=2, timeout_s=0.3)
+    result = sharded_battery(ctx, 2, checks=(SlothCheck, BetaRatioCheck),
+                             timeout_s=0.3)
     crash = result.of_check("sloth")
     assert len(crash) == 1 and "timed out" in crash[0].message
     assert result.of_check("beta_ratio")
     assert "sloth" in result.crashes
 
 
-def test_worker_death_is_isolated_and_attributed(ctx):
-    result = run_battery(
-        ctx, checks=(BetaRatioCheck, WorkerKillerCheck, DeviceSizeCheck),
-        parallel=2, retries=1)
-    crash = result.of_check("worker_killer")
-    assert len(crash) == 1
-    assert crash[0].severity is Severity.VIOLATION
-    assert "worker" in crash[0].message
-    # The innocent checks are byte-identical to a serial run without the killer.
-    clean = run_battery(ctx, checks=(BetaRatioCheck, DeviceSizeCheck))
-    assert result.of_check("beta_ratio") == clean.of_check("beta_ratio")
-    assert result.of_check("device_size") == clean.of_check("device_size")
-
-
 def test_battery_rejects_bad_knobs(ctx):
     with pytest.raises(ValueError):
         run_battery(ctx, timeout_s=0.0)
-    with pytest.raises(ValueError):
-        run_battery(ctx, retries=-1)
 
 
 # ---- campaign degradation ----------------------------------------------------
@@ -189,8 +171,15 @@ def test_campaign_survives_crashing_check(tech):
 
 
 def test_campaign_parallel_crash_matches_serial(tech):
+    # The fleet's finalize campaign takes its battery from merged shards
+    # through ``battery_runner``; a crash must land in the queue exactly
+    # as in a serial campaign.
     serial = CbvCampaign(make_bundle(tech)).run(checks=CRASHY)
-    par = CbvCampaign(make_bundle(tech)).run(checks=CRASHY, parallel=2)
+    par = CbvCampaign(make_bundle(tech)).run(
+        checks=CRASHY,
+        battery_runner=lambda ctx, trace: sharded_battery(ctx, 2, CRASHY))
+    assert par.stage(FlowStage.CIRCUIT_VERIFICATION).metrics[
+        "check_crashes"] == 1.0
     assert ([i.identity() for i in par.queue.items]
             == [i.identity() for i in serial.queue.items])
     assert ([(s.stage, s.status) for s in par.stages]
@@ -328,12 +317,12 @@ def test_campaign_routes_through_make_context(tech, monkeypatch):
     assert cache.hits >= 1
 
 
-def test_campaign_parallel_battery_matches_serial(tech):
-    serial = CbvCampaign(make_bundle(tech)).run()
-    par = CbvCampaign(make_bundle(tech)).run(parallel=2, cache=DesignCache())
-    assert ([i.identity() for i in par.queue.items]
-            == [i.identity() for i in serial.queue.items])
-    assert par.ok() == serial.ok()
+def test_campaign_cached_battery_matches_uncached(tech):
+    uncached = CbvCampaign(make_bundle(tech)).run()
+    cached = CbvCampaign(make_bundle(tech)).run(cache=DesignCache())
+    assert ([i.identity() for i in cached.queue.items]
+            == [i.identity() for i in uncached.queue.items])
+    assert cached.ok() == uncached.ok()
 
 
 # ---- triage regressions ------------------------------------------------------

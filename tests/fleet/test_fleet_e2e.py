@@ -7,6 +7,8 @@ process.  These tests also pin the observability surface (metrics,
 merged trace, Prometheus rendering) the benchmark and CI lean on.
 """
 
+import tempfile
+
 from repro.core.campaign import CbvCampaign
 from repro.core.report import report_to_json
 from repro.fleet import (
@@ -75,6 +77,22 @@ def test_fleet_reuses_the_checkpoint_store(tmp_path):
     for name in SEED_SUITE:
         assert (report_to_json(second.reports[name], canonical=True)
                 == report_to_json(first.reports[name], canonical=True))
+
+
+def test_each_run_gets_a_fresh_store(tmp_path, monkeypatch):
+    # One FleetConfig() shared by two runs: neither may write its
+    # temporary store back into it, or the second run would resume
+    # from the first's checkpoints.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    config = FleetConfig(heartbeat_s=0.1, fleet_timeout_s=120.0)
+    suite = {"adder8": SEED_SUITE["adder8"]}
+    first = run_fleet(suite, workers=1, config=config)
+    second = run_fleet(suite, workers=1, config=config)
+    assert config.store_dir is None
+    assert first.store_dir != second.store_dir
+    hits = [sum(e.event == "checkpoint.hit" for e in r.trace.events)
+            for r in (first, second)]
+    assert hits[0] > 0 and hits[1] == hits[0]
 
 
 def test_prometheus_rendering_is_well_formed():

@@ -1,4 +1,10 @@
-"""Parallel battery: identical findings, registry order, timing data."""
+"""The battery's parallel form: contiguous shards, merged in registry order.
+
+The fleet runs the battery in parallel as shard jobs over contiguous
+slices of the registry.  These tests run the same slices in-process
+(:func:`tests.sharding.sharded_battery`) and demand the merge equal one
+serial ``run_battery``: findings, per-check slots, timing order, triage.
+"""
 
 import pytest
 
@@ -10,6 +16,9 @@ from repro.netlist.flatten import flatten
 from repro.perf import DesignCache
 from repro.process.technology import strongarm_technology
 from repro.timing.clocking import TwoPhaseClock
+from tests.sharding import sharded_battery
+
+SHARD_COUNTS = (1, 2, 4, 17)
 
 
 @pytest.fixture(scope="module")
@@ -24,28 +33,22 @@ def ctx():
 
 def test_parallel_findings_byte_identical(ctx):
     serial = run_battery(ctx)
-    par = run_battery(ctx, parallel=4)
-    assert par.findings == serial.findings
-    assert par.per_check == serial.per_check
-    assert list(par.per_check_seconds) == list(serial.per_check_seconds)
-    assert par.queues.stats() == serial.queues.stats()
+    for shards in SHARD_COUNTS:
+        merged = sharded_battery(ctx, shards)
+        assert merged.findings == serial.findings, shards
+        assert merged.per_check == serial.per_check, shards
+        assert list(merged.per_check_seconds) == list(serial.per_check_seconds)
+        assert merged.queues.stats() == serial.queues.stats(), shards
 
 
 def test_parallel_on_sequential_design():
     ctx = make_context(flatten(jamb_latch()), strongarm_technology(),
                        clock=TwoPhaseClock(period_s=6.25e-9))
-    assert run_battery(ctx, parallel=2).findings == run_battery(ctx).findings
-
-
-def test_parallel_one_stays_serial(ctx):
-    # parallel=1 must not spin up a pool; result is still complete.
-    result = run_battery(ctx, parallel=1)
-    assert set(result.per_check_seconds) == {c().name for c in ALL_CHECKS}
-
-
-def test_parallel_rejects_nonpositive(ctx):
-    with pytest.raises(ValueError):
-        run_battery(ctx, parallel=0)
+    serial = run_battery(ctx)
+    for shards in SHARD_COUNTS:
+        merged = sharded_battery(ctx, shards)
+        assert merged.findings == serial.findings, shards
+        assert merged.per_check == serial.per_check, shards
 
 
 def test_per_check_seconds_populated(ctx):
@@ -59,5 +62,6 @@ def test_per_check_seconds_populated(ctx):
 def test_subset_battery_parallel(ctx):
     checks = ALL_CHECKS[:5]
     serial = run_battery(ctx, checks=checks)
-    par = run_battery(ctx, checks=checks, parallel=3)
-    assert par.findings == serial.findings
+    merged = sharded_battery(ctx, 3, checks=checks)
+    assert merged.findings == serial.findings
+    assert list(merged.per_check_seconds) == [c.name for c in checks]

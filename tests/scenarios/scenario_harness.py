@@ -21,11 +21,19 @@ demo_fuzz = FuzzSpec(name="demo",
 
 def killer_adder_shadow():
     """The clean adder target, except the first resolution fleet-wide
-    (no sentinel file yet) SIGKILLs its own worker process mid-shard."""
+    SIGKILLs its own worker process mid-shard.
+
+    The sentinel file is ``O_EXCL``-claimed, so exactly one process dies
+    even when two workers resolve the target concurrently.
+    """
     sentinel = os.environ.get(SENTINEL_ENV)
-    if sentinel and not os.path.exists(sentinel):
-        with open(sentinel, "w"):
+    if sentinel:
+        try:
+            fd = os.open(sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
             pass
-        os.kill(os.getpid(), signal.SIGKILL)
+        else:
+            os.close(fd)
+            os.kill(os.getpid(), signal.SIGKILL)
     from repro.scenarios.targets import adder4_shadow
     return adder4_shadow()

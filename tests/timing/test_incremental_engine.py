@@ -23,6 +23,7 @@ from repro.timing.clocking import TwoPhaseClock
 from repro.timing.driver import analyze_design
 from repro.timing.graph import reprice_arcs
 from repro.timing.sizing import close_timing
+from tests.sharding import sharded_battery
 
 
 @pytest.fixture(scope="module")
@@ -177,9 +178,15 @@ def test_setup_race_check_flags_impossible_clock(tech):
 
 
 def test_battery_parallel_identical_with_timing_check(tech):
+    # The battery's parallel form is the fleet's merged shards.
     flat = flatten(domino_carry_adder(2))
     ctx = make_context(flat, tech, clock=CLOCK, clock_hints=("clk",))
     serial = run_battery(ctx)
-    parallel = run_battery(ctx, parallel=2)
-    assert serial.findings == parallel.findings
-    assert "timing_setup_race" in serial.per_check
+    assert serial.of_check("timing_setup_race")
+    for shards in (1, 2, 4, 17):
+        merged = sharded_battery(ctx, shards)
+        assert merged.findings == serial.findings, shards
+        assert merged.per_check == serial.per_check, shards
+        assert list(merged.per_check_seconds) == list(
+            serial.per_check_seconds)
+        assert merged.queues.stats() == serial.queues.stats(), shards
