@@ -11,8 +11,11 @@ chip-scale workload (:func:`repro.designs.chip_scale` at ~1k through
   ``tests/oracles.py`` on fresh CCCs -- at the scales where it is still
   affordable, asserting the two produce **byte-identical** packed
   arrays -- any divergence fails the build regardless of speed;
-* **recognition** and **STA timing-graph construction** riding the same
-  warm CCC path caches the build populated;
+* **recognition**, which answers its questions from packed path sets
+  over the sweeps the build left on the CCCs, and **STA timing-graph
+  construction**, which materializes each pair it prices as path
+  objects (``PathSet.paths()``) -- so the STA line now includes that
+  materialization;
 * **legacy STA graph** -- :class:`tests.oracles.OracleDelayCalculator`,
   one model evaluation per device of every path of every arc, with the
   arc-price cache on as production runs it -- at 1k and 5k, asserting

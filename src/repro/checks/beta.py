@@ -28,8 +28,8 @@ class BetaRatioCheck(Check):
                 down, up = pull_paths(classification.ccc, out)
                 if not down or not up:
                     continue
-                r_down = best_resistance(down, ctx.typical, devices)
-                r_up = best_resistance(up, ctx.typical, devices)
+                r_down = best_resistance(down.paths(), ctx.typical, devices)
+                r_up = best_resistance(up.paths(), ctx.typical, devices)
                 if r_up <= 0 or r_down <= 0:
                     continue
                 # Strength ratio normalized to the target: 1.0 = balanced.

@@ -31,7 +31,7 @@ class EdgeRateCheck(Check):
                     # transitions come through write paths, which the
                     # writability check owns.
                     continue
-                down, up = drive_pull_paths(ccc, out)
+                down, up = (s.paths() for s in drive_pull_paths(ccc, out))
                 dyn = classification.dynamic_nodes.get(out)
                 if dyn is not None and dyn.keeper_devices:
                     # The keeper only holds; the edge is made by the

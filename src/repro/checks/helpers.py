@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.extraction.annotate import AnnotatedDesign
 from repro.netlist.devices import Transistor
 from repro.recognition.ccc import ChannelConnectedComponent
-from repro.recognition.conduction import ConductionPath, conduction_paths
+from repro.recognition.conduction import ConductionPath, PathSet, conduction_paths
 
 
 def device_map(annotated: AnnotatedDesign) -> dict[str, Transistor]:
@@ -33,7 +33,8 @@ def worst_resistance(paths: list[ConductionPath], annotated: AnnotatedDesign,
     return max(path_resistance(p, annotated, devices) for p in paths)
 
 
-def pull_paths(ccc: ChannelConnectedComponent, net: str) -> tuple[list, list]:
+def pull_paths(ccc: ChannelConnectedComponent,
+               net: str) -> tuple[PathSet, PathSet]:
     """(pull-down paths to gnd, pull-up paths to vdd)."""
     return conduction_paths(ccc, net, "gnd"), conduction_paths(ccc, net, "vdd")
 
@@ -52,7 +53,7 @@ def off_network_leakage(
     """
     tech = annotated.technology
     vdd = tech.vdd_at(annotated.corner)
-    down = conduction_paths(ccc, net, "gnd")
+    down = conduction_paths(ccc, net, "gnd").paths()
     total = 0.0
     seen_first: set[str] = set()
     for path in down:

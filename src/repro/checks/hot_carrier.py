@@ -52,18 +52,15 @@ class HotCarrierCheck(Check):
         vdd_max = tech.vdd_at(ctx.fast.corner)
         for classification in ctx.design.classifications:
             ccc = classification.ccc
-            down_paths_by_output = {
-                out: conduction_paths(ccc, out, "gnd")
-                for out in (ccc.output_nets or ccc.channel_nets)
-            }
+            # Stack depth: the shortest pull-down path through a device.
+            depths: dict[str, int] = {}
+            for out in (ccc.output_nets or ccc.channel_nets):
+                down = conduction_paths(ccc, out, "gnd")
+                for name, d in down.device_depths().items():
+                    if d < depths.get(name, d + 1):
+                        depths[name] = d
             for t in ccc.nmos():
-                # Stack depth: the shortest path through this device.
-                depth = None
-                for paths in down_paths_by_output.values():
-                    for p in paths:
-                        if t.name in p.devices:
-                            d = len(p.devices)
-                            depth = d if depth is None else min(depth, d)
+                depth = depths.get(t.name)
                 if depth is None:
                     continue
                 vds_worst = vdd_max / depth

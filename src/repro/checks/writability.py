@@ -41,8 +41,8 @@ class WritabilityCheck(Check):
             partner_set = {node.net}
             if node.partner:
                 partner_set.add(node.partner)
-            down = conduction_paths(ccc, node.net, "gnd")
-            up = conduction_paths(ccc, node.net, "vdd")
+            down = conduction_paths(ccc, node.net, "gnd").paths()
+            up = conduction_paths(ccc, node.net, "vdd").paths()
 
             def is_feedback(path) -> bool:
                 # A restoring path is gated by the loop itself (the
@@ -56,7 +56,7 @@ class WritabilityCheck(Check):
             feedback_down = [p for p in down if is_feedback(p)]
             feedback_up = [p for p in up if is_feedback(p)]
             write_paths = [
-                p for p in down + up + _port_paths(ctx, ccc, node.net)
+                p for p in (*down, *up, *_port_paths(ctx, ccc, node.net))
                 if (set(p.devices) & write_set) and not is_feedback(p)
             ]
             if (not feedback_down and not feedback_up) or not write_paths:
@@ -103,5 +103,5 @@ def _port_paths(ctx: CheckContext, ccc, net: str):
             continue
         flat_net = flat_nets.get(other)
         if flat_net is not None and flat_net.is_port:
-            out.extend(conduction_paths(ccc, net, other))
+            out.extend(conduction_paths(ccc, net, other).paths())
     return out

@@ -14,7 +14,8 @@ This package is that deduction engine:
 * :mod:`~repro.recognition.ccc` partitions a flat netlist into
   channel-connected components (CCCs) -- the unit of recognition.
 * :mod:`~repro.recognition.conduction` enumerates switch-network
-  conduction paths and evaluates boolean conduction functions.
+  conduction paths into packed path sets and answers support, filter
+  and truth-table queries on them.
 * :mod:`~repro.recognition.gates` recognizes complementary static gates
   and extracts their boolean functions from topology alone.
 * :mod:`~repro.recognition.families` classifies every CCC into the
@@ -33,7 +34,7 @@ This package is that deduction engine:
 from repro.recognition.ccc import ChannelConnectedComponent, extract_cccs
 from repro.recognition.conduction import (
     ConductionPath,
-    conduction_function,
+    PathSet,
     conduction_paths,
 )
 from repro.recognition.families import CircuitFamily, classify_ccc
@@ -47,7 +48,7 @@ __all__ = [
     "ChannelConnectedComponent",
     "extract_cccs",
     "ConductionPath",
-    "conduction_function",
+    "PathSet",
     "conduction_paths",
     "CircuitFamily",
     "classify_ccc",

@@ -59,7 +59,6 @@ def ccc_clock_seeds(ccc: ChannelConnectedComponent, gate_fn=None) -> set[str]:
     if gate_fn is None:
         gate_fn = recognize_static_gate
     seeds: set[str] = set()
-    nmos_names = {t.name for t in ccc.nmos()}
     checked: set[tuple[str, str]] = set()
     for p in ccc.pmos():
         terms = p.channel_terminals()
@@ -82,13 +81,8 @@ def ccc_clock_seeds(ccc: ChannelConnectedComponent, gate_fn=None) -> set[str]:
         # *and* carries at least one data condition.  A plain
         # inverter (path = {G} alone) or a tgate detour (mixed
         # polarities) does not qualify.
-        for path in conduction_paths(ccc, x, "gnd"):
-            if set(path.devices) - nmos_names:
-                continue
-            conds = set(path.conditions)
-            if (g, True) in conds and conds - {(g, True)}:
-                seeds.add(g)
-                break
+        if conduction_paths(ccc, x, "gnd").of_polarity("nmos").footed_by(g):
+            seeds.add(g)
     return seeds
 
 

@@ -3,36 +3,57 @@
 Everything recognition needs to know about a transistor network reduces
 to one question: *under which gate-input assignments does a conducting
 channel path exist between net A and net B?*  This module enumerates the
-simple paths of a CCC's switch graph and evaluates the resulting boolean
-conduction function.
+simple paths of a CCC's switch graph and answers questions about them.
 
 A path is conservative in the paper's sense: it records, per device on
 the path, the gate net and the polarity (an NMOS conducts when its gate
 is 1, a PMOS when its gate is 0).  A path conducts when all its device
 conditions hold; conduction between two nets is the OR over paths.
 
+One packed form
+---------------
+:func:`conduction_paths` answers a pair ``(source, target)`` with a
+:class:`PathSet`: the pair's arrival nodes in one target-rooted sweep
+record (:func:`sweep_paths_to_target`) plus one bitmask per path.  A
+mask holds the path's devices, the nets it visits (both ends
+included), and the gates it requires high and low; the per-node DFS
+records it as it walks, and for the vectorized BFS's large records the
+``PathSet`` ORs it up the pair's parent chains on first use.
+Recognition asks only order-free questions -- gate support, device
+union, polarity and net filters, pure-clock and footer tests, truth
+tables -- and answers them with integer operations on those masks,
+building no per-path objects.
+
+Who materializes paths
+----------------------
+Consumers that price or walk individual paths -- the STA graph, the
+electrical checks that read path devices, and the scalar switch-sim
+engine -- call :meth:`PathSet.paths`, which turns the nodes into
+:class:`ConductionPath` objects once per pair and keeps them on the
+``PathSet``.  The packed switch tables read the same sweep records as
+CSR rows and never materialize.
+
 Which paths, in which order
 ---------------------------
-The answer for a pair ``(source, target)`` is defined by a per-pair
-depth-first walk (``tests/oracles.py`` keeps it as the reference the
-property tests compare against): a LIFO stack from ``source`` whose
-children are pushed in adjacency order -- a preorder visiting children
-in *reversed* adjacency order -- in which rails other than the source
+The contents of a pair are defined by a per-pair depth-first walk
+(``tests/oracles.py`` keeps it as the reference the property tests
+compare against): a LIFO stack from ``source`` whose children are
+pushed in adjacency order -- a preorder visiting children in
+*reversed* adjacency order -- in which rails other than the source
 terminate paths, no net is revisited, and paths requiring some gate at
-both levels are dropped.  Classification signatures, packed-table
-layouts and the timing graph all index path lists positionally, so the
-order is part of the contract.
+both levels are dropped.  The per-pair *order* of that walk is a
+contract of :meth:`PathSet.paths` only: classification reads no order,
+while packed-table layouts and the timing graph index path lists
+positionally.
 
 One target-rooted sweep
 -----------------------
-Every consumer (table build, the reference engine, recognition, the
-electrical checks, STA arc extraction) asks for paths between some
-channel net and a *few shared targets*: ``vdd``, ``gnd`` and the CCC's
-ports.  :func:`conduction_paths` therefore answers a pair from one
-traversal rooted at the target (:func:`sweep_paths_to_target`), which
-records every simple path from the target to *every* net at once and
-serves each later source from the same record.  Three facts make it
-bit-identical -- content *and* order -- to the per-pair walk:
+Every consumer asks for paths between some channel net and a *few
+shared targets*: ``vdd``, ``gnd`` and the CCC's ports.  One traversal
+rooted at the target records every simple path from the target to
+*every* net at once and serves each later source from the same record.
+Three facts make it bit-identical -- content *and* order -- to the
+per-pair walk:
 
 * **Reversal bijection.**  For ``source != target``, reversing a
   simple path maps the per-pair walk's path set (source-rooted, rails
@@ -59,8 +80,8 @@ immaterial, which frees the traversal strategy: small CCCs run a
 per-node Python DFS, while CCCs of ``_BFS_MIN_DEVICES`` devices or more
 run a level-synchronous vectorized BFS (:func:`_sweep_bfs`) that
 expands whole frontier levels with numpy and tracks each partial
-path's state as uint64 bitmasks.  Both produce the same buckets,
-overflow set, and materialized paths.
+path's mask as uint64 words.  Both produce the same buckets, overflow
+set, path masks and materialized paths.
 
 ``source == target`` is not a pair any consumer asks about (a loop back
 to the source joins no two nets) and raises ``ValueError``.
@@ -69,8 +90,11 @@ to the source joins no two nets) and raises ``ValueError``.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress, repeat
+from operator import or_
 
 import numpy as np
 
@@ -108,19 +132,6 @@ class ConductionPath:
     devices: tuple[str, ...]
     conditions: tuple[tuple[str, bool], ...]
 
-    def conducts(self, assignment: Mapping[str, bool]) -> bool:
-        """True if every device on the path is on under ``assignment``.
-
-        Gate nets missing from the assignment make the path
-        non-conducting (conservative: unknown is off for conduction
-        purposes; callers wanting pessimism for *disturbance* enumerate
-        both polarities instead).
-        """
-        for gate, level in self.conditions:
-            if gate not in assignment or assignment[gate] != level:
-                return False
-        return True
-
     def gates(self) -> set[str]:
         return {g for g, _ in self.conditions}
 
@@ -134,13 +145,243 @@ class ConductionPath:
         return False
 
 
+def _bits(mask: int):
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _bit_names(mask: int, names: list[str]) -> set[str]:
+    """The names whose positions are set in ``mask``."""
+    return {names[i] for i in _bits(mask)}
+
+
+class PathSet:
+    """The conduction paths of one ``(source, target)`` pair, packed.
+
+    Holds the pair's arrival nodes in the target's sweep record and,
+    from the first order-free query on, each path's mask over the
+    CCC's switch graph (:func:`_graph` documents the bit layout).
+    Every query except :meth:`paths` is order-free and answered from
+    the masks; the filters return a new ``PathSet`` over a subset of
+    the nodes.
+
+    Holds the sweep record and graph, never the CCC: the set lives in
+    ``ccc.path_cache``, and a reference back would form a cycle that
+    only the cyclic garbage collector frees.
+    """
+
+    __slots__ = ("_g", "_ts", "_nodes", "_mask_list", "_paths")
+
+    def __init__(self, g: dict, ts: dict, nodes: list[int],
+                 masks: list[int] | None = None) -> None:
+        self._g = g
+        self._ts = ts
+        self._nodes = nodes
+        self._mask_list = masks
+        self._paths: tuple[ConductionPath, ...] | None = None
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    @property
+    def _masks(self) -> list[int]:
+        """Each path's mask: the OR of its devices' ``dev_bits``.
+
+        The DFS records every node's mask as it walks; a BFS record
+        keeps none, and the pair's chains are OR-ed here with numpy, so
+        pairs that are only ever materialized never pay for masks.
+        """
+        if self._mask_list is None:
+            recorded = self._ts.get("mask")
+            if recorded is not None:
+                self._mask_list = list(map(recorded.__getitem__, self._nodes))
+            else:
+                self._mask_list = _chain_masks(self._g, self._ts, self._nodes)
+        return self._mask_list
+
+    def _keep(self, bad: int, need: int | None = None) -> PathSet:
+        """The paths whose masks share no bit with ``bad`` and, when
+        ``need`` is given, at least one with ``need``."""
+        masks = self._masks
+        if need is not None:
+            sel = [m & need and not m & bad for m in masks]
+        else:
+            sel = [not m & bad for m in masks]
+        if all(sel):
+            return self
+        return PathSet(self._g, self._ts, list(compress(self._nodes, sel)),
+                       list(compress(masks, sel)))
+
+    def _union(self) -> int:
+        return reduce(or_, self._masks, 0)
+
+    def _gate_bits(self, nets: Iterable[str]) -> int:
+        """Both level bits of every gate in ``nets``."""
+        g = self._g
+        ids = g["gate_ids"]
+        bits = 0
+        for n in nets:
+            gid = ids.get(n)
+            if gid is not None:
+                bits |= (1 << (g["hi0"] + gid)) | (1 << (g["lo0"] + gid))
+        return bits
+
+    # -- filters -------------------------------------------------------------
+
+    def avoiding(self, nets: Iterable[str]) -> PathSet:
+        """The paths that touch none of ``nets`` (either end included)."""
+        g = self._g
+        ids, net0 = g["net_ids"], g["net0"]
+        bad = 0
+        for n in nets:
+            i = ids.get(n)
+            if i is not None:
+                bad |= 1 << (net0 + i)
+        return self._keep(bad) if bad else self
+
+    def of_polarity(self, polarity: str) -> PathSet:
+        """The paths whose devices are all ``"nmos"`` or all ``"pmos"``."""
+        return self._keep(
+            self._g["pmos_bits" if polarity == "nmos" else "nmos_bits"])
+
+    def gated_within(self, nets: Iterable[str]) -> PathSet:
+        """The paths with at least one condition, every one on ``nets``."""
+        field = self._g["gate_field"]
+        return self._keep(field & ~self._gate_bits(nets), need=field)
+
+    # -- order-free answers ------------------------------------------------------
+
+    def support(self) -> set[str]:
+        """All gate nets appearing in any path."""
+        g = self._g
+        u = self._union()
+        full = (1 << len(g["gate_names"])) - 1
+        return _bit_names(((u >> g["hi0"]) | (u >> g["lo0"])) & full,
+                          g["gate_names"])
+
+    def devices(self) -> set[str]:
+        """All devices on any path."""
+        names = self._g["dev_names"]
+        return _bit_names(self._union() & ((1 << len(names)) - 1), names)
+
+    def footed_by(self, gate: str) -> bool:
+        """True if some path requires ``gate`` high and at least one
+        more condition (a footer under a genuine evaluate stack)."""
+        g = self._g
+        gid = g["gate_ids"].get(gate)
+        if gid is None:
+            return False
+        bit = 1 << (g["hi0"] + gid)
+        rest = g["gate_field"] & ~bit
+        return any(m & bit and m & rest for m in self._masks)
+
+    def truth_table(self, inputs: list[str], max_inputs: int = 16) -> int:
+        """Conduction truth table as a bitmask.
+
+        Bit ``i`` of the result is the conduction value when the input
+        assignment is the binary expansion of ``i`` over ``inputs``
+        (``inputs[0]`` is the least-significant bit).  Each distinct
+        (high, low) input cube of the paths contributes the minterms it
+        covers; a path gated by a net outside ``inputs`` never
+        conducts.
+        """
+        if len(inputs) > max_inputs:
+            raise ValueError(
+                f"truth-table extraction over {len(inputs)} inputs exceeds "
+                f"the {max_inputs}-input cap; use BDD-based equivalence "
+                f"instead"
+            )
+        g = self._g
+        hi0, lo0, field = g["hi0"], g["lo0"], g["gate_field"]
+        gate_full = (1 << len(g["gate_names"])) - 1
+        full = (1 << (1 << len(inputs))) - 1
+        # Minterms where input k is 1: blocks of 2**k ones every 2**(k+1).
+        var: dict[int, int] = {}
+        known = 0
+        for k, name in enumerate(inputs):
+            gid = g["gate_ids"].get(name)
+            if gid is not None:
+                var[gid] = ((full // ((1 << (2 << k)) - 1))
+                            * (((1 << (1 << k)) - 1) << (1 << k)))
+                known |= 1 << gid
+        table = 0
+        for cube in {m & field for m in self._masks}:
+            hi = (cube >> hi0) & gate_full
+            lo = (cube >> lo0) & gate_full
+            if (hi | lo) & ~known:
+                continue
+            t = full
+            for gid in _bits(hi):
+                t &= var[gid]
+            for gid in _bits(lo):
+                t &= ~var[gid]
+            table |= t
+        return table
+
+    def device_depths(self) -> dict[str, int]:
+        """Length of the shortest path through each device on a path."""
+        by_len: dict[int, int] = {}
+        depths = self._ts["depth"][self._nodes].tolist()
+        for d, m in zip(depths, self._masks):
+            by_len[d] = by_len.get(d, 0) | m
+        names = self._g["dev_names"]
+        unseen = (1 << len(names)) - 1
+        out: dict[str, int] = {}
+        for d in sorted(by_len):
+            for name in _bit_names(by_len[d] & unseen, names):
+                out[name] = d
+            unseen &= ~by_len[d]
+        return out
+
+    # -- materialization -----------------------------------------------------------
+
+    def paths(self) -> tuple[ConductionPath, ...]:
+        """The paths as objects, in the per-pair walk's order.
+
+        Parent chains run from the arrival back to the root, i.e.
+        already in source-to-target order; each chain yields its
+        devices, conditions, and forward rank key in one walk, and
+        sorting by key restores the per-pair enumeration order (module
+        docstring).  Built once and kept.
+        """
+        if self._paths is not None:
+            return self._paths
+        g, ts = self._g, self._ts
+        par, dev, rnk = ts["par"], ts["dev"], ts["rank"]
+        dev_names = g["dev_names"]
+        dev_gate, dev_level = g["dev_gate"], g["dev_level"]
+        gate_names = g["gate_names"]
+        keyed: list[tuple[tuple[int, ...], ConductionPath]] = []
+        for node in self._nodes:
+            key: list[int] = []
+            devs: list[str] = []
+            conds: list[tuple[str, bool]] = []
+            while node >= 0:
+                di = dev[node]
+                key.append(rnk[node])
+                devs.append(dev_names[di])
+                gi = dev_gate[di]
+                if gi >= 0:
+                    conds.append((gate_names[gi], bool(dev_level[di])))
+                node = par[node]
+            keyed.append((tuple(key),
+                          ConductionPath(devices=tuple(devs),
+                                         conditions=tuple(conds))))
+        keyed.sort(key=lambda kv: kv[0])
+        self._paths = tuple(p for _, p in keyed)
+        return self._paths
+
+
 def conduction_paths(
     ccc: ChannelConnectedComponent,
     source: str,
     target: str,
     max_paths: int = 10000,
-) -> list[ConductionPath]:
-    """All simple channel paths from ``source`` to ``target``.
+) -> PathSet:
+    """All simple channel paths from ``source`` to ``target``, packed.
 
     ``source``/``target`` may be rails or channel nets, but not the same
     net (``ValueError``).  Contradictory paths (requiring a gate at both
@@ -149,27 +390,33 @@ def conduction_paths(
     a silent truncation.
 
     Results are memoized on ``ccc.path_cache`` (sound: a CCC's topology
-    is immutable after extraction, and :class:`ConductionPath` is
-    frozen).  Clock inference, classification, latch finding, and the
-    electrical checks all enumerate the same (net, rail) pairs.  A cache
-    miss materializes the pair from :func:`sweep_paths_to_target`,
-    which runs once per target and serves every source.
+    is immutable after extraction, and a :class:`PathSet` never
+    changes).  Clock inference, classification, latch finding, and the
+    electrical checks all ask about the same (net, rail) pairs.  A
+    cache miss reads the pair from :func:`sweep_paths_to_target`, which
+    runs once per target and serves every source.
     """
     if source == target:
         raise ValueError(
             f"conduction paths need two distinct nets, got {source!r} twice")
-    cached = ccc.path_cache.get((source, target, max_paths))
+    key = (source, target, max_paths)
+    cached = ccc.path_cache.get(key)
     if cached is not None:
         _COUNTERS["path_cache_hits"] += 1
-        return list(cached)
+        return cached
     ts = sweep_paths_to_target(ccc, target, max_paths, want=source)
-    sid = _graph(ccc)["net_ids"].get(source)
+    g = _graph(ccc)
+    sid = g["net_ids"].get(source)
     if sid is not None and sid in ts["overflow"]:
         raise RuntimeError(
             f"conduction path enumeration between {source!r} and "
             f"{target!r} exceeded {max_paths} paths"
         )
-    return list(_materialize_target(ccc, source, target, max_paths, ts))
+    bucket = ts["buckets"].get(sid) if sid is not None else None
+    nodes = bucket.tolist() if bucket is not None else []
+    result = PathSet(g, ts, nodes)
+    ccc.path_cache[key] = result
+    return result
 
 
 def _sweep_state(ccc: ChannelConnectedComponent) -> dict:
@@ -192,23 +439,33 @@ def _sweep_state(ccc: ChannelConnectedComponent) -> dict:
 def _graph(ccc: ChannelConnectedComponent) -> dict:
     """Int-indexed switch graph, cached on the CCC's sweep state.
 
-    Shared by the target-rooted sweep and the packed-table template
-    builder.  Net and gate names are interned to dense ids so the hot
-    traversal loop touches no strings; per-entry tuples carry the
-    *arrival rank* -- the entering device's position in the reversed
-    adjacency list of the arrived-at net -- pre-resolved, which is all
-    the order-restoration sort needs (see the module docstring).
+    Shared by the target-rooted sweep, :class:`PathSet` and the
+    packed-table template builder.  Net and gate names are interned to
+    dense ids so the hot traversal loop touches no strings; per-entry
+    tuples carry the *arrival rank* -- the entering device's position
+    in the reversed adjacency list of the arrived-at net --
+    pre-resolved, which is all the order-restoration sort needs (see
+    the module docstring), and the device's mask bits.
 
     Layout: ``net_ids``/``nets`` name<->id maps (nets appearing as a
     live channel terminal, rails included), ``net_rail`` per-id rail
     flags, ``adj[i]`` entries ``(dev, other, gid, lvl, other_rail,
-    arr_rank)`` in ``ccc.transistors`` order (permanently-off devices
-    -- NMOS gated by gnd, PMOS by vdd -- elided, which keeps the
-    relative order of the rest, all the rank sort depends on),
+    arr_rank, bits)`` in ``ccc.transistors`` order (permanently-off
+    devices -- NMOS gated by gnd, PMOS by vdd -- elided, which keeps
+    the relative order of the rest, all the rank sort depends on),
     ``dev_names`` in ``ccc.transistors`` order,
     ``dev_gate``/``dev_level`` the device's condition as a gate id (-1
-    for none) and required level, and ``gate_names`` the gate id->name
-    table.
+    for none) and required level, and ``gate_names``/``gate_ids`` the
+    gate id<->name tables.
+
+    A path mask sets bit ``dev`` for each device, ``net0 + net`` for
+    each visited net, and ``hi0 + gid`` / ``lo0 + gid`` for each gate
+    required high / low.  The nets of a simple path are exactly the
+    channel terminals of its devices, so a path's mask is the OR of
+    ``dev_bits`` -- per device: its own bit, both terminals, and its
+    condition -- over its devices.  ``gate_field`` covers both gate
+    ranges and ``nmos_bits``/``pmos_bits`` the devices of each
+    polarity.
     """
     state = _sweep_state(ccc)
     g = state.get("graph")
@@ -233,6 +490,7 @@ def _graph(ccc: ChannelConnectedComponent) -> dict:
             adj.append([])
         return i
 
+    live_ends: dict[int, tuple[int, int]] = {}
     for di, t in enumerate(ccc.transistors):
         level = t.polarity == "nmos"
         dev_names.append(t.name)
@@ -251,25 +509,42 @@ def _graph(ccc: ChannelConnectedComponent) -> dict:
             continue
         d, s = t.channel_terminals()
         d_id, s_id = nid_of(d), nid_of(s)
+        live_ends[di] = (d_id, s_id)
         lvl = 1 if level else 0
         adj[d_id].append((di, s_id, gid, lvl, net_rail[s_id]))
         adj[s_id].append((di, d_id, gid, lvl, net_rail[d_id]))
-    # Fold each entry's arrival rank in: its device's position in the
-    # *arrived-at* net's reversed adjacency list.
+    net0 = len(dev_names)
+    hi0 = net0 + len(nets)
+    lo0 = hi0 + len(gate_names)
+    dev_bits = [0] * net0  # a permanently-off device is on no path
+    for di, (d_id, s_id) in live_ends.items():
+        bits = (1 << di) | (1 << (net0 + d_id)) | (1 << (net0 + s_id))
+        gid = dev_gate[di]
+        if gid >= 0:
+            bits |= 1 << ((hi0 if dev_level[di] else lo0) + gid)
+        dev_bits[di] = bits
+    # Fold each entry's arrival rank in -- its device's position in the
+    # *arrived-at* net's reversed adjacency list -- and its mask bits.
     ranks: list[dict[int, int]] = [
         {e[0]: pos for pos, e in enumerate(reversed(entries))}
         for entries in adj
     ]
     for i, entries in enumerate(adj):
-        adj[i] = [e + (ranks[e[1]][e[0]],) for e in entries]
+        adj[i] = [e + (ranks[e[1]][e[0]], dev_bits[e[0]]) for e in entries]
     # Visit order is reversed adjacency; pre-reverse once so the sweep's
     # descent step skips a ``reversed()`` wrapper per frame.
     radj = [tuple(reversed(entries)) for entries in adj]
+    gate_full = (1 << len(gate_names)) - 1
+    nmos_bits = sum(1 << di for di, lvl in enumerate(dev_level) if lvl)
     g = {
         "net_ids": net_ids, "nets": nets, "net_rail": net_rail,
         "adj": adj, "radj": radj, "dev_names": dev_names,
         "dev_gate": dev_gate, "dev_level": dev_level,
-        "gate_names": gate_names,
+        "gate_names": gate_names, "gate_ids": gate_ids,
+        "dev_bits": dev_bits, "net0": net0, "hi0": hi0, "lo0": lo0,
+        "gate_field": (gate_full << hi0) | (gate_full << lo0),
+        "nmos_bits": nmos_bits,
+        "pmos_bits": ((1 << net0) - 1) & ~nmos_bits,
     }
     state["graph"] = g
     return g
@@ -291,7 +566,11 @@ def _bfs_csr(g: dict) -> dict:
 
     Flattens ``g["radj"]`` -- reversed adjacency, though the BFS does
     not depend on edge order -- into per-edge numpy columns plus a
-    ``start``/``deg`` index, cached on the graph dict.
+    ``start``/``deg`` index, cached on the graph dict.  Each edge also
+    carries the mask positions it probes: the arrival net, the device,
+    and the gate level that contradicts its condition (``veto``).
+    ``dev_rows`` holds each device's ``dev_bits`` as uint64 words, low
+    word first.
     """
     csr = g.get("csr")
     if csr is not None:
@@ -300,17 +579,53 @@ def _bfs_csr(g: dict) -> dict:
     deg = np.array([len(e) for e in radj], np.int64)
     start = np.zeros(deg.size + 1, np.int64)
     np.cumsum(deg, out=start[1:])
-    flat = [e for entries in radj for e in entries]
+    flat = [e[:6] for entries in radj for e in entries]
     if flat:
         cols = np.array(flat, np.int64)
     else:
         cols = np.empty((0, 6), np.int64)
+    dev, other, gid, lvl = cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3]
+    has_g = gid >= 0
+    width = max(1, -(-(g["lo0"] + len(g["gate_names"])) // 64))
+    word = (1 << 64) - 1
     csr = g["csr"] = {
         "deg": deg, "start": start[:-1],
-        "dev": cols[:, 0], "other": cols[:, 1], "gid": cols[:, 2],
-        "lvl": cols[:, 3], "rail": cols[:, 4], "rank": cols[:, 5],
+        "dev": dev, "other": other, "has_g": has_g,
+        "rail": cols[:, 4], "rank": cols[:, 5],
+        "net_pos": g["net0"] + other,
+        "veto_pos": np.where(has_g, np.where(lvl == 1, g["lo0"], g["hi0"])
+                             + gid, 0),
+        "dev_rows": np.array(
+            [[(b >> (64 * k)) & word for k in range(width)]
+             for b in g["dev_bits"]], np.uint64).reshape(-1, width),
     }
     return csr
+
+
+def _chain_masks(g: dict, ts: dict, nodes: list[int]) -> list[int]:
+    """The masks of ``nodes``' paths in a sweep record, computed by
+    OR-ing ``dev_rows`` up all their parent chains at once."""
+    dev_rows = _bfs_csr(g)["dev_rows"]
+    par, dev = ts["par"], ts["dev"]
+    cur = np.asarray(nodes, np.int64)
+    rows = dev_rows[dev[cur]]
+    live = np.arange(cur.size)
+    cur = par[cur]
+    while True:
+        up = cur >= 0
+        live, cur = live[up], cur[up]
+        if not cur.size:
+            break
+        rows[live] |= dev_rows[dev[cur]]
+        cur = par[cur]
+    return _rows_to_ints(rows)
+
+
+def _rows_to_ints(rows: np.ndarray) -> list[int]:
+    """Each row of uint64 mask words, low word first, as one Python int."""
+    row_bytes = np.ascontiguousarray(rows, "<u8").view(
+        np.dtype((np.void, rows.shape[1] * 8))).ravel().tolist()
+    return list(map(int.from_bytes, row_bytes, repeat("little")))
 
 
 def _sweep_bfs(g: dict, tid: int, target: str, want_id: int,
@@ -318,15 +633,16 @@ def _sweep_bfs(g: dict, tid: int, target: str, want_id: int,
     """Vectorized all-sources sweep: expand the simple-path forest one
     depth level at a time with numpy.
 
-    Each partial path is a frontier row carrying its state as uint64
-    bitmask words: nets on the path, devices used, and the gate levels
-    its conditions require (one mask per level -- conditions only
-    accumulate along a path, so a contradiction test is two bit
-    probes and no undo is ever needed).  A level expands every
-    frontier row across its net's full edge list with gather/repeat,
-    filters admissible arrivals with mask probes, records them as
-    sweep nodes, and copies+updates the masks of the non-rail
-    survivors to form the next frontier.
+    Each partial path is a frontier row carrying its mask (layout in
+    :func:`_graph`) as uint64 words: conditions only accumulate along a
+    path, so a contradiction test is one bit probe and no undo is ever
+    needed.  A level expands every frontier row across its net's full
+    edge list with gather/repeat, filters admissible arrivals with mask
+    probes, records them as sweep nodes, and ORs each non-rail
+    arrival's device bits into a copy of its parent's mask to form the
+    next frontier.  The masks are not kept: a :class:`PathSet` rebuilds
+    its pair's from the parent chains (:func:`_chain_masks`) only when
+    asked an order-free question.
 
     Nodes are recorded in level order rather than the DFS's preorder;
     that is invisible to consumers, which sort materialized paths by
@@ -338,20 +654,19 @@ def _sweep_bfs(g: dict, tid: int, target: str, want_id: int,
     """
     csr = _bfs_csr(g)
     c_deg, c_start = csr["deg"], csr["start"]
-    e_dev, e_other, e_gid = csr["dev"], csr["other"], csr["gid"]
-    e_lvl, e_rail, e_rank = csr["lvl"], csr["rail"], csr["rank"]
-    w_net = max(1, -(-len(g["nets"]) // 64))
-    w_dev = max(1, -(-len(g["dev_names"]) // 64))
-    w_gate = max(1, -(-len(g["gate_names"]) // 64))
+    e_dev, e_other, e_has_g = csr["dev"], csr["other"], csr["has_g"]
+    e_rail, e_rank = csr["rail"], csr["rank"]
+    e_net, e_veto, dev_rows = csr["net_pos"], csr["veto_pos"], csr["dev_rows"]
     one = np.uint64(1)
+
+    def bit(pos: np.ndarray) -> np.ndarray:
+        return one << (pos & 63).astype(np.uint64)
 
     f_net = np.array([tid], np.int64)
     f_node = np.array([-1], np.int64)
-    f_vis = np.zeros((1, w_net), np.uint64)
-    f_vis[0, tid >> 6] = one << np.uint64(tid & 63)
-    f_dev = np.zeros((1, w_dev), np.uint64)
-    f_hi = np.zeros((1, w_gate), np.uint64)
-    f_lo = np.zeros((1, w_gate), np.uint64)
+    f_mask = np.zeros((1, dev_rows.shape[1]), np.uint64)
+    root = g["net0"] + tid
+    f_mask[0, root >> 6] = one << np.uint64(root & 63)
 
     par_parts: list[np.ndarray] = []
     dev_parts: list[np.ndarray] = []
@@ -369,62 +684,33 @@ def _sweep_bfs(g: dict, tid: int, target: str, want_id: int,
         ends = np.cumsum(d)
         offs = (np.repeat(c_start[f_net] - (ends - d), d)
                 + np.arange(total, dtype=np.int64))
-        c_dev = e_dev[offs]
-        c_other = e_other[offs]
-        c_gid = e_gid[offs]
-        c_lvl = e_lvl[offs]
         # Admissibility: arrival net unvisited, device unused, gate
         # condition not contradicting the path's accumulated ones.
-        vis_bit = (f_vis[p_idx, c_other >> 6]
-                   >> (c_other & 63).astype(np.uint64)) & one
-        dev_bit = (f_dev[p_idx, c_dev >> 6]
-                   >> (c_dev & 63).astype(np.uint64)) & one
-        gid0 = np.maximum(c_gid, 0)
-        gw = gid0 >> 6
-        gb = (gid0 & 63).astype(np.uint64)
-        hi_bit = (f_hi[p_idx, gw] >> gb) & one
-        lo_bit = (f_lo[p_idx, gw] >> gb) & one
-        contra = (c_gid >= 0) & np.where(
-            c_lvl == 1, lo_bit, hi_bit).astype(bool)
-        keep = (vis_bit == 0) & (dev_bit == 0) & ~contra
+        c_net, c_dev, c_veto = e_net[offs], e_dev[offs], e_veto[offs]
+        seen = ((f_mask[p_idx, c_net >> 6] & bit(c_net))
+                | (f_mask[p_idx, c_dev >> 6] & bit(c_dev))) != 0
+        veto = (f_mask[p_idx, c_veto >> 6] & bit(c_veto)) != 0
+        keep = ~seen & ~(veto & e_has_g[offs])
         n_k = int(keep.sum())
         if n_k == 0:
             break
+        k_offs = offs[keep]
         k_rows = p_idx[keep]
-        k_other = c_other[keep]
-        k_dev = c_dev[keep]
+        k_other = e_other[k_offs]
         par_parts.append(f_node[k_rows])
-        dev_parts.append(k_dev)
-        rnk_parts.append(e_rank[offs[keep]])
+        dev_parts.append(e_dev[k_offs])
+        rnk_parts.append(e_rank[k_offs])
         dpt_parts.append(np.full(n_k, depth, np.int64))
         anet_parts.append(k_other)
         node_ids = np.arange(n_nodes, n_nodes + n_k, dtype=np.int64)
         n_nodes += n_k
-        # Next frontier: non-rail arrivals, each owning copies of its
-        # parent's masks with the traversed edge's bits folded in.
-        nxt = e_rail[offs[keep]] == 0
-        rows = k_rows[nxt]
-        if rows.size == 0:
+        # Next frontier: the non-rail arrivals, each owning a copy of
+        # its parent's mask with the traversed device's bits folded in.
+        nxt = e_rail[k_offs] == 0
+        if not nxt.any():
             break
-        o = k_other[nxt]
-        dv = k_dev[nxt]
-        gd = np.maximum(c_gid[keep][nxt], 0)
-        has_g = c_gid[keep][nxt] >= 0
-        lv = c_lvl[keep][nxt]
-        f_vis = f_vis[rows]
-        f_dev = f_dev[rows]
-        f_hi = f_hi[rows]
-        f_lo = f_lo[rows]
-        r_idx = np.arange(rows.size)
-        f_vis[r_idx, o >> 6] |= one << (o & 63).astype(np.uint64)
-        f_dev[r_idx, dv >> 6] |= one << (dv & 63).astype(np.uint64)
-        m1 = has_g & (lv == 1)
-        m0 = has_g & (lv == 0)
-        f_hi[r_idx[m1], gd[m1] >> 6] |= one << (gd[m1] & 63).astype(
-            np.uint64)
-        f_lo[r_idx[m0], gd[m0] >> 6] |= one << (gd[m0] & 63).astype(
-            np.uint64)
-        f_net = o
+        f_mask = f_mask[k_rows[nxt]] | dev_rows[e_dev[k_offs[nxt]]]
+        f_net = k_other[nxt]
         f_node = node_ids[nxt]
         depth += 1
 
@@ -472,19 +758,21 @@ def sweep_paths_to_target(
     The dominant query shape is all channel nets against one shared
     target (a rail or port): a single traversal from ``target`` records
     every arrival as a compact node, bucketed by arrived-at net, so
-    that pair ``(u, target)`` materializes from bucket ``u`` by walking
-    parent chains (already in u-to-target order) and sorting by
-    forward rank sequences.  See the module docstring for why this is
-    bit-identical -- content and order -- to the per-pair walk.
+    that pair ``(u, target)`` is bucket ``u``: its parent chains run in
+    u-to-target order, and sorting them by forward rank sequences
+    restores the per-pair order.  See the module docstring for why this
+    is bit-identical -- content and order -- to the per-pair walk.
 
     Returns (and caches under ``("tsweep", target, max_paths)`` in the
     sweep state) a dict of numpy node columns
     ``par``/``dev``/``rank``/``depth`` (parent node or -1, device slot,
-    arrival rank, chain length), ``buckets`` mapping net id to arrival
-    node indices in record order -- preorder for the DFS strategy,
-    level order for the vectorized BFS used on CCCs of
-    ``_BFS_MIN_DEVICES`` devices or more; consumers sort materialized
-    paths by their total forward-rank key, so the two are
+    arrival rank, chain length), for the DFS strategy ``mask`` (each
+    node's path mask as a Python int, layout in :func:`_graph`),
+    ``buckets`` mapping net id to arrival node indices in record order
+    -- preorder
+    for the DFS strategy, level order for the vectorized BFS used on
+    CCCs of ``_BFS_MIN_DEVICES`` devices or more; consumers sort
+    materialized paths by their total forward-rank key, so the two are
     interchangeable -- and ``overflow``, the net ids whose pair with
     ``target`` exceeded ``max_paths`` (their buckets are dropped and
     any request for them raises, exactly like the per-pair walk).
@@ -511,6 +799,7 @@ def sweep_paths_to_target(
     # re-boxing millions of ints (a measurable slice of chip-scale
     # builds).  Order per node: parent, device, rank, depth.
     cols = array("i")
+    masks: list[int] = []
     buckets: dict[int, array] = {}
     overflow: set[int] = set()
     if tid is not None:
@@ -525,9 +814,11 @@ def sweep_paths_to_target(
         # and the *current* frame lives in locals -- the ``frames``
         # stack only holds suspended ancestors, so a node costs no
         # tuple indexing.  Frame: (net, via_dev, via_gid, via_lvl,
-        # parent node, child iterator); the via-edge's state is undone
-        # when the iterator is exhausted (the ``for/else`` branch).
+        # parent node, path mask, child iterator); the via-edge's state
+        # is undone when the iterator is exhausted (the ``for/else``
+        # branch).
         cols_extend = cols.extend
+        masks_append = masks.append
         buckets_get = buckets.get
         n_nodes = 0
         depth = 1
@@ -535,9 +826,11 @@ def sweep_paths_to_target(
         frames_append, frames_pop = frames.append, frames.pop
         cur, cur_dev, cur_gid, cur_lvl = tid, -1, -1, 0
         parent_node = -1
+        cur_mask = 0
         children = iter(radj[tid])
         while True:
-            for d_i, other, gid, lvl, other_rail, arr_rank in children:
+            for (d_i, other, gid, lvl, other_rail, arr_rank,
+                 bits) in children:
                 if dev_on[d_i] or visited[other]:
                     continue
                 if gid >= 0:
@@ -548,6 +841,8 @@ def sweep_paths_to_target(
                 node = n_nodes
                 n_nodes += 1
                 cols_extend((parent_node, d_i, arr_rank, depth))
+                mask = cur_mask | bits
+                masks_append(mask)
                 # A missing bucket means first arrival *or* an
                 # overflowed-and-dropped net; the overflow set is only
                 # consulted on that cold path, not per node.
@@ -574,9 +869,10 @@ def sweep_paths_to_target(
                 visited[other] = 1
                 frames_append(
                     (cur, cur_dev, cur_gid, cur_lvl, parent_node,
-                     children))
+                     cur_mask, children))
                 cur, cur_dev, cur_gid, cur_lvl = other, d_i, gid, lvl
                 parent_node = node
+                cur_mask = mask
                 children = iter(radj[other])
                 depth += 1
                 break
@@ -590,7 +886,7 @@ def sweep_paths_to_target(
                 if not frames:
                     break
                 (cur, cur_dev, cur_gid, cur_lvl, parent_node,
-                 children) = frames_pop()
+                 cur_mask, children) = frames_pop()
                 depth -= 1
 
     quads = np.frombuffer(cols, np.intc).reshape(-1, 4)
@@ -599,6 +895,7 @@ def sweep_paths_to_target(
         "dev": quads[:, 1],
         "rank": quads[:, 2],
         "depth": quads[:, 3],
+        "mask": masks,
         "buckets": {
             i: np.frombuffer(b, np.intc) for i, b in buckets.items()
         },
@@ -606,94 +903,3 @@ def sweep_paths_to_target(
     }
     state[skey] = ts
     return ts
-
-
-def _materialize_target(
-    ccc: ChannelConnectedComponent,
-    source: str,
-    target: str,
-    max_paths: int,
-    ts: dict,
-) -> tuple[ConductionPath, ...]:
-    """Turn one source's target-sweep bucket into cached pair paths.
-
-    Parent chains run from the arrival back to the root, i.e. already
-    in source-to-target order; each chain yields its devices,
-    conditions, and forward rank key in one walk, and sorting by key
-    restores the per-pair enumeration order (module docstring).  A
-    missing bucket means the sweep proved there are no paths; the
-    empty answer is cached like any other.
-    """
-    cached = ccc.path_cache.get((source, target, max_paths))
-    if cached is not None:
-        return cached
-    g = _graph(ccc)
-    sid = g["net_ids"].get(source)
-    bucket = ts["buckets"].get(sid) if sid is not None else None
-    paths: list[ConductionPath] = []
-    if bucket is not None and bucket.size:
-        par, dev, rnk = ts["par"], ts["dev"], ts["rank"]
-        dev_names = g["dev_names"]
-        dev_gate, dev_level = g["dev_gate"], g["dev_level"]
-        gate_names = g["gate_names"]
-        keyed: list[tuple[tuple[int, ...], ConductionPath]] = []
-        for node in bucket.tolist():
-            key: list[int] = []
-            devs: list[str] = []
-            conds: list[tuple[str, bool]] = []
-            while node >= 0:
-                di = dev[node]
-                key.append(rnk[node])
-                devs.append(dev_names[di])
-                gi = dev_gate[di]
-                if gi >= 0:
-                    conds.append((gate_names[gi], bool(dev_level[di])))
-                node = par[node]
-            keyed.append((tuple(key),
-                          ConductionPath(devices=tuple(devs),
-                                         conditions=tuple(conds))))
-        keyed.sort(key=lambda kv: kv[0])
-        paths = [p for _, p in keyed]
-    result = tuple(paths)
-    ccc.path_cache[(source, target, max_paths)] = result
-    return result
-
-
-def conduction_function(
-    paths: Iterable[ConductionPath],
-    assignment: Mapping[str, bool],
-) -> bool:
-    """Evaluate OR-over-paths conduction under one input assignment."""
-    return any(p.conducts(assignment) for p in paths)
-
-
-def support(paths: Iterable[ConductionPath]) -> set[str]:
-    """All gate nets appearing in any path."""
-    out: set[str] = set()
-    for p in paths:
-        out |= p.gates()
-    return out
-
-
-def truth_table(
-    paths: list[ConductionPath],
-    inputs: list[str],
-    max_inputs: int = 16,
-) -> int:
-    """Conduction truth table as a bitmask.
-
-    Bit ``i`` of the result is the conduction value when the input
-    assignment is the binary expansion of ``i`` over ``inputs`` (inputs[0]
-    is the least-significant bit).
-    """
-    if len(inputs) > max_inputs:
-        raise ValueError(
-            f"truth-table extraction over {len(inputs)} inputs exceeds the "
-            f"{max_inputs}-input cap; use BDD-based equivalence instead"
-        )
-    table = 0
-    for i in range(1 << len(inputs)):
-        assignment = {name: bool((i >> k) & 1) for k, name in enumerate(inputs)}
-        if conduction_function(paths, assignment):
-            table |= 1 << i
-    return table

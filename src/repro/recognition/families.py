@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.recognition.ccc import ChannelConnectedComponent
-from repro.recognition.conduction import conduction_paths, support
+from repro.recognition.conduction import conduction_paths
 from repro.recognition.gates import RecognizedGate, recognize_static_gate
 
 
@@ -121,8 +121,8 @@ def classify_ccc(
         down_paths = conduction_paths(ccc, out, "gnd")
         if not up_paths or not down_paths:
             continue
-        up_support = support(up_paths)
-        down_support = support(down_paths)
+        up_support = up_paths.support()
+        down_support = down_paths.support()
 
         gate = gate_fn(ccc, out)
         if gate is not None and gate.complementary:
@@ -131,17 +131,15 @@ def classify_ccc(
             continue
 
         clocks = set(clock_nets)
-        pure_clock_up = [p for p in up_paths if p.gates() and p.gates() <= clocks]
+        pure_clock_up = up_paths.gated_within(clocks)
         if pure_clock_up:
             # Precharge pull-up exists: a dynamic node.  Pull-up devices
             # not on a pure-clock path are keeper candidates.
-            pre_devices = sorted({d for p in pure_clock_up for d in p.devices})
-            keeper_devices = sorted(
-                {d for p in up_paths for d in p.devices} - set(pre_devices)
-            )
+            pre_devices = sorted(pure_clock_up.devices())
+            keeper_devices = sorted(up_paths.devices() - set(pre_devices))
             data = down_support - clocks
             foot = [t.name for t in ccc.nmos() if t.gate in clocks]
-            clock = sorted(support(pure_clock_up))[0]
+            clock = min(pure_clock_up.support())
             result.dynamic_nodes[out] = DynamicNode(
                 net=out,
                 precharge_devices=pre_devices,

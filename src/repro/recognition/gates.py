@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.recognition.ccc import ChannelConnectedComponent
-from repro.recognition.conduction import conduction_paths, support, truth_table
+from repro.recognition.conduction import PathSet, conduction_paths
 
 
 @dataclass
@@ -85,7 +85,7 @@ class RecognizedGate:
 def drive_pull_paths(
     ccc: ChannelConnectedComponent,
     output: str,
-) -> tuple[list, list]:
+) -> tuple[PathSet, PathSet]:
     """(pull-down, pull-up) paths that actually *drive* ``output``.
 
     Paths that detour through another output net of the CCC (a pass
@@ -93,23 +93,9 @@ def drive_pull_paths(
     this output's driving structure; they are excluded here and handled
     by the pass/latch analyses instead.
     """
-    others = {n for n in ccc.output_nets if n != output}
-    devices = {t.name: t for t in ccc.transistors}
-
-    def clean(paths):
-        out = []
-        for p in paths:
-            touched = set()
-            for name in p.devices:
-                touched.update(devices[name].channel_terminals())
-            if touched & others:
-                continue
-            out.append(p)
-        return out
-
-    down = clean(conduction_paths(ccc, output, "gnd"))
-    up = clean(conduction_paths(ccc, output, "vdd"))
-    return down, up
+    others = ccc.output_nets - {output}
+    return (conduction_paths(ccc, output, "gnd").avoiding(others),
+            conduction_paths(ccc, output, "vdd").avoiding(others))
 
 
 def recognize_static_gate(
@@ -125,21 +111,18 @@ def recognize_static_gate(
     :class:`RecognizedGate` with ``complementary=False`` for ratioed
     structures (pull-up exists but is not the complement).
     """
-    nmos_names = {t.name for t in ccc.nmos()}
-    pmos_names = {t.name for t in ccc.pmos()}
-
     # A complementary gate pulls down through NMOS only and up through
     # PMOS only, and only through its own driving structure -- paths
     # detouring through pass gates or other outputs that merged into
     # this CCC are dropped (the "loosely equivalent" reading of 4.1).
     raw_down, raw_up = drive_pull_paths(ccc, output)
-    down_paths = [p for p in raw_down if not set(p.devices) - nmos_names]
-    up_paths = [p for p in raw_up if not set(p.devices) - pmos_names]
+    down_paths = raw_down.of_polarity("nmos")
+    up_paths = raw_up.of_polarity("pmos")
     if not down_paths or not up_paths:
         return None
 
-    down_support = support(down_paths)
-    up_support = support(up_paths)
+    down_support = down_paths.support()
+    up_support = up_paths.support()
     inputs = sorted(down_support | up_support)
     if len(inputs) > max_inputs:
         return None
@@ -147,8 +130,8 @@ def recognize_static_gate(
         # Feedback onto own gate (keeper/latch) -- not a simple gate.
         return None
 
-    down_table = truth_table(down_paths, inputs)
-    up_table = truth_table(up_paths, inputs)
+    down_table = down_paths.truth_table(inputs)
+    up_table = up_paths.truth_table(inputs)
     size = 1 << len(inputs)
     full = (1 << size) - 1
 

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.netlist.devices import Transistor
 from repro.netlist.flatten import FlatNetlist
 from repro.recognition.ccc import ChannelConnectedComponent
-from repro.recognition.conduction import conduction_paths, support
+from repro.recognition.conduction import conduction_paths
 from repro.recognition.families import CCCClassification, CircuitFamily
 
 
@@ -67,7 +68,6 @@ class _OutputInfo:
     """Per-restoring-output structural facts used for pairing."""
 
     classification: CCCClassification
-    down_gates: list[frozenset[str]]  # gate support of each pull-down path
     up_support: set[str]
     down_support: set[str]
 
@@ -77,15 +77,15 @@ class _OutputInfo:
 
 def restoring_facts(
     ccc: ChannelConnectedComponent,
-) -> dict[str, tuple[list[frozenset[str]], set[str], set[str]]]:
-    """Per-output ``(down path gates, up support, down support)`` facts.
+) -> dict[str, tuple[set[str], set[str]]]:
+    """Per-output ``(up support, down support)`` facts.
 
     Only outputs with both pull-up and pull-down paths appear; a CCC not
     touching both rails yields an empty dict.  Purely topological, so
     :class:`~repro.recognition.memo.ClassificationMemo` caches it per
     topology signature.
     """
-    facts: dict[str, tuple[list[frozenset[str]], set[str], set[str]]] = {}
+    facts: dict[str, tuple[set[str], set[str]]] = {}
     if not (ccc.touches_rail("vdd") and ccc.touches_rail("gnd")):
         return facts
     for out in ccc.output_nets:
@@ -93,11 +93,7 @@ def restoring_facts(
         up = conduction_paths(ccc, out, "vdd")
         if not down or not up:
             continue
-        facts[out] = (
-            [frozenset(p.gates()) for p in down],
-            support(up),
-            support(down),
-        )
+        facts[out] = (up.support(), down.support())
     return facts
 
 
@@ -110,10 +106,9 @@ def _restoring_outputs(
         facts_fn = restoring_facts
     info: dict[str, _OutputInfo] = {}
     for c in classified:
-        for out, (down_gates, up_sup, down_sup) in facts_fn(c.ccc).items():
+        for out, (up_sup, down_sup) in facts_fn(c.ccc).items():
             info[out] = _OutputInfo(
                 classification=c,
-                down_gates=down_gates,
                 up_support=up_sup,
                 down_support=down_sup,
             )
@@ -130,7 +125,7 @@ def _inverter_coupled(info: _OutputInfo, sibling: str) -> bool:
     excluded because the dynamic node's pull-down is gated by data and
     clock, not by the output inverter.
     """
-    return any(sibling in gates for gates in info.down_gates)
+    return sibling in info.down_support
 
 
 def _strongly_connected(adj: dict[str, set[str]]) -> list[set[str]]:
@@ -217,29 +212,28 @@ def find_storage_nodes(
             if not (_inverter_coupled(ix, y) and _inverter_coupled(iy, x)):
                 continue
             for net, partner, oinfo in ((x, y, ix), (y, x, iy)):
-                ccc = oinfo.classification.ccc
                 writes = [
-                    t.name for t in ccc.transistors
+                    t for t in oinfo.classification.ccc.transistors
                     if net in t.channel_terminals()
                     and "vdd" not in t.channel_terminals()
                     and "gnd" not in t.channel_terminals()
                 ]
-                enables = {t.gate for t in ccc.transistors if t.name in writes}
                 nodes.append(StorageNode(
                     net=net, static=True, kind="cross_coupled",
-                    write_devices=writes, partner=partner, enables=enables,
+                    write_devices=[t.name for t in writes], partner=partner,
+                    enables={t.gate for t in writes},
                 ))
                 claimed.add(net)
             break
 
     # ---- pass-written storage -------------------------------------------------
-    pass_writers: dict[str, list[tuple[CCCClassification, str]]] = {}
+    pass_writers: dict[str, list[Transistor]] = {}
     strong_drivers: set[str] = set()
     for c in classified:
         if c.family in (CircuitFamily.PASS_NETWORK, CircuitFamily.TRANSMISSION_GATE):
             for t in c.ccc.transistors:
                 for term in t.channel_terminals():
-                    pass_writers.setdefault(term, []).append((c, t.name))
+                    pass_writers.setdefault(term, []).append(t)
         else:
             for out in c.ccc.output_nets:
                 strong_drivers.add(out)
@@ -249,16 +243,14 @@ def find_storage_nodes(
     adj: dict[str, set[str]] = {}
     gate_edges: set[tuple[str, str]] = set()
     for c in classified:
+        inputs = [n for n in c.ccc.gate_nets() if n not in ("vdd", "gnd")]
         for out in c.ccc.output_nets:
-            for inp in c.ccc.gate_nets():
-                if inp not in ("vdd", "gnd"):
-                    adj.setdefault(inp, set()).add(out)
-                    adj.setdefault(out, set())
-                    gate_edges.add((inp, out))
+            for inp in inputs:
+                adj.setdefault(inp, set()).add(out)
+                adj.setdefault(out, set())
+                gate_edges.add((inp, out))
     for net, writers in pass_writers.items():
-        for c, dev in writers:
-            names = [x.name for x in c.ccc.transistors]
-            t = c.ccc.transistors[names.index(dev)]
+        for t in writers:
             other = t.other_channel_terminal(net)
             if other not in ("vdd", "gnd") and other != net:
                 adj.setdefault(other, set()).add(net)
@@ -267,10 +259,14 @@ def find_storage_nodes(
     # A node is *staticized* only if its cycle goes through a restoring
     # (gate) edge -- the bidirectional pass edges alone just say the
     # channel is traversable, not that anything refreshes the level.
-    cyclic_nets: set[str] = set()
-    for scc in _strongly_connected(adj):
-        if len(scc) > 1 and any(u in scc and v in scc for u, v in gate_edges):
-            cyclic_nets |= scc
+    # Label each net of a multi-net SCC with its SCC, then one scan of
+    # the gate edges finds the SCCs holding one.
+    sccs = _strongly_connected(adj)
+    scc_of = {net: i for i, scc in enumerate(sccs) if len(scc) > 1
+              for net in scc}
+    restored = {scc_of[u] for u, v in gate_edges
+                if u in scc_of and scc_of.get(v) == scc_of[u]}
+    cyclic_nets = {net for i in restored for net in sccs[i]}
 
     gate_load_nets = {t.gate for t in flat.transistors}
     for net in sorted(pass_writers):
@@ -283,17 +279,12 @@ def find_storage_nodes(
         if net not in gate_load_nets:
             continue  # a through-route, not a stored value
         writers = pass_writers[net]
-        devices = [dev for _c, dev in writers]
-        enables = set()
-        for c, dev in writers:
-            names = [x.name for x in c.ccc.transistors]
-            enables.add(c.ccc.transistors[names.index(dev)].gate)
         nodes.append(StorageNode(
             net=net,
             static=net in cyclic_nets,
             kind="pass_written",
-            write_devices=sorted(set(devices)),
-            enables=enables,
+            write_devices=sorted({t.name for t in writers}),
+            enables={t.gate for t in writers},
         ))
         claimed.add(net)
 

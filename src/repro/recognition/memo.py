@@ -117,9 +117,10 @@ class ClassificationMemo:
         self._classes: dict[tuple, _ClassTemplate] = {}
         self._gates: dict[tuple, _GateTemplate | None] = {}
         self._seeds: dict[tuple, tuple[int, ...]] = {}
-        # key -> None (CCC not touching both rails) or per-output facts
-        # in labels: (out, down path gate-label sets, up, down supports).
-        self._restoring: dict[tuple, tuple | None] = {}
+        # key -> per-output facts in labels: (out, up, down supports).
+        self._restoring: dict[tuple, tuple] = {}
+        # CCC shape -> signature parts (see ``topology_signature``).
+        self._shapes: dict[tuple, tuple] = {}
         self.classify_hits = 0
         self.classify_misses = 0
         self.gate_hits = 0
@@ -130,7 +131,7 @@ class ClassificationMemo:
     def signature(self, ccc: ChannelConnectedComponent) -> CCCSignature:
         sig = ccc.signature_cache
         if sig is None:
-            ccc.signature_cache = sig = topology_signature(ccc)
+            ccc.signature_cache = sig = topology_signature(ccc, self._shapes)
         return sig
 
     def counters(self) -> dict[str, int]:
@@ -183,7 +184,7 @@ class ClassificationMemo:
     # -- latch facts -----------------------------------------------------------
 
     def restoring(self, ccc: ChannelConnectedComponent,
-                  ) -> dict[str, tuple[list[frozenset[str]], set[str], set[str]]]:
+                  ) -> dict[str, tuple[set[str], set[str]]]:
         """Memoized :func:`~repro.recognition.latches.restoring_facts`."""
         sig = self.signature(ccc)
         tpl = self._restoring.get(sig.key)
@@ -191,20 +192,15 @@ class ClassificationMemo:
             fresh = restoring_facts(ccc)
             self._restoring[sig.key] = tuple(
                 (sig.labels[out],
-                 tuple(frozenset(sig.labels[g] for g in gates)
-                       for gates in down_gates),
                  frozenset(sig.labels[n] for n in up_sup),
                  frozenset(sig.labels[n] for n in down_sup))
-                for out, (down_gates, up_sup, down_sup) in fresh.items()
+                for out, (up_sup, down_sup) in fresh.items()
             )
             return fresh
         return {
-            sig.nets[out]: (
-                [frozenset(sig.nets[g] for g in gates) for gates in down],
-                {sig.nets[n] for n in up},
-                {sig.nets[n] for n in dn},
-            )
-            for out, down, up, dn in tpl
+            sig.nets[out]: ({sig.nets[n] for n in up},
+                            {sig.nets[n] for n in dn})
+            for out, up, dn in tpl
         }
 
     # -- classification --------------------------------------------------------
@@ -275,13 +271,13 @@ class ClassificationMemo:
                 ((sig.nets[l], g) for l, g in tpl.gates)):
             result.gates[out] = _instantiate_gate(gate_tpl, out, sig)
         foot = None
-        gate_of = {t.name: t.gate for t in ccc.transistors}
         for out, dyn_tpl in sorted(
                 ((sig.nets[l], d) for l, d in tpl.dynamic)):
             if foot is None:
                 # Same for every dynamic node of the CCC; fresh code
                 # recomputes it per output, order follows the device list.
                 foot = [t.name for t in ccc.nmos() if t.gate in clock_nets]
+                gate_of = {t.name: t.gate for t in ccc.transistors}
             precharge = sorted(sig.devices[s] for s in dyn_tpl.precharge)
             # Fresh code picks min over the pure-clock pull-up support,
             # which is exactly the precharge devices' gate nets.

@@ -96,12 +96,21 @@ def _initial_roles(ccc: ChannelConnectedComponent) -> dict[str, tuple]:
     return roles
 
 
-def topology_signature(ccc: ChannelConnectedComponent) -> CCCSignature:
+def topology_signature(ccc: ChannelConnectedComponent,
+                       shapes: dict | None = None) -> CCCSignature:
     """Compute the canonical signature of one CCC.
 
     Cost is O(rounds * edges * log(edges)); CCCs are small (a handful to
     a few dozen devices), so this is far cheaper than one conduction
     path enumeration.
+
+    ``shapes`` caches signatures by *shape*: the CCC written over the
+    sorted order of its net names and device names.  Names enter the
+    computation below only through those two orders (every tie-break
+    reads them), so a CCC of a known shape gets the earlier signature
+    renamed to its own nets and devices -- bit-identical to computing
+    it, at the cost of building the shape.  Bit-slices stamped with
+    systematic names share a handful of shapes.
     """
     roles = _initial_roles(ccc)
     net_names = sorted(roles)
@@ -116,6 +125,19 @@ def topology_signature(ccc: ChannelConnectedComponent) -> CCCSignature:
     dev_a = [nidx[t.drain] for t in dev_list]
     dev_b = [nidx[t.source] for t in dev_list]
     dev_pol = [0 if t.polarity == "nmos" else 1 for t in dev_list]
+    if shapes is not None:
+        dev_names = [t.name for t in dev_list]
+        shape = (tuple(map(roles.__getitem__, net_names)),
+                 tuple(dev_gate), tuple(dev_a), tuple(dev_b), tuple(dev_pol),
+                 tuple(sorted(range(nd), key=dev_names.__getitem__)))
+        known = shapes.get(shape)
+        if known is not None:
+            key, net_order, net_labels, dev_order = known
+            return CCCSignature(
+                key=key, nets=tuple(map(net_names.__getitem__, net_order)),
+                labels=dict(zip(net_names, net_labels)),
+                devices=tuple(map(dev_names.__getitem__, dev_order)),
+            )
 
     # Incidence lists used every round.
     gated_by: list[list[int]] = [[] for _ in range(nn)]
@@ -174,7 +196,7 @@ def topology_signature(ccc: ChannelConnectedComponent) -> CCCSignature:
         if a > b:
             a, b = b, a
         rows.append((dev_pol[i], label_of[dev_gate[i]], a, b,
-                     dev_list[i].name))
+                     dev_list[i].name, i))
     rows.sort()
     device_names = tuple(r[4] for r in rows)
     device_rows = tuple(r[:4] for r in rows)
@@ -183,6 +205,9 @@ def topology_signature(ccc: ChannelConnectedComponent) -> CCCSignature:
         tuple(roles[n] for n in ordered_nets),
         device_rows,
     )
+    if shapes is not None:
+        shapes[shape] = (key, tuple(order), tuple(label_of),
+                         tuple(r[5] for r in rows))
     return CCCSignature(
         key=key,
         nets=ordered_nets,

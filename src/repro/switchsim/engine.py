@@ -66,7 +66,7 @@ class _SourcePaths:
     """
 
     source: str  # "vdd", "gnd", or a port name
-    paths: list[ConductionPath]
+    paths: tuple[ConductionPath, ...]
     conductances: list[float]
 
 
@@ -194,7 +194,7 @@ class SwitchSimulator:
                 for src in sources:
                     if src == net:
                         continue
-                    paths = conduction_paths(ccc, net, src)
+                    paths = conduction_paths(ccc, net, src).paths()
                     if paths:
                         entries.append(_SourcePaths(
                             source=src,

@@ -223,7 +223,7 @@ def build_timing_graph(
                 continue
             arc_paths: dict[str, list] = {}
             for src in sources + [p for p in port_sources if p != out]:
-                paths = conduction_paths(ccc, out, src)
+                paths = conduction_paths(ccc, out, src).paths()
                 if not paths:
                     continue
                 for path in paths:
@@ -245,8 +245,8 @@ def build_timing_graph(
 
 def _dynamic_arcs(graph, ccc, dyn, net, price) -> None:
     """Precharge/evaluate arcs for one dynamic node; keepers excluded."""
-    down = conduction_paths(ccc, net, "gnd")
-    up = conduction_paths(ccc, net, "vdd")
+    down = conduction_paths(ccc, net, "gnd").paths()
+    up = conduction_paths(ccc, net, "vdd").paths()
     pre_paths = [p for p in up if set(p.devices) <= set(dyn.precharge_devices)]
     if pre_paths and dyn.clock:
         graph.add(price(dyn.clock, net, "precharge", pre_paths))

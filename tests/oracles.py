@@ -19,16 +19,34 @@ bit-identical results.
   arc.  :class:`repro.timing.delay.ArcDelayCalculator` reads per-shape
   resistance tables and prices each device and path once per CCC, and
   must produce float-for-float the same arcs.
+* :func:`support`, :func:`truth_table`, :func:`conduction_function` and
+  the other path-list queries below -- the per-path forms of the
+  order-free questions :class:`repro.recognition.conduction.PathSet`
+  answers from its masks.
+* :class:`OracleHotCarrierCheck` -- the hot-carrier check testing every
+  NMOS device against every pull-down path of its CCC, where
+  :class:`repro.checks.hot_carrier.HotCarrierCheck` reads each device's
+  shortest path from one pass over each output's ``PathSet``.
+* :func:`reference_storage_nodes` -- latch finding with per-path gate
+  sets, a per-SCC scan of every gate edge and a device-list search per
+  pass writer, where :func:`repro.recognition.latches.find_storage_nodes`
+  reads supports, labels nets by SCC and holds the writers themselves.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
+
 import numpy as np
 
+from repro.checks.base import CheckContext, Finding, Severity
+from repro.checks.hot_carrier import HotCarrierCheck
 from repro.netlist.flatten import FlatNetlist
 from repro.netlist.nets import is_rail_name, is_supply_name
 from repro.recognition.ccc import ChannelConnectedComponent, extract_cccs
-from repro.recognition.conduction import ConductionPath
+from repro.recognition.conduction import ConductionPath, conduction_paths
+from repro.recognition.families import CCCClassification, CircuitFamily
+from repro.recognition.latches import StorageNode, _strongly_connected
 from repro.timing.delay import ArcDelayCalculator
 
 #: Every numpy column of the packed tables.
@@ -292,3 +310,270 @@ class OracleDelayCalculator(ArcDelayCalculator):
 def arc_rows(graph) -> list[tuple]:
     """``(src, dst, kind, d_min, d_max)`` of every arc, in graph order."""
     return [(a.src, a.dst, a.kind, a.d_min, a.d_max) for a in graph.arcs]
+
+
+# -- path-list queries ---------------------------------------------------------
+
+
+def conduction_function(
+    paths: Iterable[ConductionPath],
+    assignment: Mapping[str, bool],
+) -> bool:
+    """Evaluate OR-over-paths conduction under one input assignment.
+
+    A path conducts when every gate net on it is at its required level;
+    a gate net missing from the assignment makes it non-conducting
+    (conservative: unknown is off for conduction purposes).
+    """
+    return any(all(gate in assignment and assignment[gate] == level
+                   for gate, level in p.conditions)
+               for p in paths)
+
+
+def support(paths: Iterable[ConductionPath]) -> set[str]:
+    """All gate nets appearing in any path."""
+    out: set[str] = set()
+    for p in paths:
+        out |= p.gates()
+    return out
+
+
+def truth_table(
+    paths: list[ConductionPath],
+    inputs: list[str],
+    max_inputs: int = 16,
+) -> int:
+    """Conduction truth table as a bitmask, one assignment at a time.
+
+    Bit ``i`` of the result is the conduction value when the input
+    assignment is the binary expansion of ``i`` over ``inputs`` (inputs[0]
+    is the least-significant bit).
+    """
+    if len(inputs) > max_inputs:
+        raise ValueError(
+            f"truth-table extraction over {len(inputs)} inputs exceeds the "
+            f"{max_inputs}-input cap; use BDD-based equivalence instead"
+        )
+    table = 0
+    for i in range(1 << len(inputs)):
+        assignment = {name: bool((i >> k) & 1) for k, name in enumerate(inputs)}
+        if conduction_function(paths, assignment):
+            table |= 1 << i
+    return table
+
+
+def devices(paths: Iterable[ConductionPath]) -> set[str]:
+    """All devices on any path."""
+    return {d for p in paths for d in p.devices}
+
+
+def avoiding(paths: Iterable[ConductionPath], ccc: ChannelConnectedComponent,
+             nets: set[str]) -> list[ConductionPath]:
+    """The paths none of whose devices has a channel terminal on ``nets``."""
+    by_name = {t.name: t for t in ccc.transistors}
+    out = []
+    for p in paths:
+        touched: set[str] = set()
+        for name in p.devices:
+            touched.update(by_name[name].channel_terminals())
+        if not touched & nets:
+            out.append(p)
+    return out
+
+
+def of_polarity(paths: Iterable[ConductionPath], ccc: ChannelConnectedComponent,
+                polarity: str) -> list[ConductionPath]:
+    """The paths made of ``polarity`` devices only."""
+    names = {t.name for t in ccc.transistors if t.polarity == polarity}
+    return [p for p in paths if not set(p.devices) - names]
+
+
+def gated_within(paths: Iterable[ConductionPath],
+                 nets: set[str]) -> list[ConductionPath]:
+    """The paths with at least one condition, every one on ``nets``."""
+    return [p for p in paths if p.gates() and p.gates() <= nets]
+
+
+def footed_by(paths: Iterable[ConductionPath], gate: str) -> bool:
+    """Some path requires ``gate`` high plus at least one more condition."""
+    for p in paths:
+        conds = set(p.conditions)
+        if (gate, True) in conds and conds - {(gate, True)}:
+            return True
+    return False
+
+
+def device_depths(paths: Iterable[ConductionPath]) -> dict[str, int]:
+    """Length of the shortest path through each device on a path."""
+    out: dict[str, int] = {}
+    for p in paths:
+        for name in p.devices:
+            out[name] = min(out.get(name, len(p.devices)), len(p.devices))
+    return out
+
+
+# -- checks and latch finding -------------------------------------------------
+
+
+class OracleHotCarrierCheck(HotCarrierCheck):
+    """The hot-carrier check with the device-against-every-path loop."""
+
+    def run(self, ctx: CheckContext) -> list[Finding]:
+        findings: list[Finding] = []
+        tech = ctx.technology
+        limit = tech.hci_max_vds_v
+        if limit is None:
+            return findings
+        vdd_max = tech.vdd_at(ctx.fast.corner)
+        for classification in ctx.design.classifications:
+            ccc = classification.ccc
+            down_paths_by_output = {
+                out: conduction_paths(ccc, out, "gnd").paths()
+                for out in (ccc.output_nets or ccc.channel_nets)
+            }
+            for t in ccc.nmos():
+                # Stack depth: the shortest path through this device.
+                depth = None
+                for paths in down_paths_by_output.values():
+                    for p in paths:
+                        if t.name in p.devices:
+                            d = len(p.devices)
+                            depth = d if depth is None else min(depth, d)
+                if depth is None:
+                    continue
+                vds_worst = vdd_max / depth
+                if vds_worst > limit:
+                    findings.append(self._finding(
+                        t.name, Severity.VIOLATION,
+                        f"worst Vds {vds_worst:.2f} V above the HCI limit "
+                        f"{limit:.2f} V; lengthen or stack the device",
+                        vds_v=vds_worst,
+                    ))
+                elif vds_worst > 0.9 * limit:
+                    findings.append(self._finding(
+                        t.name, Severity.FILTERED,
+                        f"worst Vds {vds_worst:.2f} V within 10% of the HCI "
+                        f"limit",
+                        vds_v=vds_worst,
+                    ))
+                else:
+                    findings.append(self._finding(
+                        t.name, Severity.PASS, "HCI stress acceptable",
+                        vds_v=vds_worst,
+                    ))
+        return findings
+
+
+def reference_storage_nodes(
+    flat: FlatNetlist,
+    classified: list[CCCClassification],
+) -> list[StorageNode]:
+    """State elements found the way the latch finder first did it.
+
+    Cross-coupling is read from per-path gate sets of
+    :func:`enumerate_pair` paths, feedback from testing every gate edge
+    against every strongly connected component, and each pass writer
+    by searching its CCC's device-name list.
+    """
+    outputs: dict[str, tuple] = {}
+    for c in classified:
+        ccc = c.ccc
+        if not (ccc.touches_rail("vdd") and ccc.touches_rail("gnd")):
+            continue
+        for out in ccc.output_nets:
+            down = enumerate_pair(ccc, out, "gnd")
+            up = enumerate_pair(ccc, out, "vdd")
+            if not down or not up:
+                continue
+            outputs[out] = (c, [frozenset(p.gates()) for p in down],
+                            support(up) | support(down))
+
+    nodes: list[StorageNode] = []
+    claimed: set[str] = set()
+    for x in sorted(outputs):
+        if x in claimed:
+            continue
+        ix = outputs[x]
+        for y in sorted(ix[2]):
+            if y == x or y not in outputs or y in claimed:
+                continue
+            iy = outputs[y]
+            if x not in iy[2]:
+                continue
+            if not (any(y in gates for gates in ix[1])
+                    and any(x in gates for gates in iy[1])):
+                continue
+            for net, partner, oinfo in ((x, y, ix), (y, x, iy)):
+                ccc = oinfo[0].ccc
+                writes = [
+                    t.name for t in ccc.transistors
+                    if net in t.channel_terminals()
+                    and "vdd" not in t.channel_terminals()
+                    and "gnd" not in t.channel_terminals()
+                ]
+                enables = {t.gate for t in ccc.transistors if t.name in writes}
+                nodes.append(StorageNode(
+                    net=net, static=True, kind="cross_coupled",
+                    write_devices=writes, partner=partner, enables=enables,
+                ))
+                claimed.add(net)
+            break
+
+    pass_writers: dict[str, list[tuple[CCCClassification, str]]] = {}
+    strong_drivers: set[str] = set()
+    for c in classified:
+        if c.family in (CircuitFamily.PASS_NETWORK, CircuitFamily.TRANSMISSION_GATE):
+            for t in c.ccc.transistors:
+                for term in t.channel_terminals():
+                    pass_writers.setdefault(term, []).append((c, t.name))
+        else:
+            for out in c.ccc.output_nets:
+                strong_drivers.add(out)
+
+    adj: dict[str, set[str]] = {}
+    gate_edges: set[tuple[str, str]] = set()
+    for c in classified:
+        for out in c.ccc.output_nets:
+            for inp in c.ccc.gate_nets():
+                if inp not in ("vdd", "gnd"):
+                    adj.setdefault(inp, set()).add(out)
+                    adj.setdefault(out, set())
+                    gate_edges.add((inp, out))
+    for net, writers in pass_writers.items():
+        for c, dev in writers:
+            names = [x.name for x in c.ccc.transistors]
+            t = c.ccc.transistors[names.index(dev)]
+            other = t.other_channel_terminal(net)
+            if other not in ("vdd", "gnd") and other != net:
+                adj.setdefault(other, set()).add(net)
+                adj.setdefault(net, set()).add(other)
+
+    cyclic_nets: set[str] = set()
+    for scc in _strongly_connected(adj):
+        if len(scc) > 1 and any(u in scc and v in scc for u, v in gate_edges):
+            cyclic_nets |= scc
+
+    gate_load_nets = {t.gate for t in flat.transistors}
+    for net in sorted(pass_writers):
+        if net in claimed or net in strong_drivers:
+            continue
+        flat_net = flat.nets.get(net)
+        if flat_net is not None and (flat_net.is_rail or flat_net.is_port):
+            continue
+        if net not in gate_load_nets:
+            continue
+        writers = pass_writers[net]
+        devices_ = [dev for _c, dev in writers]
+        enables = set()
+        for c, dev in writers:
+            names = [x.name for x in c.ccc.transistors]
+            enables.add(c.ccc.transistors[names.index(dev)].gate)
+        nodes.append(StorageNode(
+            net=net,
+            static=net in cyclic_nets,
+            kind="pass_written",
+            write_devices=sorted(set(devices_)),
+            enables=enables,
+        ))
+        claimed.add(net)
+    return nodes

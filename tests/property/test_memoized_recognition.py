@@ -13,6 +13,7 @@ exploits), then compare against ``recognize(memo=False)``.
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.designs import chip_scale
 from repro.designs.adders import domino_carry_adder, ripple_carry_adder
 from repro.designs.latch_zoo import (
     dynamic_latch,
@@ -23,8 +24,10 @@ from repro.designs.latch_zoo import (
 from repro.designs.muxes import pass_mux_tree
 from repro.netlist.cell import Cell
 from repro.netlist.flatten import flatten
+from repro.recognition.ccc import extract_cccs
 from repro.recognition.memo import ClassificationMemo
 from repro.recognition.recognizer import RecognizedDesign, recognize
+from repro.recognition.signature import topology_signature
 
 GENERATORS = (
     dynamic_latch,
@@ -121,3 +124,24 @@ def test_adder_slices_classify_once(width):
     assert memo.classify_misses <= 6
     if width > 1:
         assert memo.classify_hits > 0
+
+
+def _assert_shape_cache_exact(flat) -> tuple[int, int]:
+    """A signature served from the shape cache equals the computed one:
+    key, net labels, and device slots.  Returns (shapes, CCCs)."""
+    shapes: dict = {}
+    cccs = extract_cccs(flat)
+    for ccc in cccs + cccs:
+        assert topology_signature(ccc, shapes) == topology_signature(ccc)
+    return len(shapes), len(cccs)
+
+
+@given(zoo_design())
+@settings(max_examples=25, deadline=None)
+def test_shape_cached_signatures_equal_computed(top):
+    _assert_shape_cache_exact(flatten(top))
+
+
+def test_shape_cached_signatures_equal_computed_at_chip_scale():
+    n_shapes, n_cccs = _assert_shape_cache_exact(flatten(chip_scale(1000).cell))
+    assert n_shapes * 4 < n_cccs

@@ -2,11 +2,11 @@
 
 The target-rooted sweep (:func:`sweep_paths_to_target`) is the engine
 behind ``conduction_paths``.  Its contract is *bit-identity*: for every
-(source, target) pair the materialized path list must match the
-per-pair walk (:func:`tests.oracles.enumerate_pair`) element-for-element
--- same devices, same conditions, same **order** -- because
-classification signatures, packed-table layouts, and the timing graph
-all hash or index path lists positionally.
+(source, target) pair ``PathSet.paths()`` must match the per-pair walk
+(:func:`tests.oracles.enumerate_pair`) element-for-element -- same
+devices, same conditions, same **order** -- because packed-table
+layouts and the timing graph index path lists positionally; and every
+order-free ``PathSet`` query must equal its oracle on those paths.
 
 Hypothesis drives random transistor soups (cycles, pass-gate meshes,
 self-gated channels, floating nets) through every (source, target)
@@ -30,6 +30,7 @@ from repro.recognition.conduction import (
     sweep_paths_to_target,
 )
 from tests.oracles import enumerate_pair
+from tests.recognition.test_pathset import assert_queries_match
 
 PORTS = ["p0", "p1", "p2"]
 INTERNAL = ["x0", "x1", "x2", "x3"]
@@ -83,7 +84,8 @@ def _check_pair(ccc, src, tgt, max_paths, via):
     assert got_err == expected_err, (via, src, tgt)
     if expected is not None:
         # Element-for-element: devices, conditions, and ordering.
-        assert got == expected, (via, src, tgt)
+        assert list(got.paths()) == expected, (via, src, tgt)
+        assert_queries_match(ccc, got)
 
 
 @given(network)
@@ -203,7 +205,7 @@ def test_overflow_message_matches_legacy_exactly(max_paths):
     flat = flatten(b.build())
     if max_paths >= 2:  # two parallel paths: no overflow at the default
         ccc = extract_cccs(flat)[0]
-        assert len(conduction_paths(ccc, "x", "y", max_paths)) == 2
+        assert len(conduction_paths(ccc, "x", "y", max_paths).paths()) == 2
         return
     legacy_msg = sweep_msg = None
     try:
@@ -233,7 +235,7 @@ def test_chip_scale_pairs_match_per_pair_dfs():
             for tgt in ["vdd", "gnd"] + ports:
                 if tgt == net:
                     continue
-                assert (conduction_paths(ccc, net, tgt)
+                assert (list(conduction_paths(ccc, net, tgt).paths())
                         == enumerate_pair(ccc, net, tgt)), (net, tgt)
                 pairs += 1
     assert pairs > 900

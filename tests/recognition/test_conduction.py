@@ -5,12 +5,8 @@ import pytest
 from repro.netlist.builder import CellBuilder
 from repro.netlist.flatten import flatten
 from repro.recognition.ccc import extract_cccs
-from repro.recognition.conduction import (
-    conduction_function,
-    conduction_paths,
-    support,
-    truth_table,
-)
+from repro.recognition.conduction import conduction_paths
+from tests.oracles import conduction_function
 
 
 def nand2_ccc():
@@ -21,7 +17,7 @@ def nand2_ccc():
 
 def test_nand_pull_down_single_series_path():
     ccc = nand2_ccc()
-    down = conduction_paths(ccc, "y", "gnd")
+    down = conduction_paths(ccc, "y", "gnd").paths()
     assert len(down) == 1
     assert len(down[0].devices) == 2
     assert set(down[0].conditions) == {("a", True), ("b", True)}
@@ -29,7 +25,7 @@ def test_nand_pull_down_single_series_path():
 
 def test_nand_pull_up_two_parallel_paths():
     ccc = nand2_ccc()
-    up = conduction_paths(ccc, "y", "vdd")
+    up = conduction_paths(ccc, "y", "vdd").paths()
     assert len(up) == 2
     assert {p.conditions for p in up} == {(("a", False),), (("b", False),)}
 
@@ -37,10 +33,13 @@ def test_nand_pull_up_two_parallel_paths():
 def test_conduction_function_evaluation():
     ccc = nand2_ccc()
     down = conduction_paths(ccc, "y", "gnd")
-    assert conduction_function(down, {"a": True, "b": True})
-    assert not conduction_function(down, {"a": True, "b": False})
-    # Missing assignments are conservatively non-conducting.
-    assert not conduction_function(down, {"a": True})
+    assert conduction_function(down.paths(), {"a": True, "b": True})
+    assert not conduction_function(down.paths(), {"a": True, "b": False})
+    # Missing assignments are conservatively non-conducting, in the
+    # packed truth table too: with ``b`` outside the inputs the single
+    # series path never conducts.
+    assert not conduction_function(down.paths(), {"a": True})
+    assert down.truth_table(["a"]) == 0
 
 
 def test_contradictory_paths_dropped():
@@ -52,7 +51,8 @@ def test_contradictory_paths_dropped():
     b.pmos("en", "mid", "y", w=2.0)
     ccc = extract_cccs(flatten(b.build()))[0]
     paths = conduction_paths(ccc, "x", "y")
-    assert paths == []
+    assert not paths
+    assert paths.paths() == ()
 
 
 def test_transmission_gate_two_paths():
@@ -60,23 +60,23 @@ def test_transmission_gate_two_paths():
     b.transmission_gate("x", "y", "en", "en_b")
     ccc = extract_cccs(flatten(b.build()))[0]
     paths = conduction_paths(ccc, "x", "y")
-    assert len(paths) == 2
-    assert support(paths) == {"en", "en_b"}
+    assert len(paths.paths()) == 2
+    assert paths.support() == {"en", "en_b"}
 
 
 def test_truth_table_nand():
     ccc = nand2_ccc()
     down = conduction_paths(ccc, "y", "gnd")
-    inputs = sorted(support(down))
+    inputs = sorted(down.support())
     # Conduction only at a=b=1 (minterm 3): bitmask 0b1000.
-    assert truth_table(down, inputs) == 0b1000
+    assert down.truth_table(inputs) == 0b1000
 
 
 def test_truth_table_input_cap():
     ccc = nand2_ccc()
     down = conduction_paths(ccc, "y", "gnd")
     with pytest.raises(ValueError):
-        truth_table(down, [f"x{i}" for i in range(20)])
+        down.truth_table([f"x{i}" for i in range(20)])
 
 
 def test_paths_do_not_cross_rails():
@@ -84,7 +84,7 @@ def test_paths_do_not_cross_rails():
     b = CellBuilder("inv", ports=["a", "y"])
     b.inverter("a", "y")
     ccc = extract_cccs(flatten(b.build()))[0]
-    down = conduction_paths(ccc, "y", "gnd")
+    down = conduction_paths(ccc, "y", "gnd").paths()
     assert len(down) == 1
     assert down[0].conditions == (("a", True),)
 
@@ -94,5 +94,5 @@ def test_parallel_stack_path_count():
     b = CellBuilder("nor3", ports=["a", "b", "c", "y"])
     b.nor(["a", "b", "c"], "y")
     ccc = extract_cccs(flatten(b.build()))[0]
-    down = conduction_paths(ccc, "y", "gnd")
+    down = conduction_paths(ccc, "y", "gnd").paths()
     assert len(down) == 3

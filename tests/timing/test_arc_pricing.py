@@ -89,7 +89,7 @@ def test_check_path_resistance_sums_in_path_order(priced, tech):
         ccc = classification.ccc
         for net in sorted(ccc.output_nets):
             down, up = pull_paths(ccc, net)
-            for path in down + up:
+            for path in down.paths() + up.paths():
                 expected = 0.0
                 for name in path.devices:
                     t = devices[name]
