@@ -13,12 +13,13 @@ chip-scale workload (:func:`repro.designs.chip_scale` at ~1k through
   arrays -- any divergence fails the build regardless of speed;
 * **recognition**, which answers its questions from packed path sets
   over the sweeps the build left on the CCCs, and **STA timing-graph
-  construction**, which materializes each pair it prices as path
-  objects (``PathSet.paths()``) -- so the STA line now includes that
-  materialization;
-* **legacy STA graph** -- :class:`tests.oracles.OracleDelayCalculator`,
-  one model evaluation per device of every path of every arc, with the
-  arc-price cache on as production runs it -- at 1k and 5k, asserting
+  construction**, which prices each source pair's paths straight from
+  the sweep records;
+* **legacy STA graph** -- :func:`tests.oracles.reference_timing_graph`,
+  which materializes every pair as path objects (``PathSet.paths()``),
+  priced by :class:`tests.oracles.OracleDelayCalculator` with one model
+  evaluation per device of every path of every arc, with the arc-price
+  cache on as production runs it -- at 1k and 5k, asserting
   **bit-identical** arcs and notes;
 * **warm-cache re-build** (identity hit);
 * a short **vector-engine smoke** on the built tables, so the largest
@@ -68,6 +69,7 @@ from tests.oracles import (                                      # noqa: E402
     OracleDelayCalculator,
     arc_rows,
     direct_tables,
+    reference_timing_graph,
     table_mismatches,
 )
 
@@ -212,8 +214,9 @@ def bench_scale(label: str, target: int, check_legacy: bool,
     sta_legacy = None
     if check_sta_legacy:
         t0 = time.perf_counter()
-        oracle = build_timing_graph(design, OracleDelayCalculator(fast, slow),
-                                    arc_cache=ArcPriceCache())
+        oracle = reference_timing_graph(
+            design, OracleDelayCalculator(fast, slow),
+            arc_cache=ArcPriceCache())
         sta_legacy_s = time.perf_counter() - t0
         identical = (arc_rows(graph) == arc_rows(oracle)
                      and graph.notes == oracle.notes)

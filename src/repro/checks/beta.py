@@ -13,7 +13,7 @@ moderate deviations are FILTERED for inspection rather than failed.
 from __future__ import annotations
 
 from repro.checks.base import Check, CheckContext, Finding, Severity
-from repro.checks.helpers import best_resistance, device_map, pull_paths
+from repro.checks.helpers import device_map, device_resistances, pull_paths
 
 
 class BetaRatioCheck(Check):
@@ -24,12 +24,17 @@ class BetaRatioCheck(Check):
         devices = device_map(ctx.typical)
         settings = ctx.settings
         for classification in ctx.design.classifications:
+            ron = None
             for out in classification.gates:
                 down, up = pull_paths(classification.ccc, out)
                 if not down or not up:
                     continue
-                r_down = best_resistance(down.paths(), ctx.typical, devices)
-                r_up = best_resistance(up.paths(), ctx.typical, devices)
+                if ron is None:
+                    ron = device_resistances(down.device_names, ctx.typical,
+                                             devices)
+                # Each path's resistance: its devices' added in path order.
+                r_down = min(down.sums(ron))
+                r_up = min(up.sums(ron))
                 if r_up <= 0 or r_down <= 0:
                     continue
                 # Strength ratio normalized to the target: 1.0 = balanced.

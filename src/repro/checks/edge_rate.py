@@ -10,7 +10,7 @@ the tighter limit.
 from __future__ import annotations
 
 from repro.checks.base import Check, CheckContext, Finding, Severity
-from repro.checks.helpers import device_map, worst_resistance
+from repro.checks.helpers import device_map, device_resistances
 from repro.recognition.gates import drive_pull_paths
 
 
@@ -24,6 +24,7 @@ class EdgeRateCheck(Check):
         storage_nets = {n.net for n in ctx.design.storage}
         for classification in ctx.design.classifications:
             ccc = classification.ccc
+            ron = None
             outputs = set(classification.gates) | set(classification.dynamic_nodes)
             for out in sorted(outputs):
                 if out in storage_nets:
@@ -31,22 +32,19 @@ class EdgeRateCheck(Check):
                     # transitions come through write paths, which the
                     # writability check owns.
                     continue
-                down, up = (s.paths() for s in drive_pull_paths(ccc, out))
+                down, up = drive_pull_paths(ccc, out)
                 dyn = classification.dynamic_nodes.get(out)
                 if dyn is not None and dyn.keeper_devices:
                     # The keeper only holds; the edge is made by the
                     # precharge and evaluate paths.
-                    keepers = set(dyn.keeper_devices)
-                    down = [p for p in down if not set(p.devices) & keepers]
-                    up = [p for p in up if not set(p.devices) & keepers]
+                    down = down.where(avoid_devices=dyn.keeper_devices)
+                    up = up.where(avoid_devices=dyn.keeper_devices)
                 if not down and not up:
                     continue
-                resistances = []
-                if down:
-                    resistances.append(worst_resistance(down, ctx.typical, devices))
-                if up:
-                    resistances.append(worst_resistance(up, ctx.typical, devices))
-                r_worst = max(resistances)
+                if ron is None:
+                    ron = device_resistances(down.device_names, ctx.typical,
+                                             devices)
+                r_worst = max(down.sums(ron) + up.sums(ron))
                 c_load = ctx.typical.load(out).total_max()
                 edge = 2.2 * r_worst * c_load  # 10-90% of a single-pole RC
                 is_clock = out in ctx.design.clocks

@@ -5,32 +5,19 @@ from __future__ import annotations
 from repro.extraction.annotate import AnnotatedDesign
 from repro.netlist.devices import Transistor
 from repro.recognition.ccc import ChannelConnectedComponent
-from repro.recognition.conduction import ConductionPath, PathSet, conduction_paths
+from repro.recognition.conduction import PathSet, conduction_paths
 
 
 def device_map(annotated: AnnotatedDesign) -> dict[str, Transistor]:
     return {t.name: t for t in annotated.flat.transistors}
 
 
-def path_resistance(path: ConductionPath, annotated: AnnotatedDesign,
-                    devices: dict[str, Transistor]) -> float:
-    """On-resistance of a fully conducting path at the context corner."""
-    total = 0.0
-    for name in path.devices:
-        total += annotated.on_resistance(devices[name])
-    return total
-
-
-def best_resistance(paths: list[ConductionPath], annotated: AnnotatedDesign,
-                    devices: dict[str, Transistor]) -> float:
-    """Resistance of the strongest (least resistive) path."""
-    return min(path_resistance(p, annotated, devices) for p in paths)
-
-
-def worst_resistance(paths: list[ConductionPath], annotated: AnnotatedDesign,
-                     devices: dict[str, Transistor]) -> float:
-    """Resistance of the weakest (most resistive) path."""
-    return max(path_resistance(p, annotated, devices) for p in paths)
+def device_resistances(names: list[str], annotated: AnnotatedDesign,
+                       devices: dict[str, Transistor]) -> list[float]:
+    """On-resistance of each named device at the context corner: pass a
+    path set's ``device_names`` to get values by slot, which
+    ``PathSet.sums`` adds in path order into each path's resistance."""
+    return list(map(annotated.on_resistance, map(devices.__getitem__, names)))
 
 
 def pull_paths(ccc: ChannelConnectedComponent,
@@ -51,17 +38,18 @@ def off_network_leakage(
     first device of each distinct path approximates the parallel
     leakage of the off pull-down network.
     """
+    down = conduction_paths(ccc, net, "gnd")
+    if not down:
+        return 0.0
     tech = annotated.technology
     vdd = tech.vdd_at(annotated.corner)
-    down = conduction_paths(ccc, net, "gnd").paths()
+    names = down.device_names
     total = 0.0
-    seen_first: set[str] = set()
-    for path in down:
-        first = path.devices[0]
-        if first in seen_first:
-            continue
-        seen_first.add(first)
-        t = devices[first]
+    # Each distinct first device once, in the order the paths list
+    # them: the per-pair walk leaves ``net`` through its devices in
+    # reversed ``ccc.transistors`` order, i.e. by descending slot.
+    for slot in sorted(set(down.chains()[:, 0].tolist()), reverse=True):
+        t = devices[names[slot]]
         model = tech.mosfet(t.polarity, annotated.corner)
         total += model.leakage(vdd, t.w_um, t.effective_length(tech.l_min_um))
     return total

@@ -15,7 +15,7 @@ designer look; above that it passes.
 from __future__ import annotations
 
 from repro.checks.base import Check, CheckContext, Finding, Severity
-from repro.checks.helpers import device_map, path_resistance
+from repro.checks.helpers import device_map, device_resistances
 from repro.recognition.conduction import conduction_paths
 
 
@@ -27,6 +27,7 @@ class WritabilityCheck(Check):
         devices = device_map(ctx.typical)
         settings = ctx.settings
         cccs_by_net = {}
+        rons: dict[int, list[float]] = {}  # by CCC: its nodes share it
         for classification in ctx.design.classifications:
             for net in classification.ccc.channel_nets:
                 cccs_by_net[net] = classification.ccc
@@ -41,41 +42,47 @@ class WritabilityCheck(Check):
             partner_set = {node.net}
             if node.partner:
                 partner_set.add(node.partner)
-            down = conduction_paths(ccc, node.net, "gnd").paths()
-            up = conduction_paths(ccc, node.net, "vdd").paths()
+            down = conduction_paths(ccc, node.net, "gnd")
+            up = conduction_paths(ccc, node.net, "vdd")
 
-            def is_feedback(path) -> bool:
+            def feedback(paths) -> list:
                 # A restoring path is gated by the loop itself (the
                 # partner node or the node's own derived value).
-                if path.gates() & partner_set:
-                    return True
-                # Without a named partner, fall back to "does not use
-                # the write devices".
-                return node.partner is None and not (set(path.devices) & write_set)
+                sides = [paths.where(through=partner_set)]
+                if node.partner is None:
+                    # Without a named partner, fall back to "does not
+                    # use the write devices".
+                    sides.append(paths.where(avoid_devices=write_set))
+                return [s for s in sides if s]
 
-            feedback_down = [p for p in down if is_feedback(p)]
-            feedback_up = [p for p in up if is_feedback(p)]
+            feedback_down = feedback(down)
+            feedback_up = feedback(up)
             write_paths = [
-                p for p in (*down, *up, *_port_paths(ctx, ccc, node.net))
-                if (set(p.devices) & write_set) and not is_feedback(p)
+                s for s in (
+                    p.where(using=write_set, avoid_gates=partner_set)
+                    for p in (down, up, *_port_paths(ctx, ccc, node.net)))
+                if s
             ]
             if (not feedback_down and not feedback_up) or not write_paths:
                 continue
 
-            def side_conductance(paths) -> float:
-                if not paths:
-                    return 0.0
-                return max(1.0 / path_resistance(p, ctx.typical, devices)
-                           for p in paths)
+            ron = rons.get(id(ccc))
+            if ron is None:
+                ron = rons[id(ccc)] = device_resistances(
+                    down.device_names, ctx.typical, devices)
 
-            g_down = side_conductance(feedback_down)
-            g_up = side_conductance(feedback_up)
+            def conductance(sets) -> float:
+                if not sets:
+                    return 0.0
+                return max(1.0 / r for s in sets for r in s.sums(ron))
+
+            g_down = conductance(feedback_down)
+            g_up = conductance(feedback_up)
             # A differential write flips the cell through its *weaker*
             # held side; with feedback on one side only, that side is it.
             sides = [g for g in (g_down, g_up) if g > 0]
             g_feedback = min(sides)
-            g_write = max(1.0 / path_resistance(p, ctx.typical, devices)
-                          for p in write_paths)
+            g_write = conductance(write_paths)
             ratio = g_write / g_feedback if g_feedback > 0 else float("inf")
             if ratio < settings.write_ratio_min:
                 severity = Severity.VIOLATION
@@ -94,8 +101,8 @@ class WritabilityCheck(Check):
 
 
 def _port_paths(ctx: CheckContext, ccc, net: str):
-    """Paths from the storage node to externally driven (port) nets --
-    the data side of an access/pass write."""
+    """Path sets from the storage node to externally driven (port) nets
+    -- the data side of an access/pass write."""
     flat_nets = ctx.typical.flat.nets
     out = []
     for other in sorted(ccc.channel_nets):
@@ -103,5 +110,5 @@ def _port_paths(ctx: CheckContext, ccc, net: str):
             continue
         flat_net = flat_nets.get(other)
         if flat_net is not None and flat_net.is_port:
-            out.extend(conduction_paths(ccc, net, other).paths())
+            out.append(conduction_paths(ccc, net, other))
     return out

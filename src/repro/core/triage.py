@@ -50,14 +50,38 @@ class DesignerQueue:
     """Prioritized inspection queue with waiver bookkeeping."""
 
     items: list[QueueItem] = field(default_factory=list)
+    #: Identity -> first item of ``items`` with it, over the first
+    #: ``_indexed`` items of the list object ``_indexed_list``.
+    _first: dict[tuple, QueueItem] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _indexed: int = field(default=0, init=False, repr=False, compare=False)
+    _indexed_list: list | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def _absorb(self, item: QueueItem) -> None:
-        """Append ``item``, collapsing exact duplicates into a count."""
-        for existing in self.items:
-            if existing.identity() == item.identity():
-                existing.count += item.count
-                return
-        self.items.append(item)
+        """Append ``item``, collapsing exact duplicates into a count on
+        the first item (in list order, waived or not) with its identity.
+
+        Callers may append to ``items`` directly (a restored report
+        does); the index takes those in on the next call, and starts
+        over if the list was replaced or shrank.
+        """
+        items = self.items
+        if self._indexed_list is not items or self._indexed > len(items):
+            self._first = {}
+            self._indexed = 0
+            self._indexed_list = items
+        first = self._first
+        for existing in items[self._indexed:]:
+            first.setdefault(existing.identity(), existing)
+        key = item.identity()
+        existing = first.get(key)
+        if existing is not None:
+            existing.count += item.count
+        else:
+            items.append(item)
+            first[key] = item
+        self._indexed = len(items)
 
     def add_findings(self, findings: list[Finding]) -> None:
         for f in findings:

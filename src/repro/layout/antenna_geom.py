@@ -55,6 +55,11 @@ def antenna_geometry(
     metal_layers: tuple[str, ...] = ("metal1", "metal2", "metal3"),
 ) -> list[AntennaGeometry]:
     """Antenna accounting for every net that drives at least one gate."""
+    # Each (net, layer)'s rectangle areas in layout order, gathered in
+    # one pass: the per-layer sums add them in that order.
+    areas: dict[tuple[str, str], list[float]] = {}
+    for r in layout.rects:
+        areas.setdefault((r.net, r.layer), []).append(r.area())
     out: list[AntennaGeometry] = []
     for net in sorted(flat.nets):
         flat_net = flat.nets[net]
@@ -65,7 +70,8 @@ def antenna_geometry(
         for pin in gate_pins:
             device = flat.transistor(pin.device)
             gate_area += device.w_um * device.effective_length(l_min_um)
-        metal_area = sum(layout.net_area(net, layer) for layer in metal_layers)
+        metal_area = sum(sum(areas.get((net, layer), ()))
+                         for layer in metal_layers)
         has_diffusion = bool(flat_net.channel_pins())
         out.append(AntennaGeometry(
             net=net,

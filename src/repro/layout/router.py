@@ -14,6 +14,8 @@ over.
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.layout.geometry import Rect
@@ -55,6 +57,8 @@ def channel_route(
     """
     if channel_y1 <= channel_y0:
         raise ValueError("channel has non-positive height")
+    if wire_width < 0:
+        raise ValueError(f"wire width {wire_width} um is negative")
 
     # Net spans, sorted by left edge (left-edge algorithm).
     spans: list[tuple[float, float, str]] = []
@@ -66,20 +70,20 @@ def channel_route(
     spans.sort()
 
     # Greedy track assignment: place each net on the first track whose
-    # occupied intervals don't overlap its span.
-    tracks: list[list[tuple[float, float]]] = []
+    # occupied intervals don't overlap its span.  Spans arrive by left
+    # edge, so every interval on a track starts at or before this one,
+    # and one placed after another starts past its right edge: the
+    # track's last interval ends rightmost and is the only one to test.
+    tracks: list[float] = []  # right edge of each track's last interval
     assignment: dict[str, int] = {}
     for x_min, x_max, net in spans:
-        placed = False
-        for idx, occupied in enumerate(tracks):
-            if all(x_max + wire_width < lo or hi + wire_width < x_min
-                   for lo, hi in occupied):
-                occupied.append((x_min, x_max))
+        for idx, right in enumerate(tracks):
+            if right + wire_width < x_min:
+                tracks[idx] = x_max
                 assignment[net] = idx
-                placed = True
                 break
-        if not placed:
-            tracks.append([(x_min, x_max)])
+        else:
+            tracks.append(x_max)
             assignment[net] = len(tracks) - 1
 
     needed_height = len(tracks) * track_pitch
@@ -113,16 +117,23 @@ def parallel_runs(segments: list[RouteSegment],
     """Pairs of distinct-net trunk segments running side by side.
 
     Returns (net_a, net_b, parallel_length_um, gap_um) tuples -- the
-    geometric input to coupling extraction.
+    geometric input to coupling extraction -- in trunk order of
+    ``(a, b)``.  Only trunks on adjacent tracks couple meaningfully, so
+    each trunk meets just the later trunks one track away.
     """
     trunks = [s for s in segments if s.kind == "trunk"]
+    on_track: dict[int, list[int]] = {}
+    for j, trunk in enumerate(trunks):
+        on_track.setdefault(trunk.track, []).append(j)
     out: list[tuple[str, str, float, float]] = []
     for i, a in enumerate(trunks):
-        for b in trunks[i + 1:]:
+        below = on_track.get(a.track - 1, [])
+        above = on_track.get(a.track + 1, [])
+        later = heapq.merge(below[bisect_right(below, i):],
+                            above[bisect_right(above, i):])
+        for b in map(trunks.__getitem__, later):
             if a.net == b.net:
                 continue
-            if abs(a.track - b.track) != 1:
-                continue  # only adjacent tracks couple meaningfully
             run = a.rect.horizontal_overlap(b.rect)
             if run <= 0:
                 continue

@@ -24,11 +24,17 @@ union, polarity and net filters, pure-clock and footer tests, truth
 tables -- and answers them with integer operations on those masks,
 building no per-path objects.
 
-Who materializes paths
-----------------------
-Consumers that price or walk individual paths -- the STA graph, the
-electrical checks that read path devices, and the scalar switch-sim
-engine -- call :meth:`PathSet.paths`, which turns the nodes into
+Who walks paths
+---------------
+Consumers that price individual paths -- the STA graph and the
+electrical checks -- read each path's devices straight off the sweep
+record: :meth:`PathSet.chains` walks the pair's parent chains into
+device slots, and :meth:`PathSet.sums` adds per-device values along
+them (in Python for small sets, with numpy columns for large ones).
+Gate and device tests are mask bits (:meth:`PathSet.where`,
+:meth:`PathSet.rows_by_gate`).
+Only the scalar switch-sim engine and the test oracles call
+:meth:`PathSet.paths`, which turns the nodes into
 :class:`ConductionPath` objects once per pair and keeps them on the
 ``PathSet``.  The packed switch tables read the same sweep records as
 CSR rows and never materialize.
@@ -90,7 +96,7 @@ to the source joins no two nets) and raises ``ValueError``.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, repeat
@@ -161,26 +167,31 @@ def _bit_names(mask: int, names: list[str]) -> set[str]:
 class PathSet:
     """The conduction paths of one ``(source, target)`` pair, packed.
 
-    Holds the pair's arrival nodes in the target's sweep record and,
+    Holds the pair's arrival nodes in the target's sweep record (an
+    ``intc`` array: the record's bucket itself, or a subset of it) and,
     from the first order-free query on, each path's mask over the
     CCC's switch graph (:func:`_graph` documents the bit layout).
-    Every query except :meth:`paths` is order-free and answered from
-    the masks; the filters return a new ``PathSet`` over a subset of
-    the nodes.
+    The queries are order-free and answered from the masks, except the
+    per-path walks (:meth:`chains`, :meth:`sums`, :meth:`rows_by_gate`),
+    which follow the set's node order, and :meth:`paths`; the filters
+    return a new ``PathSet`` over a subset of the nodes.
 
     Holds the sweep record and graph, never the CCC: the set lives in
     ``ccc.path_cache``, and a reference back would form a cycle that
     only the cyclic garbage collector frees.
     """
 
-    __slots__ = ("_g", "_ts", "_nodes", "_mask_list", "_paths")
+    __slots__ = ("_g", "_ts", "_nodes", "_mask_list", "_walked", "_gate_rows",
+                 "_paths")
 
-    def __init__(self, g: dict, ts: dict, nodes: list[int],
+    def __init__(self, g: dict, ts: dict, nodes: np.ndarray,
                  masks: list[int] | None = None) -> None:
         self._g = g
         self._ts = ts
         self._nodes = nodes
         self._mask_list = masks
+        self._walked: list[list[int]] | None = None
+        self._gate_rows: dict[str, Sequence[int]] | None = None
         self._paths: tuple[ConductionPath, ...] | None = None
 
     def __len__(self) -> int:
@@ -197,14 +208,16 @@ class PathSet:
         if self._mask_list is None:
             recorded = self._ts.get("mask")
             if recorded is not None:
-                self._mask_list = list(map(recorded.__getitem__, self._nodes))
+                self._mask_list = list(map(recorded.__getitem__,
+                                           self._nodes.tolist()))
             else:
                 self._mask_list = _chain_masks(self._g, self._ts, self._nodes)
         return self._mask_list
 
     def _keep(self, bad: int, need: int | None = None) -> PathSet:
         """The paths whose masks share no bit with ``bad`` and, when
-        ``need`` is given, at least one with ``need``."""
+        ``need`` is given, at least one with ``need``; a kept walk
+        (:meth:`_walk`) is filtered along."""
         masks = self._masks
         if need is not None:
             sel = [m & need and not m & bad for m in masks]
@@ -212,8 +225,11 @@ class PathSet:
             sel = [not m & bad for m in masks]
         if all(sel):
             return self
-        return PathSet(self._g, self._ts, list(compress(self._nodes, sel)),
+        kept = PathSet(self._g, self._ts, self._nodes[np.array(sel, bool)],
                        list(compress(masks, sel)))
+        if self._walked is not None:
+            kept._walked = list(compress(self._walked, sel))
+        return kept
 
     def _union(self) -> int:
         return reduce(or_, self._masks, 0)
@@ -229,7 +245,39 @@ class PathSet:
                 bits |= (1 << (g["hi0"] + gid)) | (1 << (g["lo0"] + gid))
         return bits
 
+    def _device_bits(self, names: Iterable[str]) -> int:
+        """The device bits of ``names``."""
+        wanted = set(names)
+        bits = 0
+        for slot, name in enumerate(self._g["dev_names"]):
+            if name in wanted:
+                bits |= 1 << slot
+        return bits
+
+    @property
+    def device_names(self) -> list[str]:
+        """Device names by slot: ``ccc.transistors`` order, the index
+        space of :meth:`chains` and of the values :meth:`sums` reads."""
+        return self._g["dev_names"]
+
     # -- filters -------------------------------------------------------------
+
+    def where(self, *, through: Iterable[str] = (),
+              using: Iterable[str] = (),
+              avoid_gates: Iterable[str] = (),
+              avoid_devices: Iterable[str] = ()) -> PathSet:
+        """The paths with a condition on one of ``through`` (if given),
+        through one of the devices ``using`` (if given), and with no
+        condition on ``avoid_gates`` and no device in ``avoid_devices``."""
+        out = self
+        through = list(through)
+        if through:
+            out = out._keep(0, need=self._gate_bits(through))
+        using = list(using)
+        if using:
+            out = out._keep(0, need=self._device_bits(using))
+        bad = self._gate_bits(avoid_gates) | self._device_bits(avoid_devices)
+        return out._keep(bad) if bad else out
 
     def avoiding(self, nets: Iterable[str]) -> PathSet:
         """The paths that touch none of ``nets`` (either end included)."""
@@ -336,6 +384,113 @@ class PathSet:
             unseen &= ~by_len[d]
         return out
 
+    def rows_by_gate(self) -> dict[str, Sequence[int]]:
+        """For each gate net some path has a condition on, the positions
+        (in node order, ascending) of the paths that have one.  Kept."""
+        if self._gate_rows is not None:
+            return self._gate_rows
+        g = self._g
+        names = g["gate_names"]
+        rows: dict[str, Sequence[int]] = {}
+        if self._walks_in_python():
+            dev_gate = g["dev_gate"]
+            for row, slots in enumerate(self._walk()):
+                for slot in slots:
+                    gid = dev_gate[slot]
+                    if gid >= 0:
+                        at = rows.setdefault(names[gid], [])
+                        if not at or at[-1] != row:
+                            at.append(row)
+        else:
+            chains = self.chains()
+            gate_of = np.append(np.asarray(g["dev_gate"], np.int64),
+                                -1)[chains]
+            gated = gate_of >= 0
+            hit = np.zeros((len(names), len(chains)), bool)
+            hit[gate_of[gated], np.nonzero(gated)[0]] = True
+            gid, row = np.nonzero(hit)  # by gate, then row
+            # ``array`` rows: an arc keeps them, at 4 bytes a path.
+            row = row.astype(np.intc)
+            cuts = (np.flatnonzero(np.diff(gid)) + 1).tolist()
+            for lo, hi in zip([0, *cuts], [*cuts, len(row)]):
+                if lo < hi:
+                    rows[names[gid[lo]]] = array("i", row[lo:hi].tobytes())
+        self._gate_rows = rows
+        return rows
+
+    # -- per-path walks ------------------------------------------------------------
+
+    def _walks_in_python(self) -> bool:
+        """Whether :meth:`sums` and :meth:`rows_by_gate` walk this set in
+        Python, keeping the walk, rather than with numpy per call
+        (``_NUMPY_MIN_PATHS``)."""
+        return len(self._nodes) < _NUMPY_MIN_PATHS
+
+    def _walk(self) -> list[list[int]]:
+        """:meth:`chains` as Python lists, walked once and kept: a small
+        set is priced again by every timing build and check, and its
+        lists cost less than the walk."""
+        if self._walked is None:
+            ts = self._ts
+            par, dev = memoryview(ts["par"]), memoryview(ts["dev"])
+            walked = []
+            for node in self._nodes.tolist():
+                slots = []
+                while node >= 0:
+                    slots.append(dev[node])
+                    node = par[node]
+                walked.append(slots)
+            self._walked = walked
+        return self._walked
+
+    def chains(self) -> np.ndarray:
+        """Device slots along each path, source to target.
+
+        One row per path in the set's node order, padded with ``-1``
+        past the path's last device; slots index :attr:`device_names`.
+        The pair's parent chains (the record's ``par``/``dev`` columns)
+        run from each arrival back to the root, i.e. already in
+        source-to-target order, and are walked one level at a time for
+        every path at once.  Built per call and not kept.
+        """
+        return _chains(self._ts, self._nodes)
+
+    def sums(self, values: Sequence[float],
+             ascending: bool = False) -> list[float]:
+        """Each path's sum of per-device ``values``, in node order.
+
+        ``values[slot]`` is device ``slot``'s value.  A path's values
+        are added left to right from ``0.0`` in path order (source to
+        target), or smallest first when ``ascending`` -- a sum that then
+        depends only on the multiset of values.  Small sets are walked
+        in Python (once, :meth:`_walk`); larger ones add :meth:`chains`
+        columns with numpy, which gives the same sums because the
+        ``0.0`` padding adds nothing.
+        """
+        walked = self._walked
+        if walked is None:
+            if not self._walks_in_python():
+                cols = np.append(np.asarray(values, np.float64),
+                                 0.0)[self.chains()]
+                if ascending:
+                    cols.sort(axis=1)
+                total = np.zeros(len(cols))
+                for col in cols.T:
+                    total += col
+                return total.tolist()
+            walked = self._walk()
+        sums = []
+        for slots in walked:
+            # From 0.0, two values add to the same sum in either order:
+            # only longer paths need sorting.
+            if ascending and len(slots) > 2:
+                slots = sorted(slots, key=values.__getitem__)
+            total = 0.0
+            for slot in slots:
+                total += values[slot]
+            sums.append(total)
+        return sums
+
     # -- materialization -----------------------------------------------------------
 
     def paths(self) -> tuple[ConductionPath, ...]:
@@ -355,7 +510,7 @@ class PathSet:
         dev_gate, dev_level = g["dev_gate"], g["dev_level"]
         gate_names = g["gate_names"]
         keyed: list[tuple[tuple[int, ...], ConductionPath]] = []
-        for node in self._nodes:
+        for node in self._nodes.tolist():
             key: list[int] = []
             devs: list[str] = []
             conds: list[tuple[str, bool]] = []
@@ -413,10 +568,14 @@ def conduction_paths(
             f"{target!r} exceeded {max_paths} paths"
         )
     bucket = ts["buckets"].get(sid) if sid is not None else None
-    nodes = bucket.tolist() if bucket is not None else []
-    result = PathSet(g, ts, nodes)
+    result = PathSet(g, ts, bucket if bucket is not None else _NO_NODES)
     ccc.path_cache[key] = result
     return result
+
+
+#: The nodes of a pair without paths.
+_NO_NODES = np.empty(0, np.intc)
+_NO_NODES.flags.writeable = False
 
 
 def _sweep_state(ccc: ChannelConnectedComponent) -> dict:
@@ -550,6 +709,16 @@ def _graph(ccc: ChannelConnectedComponent) -> dict:
     return g
 
 
+#: Path count from which a :class:`PathSet` sums and groups its paths
+#: with numpy per call instead of walking them once in Python and
+#: keeping the walk.  Chosen by timing the STA graph (cold and warm
+#: builds) plus the beta-ratio, edge-rate and writability checks on
+#: ``chip_scale(1000)`` and ``chip_scale(5000)`` at several cutoffs:
+#: 32 was fastest at both, 128 within 3%, 8 6-11% slower, Python for
+#: the DFS records and numpy for the BFS ones 5-12% slower, all-Python
+#: 30-100% and all-numpy 30-55% slower.
+_NUMPY_MIN_PATHS = 32
+
 #: Device count above which :func:`sweep_paths_to_target` switches from
 #: the per-node Python DFS to the level-synchronous vectorized BFS.
 #: Both produce equivalent sweep records (consumers restore per-pair
@@ -570,7 +739,8 @@ def _bfs_csr(g: dict) -> dict:
     carries the mask positions it probes: the arrival net, the device,
     and the gate level that contradicts its condition (``veto``).
     ``dev_rows`` holds each device's ``dev_bits`` as uint64 words, low
-    word first.
+    word first, plus a zero row last, so the ``-1`` padding of
+    :func:`_chains` reads as no device.
     """
     csr = g.get("csr")
     if csr is not None:
@@ -597,27 +767,35 @@ def _bfs_csr(g: dict) -> dict:
                              + gid, 0),
         "dev_rows": np.array(
             [[(b >> (64 * k)) & word for k in range(width)]
-             for b in g["dev_bits"]], np.uint64).reshape(-1, width),
+             for b in [*g["dev_bits"], 0]], np.uint64).reshape(-1, width),
     }
     return csr
 
 
-def _chain_masks(g: dict, ts: dict, nodes: list[int]) -> list[int]:
-    """The masks of ``nodes``' paths in a sweep record, computed by
-    OR-ing ``dev_rows`` up all their parent chains at once."""
-    dev_rows = _bfs_csr(g)["dev_rows"]
+def _chains(ts: dict, nodes: np.ndarray) -> np.ndarray:
+    """The device slots of ``nodes``' paths in a sweep record, one row
+    per node, walked up all their parent chains at once (layout in
+    :meth:`PathSet.chains`)."""
     par, dev = ts["par"], ts["dev"]
     cur = np.asarray(nodes, np.int64)
-    rows = dev_rows[dev[cur]]
+    width = int(ts["depth"][cur].max()) if cur.size else 0
+    out = np.full((cur.size, width), -1, np.intc)
     live = np.arange(cur.size)
-    cur = par[cur]
-    while True:
+    for level in range(width):
+        out[live, level] = dev[cur]
+        cur = par[cur]
         up = cur >= 0
         live, cur = live[up], cur[up]
-        if not cur.size:
-            break
-        rows[live] |= dev_rows[dev[cur]]
-        cur = par[cur]
+    return out
+
+
+def _chain_masks(g: dict, ts: dict, nodes: np.ndarray) -> list[int]:
+    """The masks of ``nodes``' paths in a sweep record: ``dev_rows``
+    OR-ed along their :func:`_chains`."""
+    dev_rows = _bfs_csr(g)["dev_rows"]
+    rows = np.zeros((len(nodes), dev_rows.shape[1]), np.uint64)
+    for col in _chains(ts, nodes).T:
+        rows |= dev_rows[col]
     return _rows_to_ints(rows)
 
 

@@ -33,6 +33,29 @@ technology; stale hits are impossible because every input
 from __future__ import annotations
 
 
+class HashedTuple(tuple):
+    """A tuple that computes its hash once.
+
+    An arc-price key repeats its CCC's canonical structure and device
+    geometry for every arc of the CCC, and a plain tuple rehashes both
+    on every lookup -- for large CCCs, most of a cache consultation.
+    It is equal to, and hashes like, the plain tuple of its items, so
+    keys built from either are interchangeable.
+    """
+
+    def __new__(cls, items=()):
+        self = super().__new__(cls, items)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: rehash on unpickling.
+        return (HashedTuple, (tuple(self),))
+
+
 class ArcPriceCache:
     """Session-scoped memo of drive bounds, safe to share across builds."""
 

@@ -15,11 +15,12 @@ honest without full slew propagation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from repro.extraction.annotate import AnnotatedDesign
 from repro.process.corners import Corner
-from repro.recognition.conduction import ConductionPath
+from repro.recognition.conduction import PathSet
 from repro.timing.pessimism import PessimismSettings
 
 
@@ -37,23 +38,6 @@ class ArcDelay:
 
 #: Fraction of the driver time-constant added as a slew penalty.
 SLEW_FRACTION = 0.5
-
-
-@dataclass
-class CccPrices:
-    """(FAST, SLOW) resistances already priced for one CCC's arcs.
-
-    ``devices`` is keyed by device name and ``paths`` by a path's device
-    tuple.  A conduction path lies on one arc per gate net it crosses,
-    so sharing one memo across a CCC's arcs prices each device and each
-    path once.  Names do not change when a device is resized, so a memo
-    must not outlive the loop that builds it:
-    :func:`~repro.timing.graph.build_timing_graph` makes one per CCC.
-    """
-
-    devices: dict[str, tuple[float, float]] = field(default_factory=dict)
-    paths: dict[tuple[str, ...], tuple[float, float]] = field(
-        default_factory=dict)
 
 
 class ArcDelayCalculator:
@@ -90,26 +74,37 @@ class ArcDelayCalculator:
 
     # -- path resistance -----------------------------------------------------
 
-    def _path_bounds(self, path: ConductionPath,
-                     prices: CccPrices) -> tuple[float, float]:
-        """(FAST, SLOW) resistance of one path, device values read from
-        each corner's shape table through ``prices.devices``."""
-        fast = []
-        slow = []
-        for name in path.devices:
-            device_prices = prices.devices.get(name)
-            if device_prices is None:
-                device = self._device_fast[name]
-                device_prices = (self.fast.on_resistance(device),
-                                 self.slow.on_resistance(device))
-                prices.devices[name] = device_prices
-            fast.append(device_prices[0])
-            slow.append(device_prices[1])
-        # Summed in sorted order so the result depends only on the
-        # multiset of device resistances, never on device *names* --
-        # which is what lets topologically identical bit-slices share
-        # one bit-identical resistance via the arc-price cache.
-        return sum(sorted(fast)), sum(sorted(slow))
+    def device_resistances(
+        self, names: Sequence[str],
+    ) -> tuple[list[float], list[float]]:
+        """(FAST, SLOW) on-resistance of each named device, read from
+        each corner's shape table."""
+        devices = list(map(self._device_fast.__getitem__, names))
+        return (list(map(self.fast.on_resistance, devices)),
+                list(map(self.slow.on_resistance, devices)))
+
+    def path_resistances(
+        self,
+        paths: PathSet,
+        devices: tuple[list[float], list[float]] | None = None,
+    ) -> tuple[list[float], list[float]]:
+        """(FAST, SLOW) resistance of each path in ``paths``, in its node
+        order.
+
+        A path's device resistances are added left to right in
+        ascending order, so the result depends only on their multiset,
+        never on device *names* -- which is what lets topologically
+        identical bit-slices share one bit-identical resistance via the
+        arc-price cache -- and not on the interpreter's ``sum``.
+        ``devices`` is :meth:`device_resistances` of
+        ``paths.device_names``, for a caller pricing many sets of one
+        CCC.
+        """
+        if devices is None:
+            devices = self.device_resistances(paths.device_names)
+        fast, slow = devices
+        return (paths.sums(fast, ascending=True),
+                paths.sums(slow, ascending=True))
 
     def _load(self, net: str, design: AnnotatedDesign, maximal: bool) -> float:
         load = design.load(net)
@@ -125,68 +120,89 @@ class ArcDelayCalculator:
 
     def drive_bounds(
         self,
-        paths_through_input: list[ConductionPath],
-        prices: CccPrices | None = None,
+        paths: Sequence[tuple[PathSet, Sequence[int] | None]],
+        prices: PathPrices | None = None,
     ) -> tuple[float, float]:
-        """(min, max) driver resistance over the given conduction paths.
+        """(min, max) driver resistance over an arc's paths.
 
-        The load-independent half of :meth:`arc_delay`: min resistance
-        at the FAST corner, max at the SLOW corner.  It is a pure
-        function of the driver topology and device geometry, which
+        ``paths`` is the arc's selection: ``(pair, rows)`` for each
+        source pair it draws on, ``rows`` the positions of the arc's
+        paths in the pair (:meth:`PathSet.rows_by_gate`) or None for all
+        of them.  The load-independent half of :meth:`arc_delay`: min
+        resistance at the FAST corner, max at the SLOW corner.  It is a
+        pure function of the driver topology and device geometry, which
         makes it the cacheable unit shared by identical bit-slices
-        (:mod:`repro.timing.arccache`).  ``prices`` is the memo shared
-        by the arcs of one CCC; without one, the arc is priced alone.
+        (:mod:`repro.timing.arccache`).  ``prices`` is a
+        :class:`PathPrices` shared by the caller's arcs; without one,
+        the arc is priced alone.
         """
-        if not paths_through_input:
-            raise ValueError("arc needs at least one conduction path")
         if prices is None:
-            prices = CccPrices()
-        bounds = []
-        for path in paths_through_input:
-            path_prices = prices.paths.get(path.devices)
-            if path_prices is None:
-                path_prices = self._path_bounds(path, prices)
-                prices.paths[path.devices] = path_prices
-            bounds.append(path_prices)
-        r_min = min(r_fast for r_fast, _ in bounds)
-        r_max = max(r_slow for _, r_slow in bounds)
-        return r_min, r_max
+            prices = PathPrices(self)
+        lows: list[float] = []
+        highs: list[float] = []
+        for pair, rows in paths:
+            fast, slow = prices[pair]
+            if rows is None:
+                lows.append(min(fast))
+                highs.append(max(slow))
+            else:
+                for row in rows:
+                    lows.append(fast[row])
+                    highs.append(slow[row])
+        if not lows:
+            raise ValueError("arc needs at least one conduction path")
+        return min(lows), max(highs)
+
+    def load_terms(self, output_net: str) -> tuple[float, ...]:
+        """``output_net``'s half of :meth:`delay_from_drive`: (SLOW wire
+        resistance, maximal load, max derate, FAST wire resistance,
+        minimal load, min derate)."""
+        p = self.pessimism
+        return (self._wire_resistance(output_net, self.slow, maximal=True),
+                self._load(output_net, self.slow, maximal=True),
+                p.effective_derate_max(),
+                self._wire_resistance(output_net, self.fast, maximal=False),
+                self._load(output_net, self.fast, maximal=False),
+                p.effective_derate_min())
 
     def delay_from_drive(
-        self, r_min: float, r_max: float, output_net: str
+        self, r_min: float, r_max: float, output_net: str,
+        terms: tuple[float, ...] | None = None,
     ) -> ArcDelay:
         """Apply ``output_net``'s load to precomputed drive bounds --
-        the per-arc half of :meth:`arc_delay`."""
-        p = self.pessimism
-
-        r_hi = r_max + self._wire_resistance(output_net, self.slow, maximal=True)
-        c_max = self._load(output_net, self.slow, maximal=True)
-        d_max = r_hi * c_max * (1.0 + SLEW_FRACTION) * p.effective_derate_max()
-
-        r_lo = r_min + self._wire_resistance(output_net, self.fast, maximal=False)
-        c_min = self._load(output_net, self.fast, maximal=False)
-        d_min = r_lo * c_min * p.effective_derate_min()
-
+        the per-arc half of :meth:`arc_delay`.  ``terms`` is
+        :meth:`load_terms` of ``output_net``, for a caller pricing many
+        arcs into one net."""
+        wire_hi, c_max, derate_max, wire_lo, c_min, derate_min = (
+            terms if terms is not None else self.load_terms(output_net))
+        d_max = (r_max + wire_hi) * c_max * (1.0 + SLEW_FRACTION) * derate_max
+        d_min = (r_min + wire_lo) * c_min * derate_min
         if d_min > d_max:  # possible only at scale 0 with rounding
             d_min = d_max
         return ArcDelay(d_min=d_min, d_max=d_max)
 
     def arc_delay(
         self,
-        paths_through_input: list[ConductionPath],
+        paths: Sequence[tuple[PathSet, Sequence[int] | None]],
         output_net: str,
+        prices: PathPrices | None = None,
     ) -> ArcDelay:
         """Bounded delay for a transition driven through any of the
-        given conduction paths onto ``output_net``.
+        given conduction paths (a :meth:`drive_bounds` selection) onto
+        ``output_net``.
 
         Max delay: the *most resistive* path at the SLOW corner into the
         maximal load.  Min delay: the *least resistive* path at the FAST
         corner into the minimal load.
         """
-        r_min, r_max = self.drive_bounds(paths_through_input)
+        r_min, r_max = self.drive_bounds(paths, prices)
         return self.delay_from_drive(r_min, r_max, output_net)
 
-    def nominal_delay(self, paths: list[ConductionPath], output_net: str) -> float:
+    def nominal_delay(
+        self,
+        paths: Sequence[tuple[PathSet, Sequence[int] | None]],
+        output_net: str,
+    ) -> float:
         """A single point estimate (geometric middle of the bounds)."""
         arc = self.arc_delay(paths, output_net)
         return (arc.d_min * arc.d_max) ** 0.5 if arc.d_min > 0 else arc.d_max / 2
@@ -203,3 +219,33 @@ class ArcDelayCalculator:
         pessimism are applied per arc, outside the cache.
         """
         return (id(self.slow.technology),)
+
+
+class PathPrices(dict):
+    """:meth:`ArcDelayCalculator.path_resistances` by
+    :class:`~repro.recognition.conduction.PathSet`, each set priced on
+    its first lookup and each CCC's devices priced once.
+
+    For a caller pricing many arcs over the same source pairs while no
+    device changes -- a graph build shares one per CCC, and
+    :func:`~repro.timing.graph.reprice_arcs` one per call.  A lookup of
+    a set already priced is a plain dict lookup.
+    """
+
+    __slots__ = ("_calculator", "_devices")
+
+    def __init__(self, calculator: ArcDelayCalculator) -> None:
+        super().__init__()
+        self._calculator = calculator
+        self._devices: dict[int, tuple[list[float], list[float]]] = {}
+
+    def __missing__(self, paths: PathSet) -> tuple[list[float], list[float]]:
+        # Keyed by the CCC's device-name list, which the sets priced
+        # keep alive.
+        names = paths.device_names
+        devices = self._devices.get(id(names))
+        if devices is None:
+            devices = self._devices[id(names)] = (
+                self._calculator.device_resistances(names))
+        sums = self[paths] = self._calculator.path_resistances(paths, devices)
+        return sums

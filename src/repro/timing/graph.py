@@ -24,7 +24,8 @@ from repro.recognition.conduction import conduction_paths
 from repro.recognition.families import CircuitFamily
 from repro.recognition.recognizer import RecognizedDesign
 from repro.recognition.signature import topology_signature
-from repro.timing.delay import ArcDelayCalculator, CccPrices
+from repro.timing.arccache import HashedTuple
+from repro.timing.delay import ArcDelayCalculator, PathPrices
 
 
 @dataclass
@@ -33,9 +34,12 @@ class DelayArc:
 
     ``kind`` is one of ``gate`` / ``precharge`` / ``evaluate`` /
     ``pass`` -- the constraint generator treats them differently.
-    ``paths`` retains the conduction paths the arc was priced from, so
-    re-pricing after an in-place device resize needs no re-enumeration;
-    it is bookkeeping, not identity (excluded from equality).
+    ``paths`` retains the arc's path selection -- ``(pair, rows)`` for
+    each source pair it draws on: the pair's
+    :class:`~repro.recognition.conduction.PathSet` and the positions of
+    the arc's paths in it, or None for all of them -- so re-pricing
+    after an in-place device resize needs no re-enumeration; it is
+    bookkeeping, not identity (excluded from equality).
     """
 
     src: str
@@ -166,6 +170,12 @@ def build_timing_graph(
     a ``pass`` arc.  Dynamic nodes are special-cased so precharge /
     evaluate arcs carry their kinds and keeper devices stay excluded.
 
+    Each source pair's paths are priced once, on the first arc-cache
+    miss that needs them, straight from the sweep record
+    (:class:`~repro.timing.delay.PathPrices`); an arc keeps its selection --
+    each pair with the positions of the arc's paths in it -- for
+    :func:`reprice_arcs`.
+
     ``arc_cache`` (an :class:`~repro.timing.arccache.ArcPriceCache`)
     memoizes pricing across topologically identical, identically sized,
     identically loaded arcs -- the N stamped bit-slices of a datapath
@@ -175,6 +185,9 @@ def build_timing_graph(
     graph = TimingGraph()
     flat_nets = design.flat.nets
     env_key = calculator.environment_key() if arc_cache is not None else None
+    # Nothing changes a load while the graph is built, so each
+    # destination's load half of the delay formula is read once.
+    loads: dict[str, tuple[float, ...]] = {}
 
     for classification in design.classifications:
         ccc = classification.ccc
@@ -184,26 +197,31 @@ def build_timing_graph(
         if arc_cache is not None:
             sig = topology_signature(ccc)
             by_name = {t.name: t for t in ccc.transistors}
-            geometry = tuple(
+            geometry = HashedTuple(
                 (by_name[n].w_um, by_name[n].l_um, by_name[n].l_add_um)
                 for n in sig.devices
             )
+            sig_key = HashedTuple(sig.key)
 
         # Nothing resizes a device while this CCC's arcs are built, so
-        # they can share one memo of device and path resistances.
-        prices = CccPrices()
+        # they share one memo: each source pair is priced once, on the
+        # first arc-cache miss that needs it.
+        prices = PathPrices(calculator)
 
-        def price(src: str, dst: str, kind: str, paths: list) -> DelayArc:
+        def price(src: str, dst: str, kind: str, selection: tuple) -> None:
             if arc_cache is not None and src in sig.labels and dst in sig.labels:
-                key = (sig.key, geometry, sig.labels[src], sig.labels[dst],
+                key = (sig_key, geometry, sig.labels[src], sig.labels[dst],
                        kind, env_key)
                 r_min, r_max = arc_cache.drive_bounds(
-                    key, lambda: calculator.drive_bounds(paths, prices))
+                    key, lambda: calculator.drive_bounds(selection, prices))
             else:
-                r_min, r_max = calculator.drive_bounds(paths, prices)
-            delay = calculator.delay_from_drive(r_min, r_max, dst)
-            return DelayArc(src=src, dst=dst, d_min=delay.d_min,
-                            d_max=delay.d_max, kind=kind, paths=tuple(paths))
+                r_min, r_max = calculator.drive_bounds(selection, prices)
+            terms = loads.get(dst)
+            if terms is None:
+                terms = loads[dst] = calculator.load_terms(dst)
+            delay = calculator.delay_from_drive(r_min, r_max, dst, terms)
+            graph.add(DelayArc(src=src, dst=dst, d_min=delay.d_min,
+                               d_max=delay.d_max, kind=kind, paths=selection))
 
         sources: list[str] = []
         if ccc.touches_rail("vdd"):
@@ -218,48 +236,47 @@ def build_timing_graph(
         outputs = sorted(ccc.output_nets or ccc.channel_nets)
         for out in outputs:
             if out in classification.dynamic_nodes:
-                _dynamic_arcs(graph, ccc, classification.dynamic_nodes[out],
-                              out, price)
+                _dynamic_arcs(ccc, classification.dynamic_nodes[out], out,
+                              price)
                 continue
-            arc_paths: dict[str, list] = {}
+            arc_parts: dict[str, list] = {}
             for src in sources + [p for p in port_sources if p != out]:
-                paths = conduction_paths(ccc, out, src).paths()
+                paths = conduction_paths(ccc, out, src)
                 if not paths:
                     continue
-                for path in paths:
-                    for gate_net in path.gates():
-                        arc_paths.setdefault(gate_net, []).append(path)
+                for gate_net, rows in paths.rows_by_gate().items():
+                    arc_parts.setdefault(gate_net, []).append((paths, rows))
                 if src not in ("vdd", "gnd"):
-                    graph.add(price(src, out, "pass", paths))
-            for gate_net, paths in sorted(arc_paths.items()):
+                    price(src, out, "pass", ((paths, None),))
+            for gate_net, parts in sorted(arc_parts.items()):
                 if gate_net == out:
                     continue  # self-feedback (keeper-like): not an event arc
                 kind = "pass" if classification.family in (
                     CircuitFamily.PASS_NETWORK, CircuitFamily.TRANSMISSION_GATE
                 ) else "gate"
-                graph.add(price(gate_net, out, kind, paths))
+                price(gate_net, out, kind, tuple(parts))
 
     _break_cycles(graph)
     return graph
 
 
-def _dynamic_arcs(graph, ccc, dyn, net, price) -> None:
+def _dynamic_arcs(ccc, dyn, net, price) -> None:
     """Precharge/evaluate arcs for one dynamic node; keepers excluded."""
-    down = conduction_paths(ccc, net, "gnd").paths()
-    up = conduction_paths(ccc, net, "vdd").paths()
-    pre_paths = [p for p in up if set(p.devices) <= set(dyn.precharge_devices)]
+    down = conduction_paths(ccc, net, "gnd")
+    up = conduction_paths(ccc, net, "vdd")
+    precharge = set(dyn.precharge_devices)
+    pre_paths = up.where(avoid_devices=[
+        name for name in up.device_names if name not in precharge])
     if pre_paths and dyn.clock:
-        graph.add(price(dyn.clock, net, "precharge", pre_paths))
+        price(dyn.clock, net, "precharge", ((pre_paths, None),))
+    through = down.rows_by_gate()
     for inp in sorted(dyn.eval_inputs):
-        through = [p for p in down if inp in p.gates()]
-        if not through:
-            continue
-        graph.add(price(inp, net, "evaluate", through))
+        if inp in through:
+            price(inp, net, "evaluate", ((down, through[inp]),))
     # Clock-through-foot evaluate arc (clock arrival can also trigger
     # the discharge when data is already stable).
-    foot_paths = [p for p in down if dyn.clock in p.gates()]
-    if foot_paths and dyn.clock:
-        graph.add(price(dyn.clock, net, "evaluate", foot_paths))
+    if dyn.clock and dyn.clock in through:
+        price(dyn.clock, net, "evaluate", ((down, through[dyn.clock]),))
 
 
 def reprice_arcs(
@@ -268,18 +285,19 @@ def reprice_arcs(
     dsts,
 ) -> int:
     """Re-price every arc into the given destination nets from its
-    retained conduction paths (after in-place device resizes and
+    retained path selection (after in-place device resizes and
     :func:`repro.extraction.annotate.update_net_loads`).
 
     Returns the number of arcs whose bounds actually moved; the graph
     records their destinations as dirty-cone seeds either way.
     """
     changed = 0
+    prices = PathPrices(calculator)
     for dst in dsts:
         for arc in graph.fanin.get(dst, []):
             if not arc.paths:
                 continue  # nothing retained: arc predates path bookkeeping
-            delay = calculator.arc_delay(list(arc.paths), arc.dst)
+            delay = calculator.arc_delay(arc.paths, arc.dst, prices)
             if graph.reprice(arc, delay.d_min, delay.d_max):
                 changed += 1
     return changed

@@ -14,11 +14,17 @@ bit-identical results.
   :meth:`repro.switchsim.tables.PackedSwitchTables.build` stamps
   per-CCC-shape templates from sweeps instead, and must match it byte
   for byte (:func:`table_mismatches`).
-* :class:`OracleDelayCalculator` -- STA arc pricing with one
+* :func:`reference_timing_graph` with :class:`OracleDelayCalculator`
+  -- the STA graph built from materialized path lists, priced with one
   ``MosfetModel.on_resistance`` call per device of every path of every
-  arc.  :class:`repro.timing.delay.ArcDelayCalculator` reads per-shape
-  resistance tables and prices each device and path once per CCC, and
-  must produce float-for-float the same arcs.
+  arc.  :func:`repro.timing.graph.build_timing_graph` prices each source
+  pair once from the sweep records with per-shape resistance tables,
+  and must produce float-for-float the same arcs.
+* :class:`OracleBetaRatioCheck`, :class:`OracleEdgeRateCheck`,
+  :class:`OracleWritabilityCheck` and :func:`reference_off_network_leakage`
+  -- the checks filtering and pricing materialized paths
+  (:func:`path_resistance` and friends), where production tests mask
+  bits and adds along the sweep records' parent chains.
 * :func:`support`, :func:`truth_table`, :func:`conduction_function` and
   the other path-list queries below -- the per-path forms of the
   order-free questions :class:`repro.recognition.conduction.PathSet`
@@ -31,6 +37,13 @@ bit-identical results.
   sets, a per-SCC scan of every gate edge and a device-list search per
   pass writer, where :func:`repro.recognition.latches.find_storage_nodes`
   reads supports, labels nets by SCC and holds the writers themselves.
+* :class:`ReferenceDesignerQueue` -- triage dedupe comparing each new
+  item with every queued one, where the production queue keeps an
+  identity index.
+* :func:`reference_channel_route`, :func:`reference_parallel_runs` and
+  :func:`reference_antenna_geometry` -- the router testing every
+  interval of every track, coupling runs over every pair of trunks, and
+  antenna areas scanning every rectangle per net and layer.
 """
 
 from __future__ import annotations
@@ -40,14 +53,29 @@ from collections.abc import Iterable, Mapping
 import numpy as np
 
 from repro.checks.base import CheckContext, Finding, Severity
+from repro.checks.beta import BetaRatioCheck
+from repro.checks.edge_rate import EdgeRateCheck
+from repro.checks.helpers import device_map, pull_paths
 from repro.checks.hot_carrier import HotCarrierCheck
+from repro.checks.writability import WritabilityCheck
+from repro.core.triage import DesignerQueue, QueueItem
+from repro.layout.antenna_geom import AntennaGeometry
+from repro.layout.geometry import Rect
+from repro.layout.router import RouteSegment
 from repro.netlist.flatten import FlatNetlist
 from repro.netlist.nets import is_rail_name, is_supply_name
 from repro.recognition.ccc import ChannelConnectedComponent, extract_cccs
-from repro.recognition.conduction import ConductionPath, conduction_paths
+from repro.recognition.conduction import (
+    ConductionPath,
+    PathSet,
+    conduction_paths,
+)
 from repro.recognition.families import CCCClassification, CircuitFamily
+from repro.recognition.gates import drive_pull_paths
 from repro.recognition.latches import StorageNode, _strongly_connected
+from repro.recognition.signature import topology_signature
 from repro.timing.delay import ArcDelayCalculator
+from repro.timing.graph import DelayArc, TimingGraph, _break_cycles
 
 #: Every numpy column of the packed tables.
 TABLE_ARRAYS = (
@@ -278,11 +306,13 @@ def table_mismatches(tables, reference: dict) -> list[str]:
 
 
 class OracleDelayCalculator(ArcDelayCalculator):
-    """Arc pricing without the shape tables or the per-CCC memo.
+    """Arc pricing from path lists, without the shape tables.
 
     Every path of every arc is priced afresh, and every device on it
     costs one model evaluation.  Only the pricing differs from the
-    production calculator; loads and derates are inherited.
+    production calculator; loads and derates are inherited.  Its
+    :meth:`drive_bounds` takes a list of :class:`ConductionPath`, the
+    form :func:`reference_timing_graph` hands it.
     """
 
     def path_resistance(self, path: ConductionPath, design) -> float:
@@ -295,9 +325,9 @@ class OracleDelayCalculator(ArcDelayCalculator):
             values.append(model.on_resistance(
                 vdd, device.w_um, device.effective_length(tech.l_min_um)
             ))
-        return sum(sorted(values))
+        return ascending_sum(values)
 
-    def drive_bounds(self, paths_through_input, prices=None):
+    def drive_bounds(self, paths_through_input, resistances=None):
         if not paths_through_input:
             raise ValueError("arc needs at least one conduction path")
         r_min = min(self.path_resistance(path, self.fast)
@@ -305,6 +335,119 @@ class OracleDelayCalculator(ArcDelayCalculator):
         r_max = max(self.path_resistance(path, self.slow)
                     for path in paths_through_input)
         return r_min, r_max
+
+
+def ascending_sum(values: Iterable[float]) -> float:
+    """The STA path resistance: ``values`` added left to right, smallest
+    first -- never ``sum()``, which compensates its rounding from
+    Python 3.12 on."""
+    total = 0.0
+    for value in sorted(values):
+        total += value
+    return total
+
+
+def selected_paths(selection) -> tuple[ConductionPath, ...]:
+    """An arc's retained selection, materialized: for each ``(pair,
+    rows)`` in order, the pair's paths at ``rows`` (all when None) in
+    per-pair order."""
+    out: list[ConductionPath] = []
+    for pair, rows in selection:
+        if rows is not None:
+            pair = PathSet(pair._g, pair._ts, pair._nodes[rows])
+        out.extend(pair.paths())
+    return tuple(out)
+
+
+def path_at(pair: PathSet, row: int) -> ConductionPath:
+    """The path at position ``row`` of ``pair``'s node order, the order
+    of its per-path walks (``sums``, ``rows_by_gate``)."""
+    (path,) = selected_paths([(pair, [row])])
+    return path
+
+
+def reference_timing_graph(design, calculator: OracleDelayCalculator,
+                           arc_cache=None) -> TimingGraph:
+    """The timing graph built from materialized path lists.
+
+    The builder as it was before arcs priced packed selections: every
+    (output, source) pair is materialized with ``.paths()``, each arc
+    collects the :class:`ConductionPath` objects carrying its input,
+    and ``calculator.drive_bounds`` prices the list.  Arc order, kinds,
+    the self-feedback skip, the arc-cache keys and cycle breaking are
+    :func:`repro.timing.graph.build_timing_graph`'s.
+    """
+    graph = TimingGraph()
+    flat_nets = design.flat.nets
+    env_key = calculator.environment_key() if arc_cache is not None else None
+
+    for classification in design.classifications:
+        ccc = classification.ccc
+        sig = None
+        geometry = None
+        if arc_cache is not None:
+            sig = topology_signature(ccc)
+            by_name = {t.name: t for t in ccc.transistors}
+            geometry = tuple(
+                (by_name[n].w_um, by_name[n].l_um, by_name[n].l_add_um)
+                for n in sig.devices
+            )
+
+        def price(src, dst, kind, paths, sig=sig, geometry=geometry):
+            if arc_cache is not None and src in sig.labels and dst in sig.labels:
+                key = (sig.key, geometry, sig.labels[src], sig.labels[dst],
+                       kind, env_key)
+                r_min, r_max = arc_cache.drive_bounds(
+                    key, lambda: calculator.drive_bounds(paths))
+            else:
+                r_min, r_max = calculator.drive_bounds(paths)
+            delay = calculator.delay_from_drive(r_min, r_max, dst)
+            graph.add(DelayArc(src=src, dst=dst, d_min=delay.d_min,
+                               d_max=delay.d_max, kind=kind,
+                               paths=tuple(paths)))
+
+        sources = [rail for rail in ("vdd", "gnd") if ccc.touches_rail(rail)]
+        port_sources = sorted(
+            n for n in ccc.channel_nets
+            if n in flat_nets and flat_nets[n].is_port
+        )
+        for out in sorted(ccc.output_nets or ccc.channel_nets):
+            dyn = classification.dynamic_nodes.get(out)
+            if dyn is not None:
+                down = conduction_paths(ccc, out, "gnd").paths()
+                up = conduction_paths(ccc, out, "vdd").paths()
+                pre = [p for p in up
+                       if set(p.devices) <= set(dyn.precharge_devices)]
+                if pre and dyn.clock:
+                    price(dyn.clock, out, "precharge", pre)
+                for inp in sorted(dyn.eval_inputs):
+                    through = [p for p in down if inp in p.gates()]
+                    if through:
+                        price(inp, out, "evaluate", through)
+                foot = [p for p in down if dyn.clock in p.gates()]
+                if foot and dyn.clock:
+                    price(dyn.clock, out, "evaluate", foot)
+                continue
+            arc_paths: dict[str, list] = {}
+            for src in sources + [p for p in port_sources if p != out]:
+                paths = conduction_paths(ccc, out, src).paths()
+                if not paths:
+                    continue
+                for path in paths:
+                    for gate_net in path.gates():
+                        arc_paths.setdefault(gate_net, []).append(path)
+                if src not in ("vdd", "gnd"):
+                    price(src, out, "pass", paths)
+            for gate_net, paths in sorted(arc_paths.items()):
+                if gate_net == out:
+                    continue
+                kind = "pass" if classification.family in (
+                    CircuitFamily.PASS_NETWORK, CircuitFamily.TRANSMISSION_GATE
+                ) else "gate"
+                price(gate_net, out, kind, paths)
+
+    _break_cycles(graph)
+    return graph
 
 
 def arc_rows(graph) -> list[tuple]:
@@ -413,6 +556,204 @@ def device_depths(paths: Iterable[ConductionPath]) -> dict[str, int]:
 
 
 # -- checks and latch finding -------------------------------------------------
+
+
+def path_resistance(path: ConductionPath, annotated, devices) -> float:
+    """On-resistance of one fully conducting path at the context corner,
+    its devices' resistances added in path order."""
+    total = 0.0
+    for name in path.devices:
+        total += annotated.on_resistance(devices[name])
+    return total
+
+
+def best_resistance(paths: list[ConductionPath], annotated, devices) -> float:
+    """Resistance of the strongest (least resistive) path."""
+    return min(path_resistance(p, annotated, devices) for p in paths)
+
+
+def worst_resistance(paths: list[ConductionPath], annotated, devices) -> float:
+    """Resistance of the weakest (most resistive) path."""
+    return max(path_resistance(p, annotated, devices) for p in paths)
+
+
+def reference_off_network_leakage(ccc: ChannelConnectedComponent, net: str,
+                                  annotated, devices) -> float:
+    """:func:`repro.checks.helpers.off_network_leakage` over the
+    materialized pull-down paths: the first device of each distinct path,
+    in path order."""
+    tech = annotated.technology
+    vdd = tech.vdd_at(annotated.corner)
+    total = 0.0
+    seen_first: set[str] = set()
+    for path in conduction_paths(ccc, net, "gnd").paths():
+        first = path.devices[0]
+        if first in seen_first:
+            continue
+        seen_first.add(first)
+        t = devices[first]
+        model = tech.mosfet(t.polarity, annotated.corner)
+        total += model.leakage(vdd, t.w_um, t.effective_length(tech.l_min_um))
+    return total
+
+
+class OracleBetaRatioCheck(BetaRatioCheck):
+    """The beta-ratio check pricing materialized path lists."""
+
+    def run(self, ctx: CheckContext) -> list[Finding]:
+        findings: list[Finding] = []
+        devices = device_map(ctx.typical)
+        settings = ctx.settings
+        for classification in ctx.design.classifications:
+            for out in classification.gates:
+                down, up = pull_paths(classification.ccc, out)
+                if not down or not up:
+                    continue
+                r_down = best_resistance(down.paths(), ctx.typical, devices)
+                r_up = best_resistance(up.paths(), ctx.typical, devices)
+                if r_up <= 0 or r_down <= 0:
+                    continue
+                ratio = (r_down / r_up)
+                deviation = max(ratio, 1.0 / ratio)
+                if deviation >= settings.beta_violation_band:
+                    severity = Severity.VIOLATION
+                    message = (f"pull networks differ by {deviation:.1f}x; "
+                               f"switching threshold collapsed toward a rail")
+                elif deviation >= settings.beta_filter_band:
+                    severity = Severity.FILTERED
+                    message = (f"{deviation:.1f}x skewed gate; confirm the "
+                               f"skew is intentional")
+                else:
+                    severity = Severity.PASS
+                    message = "pull networks balanced"
+                findings.append(self._finding(
+                    out, severity, message,
+                    deviation=deviation, r_up=r_up, r_down=r_down,
+                ))
+        return findings
+
+
+class OracleEdgeRateCheck(EdgeRateCheck):
+    """The edge-rate check filtering and pricing materialized paths."""
+
+    def run(self, ctx: CheckContext) -> list[Finding]:
+        findings: list[Finding] = []
+        devices = device_map(ctx.typical)
+        settings = ctx.settings
+        storage_nets = {n.net for n in ctx.design.storage}
+        for classification in ctx.design.classifications:
+            ccc = classification.ccc
+            outputs = set(classification.gates) | set(classification.dynamic_nodes)
+            for out in sorted(outputs):
+                if out in storage_nets:
+                    continue
+                down, up = (s.paths() for s in drive_pull_paths(ccc, out))
+                dyn = classification.dynamic_nodes.get(out)
+                if dyn is not None and dyn.keeper_devices:
+                    keepers = set(dyn.keeper_devices)
+                    down = [p for p in down if not set(p.devices) & keepers]
+                    up = [p for p in up if not set(p.devices) & keepers]
+                if not down and not up:
+                    continue
+                resistances = []
+                if down:
+                    resistances.append(worst_resistance(down, ctx.typical, devices))
+                if up:
+                    resistances.append(worst_resistance(up, ctx.typical, devices))
+                r_worst = max(resistances)
+                c_load = ctx.typical.load(out).total_max()
+                edge = 2.2 * r_worst * c_load
+                is_clock = out in ctx.design.clocks
+                limit = (settings.clock_edge_limit_s if is_clock
+                         else settings.signal_edge_limit_s)
+                if edge > limit:
+                    severity = Severity.VIOLATION
+                    message = (f"{'clock' if is_clock else 'signal'} edge "
+                               f"{edge * 1e12:.0f} ps exceeds "
+                               f"{limit * 1e12:.0f} ps limit")
+                elif edge > 0.7 * limit:
+                    severity = Severity.FILTERED
+                    message = f"edge {edge * 1e12:.0f} ps near the limit"
+                else:
+                    severity = Severity.PASS
+                    message = "edge rate healthy"
+                findings.append(self._finding(out, severity, message,
+                                              edge_s=edge, limit_s=limit))
+        return findings
+
+
+class OracleWritabilityCheck(WritabilityCheck):
+    """The writability check testing each materialized path."""
+
+    def run(self, ctx: CheckContext) -> list[Finding]:
+        findings: list[Finding] = []
+        devices = device_map(ctx.typical)
+        settings = ctx.settings
+        cccs_by_net = {}
+        for classification in ctx.design.classifications:
+            for net in classification.ccc.channel_nets:
+                cccs_by_net[net] = classification.ccc
+        flat_nets = ctx.typical.flat.nets
+
+        for node in ctx.design.storage:
+            if not node.static or not node.write_devices:
+                continue
+            ccc = cccs_by_net.get(node.net)
+            if ccc is None:
+                continue
+            write_set = set(node.write_devices)
+            partner_set = {node.net}
+            if node.partner:
+                partner_set.add(node.partner)
+            down = conduction_paths(ccc, node.net, "gnd").paths()
+            up = conduction_paths(ccc, node.net, "vdd").paths()
+            port_paths = [
+                p for other in sorted(ccc.channel_nets)
+                if other != node.net and other in flat_nets
+                and flat_nets[other].is_port
+                for p in conduction_paths(ccc, node.net, other).paths()
+            ]
+
+            def is_feedback(path) -> bool:
+                if path.gates() & partner_set:
+                    return True
+                return node.partner is None and not (set(path.devices) & write_set)
+
+            feedback_down = [p for p in down if is_feedback(p)]
+            feedback_up = [p for p in up if is_feedback(p)]
+            write_paths = [
+                p for p in (*down, *up, *port_paths)
+                if (set(p.devices) & write_set) and not is_feedback(p)
+            ]
+            if (not feedback_down and not feedback_up) or not write_paths:
+                continue
+
+            def side_conductance(paths) -> float:
+                if not paths:
+                    return 0.0
+                return max(1.0 / path_resistance(p, ctx.typical, devices)
+                           for p in paths)
+
+            g_down = side_conductance(feedback_down)
+            g_up = side_conductance(feedback_up)
+            g_feedback = min(g for g in (g_down, g_up) if g > 0)
+            g_write = max(1.0 / path_resistance(p, ctx.typical, devices)
+                          for p in write_paths)
+            ratio = g_write / g_feedback if g_feedback > 0 else float("inf")
+            if ratio < settings.write_ratio_min:
+                severity = Severity.VIOLATION
+                message = (f"write path only {ratio:.2f}x the feedback; the "
+                           f"cell may not flip across corners")
+            elif ratio < settings.write_ratio_good:
+                severity = Severity.FILTERED
+                message = f"write ratio {ratio:.2f}x is workable but thin"
+            else:
+                severity = Severity.PASS
+                message = f"write overpowers feedback ({ratio:.1f}x)"
+            findings.append(self._finding(
+                node.net, severity, message, write_ratio=ratio,
+            ))
+        return findings
 
 
 class OracleHotCarrierCheck(HotCarrierCheck):
@@ -577,3 +918,103 @@ def reference_storage_nodes(
         ))
         claimed.add(net)
     return nodes
+
+
+# -- triage and layout ----------------------------------------------------------
+
+
+class ReferenceDesignerQueue(DesignerQueue):
+    """The triage queue comparing each new item with every queued one."""
+
+    def _absorb(self, item: QueueItem) -> None:
+        for existing in self.items:
+            if existing.identity() == item.identity():
+                existing.count += item.count
+                return
+        self.items.append(item)
+
+
+def reference_channel_route(pins, channel_y0, channel_y1, wire_width=0.5,
+                            track_pitch=1.5) -> list[RouteSegment]:
+    """:func:`repro.layout.router.channel_route` testing each span
+    against every interval on every track."""
+    if channel_y1 <= channel_y0:
+        raise ValueError("channel has non-positive height")
+    spans = []
+    for net, locations in pins.items():
+        if not locations:
+            continue
+        xs = [x for x, _y in locations]
+        spans.append((min(xs), max(xs), net))
+    spans.sort()
+    tracks: list[list[tuple[float, float]]] = []
+    assignment: dict[str, int] = {}
+    for x_min, x_max, net in spans:
+        for idx, occupied in enumerate(tracks):
+            if all(x_max + wire_width < lo or hi + wire_width < x_min
+                   for lo, hi in occupied):
+                occupied.append((x_min, x_max))
+                assignment[net] = idx
+                break
+        else:
+            tracks.append([(x_min, x_max)])
+            assignment[net] = len(tracks) - 1
+    if len(tracks) * track_pitch > (channel_y1 - channel_y0):
+        raise ValueError(f"channel cannot fit {len(tracks)} tracks")
+    segments = []
+    for x_min, x_max, net in spans:
+        track = assignment[net]
+        y = channel_y0 + track_pitch * (track + 0.5)
+        segments.append(RouteSegment(
+            net=net, kind="trunk", track=track,
+            rect=Rect("metal1", x_min - wire_width / 2, y - wire_width / 2,
+                      x_max + wire_width / 2, y + wire_width / 2, net=net)))
+        for px, py in pins[net]:
+            y_lo, y_hi = sorted((y, py))
+            segments.append(RouteSegment(
+                net=net, kind="branch", track=track,
+                rect=Rect("metal1", px - wire_width / 2, y_lo,
+                          px + wire_width / 2, y_hi, net=net)))
+    return segments
+
+
+def reference_parallel_runs(segments, max_gap=3.0) -> list[tuple]:
+    """:func:`repro.layout.router.parallel_runs` comparing every pair of
+    trunks."""
+    trunks = [s for s in segments if s.kind == "trunk"]
+    out = []
+    for i, a in enumerate(trunks):
+        for b in trunks[i + 1:]:
+            if a.net == b.net or abs(a.track - b.track) != 1:
+                continue
+            run = a.rect.horizontal_overlap(b.rect)
+            if run <= 0:
+                continue
+            gap = a.rect.vertical_gap(b.rect)
+            if gap <= max_gap:
+                out.append((a.net, b.net, run, gap))
+    return out
+
+
+def reference_antenna_geometry(layout, flat, l_min_um=0.35,
+                               metal_layers=("metal1", "metal2", "metal3")):
+    """:func:`repro.layout.antenna_geom.antenna_geometry` scanning every
+    rectangle once per net and metal layer (``Layout.net_area``)."""
+    out = []
+    for net in sorted(flat.nets):
+        flat_net = flat.nets[net]
+        gate_pins = flat_net.gate_pins()
+        if not gate_pins or flat_net.is_rail:
+            continue
+        gate_area = 0.0
+        for pin in gate_pins:
+            device = flat.transistor(pin.device)
+            gate_area += device.w_um * device.effective_length(l_min_um)
+        out.append(AntennaGeometry(
+            net=net,
+            metal_area_um2=sum(layout.net_area(net, layer)
+                               for layer in metal_layers),
+            gate_area_um2=gate_area,
+            has_diffusion=bool(flat_net.channel_pins()),
+        ))
+    return out
