@@ -7,8 +7,11 @@ resume flattering the numbers), then
 * verifies every fleet report is canonically **byte-identical** to a
   single-process ``CbvCampaign.run()`` of the same design -- any
   mismatch fails the build regardless of speed;
-* records wall clock, steal/requeue/retry counters, and per-kind job
-  seconds into ``benchmarks/BENCH_fleet.json``;
+* records wall clock, steal/requeue/retry counters, per-kind job
+  seconds, the share of jobs that found their design's session on
+  their worker (:mod:`repro.fleet.session`) and the peak worker RSS
+  into ``benchmarks/BENCH_fleet.json``, stamped with the commit and
+  ``cpu_count``;
 * writes the 4-worker run's merged fleet event log to
   ``benchmarks/FLEET_trace.jsonl``;
 * asserts the 4-worker speedup over 1 worker clears ``FLOOR`` (1.5x)
@@ -33,6 +36,7 @@ import time
 from repro.core.campaign import CbvCampaign
 from repro.core.report import report_to_json
 from repro.fleet import BENCH_SUITE, FleetConfig, run_fleet
+from setup_report import current_commit
 
 OUT_JSON = pathlib.Path(__file__).parent / "BENCH_fleet.json"
 OUT_TRACE = pathlib.Path(__file__).parent / "FLEET_trace.jsonl"
@@ -82,11 +86,17 @@ def main() -> int:
             "lease_expirations": m.lease_expirations,
             "workers_dead": m.workers_dead,
             "write_contended": m.write_contended,
+            "session_hit_share": round(
+                m.session_hits / max(m.jobs_done, 1), 4),
+            "worker_peak_rss_mb": round(m.worker_peak_rss_mb, 1),
             "stage_wall_s": {k: round(v, 4)
                              for k, v in sorted(m.stage_wall_s.items())},
         }
         print(f"{workers} worker(s): {wall:.2f}s, {m.jobs_done} jobs, "
-              f"{m.steals} steals, {m.requeues} requeues")
+              f"{m.steals} steals, {m.requeues} requeues, "
+              f"{runs[str(workers)]['session_hit_share']:.0%} found "
+              f"their session, worker peak "
+              f"{m.worker_peak_rss_mb:.0f} MiB")
         if workers == max(WORKER_COUNTS):
             result.trace.write_jsonl(OUT_TRACE)
             print(f"wrote {OUT_TRACE.name}: "
@@ -96,6 +106,7 @@ def main() -> int:
     floor_enforced = cpus >= FLOOR_MIN_CPUS
     payload = {
         "suite": sorted(BENCH_SUITE),
+        "commit": current_commit(),
         "cpu_count": cpus,
         "single_process_s": round(single_process_s, 4),
         "runs": runs,

@@ -19,7 +19,8 @@ and measures the three properties the service front end promises:
   ``cached`` with zero additional launches and a byte-identical
   canonical report.
 
-Results land in ``benchmarks/BENCH_service.json``.
+Results land in ``benchmarks/BENCH_service.json``, stamped with the
+commit and ``cpu_count``.
 
 Usage::
 
@@ -43,6 +44,7 @@ from repro.service import (
     ServiceThread,
     variant_ref,
 )
+from setup_report import current_commit
 
 OUT_JSON = pathlib.Path(__file__).parent / "BENCH_service.json"
 
@@ -161,6 +163,7 @@ def main() -> int:
 
         status = client.status()
         payload = {
+            "commit": current_commit(),
             "cpu_count": cpus,
             "tenants": WEIGHTS,
             "per_tenant_campaigns": PER_TENANT,

@@ -220,7 +220,10 @@ class CbvCampaign:
         degraded mode as a single ``store.degraded`` event after which
         the campaign runs un-checkpointed -- and never abort the
         campaign (see :func:`repro.store.checkpoint.load_checkpoint`
-        and :class:`repro.store.checkpoint.CheckpointWriter`).
+        and :class:`repro.store.checkpoint.CheckpointWriter`).  A fleet
+        worker passes its design's
+        :class:`~repro.fleet.session.DesignSession` here: a store view
+        that also supplies the stage keys it already derived.
 
         ``until`` stops the flow after the named stage (inclusive) -- a
         partial run whose intermediate products stay available on
@@ -244,7 +247,11 @@ class CbvCampaign:
         writer = CheckpointWriter(store, trace)
         if store is not None:
             from repro.store.checkpoint import stage_keys
-            keys = stage_keys(bundle, checks=checks, timeout_s=timeout_s)
+            # A fleet design session fingerprinted its bundle once per
+            # worker (repro.fleet.session); any other store gets keys
+            # derived here, from the bundle as it is now.
+            keys = getattr(store, "stage_keys", stage_keys)(
+                bundle, checks=checks, timeout_s=timeout_s)
         trace.emit("campaign_start", name=bundle.name)
 
         def run_stage(flow: FlowStage, fn: Callable[[], StageResult],

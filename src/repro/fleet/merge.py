@@ -27,11 +27,10 @@ from __future__ import annotations
 from repro.checks.base import Finding
 from repro.checks.filters import filter_findings
 from repro.checks.registry import BatteryResult
-from repro.core.stages import FlowStage
 from repro.core.trace import CampaignTrace
 from repro.fleet.jobs import FleetConfig, ShardSpec
 from repro.store.artifact import ArtifactStore, StoreError
-from repro.store.checkpoint import load_checkpoint, stage_keys
+from repro.store.checkpoint import load_checkpoint
 from repro.store.fingerprint import FINGERPRINT_SCHEMA_VERSION, _digest
 
 #: The per-check trace events a shard persists for the merged log; the
@@ -55,20 +54,19 @@ class PoisonShards(StoreError):
     """
 
 
-def shard_store_key(bundle, shard: ShardSpec, config: FleetConfig) -> str:
+def shard_store_key(circuit_key: str, shard: ShardSpec) -> str:
     """Store key of one shard's battery result.
 
-    Keyed on the circuit-verification stage key (netlist, technology,
-    clock, settings, check list, timeout -- see
+    Keyed on the design's circuit-verification stage key (netlist,
+    technology, clock, settings, check list, timeout -- see
     :func:`repro.store.checkpoint.stage_key`) plus the shard
     coordinates, so an input edit invalidates every shard and a shard
-    layout change invalidates just the re-partitioned run.
+    layout change invalidates just the re-partitioned run.  The caller
+    passes the key it already derived, so a shard key costs no
+    fingerprint.
     """
-    circuit = stage_keys(bundle, checks=config.checks,
-                         timeout_s=config.timeout_s)
     return _digest(["fleet-shard", FINGERPRINT_SCHEMA_VERSION,
-                    circuit[FlowStage.CIRCUIT_VERIFICATION],
-                    shard.index, shard.count])
+                    circuit_key, shard.index, shard.count])
 
 
 def merge_shard_batteries(payloads: list[dict]) -> BatteryResult:
@@ -146,11 +144,14 @@ def assemble_scenario_report(store: ArtifactStore, spec,
     return assemble_report(spec, payloads)
 
 
-def make_battery_runner(store: ArtifactStore, bundle,
+def make_battery_runner(store: ArtifactStore, circuit_key: str,
                         shards: tuple[ShardSpec, ...],
                         config: FleetConfig,
                         poisoned: tuple[dict, ...] = ()):
     """A ``battery_runner`` that assembles the sharded battery.
+
+    ``circuit_key`` is the design's circuit-verification stage key,
+    which every shard key derives from (see :func:`shard_store_key`).
 
     The returned callable matches the :meth:`CbvCampaign.run` contract:
     ``runner(ctx, trace) -> BatteryResult``.  ``ctx`` is unused -- every
@@ -169,7 +170,7 @@ def make_battery_runner(store: ArtifactStore, bundle,
             raise PoisonShards(
                 f"{len(poisoned)} battery shard(s) quarantined as poison "
                 f"(each repeatedly killed its worker): {labels}")
-        payloads = [_load_shard(store, shard_store_key(bundle, s, config),
+        payloads = [_load_shard(store, shard_store_key(circuit_key, s),
                                 f"battery shard {s.label()}", trace,
                                 _check_battery_shard)
                     for s in shards]

@@ -52,6 +52,11 @@ class FleetMetrics:
     active_leases: int = 0
 
     write_contended: int = 0      # summed over worker stores
+    #: Completed design jobs whose worker still held their design's
+    #: session (see :mod:`repro.fleet.session`).
+    session_hits: int = 0
+    #: Largest peak RSS any worker reported, in MiB.
+    worker_peak_rss_mb: float = 0.0
     wall_s: float = 0.0
 
     #: Cumulative worker-side seconds per job kind ("prepare",
@@ -93,6 +98,8 @@ class FleetMetrics:
             "blocked_jobs": self.blocked_jobs,
             "active_leases": self.active_leases,
             "write_contended": self.write_contended,
+            "session_hits": self.session_hits,
+            "worker_peak_rss_mb": self.worker_peak_rss_mb,
             "wall_s": self.wall_s,
             "stage_wall_s": dict(sorted(self.stage_wall_s.items())),
             "jobs_by_kind": dict(sorted(self.jobs_by_kind.items())),

@@ -7,7 +7,11 @@ keeps every scheduling decision unit-testable.
 Topology: one FIFO deque per worker plus a blocked set.  A submitted
 job lands on the deque of its *affinity* worker (a stable hash of the
 design name), so one design's prepare / shards / finalize gravitate to
-the same process and reuse its warm caches.  A worker that drains its
+the same process.  That process keeps the design's session
+(:mod:`repro.fleet.session`) between them, so the later jobs continue
+from the bundle, stage keys, check context and checkpoint payloads the
+earlier ones left there; a stolen or re-homed job starts its own
+session from the shared store.  A worker that drains its
 own deque **steals** from the back of the longest peer deque -- the
 opposite end from the one the owner drains, the classic work-stealing
 discipline that minimizes contention and keeps 4 workers busy when one

@@ -123,6 +123,12 @@ class _WorkerHandle:
         #: done/error/bye messages, so they survive the worker's death).
         self.events: list[dict] = []
         self.store_counters: dict[str, int] = {}
+        #: The worker's peak RSS as of its last ``done`` message.
+        self.peak_rss_mb = 0.0
+
+
+#: The outbox message :meth:`_Pool.call_soon` sends to wake the loop.
+_WAKE = ("wake", None, None, None, [])
 
 
 def _pick_context():
@@ -159,8 +165,8 @@ class _Pool:
         self.on_design_failed = on_design_failed
         self._stopping = False
         #: Thread-safe injection point: callables queued here run on
-        #: the scheduler thread at the next tick, which is the only
-        #: thread allowed to touch pool state.
+        #: the scheduler thread, the only thread allowed to touch pool
+        #: state, as soon as :meth:`call_soon`'s wake message arrives.
         self._injected: queue_mod.Queue = queue_mod.Queue()
         self.respawn_budget = (config.max_respawns
                                if config.max_respawns is not None
@@ -199,15 +205,19 @@ class _Pool:
     # -- lifecycle hooks the front doors use ---------------------------------
 
     def call_soon(self, fn) -> None:
-        """Run ``fn(pool)`` on the scheduler thread at the next tick.
+        """Run ``fn(pool)`` on the scheduler thread, waking its loop.
 
         The only thread-safe entry point: everything else on the pool
         assumes single-threaded access, so a front end on another
         thread (the service's asyncio loop) funnels every mutation once
         the loop runs -- ``add_design`` + ``submit``, ``request_stop``
-        -- through here.
+        -- through here.  A wake message on the outbox ends the loop's
+        wait for worker messages, so ``fn`` runs at once rather than at
+        the next ``poll_s`` tick.  Safe after :meth:`run` has returned:
+        the outbox stays open, and the callback is simply never run.
         """
         self._injected.put(fn)
+        self.outbox.put(_WAKE)
 
     def add_design(self, name: str) -> None:
         """Accept one more name (scheduler thread, or before :meth:`run`)."""
@@ -338,6 +348,8 @@ class _Pool:
 
     def _on_message(self, message) -> None:
         kind, wid, job_id, payload, events = message
+        if kind == "wake":
+            return  # call_soon's nudge; the loop drains the injections next
         handle = self.handles.get(wid)
         if handle is None:  # straggler from a retired worker
             handle = next((h for h in self.retired if h.wid == wid), None)
@@ -360,6 +372,7 @@ class _Pool:
                 self._requeue_or_fail(job_id, "job raised")
                 return
             handle.store_counters = payload.get("store_counters", {})
+            handle.peak_rss_mb = payload.get("peak_rss_mb", 0.0)
             if self.wq.is_done(job_id):
                 return  # duplicate completion from a requeued straggler
             job = self.jobs_by_id.get(job_id)
@@ -368,6 +381,7 @@ class _Pool:
             self.wq.complete(job_id)
             self.metrics.record_job(job.kind.value,
                                     payload.get("job_seconds", 0.0))
+            self.metrics.session_hits += int(payload.get("session_hit", False))
             self.ftrace.emit("job_done", name=job_id, status="ok",
                              wall_s=payload.get("job_seconds"))
             self.on_job_done(self, job, payload.get("result") or {})
@@ -534,6 +548,8 @@ class _Pool:
         metrics.write_contended = sum(
             h.store_counters.get("store_write_contended", 0)
             for h in all_handles)
+        metrics.worker_peak_rss_mb = max(
+            (h.peak_rss_mb for h in all_handles), default=0.0)
         try:
             from repro.store.artifact import ArtifactStore
             metrics.store_stats = ArtifactStore(config.store_dir).stats()

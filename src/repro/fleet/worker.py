@@ -17,28 +17,35 @@ job id every ``FleetConfig.heartbeat_s`` so the scheduler can renew the
 job's lease; a worker that is SIGKILLed simply stops heartbeating and
 its lease expires.
 
-Job execution leans entirely on the campaign's own checkpoint/resume:
+Job execution leans entirely on the campaign's own checkpoint/resume,
+run against the design's :class:`~repro.fleet.session.DesignSession`:
+the worker keeps one per design between that design's jobs, so a job
+whose design's earlier jobs ran here replays their checkpoints from
+the live payloads the session holds, and any other job (another
+worker, a retry, a respawned worker) replays them from the store.
 
 * ``prepare`` runs the flow through logic verification with
-  ``store=..., resume=True`` -- every completed stage is durably
-  checkpointed, and a retry (or any other worker) replays instead of
-  recomputing.  Its result reports the recognized CCC count (which
-  sizes the battery shards) and whether the front half degraded.
-* ``battery[i/k]`` resumes the checkpointed stages up to extraction,
-  rebuilds the check context, runs its slice of the check registry, and
+  ``resume=True`` -- every completed stage is durably checkpointed,
+  and a retry (or any other worker) replays instead of recomputing.
+  Its result reports the recognized CCC count (which sizes the battery
+  shards) and whether the front half degraded.
+* ``battery[i/k]`` replays the checkpointed stages up to extraction,
+  builds the check context, runs its slice of the check registry, and
   stores ``{battery, events}`` under the shard key.  Running the same
   shard twice is harmless: the store's write lock serializes the
   writers and drops the duplicate blob.
-* ``finalize`` resumes the same checkpoints and re-runs the circuit
+* ``finalize`` replays the same checkpoints and re-runs the circuit
   stage with the merged-shard ``battery_runner``; the resulting
   :class:`~repro.core.campaign.CbvReport` is canonically byte-identical
   to a single-process run.  A design whose prepare degraded (an errored
   front-half stage) skips sharding -- finalize runs the battery inline,
-  preserving exactly the degraded single-process behavior.
+  preserving exactly the degraded single-process behavior.  The
+  worker drops the design's session when finalize ends, ok or error.
 """
 
 from __future__ import annotations
 
+import resource
 import threading
 import traceback
 
@@ -48,8 +55,9 @@ from repro.core.campaign import CbvCampaign
 from repro.core.report import report_to_dict
 from repro.core.stages import FlowStage, StageStatus
 from repro.core.trace import CampaignTrace
-from repro.fleet.jobs import FleetConfig, Job, JobKind, resolve_bundle
+from repro.fleet.jobs import FleetConfig, Job, JobKind
 from repro.fleet.merge import CHECK_EVENTS, make_battery_runner, shard_store_key
+from repro.fleet.session import WorkerSessions
 from repro.perf.stopwatch import Stopwatch
 from repro.store.artifact import ArtifactStore
 from repro.store.checkpoint import load_checkpoint
@@ -60,12 +68,12 @@ _BATTERY_NEEDS = ("flat", "design", "parasitics")
 
 
 def _run_prepare(job: Job, store: ArtifactStore, config: FleetConfig,
-                 wt: CampaignTrace) -> dict:
-    bundle = resolve_bundle(job.bundle_ref)
-    report = CbvCampaign(bundle).run(
-        store=store, resume=True, checks=config.checks,
-        timeout_s=config.timeout_s, until=FlowStage.LOGIC_VERIFICATION,
-        trace=wt)
+                 wt: CampaignTrace, sessions: WorkerSessions) -> dict:
+    session = sessions.open(job, store, config)
+    report = CbvCampaign(session.bundle).run(
+        store=session, resume=True, cache=session.cache,
+        checks=config.checks, timeout_s=config.timeout_s,
+        until=FlowStage.LOGIC_VERIFICATION, trace=wt)
     rec = report.stage(FlowStage.RECOGNITION, None)
     cccs = int(rec.metrics.get("cccs", 0)) if rec is not None else 0
     degraded = (bool(report.errored_stages())
@@ -78,11 +86,13 @@ def _run_prepare(job: Job, store: ArtifactStore, config: FleetConfig,
 
 
 def _run_battery_shard(job: Job, store: ArtifactStore, config: FleetConfig,
-                       wt: CampaignTrace) -> dict:
-    bundle = resolve_bundle(job.bundle_ref)
+                       wt: CampaignTrace, sessions: WorkerSessions) -> dict:
+    session = sessions.open(job, store, config)
+    bundle = session.bundle
     partial = CbvCampaign(bundle).run(
-        store=store, resume=True, checks=config.checks,
-        timeout_s=config.timeout_s, until=FlowStage.EXTRACTION, trace=wt)
+        store=session, resume=True, cache=session.cache,
+        checks=config.checks, timeout_s=config.timeout_s,
+        until=FlowStage.EXTRACTION, trace=wt)
     art = partial.artifacts
     missing = [k for k in _BATTERY_NEEDS if k not in art]
     if missing:
@@ -93,7 +103,7 @@ def _run_battery_shard(job: Job, store: ArtifactStore, config: FleetConfig,
         art["flat"], bundle.technology, clock=bundle.clock,
         clock_hints=bundle.clock_hints, parasitics=art["parasitics"],
         antenna=art.get("antenna"), settings=bundle.check_settings,
-        design=art["design"], cache=None)
+        design=art["design"], cache=session.cache)
     shard = job.shard
     # The shard battery records into its own trace so exactly the
     # check events of this slice -- no stage or checkpoint noise --
@@ -102,9 +112,9 @@ def _run_battery_shard(job: Job, store: ArtifactStore, config: FleetConfig,
     battery = run_battery(ctx, checks=config.checks[shard.lo:shard.hi],
                           timeout_s=config.timeout_s, trace=sub)
     events = [e.to_dict() for e in sub.events if e.event in CHECK_EVENTS]
-    store.put(shard_store_key(bundle, shard, config),
-              {"battery": battery.to_dict(), "events": events},
-              meta={"design": job.design, "shard": shard.label()})
+    session.put(shard_store_key(session.circuit_key, shard),
+                {"battery": battery.to_dict(), "events": events},
+                meta={"design": job.design, "shard": shard.label()})
     wt.replay(events)
     return {
         "shard": shard.label(),
@@ -114,18 +124,19 @@ def _run_battery_shard(job: Job, store: ArtifactStore, config: FleetConfig,
 
 
 def _run_finalize(job: Job, store: ArtifactStore, config: FleetConfig,
-                  wt: CampaignTrace) -> dict:
-    bundle = resolve_bundle(job.bundle_ref)
+                  wt: CampaignTrace, sessions: WorkerSessions) -> dict:
+    session = sessions.open(job, store, config)
     poisoned = tuple(job.metadata.get("poison_shards", ()))
-    runner = (make_battery_runner(store, bundle, job.shards, config,
-                                  poisoned=poisoned)
+    runner = (make_battery_runner(session, session.circuit_key, job.shards,
+                                  config, poisoned=poisoned)
               if job.shards else None)
     # The report gets its own trace: report.trace must hold exactly one
     # campaign's events, not this worker's whole history.
     rtrace = CampaignTrace(worker_id=wt.worker_id)
-    report = CbvCampaign(bundle).run(
-        store=store, resume=True, checks=config.checks,
-        timeout_s=config.timeout_s, trace=rtrace, battery_runner=runner)
+    report = CbvCampaign(session.bundle).run(
+        store=session, resume=True, cache=session.cache,
+        checks=config.checks, timeout_s=config.timeout_s, trace=rtrace,
+        battery_runner=runner)
     circuit = report.stage(FlowStage.CIRCUIT_VERIFICATION, None)
     if (job.shards and not poisoned and circuit is not None
             and circuit.status is StageStatus.ERROR):
@@ -195,19 +206,36 @@ def _run_scenario_rollup(job: Job, store: ArtifactStore,
 
 
 def execute_job(job: Job, store: ArtifactStore, config: FleetConfig,
-                wt: CampaignTrace) -> dict:
-    """Run one fleet job; returns its picklable result payload."""
+                wt: CampaignTrace,
+                sessions: WorkerSessions | None = None) -> dict:
+    """Run one fleet job; returns its picklable result payload.
+
+    ``sessions`` is the worker's :class:`WorkerSessions`: a design job
+    continues from its design's session when the worker holds one.
+    Without it, every design job starts from the store alone.
+    """
+    if sessions is None:
+        sessions = WorkerSessions()
     if job.kind is JobKind.PREPARE:
-        return _run_prepare(job, store, config, wt)
+        return _run_prepare(job, store, config, wt, sessions)
     if job.kind is JobKind.BATTERY:
-        return _run_battery_shard(job, store, config, wt)
+        return _run_battery_shard(job, store, config, wt, sessions)
     if job.kind is JobKind.FINALIZE:
-        return _run_finalize(job, store, config, wt)
+        try:
+            return _run_finalize(job, store, config, wt, sessions)
+        finally:
+            # The design's last job: its session goes, ok or error.
+            sessions.close(job.design)
     if job.kind is JobKind.SCENARIO:
         return _run_scenario_shard(job, store, wt)
     if job.kind is JobKind.ROLLUP:
         return _run_scenario_rollup(job, store, wt)
     raise ValueError(f"unknown job kind: {job.kind!r}")
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set (``ru_maxrss`` is KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def worker_main(worker_id: str, inbox, outbox, config: FleetConfig) -> None:
@@ -232,6 +260,7 @@ def worker_main(worker_id: str, inbox, outbox, config: FleetConfig) -> None:
     else:
         store = ArtifactStore(config.store_dir)
     wt = CampaignTrace(worker_id=worker_id)
+    sessions = WorkerSessions()
     cursor = 0
 
     def drain() -> list[dict]:
@@ -265,8 +294,9 @@ def worker_main(worker_id: str, inbox, outbox, config: FleetConfig) -> None:
         wt.emit("job_start", name=job.job_id,
                 counters={"retries": float(job.retries)})
         watch = Stopwatch()
+        hits = sessions.hits
         try:
-            result = execute_job(job, store, config, wt)
+            result = execute_job(job, store, config, wt, sessions)
         except Exception:  # noqa: BLE001 -- report, don't die
             detail = traceback.format_exc()
             wt.emit("job_end", name=job.job_id, status="error",
@@ -285,7 +315,9 @@ def worker_main(worker_id: str, inbox, outbox, config: FleetConfig) -> None:
             current["job_id"] = None
             outbox.put(("done", worker_id, job.job_id,
                         {"result": result, "job_seconds": seconds,
-                         "store_counters": store.counters()},
+                         "store_counters": store.counters(),
+                         "session_hit": sessions.hits > hits,
+                         "peak_rss_mb": _peak_rss_mb()},
                         drain()))
     stop_beat.set()
     outbox.put(("bye", worker_id, None, None, drain()))

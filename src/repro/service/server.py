@@ -129,8 +129,9 @@ class VerificationService:
         #: verdict key -> live campaign id; the in-flight coalescing
         #: map.  An entry is removed only after the sealed verdict has
         #: landed in (or failed to reach) the cache, so a duplicate
-        #: arriving in that window still coalesces instead of missing
-        #: both the cache and the map.
+        #: arriving in that window finds the sealed record here and is
+        #: answered from its report instead of missing both the cache
+        #: and the map.
         self._by_key: dict[str, str] = {}
         self._inflight = 0
         self._seq = 0
@@ -337,25 +338,31 @@ class VerificationService:
         # From here to the cache probe there is no await, so the
         # coalesce check and the reservation are atomic on the loop.
         existing = self._by_key.get(key)
+        sealed = None
         if existing is not None:
             record = self.campaigns[existing]
-            self.metrics.coalesced += 1
-            record.stream.emit("service.coalesced", name=tenant)
-            record.touch()
-            return {"ok": True, "v": PROTOCOL_VERSION,
-                    "campaign": record.id, "state": record.state.value,
-                    "cached": False, "coalesced": True}
+            if record.state is not CampaignState.SEALED:
+                self.metrics.coalesced += 1
+                record.stream.emit("service.coalesced", name=tenant)
+                record.touch()
+                return {"ok": True, "v": PROTOCOL_VERSION,
+                        "campaign": record.id, "state": record.state.value,
+                        "cached": False, "coalesced": True}
+            # Its verdict write is still in flight: answer from the
+            # sealed report itself, and leave its stream closed.
+            sealed = record.report_dict
         self._seq += 1
         cid = f"c{self._seq:06d}"
         record = CampaignRecord(cid, tenant, name or str(bundle_ref),
                                 bundle_ref, key)
         self.campaigns[cid] = record
-        self._by_key[key] = cid
+        if sealed is None:
+            self._by_key[key] = cid
         record.stream.emit("service.submitted", name=record.name,
                            detail=tenant)
         record.touch()
-        cached = await self.loop.run_in_executor(
-            None, self.verdicts.load, key)
+        cached = sealed if sealed is not None else (
+            await self.loop.run_in_executor(None, self.verdicts.load, key))
         if cached is not None:
             self._cache_hit(record, cached)
             return {"ok": True, "v": PROTOCOL_VERSION, "campaign": cid,

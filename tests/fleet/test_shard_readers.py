@@ -10,6 +10,7 @@ way and logged, so the retry recomputes it instead of re-tripping.
 
 import pytest
 
+from repro.core.stages import FlowStage
 from repro.core.trace import CampaignTrace
 from repro.fleet import FleetConfig, ShardMissing, ShardSpec, adder_bundle
 from repro.fleet.merge import (
@@ -20,7 +21,7 @@ from repro.fleet.merge import (
 from repro.process.technology import strongarm_technology
 from repro.scenarios import FuzzSpec
 from repro.scenarios.spec import shard_key
-from repro.store import ArtifactStore
+from repro.store import ArtifactStore, stage_keys
 
 SPEC = FuzzSpec(name="reader-fuzz",
                 target_ref="repro.scenarios.targets:adder4_shadow",
@@ -36,8 +37,11 @@ def test_wrong_shaped_battery_shard_is_quarantined_and_missing(tmp_path):
     bundle = adder_bundle(strongarm_technology())
     config = FleetConfig(store_dir=str(tmp_path / "store"))
     shard = ShardSpec(index=0, count=1, lo=0, hi=len(config.checks))
-    key = shard_store_key(bundle, shard, config)
-    runner = make_battery_runner(store, bundle, (shard,), config)
+    circuit_key = stage_keys(bundle, checks=config.checks,
+                             timeout_s=config.timeout_s)[
+                                 FlowStage.CIRCUIT_VERIFICATION]
+    key = shard_store_key(circuit_key, shard)
+    runner = make_battery_runner(store, circuit_key, (shard,), config)
 
     trace = CampaignTrace()
     with pytest.raises(ShardMissing):

@@ -15,6 +15,7 @@ The two pinned contracts from the service design:
 
 import multiprocessing
 import threading
+import time
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.service import (
     variant_ref,
 )
 from repro.service.suite import VARIANT_COUNT, variant_bundle
+from repro.store.verdicts import VerdictIndex
 
 ALPHA_REF = "repro.fleet.suite:alpha_slice"
 
@@ -152,10 +154,44 @@ class TestCoalescing:
 
     def test_late_duplicate_after_seal_hits_cache(self, client):
         sub = client.submit(variant_ref(0), tenant="latecomer")
-        # The campaign sealed above, so this is a cache hit (or, in a
-        # seal-write race, a coalesce onto the sealed record) -- either
-        # way zero new battery work.
-        assert sub["cached"] or sub["coalesced"]
+        # The campaign sealed above, so this is a cache hit -- answered
+        # from the sealed record itself if its verdict write is still
+        # in flight -- with zero new battery work.
+        assert sub["cached"] is True
+        assert sub["coalesced"] is False
+
+    def test_duplicate_racing_the_verdict_write_hits_cache(
+            self, tmp_path, monkeypatch):
+        """A resubmission that lands after ``sealed`` but before the
+        verdict blob is written is a cache hit on the sealed record's
+        report, and nothing is emitted onto that record's closed
+        stream."""
+        real_seal = VerdictIndex.seal
+
+        def slow_seal(self, *args, **kwargs):
+            time.sleep(1.0)  # a slow fsync
+            return real_seal(self, *args, **kwargs)
+
+        monkeypatch.setattr(VerdictIndex, "seal", slow_seal)
+        handle = ServiceThread(ServiceConfig(
+            workers=1, fleet=FleetConfig(store_dir=str(tmp_path / "store"))))
+        try:
+            racer = ServiceClient(*handle.start())
+            first = racer.submit(variant_ref(9), tenant="first")
+            assert racer.wait(first["campaign"]) == "sealed"
+            again = racer.submit(variant_ref(9), tenant="second")
+            assert (again["cached"], again["coalesced"], again["state"]) == (
+                True, False, "sealed")
+            assert again["campaign"] != first["campaign"]
+            assert (racer.report(again["campaign"], canonical=True)
+                    == racer.report(first["campaign"], canonical=True))
+            kinds = [e["event"] for e in racer.events(first["campaign"],
+                                                      follow=False)]
+            assert kinds[-1] == "service.sealed"
+            assert "service.coalesced" not in kinds
+            assert racer.status()["metrics"]["launched"] == 1
+        finally:
+            handle.stop()
 
 
 class TestBackpressure:
