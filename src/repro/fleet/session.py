@@ -28,7 +28,10 @@ payload that failed validation or replay) drops the key here as well,
 so the next read goes back to the store.
 
 A worker holds sessions for at most :data:`MAX_SESSIONS` designs and
-drops a design's session when its finalize job ends.  A job whose
+drops a design's session when its finalize job ends.  The dropped
+session leaves the map at once but is freed only once the worker is
+idle after sending the job's reply, so freeing its artifacts stays off
+the reply path.  A job whose
 worker holds no session -- another worker, a retry after SIGKILL, a
 respawned worker -- starts a fresh one and reads the store as a
 session-less job would.
@@ -113,6 +116,8 @@ class WorkerSessions:
         self._sessions: OrderedDict[str, DesignSession] = OrderedDict()
         #: Jobs that found their design's session (see :meth:`open`).
         self.hits = 0
+        #: The last closed session, held until :meth:`release`.
+        self.retired: DesignSession | None = None
 
     def __len__(self) -> int:
         return len(self._sessions)
@@ -139,5 +144,11 @@ class WorkerSessions:
         return session
 
     def close(self, design: str) -> None:
-        """Drop ``design``'s session (its finalize job ended)."""
-        self._sessions.pop(design, None)
+        """Drop ``design``'s session (its finalize job ended).  It stays
+        referenced, as :attr:`retired`, until :meth:`release`."""
+        self.retired = self._sessions.pop(design, None)
+
+    def release(self) -> None:
+        """Free the retired session; the worker calls this once idle
+        after its reply."""
+        self.retired = None

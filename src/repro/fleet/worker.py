@@ -40,11 +40,13 @@ worker, a retry, a respawned worker) replays them from the store.
   to a single-process run.  A design whose prepare degraded (an errored
   front-half stage) skips sharding -- finalize runs the battery inline,
   preserving exactly the degraded single-process behavior.  The
-  worker drops the design's session when finalize ends, ok or error.
+  worker drops the design's session when finalize ends, ok or error,
+  and frees it once idle, after the reply has gone out.
 """
 
 from __future__ import annotations
 
+import queue
 import resource
 import threading
 import traceback
@@ -65,6 +67,12 @@ from repro.store.checkpoint import load_checkpoint
 #: Artifacts the battery stage cannot run without; prepare must have
 #: produced (and checkpointed) all of them for sharding to be safe.
 _BATTERY_NEEDS = ("flat", "design", "parasitics")
+
+#: Seconds a worker holding a finalized design's session waits for its
+#: next job before freeing the session, time in which the outbox's
+#: feeder thread sends the finalize reply.  A job that arrives sooner
+#: frees it first.
+_IDLE_FREE_S = 0.005
 
 
 def _run_prepare(job: Job, store: ArtifactStore, config: FleetConfig,
@@ -283,7 +291,19 @@ def worker_main(worker_id: str, inbox, outbox, config: FleetConfig) -> None:
 
     outbox.put(("ready", worker_id, None, None, []))
     while True:
-        message = inbox.get()
+        message = None
+        if sessions.retired is not None:
+            # Free a finalized design's session once idle.  ``put``
+            # hands the reply to the outbox's feeder thread, and freeing
+            # holds the interpreter lock, so freeing at once would hold
+            # the reply up: blocking here lets the feeder send it first.
+            try:
+                message = inbox.get(timeout=_IDLE_FREE_S)
+            except queue.Empty:
+                pass
+            sessions.release()
+        if message is None:
+            message = inbox.get()
         if message[0] == "stop":
             break
         job: Job = message[1]

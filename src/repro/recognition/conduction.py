@@ -36,8 +36,11 @@ Gate and device tests are mask bits (:meth:`PathSet.where`,
 Only the scalar switch-sim engine and the test oracles call
 :meth:`PathSet.paths`, which turns the nodes into
 :class:`ConductionPath` objects once per pair and keeps them on the
-``PathSet``.  The packed switch tables read the same sweep records as
-CSR rows and never materialize.
+``PathSet``.  The packed switch tables never materialize either: their
+builder reads each source's sweep record once for all of a CCC's
+channel nets, walking every arrival's chain with the same
+:func:`_chains` (devices and arrival ranks) and sorting by position,
+source and forward rank sequence to restore the per-pair order.
 
 Which paths, in which order
 ---------------------------
@@ -772,21 +775,29 @@ def _bfs_csr(g: dict) -> dict:
     return csr
 
 
-def _chains(ts: dict, nodes: np.ndarray) -> np.ndarray:
+def _chains(ts: dict, nodes: np.ndarray, ranks: bool = False):
     """The device slots of ``nodes``' paths in a sweep record, one row
     per node, walked up all their parent chains at once (layout in
-    :meth:`PathSet.chains`)."""
-    par, dev = ts["par"], ts["dev"]
+    :meth:`PathSet.chains`).
+
+    With ``ranks``, returns ``(slots, ranks)``: the second array holds
+    each step's arrival rank in the same layout, also padded with
+    ``-1`` -- the forward rank sequences that restore the per-pair
+    order (module docstring)."""
+    par, dev, rnk = ts["par"], ts["dev"], ts["rank"]
     cur = np.asarray(nodes, np.int64)
     width = int(ts["depth"][cur].max()) if cur.size else 0
     out = np.full((cur.size, width), -1, np.intc)
+    keys = np.full((cur.size, width), -1, np.intc) if ranks else None
     live = np.arange(cur.size)
     for level in range(width):
         out[live, level] = dev[cur]
+        if ranks:
+            keys[live, level] = rnk[cur]
         cur = par[cur]
         up = cur >= 0
         live, cur = live[up], cur[up]
-    return out
+    return (out, keys) if ranks else out
 
 
 def _chain_masks(g: dict, ts: dict, nodes: np.ndarray) -> list[int]:

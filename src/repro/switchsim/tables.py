@@ -34,6 +34,20 @@ batches of channel nets with array ops:
   rows must re-solve when a trigger net changes, and (for mid-pass
   expansion) only the rows at a *later* sorted position than the
   changed net, which is all the sequential pass would still reach.
+* **gate-update maps** -- ``net_cond_all`` / ``net_cond_int``: per gate
+  net and required level, the paths with a condition on it and how
+  many, so a net change shifts the vector engine's per-path counters
+  without reading a condition.
+
+The build computes one template per CCC shape and stamps it per
+instance (:class:`_CCCTemplate`).  A template walks each source's
+sweep record once for all of the CCC's channel nets -- chunks of whole
+positions under a constant cell budget, one chain walk per source and
+one lexsort per chunk -- and groups its own conditions once by (gate,
+section); stamping offsets those groups by each instance's first path,
+and one sort over the stamped groups (not over the conditions) orders
+the maps.  Every array is allocated at its final size and filled by
+slice.
 
 Tables depend only on the flat netlist topology/geometry and
 ``l_min_um``; they are immutable once built and safe to share across
@@ -54,9 +68,17 @@ from repro.netlist.flatten import FlatNetlist
 from repro.netlist.nets import is_rail_name
 from repro.recognition.ccc import ChannelConnectedComponent, extract_cccs
 from repro.recognition.conduction import (
+    _chains,
     _graph as switch_graph,
     sweep_paths_to_target,
 )
+
+#: Chain cells (arrivals times chain width) one step of a template's
+#: sweep walk unrolls at most: a constant bound on the walk's transient
+#: arrays, a few tens of bytes per cell.  The largest bus CCC of
+#: ``chip_scale(10000)`` has 535,514 arrivals of depth up to 10 in one
+#: rail's sweep; at 3k every template fits in one step.
+_WALK_CELLS = 1 << 21
 
 
 def csr_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -97,18 +119,21 @@ class _CCCTemplate:
         "n", "row_path_counts", "path_src_lid", "path_src_rail", "path_g",
         "path_cond_counts", "cond_gate_lid", "cond_level", "cond_internal",
         "row_wave", "affected", "aff_later_counts", "aff_later_flat",
+        "grp_lid", "grp_sec", "grp_size", "grp_start", "ent_path",
+        "ent_mult",
     )
 
     def __init__(self) -> None:
         self.n = 0
         #: numpy columns mirroring the packed arrays, in local id space;
-        #: dtypes match the final tables so stamping is concatenation.
+        #: stamping copies them into the tables' slices.  Path sources
+        #: use the rail sentinels; gate ids are local.
         self.row_path_counts = np.empty(0, np.int64)
         self.path_src_lid = np.empty(0, np.int64)
         self.path_src_rail = np.empty(0, bool)
         self.path_g = np.empty(0, np.float64)
         self.path_cond_counts = np.empty(0, np.int64)
-        self.cond_gate_lid = np.empty(0, np.int64)
+        self.cond_gate_lid = np.empty(0, np.intc)
         self.cond_level = np.empty(0, np.int8)
         self.cond_internal = np.empty(0, bool)
         self.row_wave = np.empty(0, np.int64)
@@ -118,6 +143,49 @@ class _CCCTemplate:
         #: later-positions.
         self.aff_later_counts = np.empty(0, np.int64)
         self.aff_later_flat = np.empty(0, np.int64)
+        #: Condition groups by (gate lid, section), ascending, with
+        #: section ``2 * level + external``: each group's size and first
+        #: entry, and per entry a local path id (ascending within the
+        #: group) with its condition multiplicity.
+        self.grp_lid = np.empty(0, np.int64)
+        self.grp_sec = np.empty(0, np.int64)
+        self.grp_size = np.empty(0, np.int64)
+        self.grp_start = np.empty(0, np.int64)
+        self.ent_path = np.empty(0, np.int32)
+        self.ent_mult = np.empty(0, np.int32)
+
+
+def _group_conditions(tpl: _CCCTemplate, n_loc: int) -> None:
+    """Group ``tpl``'s conditions by (gate lid, section), once per
+    template.
+
+    Section ``2 * level + external`` orders each gate's groups by level
+    and puts its internal group first.  Within a group the entries are
+    the distinct local paths, ascending, each with the number of its
+    conditions in the group.  The keys stay below ``4 * n_loc``, which
+    for all but huge CCCs fits 16 bits and numpy's radix sort.
+    """
+    size = tpl.cond_level.size
+    if not size:
+        return
+    cpath = np.repeat(np.arange(tpl.path_g.size, dtype=np.int32),
+                      tpl.path_cond_counts)
+    key = tpl.cond_gate_lid.astype(np.int16 if 4 * n_loc < 2 ** 15
+                                   else np.int32)
+    key *= 4
+    key += tpl.cond_level * 2
+    key += ~tpl.cond_internal
+    order = np.argsort(key, kind="stable")
+    keys, cpath = key[order], cpath[order]
+    runs = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1])
+                                | (cpath[1:] != cpath[:-1])])
+    tpl.ent_path = cpath[runs]
+    tpl.ent_mult = np.diff(np.r_[runs, size]).astype(np.int32)
+    run_keys = keys[runs].astype(np.int64)
+    heads = np.flatnonzero(np.r_[True, run_keys[1:] != run_keys[:-1]])
+    tpl.grp_lid, tpl.grp_sec = np.divmod(run_keys[heads], 4)
+    tpl.grp_start = heads.astype(np.int64)
+    tpl.grp_size = np.diff(np.r_[heads, runs.size]).astype(np.int64)
 
 
 def _template_key(ccc: ChannelConnectedComponent, sorted_nets: list[str],
@@ -297,7 +365,6 @@ class PackedSwitchTables:
         self.net_names = names
         self.net_ids = {n: i for i, n in enumerate(names)}
         self.n_nets = len(names)
-        nid = self.net_ids
 
         conductance = {
             t.name: (1.0 if t.polarity == "nmos" else 0.4)
@@ -305,52 +372,11 @@ class PackedSwitchTables:
             for t in flat.transistors
         }
 
-        self._stamp_templates(flat, nid, conductance)
-
-        # Incremental condition machinery: materialize each condition's
-        # owning path, then group conditions by (gate net, section)
-        # where section encodes internal/external x required level.
-        # A net value change shifts the grouped paths' bad/unknown
-        # counters by one scalar delta each -- O(fan-out) with no
-        # per-condition value reads.
-        n_paths = self.path_src.size
-        ccounts = self.cond_ptr[1:] - self.cond_ptr[:-1]
-        self.cond_path = np.repeat(np.arange(n_paths, dtype=np.int32),
-                                   ccounts)
-        if self.cond_gate.size:
-            sec = (np.where(self.cond_internal, 0, 2)
-                   + self.cond_level.astype(np.int64))
-            # int32 keys: net ids and the 4 sections fit comfortably,
-            # and the radix sort moves half the bytes.
-            key = (self.cond_gate * 4 + sec).astype(np.int32)
-            order = np.argsort(key, kind="stable")
-            ks = key[order]
-            ps = self.cond_path[order]
-            cuts = np.flatnonzero(ks[1:] != ks[:-1]) + 1
-            bounds = np.concatenate(([0], cuts, [ks.size]))
-            grouped: dict[int, list] = {}
-            for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-                nid_, sec_ = divmod(int(ks[a]), 4)
-                paths, mult = np.unique(ps[a:b], return_counts=True)
-                entry = grouped.setdefault(nid_, [None] * 4)
-                entry[sec_] = (paths, mult.astype(np.int32))
-
-            def merge(x, y):
-                # Internal/external path sets are disjoint (a path
-                # belongs to exactly one CCC), so plain concatenation
-                # keeps fancy-indexed += well-defined.
-                if x is None:
-                    return y
-                if y is None:
-                    return x
-                return (np.concatenate((x[0], y[0])),
-                        np.concatenate((x[1], y[1])))
-
-            for nid_, (il0, il1, el0, el1) in grouped.items():
-                self.net_cond_all[nid_] = (merge(il0, el0),
-                                           merge(il1, el1))
-                if il0 is not None or il1 is not None:
-                    self.net_cond_int[nid_] = (il0, il1)
+        self._stamp(flat, self._templates(flat, conductance))
+        # Each condition's owning path (the CSR row, materialized).
+        self.cond_path = np.repeat(
+            np.arange(self.path_src.size, dtype=np.int32),
+            np.diff(self.cond_ptr))
 
         starts: list[int] = []
         ends: list[int] = []
@@ -367,6 +393,30 @@ class PackedSwitchTables:
         self.build_wall_s = time.perf_counter() - t_start
         return self
 
+    def _templates(self, flat: FlatNetlist, conductance: dict[str, float]
+                   ) -> list[tuple[ChannelConnectedComponent, _CCCTemplate,
+                                   list[str]]]:
+        """Each CCC with its template and local-id names, in CCC order.
+
+        One :meth:`_compute_template` per CCC shape (:func:`_template_key`);
+        every later instance of the shape reuses it.
+        """
+        templates: dict = {}
+        plan = []
+        for ccc in self.cccs:
+            sorted_nets = sorted(ccc.channel_nets)
+            key, local_names = _template_key(ccc, sorted_nets, flat)
+            tpl = templates.get(key) if key is not None else None
+            if tpl is None:
+                tpl = self._compute_template(ccc, sorted_nets, flat,
+                                             local_names, conductance)
+                if key is not None:
+                    templates[key] = tpl
+            else:
+                self.template_hits += 1
+            plan.append((ccc, tpl, local_names))
+        return plan
+
     @staticmethod
     def _compute_template(ccc: ChannelConnectedComponent,
                           sorted_nets: list[str], flat: FlatNetlist,
@@ -374,150 +424,182 @@ class PackedSwitchTables:
                           conductance: dict[str, float]) -> _CCCTemplate:
         """Enumerate one CCC's packed segment in local id space.
 
-        Runs one target-rooted sweep per source (vdd, gnd, each port)
-        -- ~3 graph traversals per CCC instead of one per channel net
-        -- then extracts every (net, source) pair's paths from the
-        sweeps' parent-pointer forests with array ops.  Chains walk
-        from arrival to root, which *is* source-to-target device order
-        (module docs of :mod:`repro.recognition.conduction`), and a
-        lexsort on forward rank sequences restores the per-pair
-        enumeration order, so the packed segment is byte-identical to a
-        per-pair enumeration of this CCC -- including ``path_g`` floats,
-        accumulated in the same per-device sequence as the reference
-        engine's series formula.
+        Reads one target-rooted sweep per source (vdd, gnd, each port)
+        and walks each sweep once for all the CCC's channel nets: the
+        arrival buckets of a run of positions are unrolled together by
+        :func:`~repro.recognition.conduction._chains` (devices and
+        arrival ranks, source to target), and one lexsort on (position,
+        source in ``[vdd, gnd, sorted ports]`` order, forward rank
+        sequence) lays the paths out row by row with every pair in its
+        enumeration order, so the segment is
+        byte-identical to a per-pair enumeration of this CCC -- including
+        ``path_g``: inverse conductances are added column by column from
+        0.0, and the padding of a short chain reads a slot whose inverse
+        is 0.0, which is the reference engine's per-device sequence.
+
+        A run of positions holds at most ``_WALK_CELLS`` chain cells
+        (arrivals times the sweeps' depth), so the walk's transient
+        arrays stay bounded however large the CCC's sweeps grow.
         """
         idx = {nm: i for i, nm in enumerate(local_names)}
         n = len(sorted_nets)
+        n_loc = len(local_names)
         max_paths = 10000
         tpl = _CCCTemplate()
         tpl.n = n
         sources = ["vdd", "gnd"] + sorted(
             nm for nm in ccc.channel_nets if flat.nets[nm].is_port)
-        sweeps = {src: sweep_paths_to_target(ccc, src, max_paths)
-                  for src in sources}
-        g = switch_graph(ccc)
-        gid_of = g["net_ids"]
+        n_src = len(sources)
+        sweeps = [sweep_paths_to_target(ccc, src, max_paths)
+                  for src in sources]
+        gid_of = switch_graph(ccc)["net_ids"]
+        gids = [gid_of.get(net) for net in sorted_nets]
+        if any(ts["overflow"] for ts in sweeps):
+            # Same raise, for the same first (net, src) pair, as
+            # ``conduction_paths`` called pair by pair.
+            for net, gid in zip(sorted_nets, gids):
+                for src, ts in zip(sources, sweeps):
+                    if gid is not None and src != net and gid in ts["overflow"]:
+                        raise RuntimeError(
+                            f"conduction path enumeration between {net!r} "
+                            f"and {src!r} exceeded {max_paths} paths")
+        # Per-device tables in local id space, plus a last slot, read by
+        # the -1 padding of short chains: no condition, inverse 0.0.
         n_dev = len(ccc.transistors)
-        # Per-device condition/conductance tables in local id space.
-        dev_cond_lid = np.full(n_dev, 0, np.int64)
-        dev_cond_level = np.zeros(n_dev, np.int8)
-        dev_has_cond = np.zeros(n_dev, bool)
-        dev_g = np.zeros(n_dev, np.float64)
+        dev_inv = np.zeros(n_dev + 1, np.float64)
+        dev_bad = np.zeros(n_dev + 1, bool)
+        dev_gate = np.full(n_dev + 1, -1, np.intc)
+        dev_level = np.zeros(n_dev + 1, np.int8)
         for di, t in enumerate(ccc.transistors):
-            dev_g[di] = conductance[t.name]
+            g = conductance[t.name]
+            dev_bad[di] = g <= 0
+            if g > 0:
+                dev_inv[di] = 1.0 / g
             if not is_rail_name(t.gate):
-                dev_cond_lid[di] = idx[t.gate]
-                dev_cond_level[di] = 1 if t.polarity == "nmos" else 0
-                dev_has_cond[di] = True
+                dev_gate[di] = idx[t.gate]
+                dev_level[di] = 1 if t.polarity == "nmos" else 0
+        dev_has = dev_gate >= 0
+        src_lid = [-1, -2] + [idx[src] for src in sources[2:]]
 
-        row_path_counts: list[int] = []
-        src_chunks: list[np.ndarray] = []
-        rail_chunks: list[np.ndarray] = []
-        g_chunks: list[np.ndarray] = []
-        pc_chunks: list[np.ndarray] = []
-        cg_chunks: list[np.ndarray] = []
-        cl_chunks: list[np.ndarray] = []
-        ci_chunks: list[np.ndarray] = []
-        deps_of: list[set[int]] = []
-        par_all = dev_all = rnk_all = dpt_all = None
-        for p, net in enumerate(sorted_nets):
-            deps = {p}
-            count = 0
-            net_gid = gid_of.get(net)
-            for src in sources:
-                if src == net:
+        # Each source's non-empty buckets by position, and the chunks:
+        # runs of whole positions under the cell budget.
+        per_src: list[list[tuple[int, np.ndarray]]] = [[] for _ in sources]
+        arrivals = [0] * n
+        for si, (src, ts) in enumerate(zip(sources, sweeps)):
+            buckets = ts["buckets"]
+            for p, (net, gid) in enumerate(zip(sorted_nets, gids)):
+                if gid is None or net == src:
                     continue
-                ts = sweeps[src]
-                if net_gid is None:
-                    continue
-                if net_gid in ts["overflow"]:
-                    # Same raise, in the same (net, src) iteration
-                    # order, as ``conduction_paths``.
-                    raise RuntimeError(
-                        f"conduction path enumeration between {net!r} and "
-                        f"{src!r} exceeded {max_paths} paths"
-                    )
-                bucket = ts["buckets"].get(net_gid)
-                if bucket is None or not bucket.size:
-                    continue
-                par_all, dev_all = ts["par"], ts["dev"]
-                rnk_all, dpt_all = ts["rank"], ts["depth"]
-                nb = bucket.size
-                d = dpt_all[bucket].astype(np.int64)
-                m = int(d.max())
-                # Unroll each arrival's parent chain into (nb, m)
-                # device/rank matrices; position k is the k-th device
-                # in forward (source-to-target) order.
-                K = np.zeros((nb, m), np.int32)
-                D = np.zeros((nb, m), np.int32)
-                cur = bucket.astype(np.int64)
-                for k in range(m):
-                    act = d > k
-                    idxs = cur[act]
-                    K[act, k] = rnk_all[idxs]
-                    D[act, k] = dev_all[idxs]
-                    cur[act] = par_all[idxs]
-                # Restore per-pair enumeration order: lex order on the
-                # forward rank sequence (primary key passed last).  No
-                # key strictly prefixes another, so the zero padding of
-                # short chains never decides a comparison.
-                order = np.lexsort(tuple(K[:, j]
-                                         for j in range(m - 1, -1, -1)))
-                D = D[order]
-                d = d[order]
-                posmask = np.arange(m)[None, :] < d[:, None]
-                # Series conductance with the reference accumulation
-                # order: inv += 1/g device by device, ascending k.
-                inv = np.zeros(nb, np.float64)
-                bad = np.zeros(nb, bool)
-                for k in range(m):
-                    act = posmask[:, k]
-                    gk = dev_g[D[act, k]]
-                    bad[act] |= gk <= 0
-                    contrib = np.zeros(gk.size, np.float64)
-                    np.divide(1.0, gk, out=contrib, where=gk > 0)
-                    inv[act] += contrib
-                pg = np.empty(nb, np.float64)
-                np.divide(1.0, inv, out=pg, where=inv != 0)
-                pg[inv == 0] = np.inf
-                pg[bad] = 0.0
-                # Conditions: every non-rail-gated device on the path,
-                # in forward order (row-major masked selection).
-                Ds = np.where(posmask, D, 0)
-                sel = posmask & dev_has_cond[Ds]
-                cdevs = Ds[sel]
-                cg = dev_cond_lid[cdevs]
-                if src == "vdd":
-                    src_lid, is_rail = -1, True
-                elif src == "gnd":
-                    src_lid, is_rail = -2, True
-                else:
-                    src_lid, is_rail = idx[src], False
-                    deps.add(src_lid)
-                src_chunks.append(np.full(nb, src_lid, np.int64))
-                rail_chunks.append(np.full(nb, is_rail, bool))
-                g_chunks.append(pg)
-                pc_chunks.append(sel.sum(axis=1).astype(np.int64))
-                cg_chunks.append(cg)
-                cl_chunks.append(dev_cond_level[cdevs])
-                ci_chunks.append(cg < n)
-                deps.update(np.unique(cg).tolist())
-                count += nb
-            row_path_counts.append(count)
-            deps_of.append(deps)
+                bucket = buckets.get(gid)
+                if bucket is not None and bucket.size:
+                    per_src[si].append((p, bucket))
+                    arrivals[p] += bucket.size
+        depth = max((int(ts["depth"].max()) for ts in sweeps
+                     if ts["depth"].size), default=1)
+        budget = max(1, _WALK_CELLS // depth)
+        cuts = [0]
+        held = 0
+        for p, count in enumerate(arrivals):
+            if held and held + count > budget:
+                cuts.append(p)
+                held = 0
+            held += count
+        cuts.append(n)
 
-        def cat(chunks: list[np.ndarray], dtype) -> np.ndarray:
+        deps_of: list[set[int]] = [{p} for p in range(n)]
+        parts: dict[str, list[np.ndarray]] = {
+            k: [] for k in ("rows", "src", "rail", "g", "pc", "cg", "cl")}
+        src_lid_arr = np.array(src_lid, np.int64)
+        for pa, pb in zip(cuts[:-1], cuts[1:]):
+            walks = []
+            for si, items in enumerate(per_src):
+                sel = [(p, b) for p, b in items if pa <= p < pb]
+                if sel:
+                    pos = np.repeat(np.array([p for p, _ in sel], np.int64),
+                                    [b.size for _, b in sel])
+                    nodes = np.concatenate([b for _, b in sel])
+                    walks.append((si, pos, *_chains(sweeps[si], nodes,
+                                                    ranks=True)))
+            if not walks:
+                parts["rows"].append(np.zeros(pb - pa, np.int64))
+                continue
+            total = sum(w[1].size for w in walks)
+            width = max(w[2].shape[1] for w in walks)
+            chains = np.full((total, width), -1, np.intc)
+            ranks = np.full((total, width), -1, np.intc)
+            pos = np.empty(total, np.int64)
+            src_of = np.empty(total, np.int64)
+            at = 0
+            for si, wpos, wslots, wranks in walks:
+                m, w = wslots.shape
+                chains[at:at + m, :w] = wslots
+                ranks[at:at + m, :w] = wranks
+                pos[at:at + m] = wpos
+                src_of[at:at + m] = si
+                at += m
+            # Rows by (position, source, forward rank sequence): the
+            # per-pair order within each pair (primary key last).
+            order = np.lexsort((*ranks.T[::-1], src_of, pos))
+            chains, pos, src_of = chains[order], pos[order], src_of[order]
+            # Series conductance: inv += 1/g device by device, left to
+            # right from 0.0 (padding adds 0.0, which changes no bit).
+            inv = np.zeros(total, np.float64)
+            bad = np.zeros(total, bool)
+            for col in chains.T:
+                inv += dev_inv[col]
+                bad |= dev_bad[col]
+            pg = np.full(total, np.inf)
+            np.divide(1.0, inv, out=pg, where=inv != 0)
+            pg[bad] = 0.0
+            # Conditions: every non-rail-gated device on the path, in
+            # forward order (row-major masked selection).
+            has = dev_has[chains]
+            cdev = chains[has]
+            cgate = dev_gate[cdev]
+            ccount = has.sum(axis=1)
+            # Dependencies, added in the per-pair loop's order -- per
+            # source, its port id and then its paths' sorted gates -- so
+            # every set iterates as it did pair by pair.
+            # Paths come sorted by (position, source): number the pairs,
+            # and mark each pair's gates in a (pair, gate) bitmap -- at
+            # most 60,900 cells for any template of chip_scale(10000).
+            pair = pos * n_src + src_of
+            step = np.r_[True, pair[1:] != pair[:-1]]
+            seen = np.zeros((int(step.sum()), n_loc), bool)
+            seen[np.repeat(np.cumsum(step) - 1, ccount), cgate] = True
+            run_of, gate_of = np.nonzero(seen)  # by pair, gate ascending
+            run_of, gate_of = run_of.tolist(), gate_of.tolist()
+            j = 0
+            for run, key in enumerate(pair[step].tolist()):
+                p, si = divmod(key, n_src)
+                deps = deps_of[p]
+                if si >= 2:
+                    deps.add(src_lid[si])
+                while j < len(run_of) and run_of[j] == run:
+                    deps.add(gate_of[j])
+                    j += 1
+            parts["rows"].append(np.bincount(pos - pa, minlength=pb - pa))
+            parts["src"].append(src_lid_arr[src_of])
+            parts["rail"].append(src_of < 2)
+            parts["g"].append(pg)
+            parts["pc"].append(ccount.astype(np.int64))
+            parts["cg"].append(cgate)
+            parts["cl"].append(dev_level[cdev])
+
+        def cat(key: str, dtype) -> np.ndarray:
+            chunks = parts[key]
             return (np.concatenate(chunks) if chunks
                     else np.empty(0, dtype))
 
-        tpl.row_path_counts = np.array(row_path_counts, np.int64)
-        tpl.path_src_lid = cat(src_chunks, np.int64)
-        tpl.path_src_rail = cat(rail_chunks, bool)
-        tpl.path_g = cat(g_chunks, np.float64)
-        tpl.path_cond_counts = cat(pc_chunks, np.int64)
-        tpl.cond_gate_lid = cat(cg_chunks, np.int64)
-        tpl.cond_level = cat(cl_chunks, np.int8)
-        tpl.cond_internal = cat(ci_chunks, bool)
+        tpl.row_path_counts = cat("rows", np.int64)
+        tpl.path_src_lid = cat("src", np.int64)
+        tpl.path_src_rail = cat("rail", bool)
+        tpl.path_g = cat("g", np.float64)
+        tpl.path_cond_counts = cat("pc", np.int64)
+        tpl.cond_gate_lid = cat("cg", np.intc)
+        tpl.cond_level = cat("cl", np.int8)
+        tpl.cond_internal = tpl.cond_gate_lid < n
+        del parts
 
         # Static wave levels.  Two constraints (see module docs):
         #   wave(net) > wave(d)   for deps d at an earlier position
@@ -561,98 +643,125 @@ class PackedSwitchTables:
             al_flat.extend(later)
         tpl.aff_later_counts = np.array(al_counts, np.int64)
         tpl.aff_later_flat = np.array(al_flat, np.int64)
+        _group_conditions(tpl, n_loc)
         return tpl
 
-    def _stamp_templates(self, flat: FlatNetlist, nid: dict[str, int],
-                         conductance: dict[str, float]) -> None:
-        """Template-cached build: compute once per CCC shape, stamp per
-        instance.
+    def _stamp(self, flat: FlatNetlist,
+               plan: list[tuple[ChannelConnectedComponent, _CCCTemplate,
+                                list[str]]]) -> None:
+        """Stamp every CCC's template into the tables, in CCC order.
 
         Stamping substitutes global net ids for a template's local ids
-        and offsets row positions by the instance's base row; every
-        other decision is baked into the template, so the concatenated
-        arrays equal per-instance enumeration byte for byte.
+        and offsets rows and paths by the instance's first row and path;
+        every other decision is baked into the template, so the tables
+        equal per-instance enumeration byte for byte.  Each array is
+        allocated once at its final size and filled slice by slice.
         """
-        templates: dict = {}
-        row_net_chunks: list[np.ndarray] = []
-        row_ccc_chunks: list[np.ndarray] = []
-        wave_chunks: list[np.ndarray] = []
-        rp_chunks: list[np.ndarray] = []
-        src_chunks: list[np.ndarray] = []
-        rail_chunks: list[np.ndarray] = []
-        g_chunks: list[np.ndarray] = []
-        pc_chunks: list[np.ndarray] = []
-        cg_chunks: list[np.ndarray] = []
-        cl_chunks: list[np.ndarray] = []
-        ci_chunks: list[np.ndarray] = []
-        al_count_chunks: list[np.ndarray] = []
-        al_flat_chunks: list[np.ndarray] = []
-        vdd_id = nid["vdd"]
-        gnd_id = nid["gnd"]
-        base = 0
-        for ccc in self.cccs:
-            sorted_nets = sorted(ccc.channel_nets)
-            key, local_names = _template_key(ccc, sorted_nets, flat)
-            tpl = templates.get(key) if key is not None else None
-            if tpl is None:
-                tpl = self._compute_template(ccc, sorted_nets, flat,
-                                             local_names, conductance)
-                if key is not None:
-                    templates[key] = tpl
-            else:
-                self.template_hits += 1
-            n = tpl.n
-            gmap = np.array([nid[nm] for nm in local_names], np.int64)
-            row_net_chunks.append(gmap[:n])
-            row_ccc_chunks.append(np.full(n, ccc.index, np.int64))
-            wave_chunks.append(tpl.row_wave)
-            rp_chunks.append(tpl.row_path_counts)
-            lids = tpl.path_src_lid
-            src_chunks.append(
-                np.where(lids == -1, vdd_id,
-                         np.where(lids == -2, gnd_id,
-                                  gmap[np.maximum(lids, 0)])))
-            rail_chunks.append(tpl.path_src_rail)
-            g_chunks.append(tpl.path_g)
-            pc_chunks.append(tpl.path_cond_counts)
-            cg_chunks.append(gmap[tpl.cond_gate_lid])
-            cl_chunks.append(tpl.cond_level)
-            ci_chunks.append(tpl.cond_internal)
+        nid = self.net_ids
+        rails = [nid["gnd"], nid["vdd"]]  # the path sentinels -2, -1
+        sizes = np.array(
+            [(tpl.n, tpl.path_g.size, tpl.cond_level.size,
+              tpl.aff_later_flat.size, tpl.grp_lid.size)
+             for _, tpl, _ in plan], np.int64).reshape(-1, 5)
+        offs = np.zeros((len(plan) + 1, 5), np.int64)
+        np.cumsum(sizes, axis=0, out=offs[1:])
+        n_rows, n_paths, n_conds, n_later, n_groups = offs[-1].tolist()
+        self.n_rows = n_rows
+        self.row_net = np.empty(n_rows, np.int64)
+        self.row_ccc = np.empty(n_rows, np.int64)
+        self.row_wave = np.empty(n_rows, np.int64)
+        self.path_ptr = np.zeros(n_rows + 1, np.int64)
+        self.path_src = np.empty(n_paths, np.int64)
+        self.path_src_rail = np.empty(n_paths, bool)
+        self.path_g = np.empty(n_paths, np.float64)
+        self.cond_ptr = np.zeros(n_paths + 1, np.int64)
+        self.cond_gate = np.empty(n_conds, np.int64)
+        self.cond_level = np.empty(n_conds, np.int8)
+        self.cond_internal = np.empty(n_conds, bool)
+        self.aff_later_ptr = np.zeros(n_rows + 1, np.int64)
+        self.aff_later_rows = np.empty(n_later, np.int64)
+        grp_key = np.empty(n_groups, np.int64)
+        grp_size = np.empty(n_groups, np.int64)
+        for (ccc, tpl, names), (r0, p0, c0, a0, g0), (r1, p1, c1, a1, g1) in zip(
+                plan, offs[:-1].tolist(), offs[1:].tolist()):
+            gmap = np.array([nid[nm] for nm in names] + rails, np.int64)
+            self.row_net[r0:r1] = gmap[:tpl.n]
+            self.row_ccc[r0:r1] = ccc.index
+            self.row_wave[r0:r1] = tpl.row_wave
+            self.path_ptr[r0 + 1:r1 + 1] = tpl.row_path_counts
+            np.take(gmap, tpl.path_src_lid, out=self.path_src[p0:p1])
+            self.path_src_rail[p0:p1] = tpl.path_src_rail
+            self.path_g[p0:p1] = tpl.path_g
+            self.cond_ptr[p0 + 1:p1 + 1] = tpl.path_cond_counts
+            np.take(gmap, tpl.cond_gate_lid, out=self.cond_gate[c0:c1])
+            self.cond_level[c0:c1] = tpl.cond_level
+            self.cond_internal[c0:c1] = tpl.cond_internal
+            self.aff_later_ptr[r0 + 1:r1 + 1] = tpl.aff_later_counts
+            np.add(tpl.aff_later_flat, r0, out=self.aff_later_rows[a0:a1])
+            grp_key[g0:g1] = gmap[tpl.grp_lid] * 4 + tpl.grp_sec
+            grp_size[g0:g1] = tpl.grp_size
             self.affected_rows.append({
-                local_names[lid]: base + arr for lid, arr in tpl.affected})
-            al_count_chunks.append(tpl.aff_later_counts)
-            al_flat_chunks.append(base + tpl.aff_later_flat)
+                names[lid]: r0 + arr for lid, arr in tpl.affected})
             for gate in ccc.gate_nets():
                 self.gate_readers.setdefault(gate, []).append(ccc.index)
             for net in ccc.channel_nets:
                 self.net_cccs.setdefault(net, []).append(ccc.index)
                 if flat.nets[net].is_port:
                     self.port_cccs.setdefault(net, []).append(ccc.index)
-            base += n
-
-        def cat(chunks: list[np.ndarray], dtype) -> np.ndarray:
-            return (np.concatenate(chunks) if chunks
-                    else np.empty(0, dtype))
-
-        def ptr_of(counts: np.ndarray) -> np.ndarray:
-            return np.concatenate((np.zeros(1, np.int64),
-                                   np.cumsum(counts, dtype=np.int64)))
-
-        self.row_net = cat(row_net_chunks, np.int64)
-        self.n_rows = int(self.row_net.size)
+        np.cumsum(self.path_ptr, out=self.path_ptr)
+        np.cumsum(self.cond_ptr, out=self.cond_ptr)
+        np.cumsum(self.aff_later_ptr, out=self.aff_later_ptr)
         self.row_name = [self.net_names[i] for i in self.row_net.tolist()]
-        self.row_ccc = cat(row_ccc_chunks, np.int64)
-        self.row_wave = cat(wave_chunks, np.int64)
-        self.path_ptr = ptr_of(cat(rp_chunks, np.int64))
-        self.path_src = cat(src_chunks, np.int64)
-        self.path_src_rail = cat(rail_chunks, bool)
-        self.path_g = cat(g_chunks, np.float64)
-        self.cond_ptr = ptr_of(cat(pc_chunks, np.int64))
-        self.cond_gate = cat(cg_chunks, np.int64)
-        self.cond_level = cat(cl_chunks, np.int8)
-        self.cond_internal = cat(ci_chunks, bool)
-        self.aff_later_ptr = ptr_of(cat(al_count_chunks, np.int64))
-        self.aff_later_rows = cat(al_flat_chunks, np.int64)
+        if n_groups:
+            self._stamp_gate_maps(plan, offs, grp_key, grp_size)
+
+    def _stamp_gate_maps(self, plan, offs: np.ndarray, grp_key: np.ndarray,
+                         grp_size: np.ndarray) -> None:
+        """Lay out ``net_cond_all``/``net_cond_int`` from the stamped
+        condition groups (``grp_key``: global gate id * 4 + section).
+
+        The groups are ordered by (gate net, level, internal first); a
+        stable sort keeps CCC order, i.e. ascending paths, within each
+        net's section.  A net value change shifts the grouped paths'
+        bad/unknown counters by one scalar delta each -- O(fan-out) with
+        no per-condition value reads.
+        """
+        n_groups = grp_key.size
+        order = np.argsort(grp_key, kind="stable")
+        placed = grp_size[order]
+        first = np.empty(n_groups, np.int64)
+        first[order] = np.cumsum(placed) - placed
+        n_ent = int(grp_size.sum())
+        paths = np.empty(n_ent, np.int32)
+        mult = np.empty(n_ent, np.int32)
+        step = np.arange(max((tpl.ent_path.size for _, tpl, _ in plan),
+                             default=0), dtype=np.int64)
+        for (_, tpl, _), (p0, g0), g1 in zip(
+                plan, offs[:-1, [1, 4]].tolist(), offs[1:, 4].tolist()):
+            dest = np.repeat(first[g0:g1] - tpl.grp_start, tpl.grp_size)
+            dest += step[:dest.size]
+            paths[dest] = tpl.ent_path + p0
+            mult[dest] = tpl.ent_mult
+        keys = grp_key[order]
+        heads = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        bounds = np.r_[first[order][heads], n_ent].tolist()
+        spans: dict[int, list] = {}
+        for key, a, b in zip(keys[heads].tolist(), bounds[:-1], bounds[1:]):
+            net, sec = divmod(key, 4)
+            spans.setdefault(net, [None] * 4)[sec] = (a, b)
+
+        def entry(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+            return paths[a:b], mult[a:b]
+
+        for net, (i0, e0, i1, e1) in spans.items():
+            # Internal then external per level: one contiguous span.
+            self.net_cond_all[net] = tuple(
+                None if i is None and e is None
+                else entry((i or e)[0], (e or i)[1])
+                for i, e in ((i0, e0), (i1, e1)))
+            if i0 is not None or i1 is not None:
+                self.net_cond_int[net] = tuple(
+                    None if i is None else entry(*i) for i in (i0, i1))
 
     # -- introspection -------------------------------------------------
 

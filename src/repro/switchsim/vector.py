@@ -37,7 +37,18 @@ mid-pass visibility.  The packed tables levelize that order into static
 observes exactly the sequential intermediate states; mid-pass
 expansions (a changed net opening paths for later nets) always target
 strictly greater waves, so the wave sweep picks them up like the
-sequential pass would.
+sequential pass would.  A pass keeps its wave queue as a boolean mask
+over the snapshot's rows and pops the lowest queued wave with one
+``flatnonzero``: rows come out ascending and each once, with no sort.
+
+**Counters, not condition reads.**  Each path carries how many of its
+gate conditions are definitely blocking (``_n_bad``) and at X
+(``_n_unk``); a net change shifts them through the tables' gate-update
+maps.  They are seeded without reading a gate: conditions only gate on
+non-rail nets, which all start at X, so no path starts blocked and all
+its conditions start unknown.  A solve reads each run of consecutive
+rows -- adjacent path ranges -- as one slice of ``_n_bad`` and gathers
+only its unblocked paths, typically well under one percent of them.
 
 The per-net resolution (conductance buckets, dominance-ratio fights,
 charge retention) is evaluated with masked ``np.bincount`` segment
@@ -57,6 +68,7 @@ from repro.switchsim.tables import PackedSwitchTables, csr_gather
 from repro.switchsim.values import Logic, NetState
 
 _LOGIC = (Logic.ZERO, Logic.ONE, Logic.X)
+_NO_PATHS = np.empty(0, np.int64)
 
 # Whether a gate value blocks a condition, by [required level][value];
 # X (value 2) is never definitely blocking, it makes the path "maybe".
@@ -141,20 +153,12 @@ class VectorSwitchSimulator(SwitchSimulator):
         # Incremental path classification: per conduction path, how many
         # gate conditions are definitely blocking / at X right now.
         # Maintained by _shift_cond on every net value change instead of
-        # re-reading gate values per condition on every solve.
-        n_paths = tables.path_src.size
-        if tables.cond_gate.size:
-            gv = self._val[tables.cond_gate]
-            bad = np.where(tables.cond_level == 1, gv == 0, gv == 1)
-            self._n_bad = np.bincount(
-                tables.cond_path, weights=bad,
-                minlength=n_paths).astype(np.int32)
-            self._n_unk = np.bincount(
-                tables.cond_path, weights=gv == 2,
-                minlength=n_paths).astype(np.int32)
-        else:
-            self._n_bad = np.zeros(n_paths, np.int32)
-            self._n_unk = np.zeros(n_paths, np.int32)
+        # re-reading gate values per condition on every solve.  Seeded
+        # without reading a gate: conditions only gate on non-rail nets,
+        # and every non-rail net starts at X, so no condition blocks yet
+        # and all of a path's conditions are unknown.
+        self._n_bad = np.zeros(tables.path_src.size, np.int32)
+        self._n_unk = np.diff(tables.cond_ptr).astype(np.int32)
         self._dirty: list[set[str] | None] = [None] * len(tables.cccs)
         # Bumped on *every* disturbance of a CCC's fan-in -- including
         # ones that land while its dirty set is None -- so speculative
@@ -374,38 +378,38 @@ class VectorSwitchSimulator(SwitchSimulator):
         # undone before returning, leaving the committed counters
         # untouched by speculation.
         shifts: list[tuple[int, int, int]] = []
-        buckets: dict[int, list[np.ndarray]] = {}
-
-        def push(rows: np.ndarray) -> None:
-            if rows.size == 0:
-                return
-            waves = row_wave[rows]
-            order = np.argsort(waves, kind="stable")
-            rows_sorted = rows[order]
-            waves = waves[order]
-            cuts = np.flatnonzero(waves[1:] != waves[:-1]) + 1
-            for chunk in np.split(rows_sorted, cuts):
-                buckets.setdefault(int(row_wave[chunk[0]]), []).append(chunk)
+        # The wave queue: a mask over the snapshot's rows (every row a
+        # pass can reach is a snapshot CCC's).  Popping takes all queued
+        # rows of the lowest wave, ascending.
+        base_row = int(T.ccc_row_start[min(snap)])
+        queued = np.zeros(int(T.ccc_row_end[max(snap)]) - base_row, bool)
 
         versions = {idx: self._dirty_version[idx] for idx in snap}
         for idx in snap:
             dirty = self._dirty[idx]
             if dirty is None or not self.incremental:
-                push(T.ccc_rows_arr[idx])
+                queued[T.ccc_row_start[idx] - base_row:
+                       T.ccc_row_end[idx] - base_row] = True
             else:
                 aff = T.affected_rows[idx]
-                parts = [aff[t] for t in dirty if t in aff]
-                if parts:
-                    push(np.concatenate(parts))
+                for t in dirty:
+                    rows = aff.get(t)
+                    if rows is not None:
+                        queued[rows - base_row] = True
 
         solved_parts: list[np.ndarray] = []
         chg_rows: list[np.ndarray] = []
         chg_val: list[np.ndarray] = []
         chg_drv: list[np.ndarray] = []
         chg_vc: list[np.ndarray] = []
-        while buckets:
-            wave = min(buckets)
-            rows = np.unique(np.concatenate(buckets.pop(wave)))
+        while True:
+            rows = np.flatnonzero(queued)
+            if not rows.size:
+                break
+            waves = row_wave[rows + base_row]
+            rows = rows[waves == waves.min()]
+            queued[rows] = False
+            rows += base_row
             rows = rows[~ext[T.row_net[rows]]]  # testbench owns those
             if rows.size == 0:
                 continue
@@ -431,11 +435,12 @@ class VectorSwitchSimulator(SwitchSimulator):
             vrows = rows[vchg]
             if vrows.size:
                 # Mid-pass expansion: value changes open paths for nets
-                # at later positions, which always sit at strictly
-                # greater waves -- never behind the sweep.
+                # at later positions of the same CCC, which always sit
+                # at strictly greater waves -- never behind the sweep.
                 starts = T.aff_later_ptr[vrows]
                 counts = T.aff_later_ptr[vrows + 1] - starts
-                push(T.aff_later_rows[csr_gather(starts, counts)])
+                queued[T.aff_later_rows[csr_gather(starts, counts)]
+                       - base_row] = True
 
         # Unwind every speculative counter shift: committed state owns
         # the counters, speculation only borrowed them for the pass.
@@ -465,9 +470,10 @@ class VectorSwitchSimulator(SwitchSimulator):
 
         ``val`` is the in-pass overlay (source/prev reads); path on/off
         classification comes from the incrementally maintained
-        ``_path_state`` (internal conditions track the overlay via
-        :meth:`_shift_cond`, external conditions sit at the committed
-        pre-pass state).  Returns the new (value, driven) per row;
+        ``_n_bad``/``_n_unk`` counters (internal conditions track the
+        overlay via :meth:`_shift_cond`, external conditions sit at the
+        committed pre-pass state).  ``rows`` are ascending and unique.
+        Returns the new (value, driven) per row;
         bit-identical to the scalar solver because the bincount segment
         sums add path conductances in the same order as the reference's
         scalar ``+=`` loop, and dropping a masked-out path only removes
@@ -475,17 +481,20 @@ class VectorSwitchSimulator(SwitchSimulator):
         """
         T = self._tables
         nr = rows.size
-        starts = T.path_ptr[rows]
-        counts = T.path_ptr[rows + 1] - starts
-        if int(counts.sum()):
-            pi = csr_gather(starts, counts)
-            seg = np.repeat(np.arange(nr), counts)
-            # Blocked paths (any definitely-off gate) contribute
-            # nothing; drop them before everything else.
-            live = self._n_bad[pi] == 0
-            if not live.all():
-                pi = pi[live]
-                seg = seg[live]
+        ptr = T.path_ptr
+        # Consecutive rows own adjacent path ranges: read each run of
+        # rows as one slice of the blocking counters and keep only its
+        # unblocked paths -- blocked ones (any definitely-off gate)
+        # contribute nothing.
+        last = np.flatnonzero(rows[1:] != rows[:-1] + 1)
+        firsts = [int(ptr[rows[0]]), *ptr[rows[last + 1]].tolist()]
+        ends = [*ptr[rows[last] + 1].tolist(), int(ptr[rows[-1] + 1])]
+        n_bad = self._n_bad
+        live = [np.flatnonzero(n_bad[a:b] == 0) + a
+                for a, b in zip(firsts, ends) if a < b]
+        pi = np.concatenate(live) if live else _NO_PATHS
+        if pi.size:
+            seg = np.searchsorted(ptr[rows + 1], pi, side="right")
             src = T.path_src[pi]
             act = T.path_src_rail[pi] | self._ext[src]
             if not act.all():

@@ -10,10 +10,12 @@ the three are the same computation: the same shard blobs, and a
 finalize report canonically equal to a serial ``CbvCampaign.run()``.
 The budget test then pins what (a) saves, and the rest pin the
 session's edges: the shared classification memo, invalidation, store
-faults on a session-less worker, the bound, and the finalize drop.
+faults on a session-less worker, the bound, the finalize drop, and
+that the worker replies before it frees the dropped session.
 """
 
 import json
+import queue
 from collections import Counter
 
 import pytest
@@ -39,6 +41,7 @@ from repro.fleet import (
     shard_store_key,
 )
 from repro.fleet.session import MAX_SESSIONS, WorkerSessions
+from repro.fleet.worker import worker_main
 from repro.process.corners import Corner
 from repro.process.technology import strongarm_technology
 from repro.service.suite import variant_ref
@@ -301,3 +304,27 @@ def test_sessions_are_bounded_and_dropped_by_finalize(tmp_path):
         execute_job(finalize_job(design, ref, shards), store, config, wt,
                     sessions)
     assert design not in sessions
+
+
+def test_worker_replies_before_freeing_a_finalized_session(tmp_path,
+                                                           monkeypatch):
+    """``worker_main`` frees a finalized design's session only once the
+    finalize job's ``done`` message is on the outbox."""
+    config = FleetConfig(store_dir=str(tmp_path / "store"))
+    design, ref = "svc_v00", variant_ref(0)
+    inbox, outbox = queue.Queue(), queue.Queue()
+    for job in (prepare_job(design, ref), finalize_job(design, ref, [])):
+        inbox.put(("job", job))
+    inbox.put(("stop",))
+    freed = []
+    real = WorkerSessions.release
+
+    def spy(self):
+        if self.retired is not None:
+            freed.append([(m[0], m[2]) for m in outbox.queue])
+        real(self)
+
+    monkeypatch.setattr(WorkerSessions, "release", spy)
+    worker_main("w0", inbox, outbox, config)
+    assert len(freed) == 1
+    assert ("done", f"{design}:finalize") in freed[0]

@@ -13,7 +13,10 @@ bit-identical results.
   by CCC instance from per-pair walks.
   :meth:`repro.switchsim.tables.PackedSwitchTables.build` stamps
   per-CCC-shape templates from sweeps instead, and must match it byte
-  for byte (:func:`table_mismatches`).
+  for byte (:func:`table_mismatches`).  :func:`condition_groups`
+  derives the incremental gate-update maps from the conditions CSR
+  with a plain loop, where the build groups each template's conditions
+  once and stamps the groups per instance.
 * :func:`reference_timing_graph` with :class:`OracleDelayCalculator`
   -- the STA graph built from materialized path lists, priced with one
   ``MosfetModel.on_resistance`` call per device of every path of every
@@ -48,6 +51,7 @@ bit-identical results.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Mapping
 
 import numpy as np
@@ -283,11 +287,71 @@ def direct_tables(flat: FlatNetlist, l_min_um: float = 0.35) -> dict:
     }
 
 
+def condition_groups(reference: dict) -> tuple[dict, dict]:
+    """``(net_cond_all, net_cond_int)`` of :func:`direct_tables` output.
+
+    A plain loop over the conditions and their owning paths.  Per gate
+    net and required level, each map holds the paths with a condition
+    on that net and level, ascending and each once, with how many such
+    conditions the path has (both ``int32``): ``net_cond_int`` only the
+    conditions inside the net's own CCC, ``net_cond_all`` that internal
+    group followed by the external one.  A level without conditions is
+    ``None``; a net without internal conditions has no
+    ``net_cond_int`` entry.  Nets are keyed in ascending order.
+    """
+    groups: dict[tuple[int, int, bool], tuple[array, array]] = {}
+    chunk = 1 << 20  # conditions per step: bounds the .tolist() lists
+    for lo in range(0, len(reference["cond_gate"]), chunk):
+        columns = [reference[name][lo:lo + chunk].tolist() for name in (
+            "cond_path", "cond_gate", "cond_level", "cond_internal")]
+        for path, *key in zip(*columns):
+            paths, mult = groups.setdefault(tuple(key),
+                                            (array("i"), array("i")))
+            if paths and paths[-1] == path:
+                mult[-1] += 1
+            else:
+                paths.append(path)
+                mult.append(1)
+
+    def entry(*keys) -> tuple[np.ndarray, np.ndarray] | None:
+        found = [groups[k] for k in keys if k in groups]
+        if not found:
+            return None
+        return tuple(np.concatenate([np.array(g[i], np.int32)
+                                     for g in found]) for i in (0, 1))
+
+    all_: dict[int, tuple] = {}
+    internal: dict[int, tuple] = {}
+    for net in sorted({k[0] for k in groups}):
+        all_[net] = tuple(entry((net, lvl, True), (net, lvl, False))
+                          for lvl in (0, 1))
+        if (net, 0, True) in groups or (net, 1, True) in groups:
+            internal[net] = tuple(entry((net, lvl, True)) for lvl in (0, 1))
+    return all_, internal
+
+
+def _map_mismatch(ours: dict, theirs: dict) -> bool:
+    """True when two gate-update maps differ in keys, key order, or any
+    entry's presence, dtype, shape or bytes."""
+    if list(ours) != list(theirs):
+        return True
+    for net, levels in ours.items():
+        for x, y in zip(levels, theirs[net]):
+            if (x is None) != (y is None):
+                return True
+            if x is not None and any(
+                    a.dtype != b.dtype or a.shape != b.shape
+                    or a.tobytes() != b.tobytes() for a, b in zip(x, y)):
+                return True
+    return False
+
+
 def table_mismatches(tables, reference: dict) -> list[str]:
     """Names of the packed arrays in which ``tables`` (a built
     :class:`~repro.switchsim.tables.PackedSwitchTables`) differs from
     ``reference`` (:func:`direct_tables`) in dtype, shape or bytes;
-    empty when they are identical."""
+    empty when they are identical.  The gate-update maps are compared
+    with :func:`condition_groups` of the reference."""
     bad = []
     for name in TABLE_ARRAYS:
         x, y = getattr(tables, name), reference[name]
@@ -302,6 +366,11 @@ def table_mismatches(tables, reference: dict) -> list[str]:
                                     for k in a)
             for a, b in zip(ours, theirs)):
         bad.append("affected_rows")
+    all_, internal = condition_groups(reference)
+    if _map_mismatch(tables.net_cond_all, all_):
+        bad.append("net_cond_all")
+    if _map_mismatch(tables.net_cond_int, internal):
+        bad.append("net_cond_int")
     return bad
 
 

@@ -2,19 +2,25 @@
 
 The packed-table builder stamps name-free CCC templates and rides
 target-rooted path sweeps; this file pins the invariant that makes that
-safe -- the stamped arrays are **byte-identical** to a per-instance
-build from per-pair walks (:func:`tests.oracles.direct_tables`) -- plus
-the cache-sharing contracts (`DesignCache.cccs`, `switch_tables`) and a
-chip-scale reference-vs-vector regression.
+safe -- the stamped arrays and gate-update maps are **byte-identical**
+to a per-instance build from per-pair walks
+(:func:`tests.oracles.direct_tables`, :func:`tests.oracles.condition_groups`),
+path overflow included -- plus the vector engine's condition counters
+against a recount, the cache-sharing contracts (`DesignCache.cccs`,
+`switch_tables`) and a chip-scale reference-vs-vector regression.
 """
 
+import numpy as np
 import pytest
 
 from repro.designs import chip_scale
 from repro.netlist.builder import CellBuilder
 from repro.netlist.flatten import flatten
+from repro.netlist.nets import is_rail_name
 from repro.perf.cache import DesignCache
+from repro.recognition import conduction
 from repro.switchsim import SwitchSimulator
+from repro.switchsim import tables as tables_mod
 from repro.switchsim.tables import PackedSwitchTables
 from tests.oracles import direct_tables, table_mismatches
 
@@ -43,6 +49,124 @@ def test_template_build_byte_identical_to_direct(make_cell):
     new = PackedSwitchTables.build(flatten(cell))
     assert new.template_hits > 0  # the cache actually engaged
     assert table_mismatches(new, direct_tables(flatten(cell))) == []
+
+
+def test_chunked_sweep_walk_byte_identical(monkeypatch):
+    """A cell budget of a few chains splits every sweep walk into many
+    chunks of whole positions; the tables must not change."""
+    monkeypatch.setattr(tables_mod, "_WALK_CELLS", 16)
+    cell = chip_scale(300).cell
+    new = PackedSwitchTables.build(flatten(cell))
+    assert table_mismatches(new, direct_tables(flatten(cell))) == []
+
+
+def test_build_without_gate_conditions():
+    """Paths gated only by rails, and nets with no path at all: no
+    condition to group, so the gate-update maps stay empty."""
+    b = CellBuilder("ungated", ports=["a"])
+    b.nmos("vdd", "y", "gnd", w=1.0)
+    b.nmos("a", "x0", "x1", w=1.0)
+    cell = b.build()
+    tables = PackedSwitchTables.build(flatten(cell))
+    assert tables.path_src.size and not tables.cond_gate.size
+    assert tables.net_cond_all == {} and tables.net_cond_int == {}
+    assert table_mismatches(tables, direct_tables(flatten(cell))) == []
+
+
+def ladder_cell(stages: int = 14):
+    """``stages`` pairs of parallel NMOS in series from ``x`` to gnd:
+    2**stages paths between them, past the 10,000-path cap."""
+    gates = [f"g{k}{side}" for k in range(stages) for side in "ab"]
+    b = CellBuilder("ladder", ports=["x", *gates])
+    for k in range(stages):
+        top = "x" if k == 0 else f"n{k}"
+        bottom = "gnd" if k == stages - 1 else f"n{k + 1}"
+        for side in "ab":
+            b.nmos(f"g{k}{side}", top, bottom, w=1.0)
+    return b.build()
+
+
+@pytest.mark.parametrize("bfs", [False, True], ids=["dfs", "bfs"])
+def test_path_overflow_raises_like_the_oracle(bfs, monkeypatch):
+    """A CCC whose (net, source) pair exceeds the path cap fails the
+    build with the oracle's message, whichever sweep strategy ran."""
+    if bfs:
+        monkeypatch.setattr(conduction, "_BFS_MIN_DEVICES", 0)
+    expected = "between 'x' and 'gnd' exceeded 10000 paths"
+    with pytest.raises(RuntimeError, match=expected):
+        direct_tables(flatten(ladder_cell()))
+    with pytest.raises(RuntimeError, match=expected):
+        PackedSwitchTables.build(flatten(ladder_cell()))
+
+
+def recount(sim):
+    """Each path's blocking and unknown condition counts, recounted
+    from the conditions CSR and the simulator's current net values."""
+    tables = sim.tables
+    gv = sim._val[tables.cond_gate]
+    bad = np.where(tables.cond_level == 1, gv == 0, gv == 1)
+    n_paths = tables.path_src.size
+    return (np.bincount(tables.cond_path, weights=bad,
+                        minlength=n_paths).astype(np.int32),
+            np.bincount(tables.cond_path, weights=gv == 2,
+                        minlength=n_paths).astype(np.int32))
+
+
+def lcg_plan(cs, seed: int) -> list[list[tuple[str, int]]]:
+    """Six steps of drives for a ``chip_scale`` design: every stimulus
+    port low, then the clock toggling with a sparse LCG-drawn third of
+    the other ports."""
+    state = seed
+
+    def lcg():
+        nonlocal state
+        state = (state * 1103515245 + 12345) & 0x7FFFFFFF
+        return state
+
+    plans = [[(p, 0) for p in cs.stimulus_ports]]
+    for step in range(1, 6):
+        drives = [(cs.clock_port, step % 2)]
+        for p in cs.stimulus_ports:
+            if p != cs.clock_port and lcg() % 3 == 0:
+                drives.append((p, lcg() % 2))
+        plans.append(drives)
+    return plans
+
+
+def tiled_case():
+    return tiled_cell(), [
+        [("d", 0), ("en", 0), ("en_b", 1)], [("en", 1), ("en_b", 0)],
+        [("d", 1)], [("en", 0), ("en_b", 1)], [("d", 0)]]
+
+
+def chip_case():
+    cs = chip_scale(1000)
+    return cs.cell, lcg_plan(cs, 777)
+
+
+@pytest.mark.parametrize("case", [tiled_case, chip_case],
+                         ids=["tiled-slices", "chipscale-1000"])
+def test_condition_counters_match_a_recount(case):
+    """The vector engine seeds its per-path condition counters without
+    reading a gate, then shifts them on every net change: after
+    construction and after every settle they equal a recount."""
+    cell, plan = case()
+    sim = SwitchSimulator(flatten(cell), engine="vector")
+    tables = sim.tables
+    # The seeding relies on this: no condition gates on a rail.
+    assert not any(is_rail_name(tables.net_names[g])
+                   for g in np.unique(tables.cond_gate).tolist())
+    n_bad, n_unk = recount(sim)
+    assert np.array_equal(sim._n_bad, n_bad)
+    assert np.array_equal(sim._n_unk, n_unk)
+    for drives in plan:
+        for net, value in drives:
+            sim.drive(net, value)
+        sim.settle(max_events=5_000_000)
+        n_bad, n_unk = recount(sim)
+        assert np.array_equal(sim._n_bad, n_bad)
+        assert np.array_equal(sim._n_unk, n_unk)
+    assert sim.counters["solve_count"] > 0
 
 
 def test_fingerprint_memoized_per_epoch():
@@ -86,23 +210,7 @@ def test_chipscale_vector_matches_reference_bit_for_bit():
     cache = DesignCache()
     ref = SwitchSimulator(flat, engine="reference", cache=cache)
     vec = SwitchSimulator(flat, engine="vector", cache=cache)
-
-    state = 12345
-
-    def lcg():
-        nonlocal state
-        state = (state * 1103515245 + 12345) & 0x7FFFFFFF
-        return state
-
-    plans = [[(p, 0) for p in cs.stimulus_ports]]
-    for step in range(1, 6):
-        drives = [(cs.clock_port, step % 2)]
-        for p in cs.stimulus_ports:
-            if p != cs.clock_port and lcg() % 3 == 0:
-                drives.append((p, lcg() % 2))
-        plans.append(drives)
-
-    for drives in plans:
+    for drives in lcg_plan(cs, 12345):
         for net, value in drives:
             ref.drive(net, value)
             vec.drive(net, value)
