@@ -6,7 +6,9 @@ chip-scale workload (:func:`repro.designs.chip_scale` at ~1k through
 ~50k transistors) the script measures
 
 * **cold table build** through the shared :class:`DesignCache` -- the
-  target-rooted path sweeps and the name-free CCC template cache;
+  target-rooted path sweeps and the name-free CCC template cache --
+  with the process's peak RSS read right after it, before any oracle
+  runs (``build.peak_rss_mb``);
 * **legacy table build** -- the per-instance, per-pair oracle in
   ``tests/oracles.py`` on fresh CCCs -- at the scales where it is still
   affordable, asserting the two produce **byte-identical** packed
@@ -16,7 +18,8 @@ chip-scale workload (:func:`repro.designs.chip_scale` at ~1k through
   construction**, which prices each source pair's paths straight from
   the sweep records;
 * **legacy STA graph** -- :func:`tests.oracles.reference_timing_graph`,
-  which materializes every pair as path objects (``PathSet.paths()``),
+  which materializes every pair as path objects
+  (:func:`tests.oracles.materialize`),
   priced by :class:`tests.oracles.OracleDelayCalculator` with one model
   evaluation per device of every path of every arc, with the arc-price
   cache on as production runs it -- at 1k and 5k, asserting
@@ -61,7 +64,7 @@ from repro.perf.cache import DesignCache                        # noqa: E402
 from repro.process.corners import Corner                        # noqa: E402
 from repro.process.technology import strongarm_technology       # noqa: E402
 from repro.recognition import conduction                        # noqa: E402
-from repro.switchsim import SwitchSimulator                     # noqa: E402
+from repro.switchsim import VectorSwitchSimulator               # noqa: E402
 from repro.timing.arccache import ArcPriceCache                 # noqa: E402
 from repro.timing.delay import ArcDelayCalculator               # noqa: E402
 from repro.timing.graph import build_timing_graph               # noqa: E402
@@ -120,6 +123,21 @@ def make_smoke_plan(cs, steps: int) -> list[list[tuple[str, int]]]:
     return plan
 
 
+def high_water_mb() -> float:
+    """This process's peak resident set so far, in MB (``VmHWM``).
+
+    Falls back to ``ru_maxrss`` where ``/proc`` has no status file.
+    """
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def current_commit() -> str:
     """``git describe --always --dirty`` of the checkout, or "unknown"."""
     try:
@@ -145,6 +163,9 @@ def bench_scale(label: str, target: int, check_legacy: bool,
     t0 = time.perf_counter()
     tables = cache.switch_tables(flat)
     cold_total_s = time.perf_counter() - t0
+    # Read before the oracle runs: the oracle and its map comparison
+    # set the process's later peak, not the build.
+    build_peak_mb = high_water_mb()
     build_s = tables.build_wall_s  # pure build; cold_total adds
     enum_after = conduction.enumeration_counters()
     print(f"[{label}] cold build {build_s:.2f}s "
@@ -174,7 +195,7 @@ def bench_scale(label: str, target: int, check_legacy: bool,
     warm_hit_s = time.perf_counter() - t0
     assert again is tables, "warm switch_tables must be an identity hit"
 
-    sim = SwitchSimulator(flat, engine="vector", tables=tables)
+    sim = VectorSwitchSimulator(flat, tables=tables)
     plan = make_smoke_plan(cs, SMOKE_STEPS)
     t0 = time.perf_counter()
     events = 0
@@ -238,6 +259,9 @@ def bench_scale(label: str, target: int, check_legacy: bool,
             **table_counts,
             "target_sweeps": int(enum_after["target_sweeps"]
                                  - enum_before.get("target_sweeps", 0)),
+            # The high-water mark right after the cold build; it covers
+            # the scales run before this one in the same invocation.
+            "peak_rss_mb": round(build_peak_mb, 1),
         },
         "legacy": legacy,
         "recognition_s": round(recognition_s, 4),
@@ -249,8 +273,7 @@ def bench_scale(label: str, target: int, check_legacy: bool,
                   "wall_s": round(smoke_s, 4)},
         # Process-wide high-water mark, so it covers the scales run
         # before this one in the same invocation.
-        "peak_rss_mb": round(
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mb": round(high_water_mb(), 1),
     }
 
 

@@ -4,7 +4,9 @@ For each chip-scale workload (:func:`repro.designs.chip_scale` at ~1k,
 5k, and 10k transistors) the script
 
 * builds the packed solve tables once (timed separately -- path
-  enumeration is a per-design one-time cost, not solve throughput);
+  enumeration is a per-design one-time cost, not solve throughput) and
+  hands that one build to both engines, timing each engine's
+  construction over it on its own;
 * runs the *same* pseudo-random stimulus (deterministic LCG, clock
   toggling plus sparse data-port activity) through the reference
   engine and the vector engine, timing only the drive/settle loop;
@@ -37,7 +39,7 @@ import time
 
 from repro.designs import chip_scale
 from repro.netlist.flatten import flatten
-from repro.switchsim import SwitchSimulator
+from repro.switchsim import SwitchSimulator, VectorSwitchSimulator
 from repro.switchsim.tables import PackedSwitchTables
 from setup_report import current_commit
 
@@ -97,13 +99,19 @@ def bench_scale(label: str, target: int, steps: int) -> dict:
     build_s = time.perf_counter() - t0
     print(f"[{label}] packed tables built in {build_s:.1f}s")
 
-    ref = SwitchSimulator(flat, engine="reference")
+    t0 = time.perf_counter()
+    ref = SwitchSimulator(flat, tables=tables)
+    ref_init = time.perf_counter() - t0
     ref_wall, ref_events = run_engine(ref, plan)
-    print(f"[{label}] reference: {ref_wall:.2f}s, {ref_events} events")
+    print(f"[{label}] reference: built in {ref_init:.2f}s, "
+          f"{ref_wall:.2f}s, {ref_events} events")
 
-    vec = SwitchSimulator(flat, engine="vector", tables=tables)
+    t0 = time.perf_counter()
+    vec = VectorSwitchSimulator(flat, tables=tables)
+    vec_init = time.perf_counter() - t0
     vec_wall, vec_events = run_engine(vec, plan)
-    print(f"[{label}] vector:    {vec_wall:.2f}s, {vec_events} events")
+    print(f"[{label}] vector:    built in {vec_init:.2f}s, "
+          f"{vec_wall:.2f}s, {vec_events} events")
 
     equivalent = ref.history == vec.history
     speedup = ref_wall / max(vec_wall, 1e-9)
@@ -114,11 +122,13 @@ def bench_scale(label: str, target: int, steps: int) -> dict:
         "nets": len(flat.nets),
         "build_tables_s": round(build_s, 4),
         "reference": {
+            "construct_s": round(ref_init, 4),
             "wall_s": round(ref_wall, 4),
             "events": ref_events,
             "events_per_s": round(ref_events / max(ref_wall, 1e-9), 1),
         },
         "vector": {
+            "construct_s": round(vec_init, 4),
             "wall_s": round(vec_wall, 4),
             "events": vec_events,
             "events_per_s": round(vec_events / max(vec_wall, 1e-9), 1),

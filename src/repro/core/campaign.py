@@ -59,7 +59,7 @@ from repro.perf.stopwatch import Stopwatch
 from repro.process.technology import Technology
 from repro.recognition.conduction import enumeration_counters
 from repro.recognition.recognizer import RecognizedDesign, recognize
-from repro.switchsim import Logic, OscillationError, SwitchSimulator
+from repro.switchsim import Logic, OscillationError, VectorSwitchSimulator
 from repro.timing.analyzer import TimingReport
 from repro.timing.arccache import ArcPriceCache
 from repro.timing.clocking import TwoPhaseClock
@@ -115,10 +115,6 @@ class DesignBundle:
         the next.  ``functional_probes`` names nets that must settle
         to a known value after the last step -- an ``X`` probe fails
         the stage, as does an oscillation during any step.
-    sim_engine:
-        Which switch-level engine runs the vectors: ``"vector"`` (the
-        default; routes packed tables through the session cache) or
-        ``"reference"`` (authoritative scalar semantics).
     use_layout:
         True: generate a macrocell and extract from geometry; False:
         wireload model (the feasibility-study mode).
@@ -135,7 +131,6 @@ class DesignBundle:
     rtl_inputs: dict[str, tuple[str, ...]] = field(default_factory=dict)
     functional_vectors: tuple = ()
     functional_probes: tuple[str, ...] = ()
-    sim_engine: str = "vector"
     use_layout: bool = True
     #: Pre-extracted parasitics to use instead of the default wireload
     #: model when ``use_layout`` is False (e.g. a tuned WireloadModel).
@@ -143,6 +138,23 @@ class DesignBundle:
     false_through: tuple[str, ...] = ()
     pessimism: PessimismSettings = field(default_factory=PessimismSettings)
     check_settings: CheckSettings = field(default_factory=CheckSettings)
+
+
+def _bundle_skip(bundle: DesignBundle, flow: FlowStage) -> str | None:
+    """The summary of ``flow``'s SKIPPED result when ``bundle`` alone
+    decides it, else None: a wireload design has no layout, and a
+    design with no RTL intent and no vectors has no logic stage.
+
+    The stage functions skip from here, and a resumed run reads it
+    before probing the store: SKIPPED results are never checkpointed,
+    so the probe could only miss.
+    """
+    if flow is FlowStage.LAYOUT and not bundle.use_layout:
+        return "no layout; wireload parasitics in use"
+    if (flow is FlowStage.LOGIC_VERIFICATION and not bundle.rtl_intent
+            and not bundle.functional_vectors):
+        return "no RTL intent or functional vectors declared"
+    return None
 
 
 @dataclass
@@ -213,7 +225,9 @@ class CbvCampaign:
         ``resume=True``, stages whose checkpoint verifies are replayed
         (result, artifacts, and trace events restored) instead of
         re-executed; ERROR and SKIPPED outcomes, batteries that recorded
-        check crashes, and corrupt or missing blobs always re-run.
+        check crashes, and corrupt or missing blobs always re-run.  A
+        stage the bundle alone skips (no layout in wireload mode, no
+        logic stage without RTL intent or vectors) is not looked up.
         Checkpoint faults degrade -- a corrupt blob is quarantined and
         logged as a ``checkpoint.corrupt`` trace event, a failed write
         as ``checkpoint.write_error``, and a store stuck in ENOSPC
@@ -271,7 +285,8 @@ class CbvCampaign:
                 return
 
             key = keys.get(flow)
-            if store is not None and resume and key is not None:
+            if (store is not None and resume and key is not None
+                    and _bundle_skip(bundle, flow) is None):
                 loaded = load_checkpoint(
                     store, key, flow.value, trace,
                     lambda payload: _check_stage_checkpoint(flow, payload))
@@ -387,11 +402,10 @@ class CbvCampaign:
 
         # -- layout ------------------------------------------------------------
         def layout() -> StageResult:
-            if not bundle.use_layout:
-                return StageResult(
-                    stage=FlowStage.LAYOUT, status=StageStatus.SKIPPED,
-                    summary="no layout; wireload parasitics in use",
-                )
+            skip = _bundle_skip(bundle, FlowStage.LAYOUT)
+            if skip is not None:
+                return StageResult(stage=FlowStage.LAYOUT,
+                                   status=StageStatus.SKIPPED, summary=skip)
             flat = art["flat"]
             mc = generate_macrocell(bundle.name, flat.transistors,
                                     l_min_um=bundle.technology.l_min_um)
@@ -619,11 +633,10 @@ class CbvCampaign:
     def _logic_stage(self, design: RecognizedDesign, flat: FlatNetlist,
                      cache=None) -> StageResult:
         bundle = self.bundle
-        if not bundle.rtl_intent and not bundle.functional_vectors:
-            return StageResult(
-                stage=FlowStage.LOGIC_VERIFICATION, status=StageStatus.SKIPPED,
-                summary="no RTL intent or functional vectors declared",
-            )
+        skip = _bundle_skip(bundle, FlowStage.LOGIC_VERIFICATION)
+        if skip is not None:
+            return StageResult(stage=FlowStage.LOGIC_VERIFICATION,
+                               status=StageStatus.SKIPPED, summary=skip)
         mismatches: list[str] = []
         checked = 0
         for output, intent in bundle.rtl_intent.items():
@@ -651,7 +664,7 @@ class CbvCampaign:
             metrics.update(sim_metrics)
             parts.append(f"{len(bundle.functional_vectors)} vectors simulated "
                          f"({int(sim_metrics['sim_events'])} events, "
-                         f"{bundle.sim_engine} engine)")
+                         "vector engine)")
         metrics["mismatches"] = float(len(mismatches))
         status = StageStatus.FAIL if mismatches else StageStatus.PASS
         return StageResult(
@@ -664,7 +677,7 @@ class CbvCampaign:
 
     def _functional_leg(self, flat: FlatNetlist,
                         cache) -> tuple[list[str], dict[str, float]]:
-        """Run the bundle's functional vectors through switch simulation.
+        """Run the bundle's functional vectors through the vector engine.
 
         Returns ``(problems, metrics)``.  The metrics surface the
         engine's perf counters (``solve_count`` / ``skip_count`` /
@@ -673,18 +686,11 @@ class CbvCampaign:
         dirty-group machinery avoided.
         """
         bundle = self.bundle
-        kwargs: dict = {}
-        if cache is not None:
-            kwargs["cache"] = cache
         enum_before = enumeration_counters()
-        sim = SwitchSimulator(flat, engine=bundle.sim_engine,
-                              record_history=False, **kwargs)
+        sim = VectorSwitchSimulator(flat, record_history=False, cache=cache)
         setup: dict[str, float] = _enum_delta(enum_before)
-        tables = getattr(sim, "_tables", None)
-        if tables is not None:
-            setup["table_build_seconds"] = float(tables.build_wall_s)
-            setup.update({k: float(v)
-                          for k, v in tables.counters().items()})
+        setup["table_build_seconds"] = float(sim.tables.build_wall_s)
+        setup.update({k: float(v) for k, v in sim.tables.counters().items()})
         problems: list[str] = []
         events = 0
         for step, stimuli in enumerate(bundle.functional_vectors):

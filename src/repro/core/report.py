@@ -52,12 +52,8 @@ _NONCANONICAL_KEYS = frozenset({
     "workers",
     # setup-path effectiveness: sweep counts depend on which consumer
     # warmed the shared CCC path caches first, and template hits count
-    # work saved, not work concluded.  ``path_sweeps`` and
-    # ``pair_enumerations`` are no longer emitted, but stage checkpoints
-    # written by older releases carry them and must replay to the same
-    # canonical report.
-    "path_sweeps", "target_sweeps", "pair_enumerations", "path_cache_hits",
-    "packed_template_hits",
+    # work saved, not work concluded.
+    "target_sweeps", "path_cache_hits", "packed_template_hits",
     # fleet supervision events (which worker hung or which shard was
     # quarantined is run mechanics; the degraded *verdict* itself rides
     # in the stage statuses, which the canonical form keeps)

@@ -140,7 +140,7 @@ class DesignCache:
 
     def switch_tables(self, flat: FlatNetlist,
                       l_min_um: float = 0.35) -> PackedSwitchTables:
-        """Packed vector-engine solve tables for ``flat`` (cached).
+        """Packed switch-simulation solve tables for ``flat`` (cached).
 
         Unlike the other artifacts, identity of the netlist object is
         *not* enough here: a sizing loop mutates device geometry in

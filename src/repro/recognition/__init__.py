@@ -32,11 +32,7 @@ This package is that deduction engine:
 """
 
 from repro.recognition.ccc import ChannelConnectedComponent, extract_cccs
-from repro.recognition.conduction import (
-    ConductionPath,
-    PathSet,
-    conduction_paths,
-)
+from repro.recognition.conduction import PathSet, conduction_paths
 from repro.recognition.families import CircuitFamily, classify_ccc
 from repro.recognition.gates import RecognizedGate, recognize_static_gate
 from repro.recognition.clocks import infer_clocks
@@ -47,7 +43,6 @@ from repro.recognition.direction import FlowDirection, PassNetworkFlow, infer_pa
 __all__ = [
     "ChannelConnectedComponent",
     "extract_cccs",
-    "ConductionPath",
     "PathSet",
     "conduction_paths",
     "CircuitFamily",

@@ -32,15 +32,15 @@ record: :meth:`PathSet.chains` walks the pair's parent chains into
 device slots, and :meth:`PathSet.sums` adds per-device values along
 them (in Python for small sets, with numpy columns for large ones).
 Gate and device tests are mask bits (:meth:`PathSet.where`,
-:meth:`PathSet.rows_by_gate`).
-Only the scalar switch-sim engine and the test oracles call
-:meth:`PathSet.paths`, which turns the nodes into
-:class:`ConductionPath` objects once per pair and keeps them on the
-``PathSet``.  The packed switch tables never materialize either: their
-builder reads each source's sweep record once for all of a CCC's
-channel nets, walking every arrival's chain with the same
-:func:`_chains` (devices and arrival ranks) and sorting by position,
-source and forward rank sequence to restore the per-pair order.
+:meth:`PathSet.rows_by_gate`).  The packed switch tables, which both
+switch-level simulation engines read, walk paths too: their builder
+reads each source's sweep record once for all of a CCC's channel nets,
+walking every arrival's chain with the same :func:`_chains` (devices
+and arrival ranks) and sorting by position, source and forward rank
+sequence to restore the per-pair order.  No production code turns a
+path into an object; per-path object lists exist only in the test
+oracles (``tests/oracles.py``), which materialize a ``PathSet`` in the
+per-pair order.
 
 Which paths, in which order
 ---------------------------
@@ -50,10 +50,10 @@ compare against): a LIFO stack from ``source`` whose children are
 pushed in adjacency order -- a preorder visiting children in
 *reversed* adjacency order -- in which rails other than the source
 terminate paths, no net is revisited, and paths requiring some gate at
-both levels are dropped.  The per-pair *order* of that walk is a
-contract of :meth:`PathSet.paths` only: classification reads no order,
-while packed-table layouts and the timing graph index path lists
-positionally.
+both levels are dropped.  The per-pair *order* of that walk binds only
+the layouts that list a pair's paths one after another -- the packed
+switch tables' rows and the oracles' path lists; classification reads
+no order.
 
 One target-rooted sweep
 -----------------------
@@ -90,7 +90,7 @@ per-node Python DFS, while CCCs of ``_BFS_MIN_DEVICES`` devices or more
 run a level-synchronous vectorized BFS (:func:`_sweep_bfs`) that
 expands whole frontier levels with numpy and tracks each partial
 path's mask as uint64 words.  Both produce the same buckets, overflow
-set, path masks and materialized paths.
+set, path masks and per-pair orders.
 
 ``source == target`` is not a pair any consumer asks about (a loop back
 to the source joins no two nets) and raises ``ValueError``.
@@ -100,7 +100,6 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, repeat
 from operator import or_
@@ -129,31 +128,6 @@ def enumeration_counters() -> dict[str, int]:
     return dict(_COUNTERS)
 
 
-@dataclass(frozen=True)
-class ConductionPath:
-    """One simple channel path between two nets.
-
-    ``conditions`` is a tuple of ``(gate_net, required_level)`` pairs:
-    the path conducts when every gate net is at its required level
-    (1 for NMOS, 0 for PMOS).
-    """
-
-    devices: tuple[str, ...]
-    conditions: tuple[tuple[str, bool], ...]
-
-    def gates(self) -> set[str]:
-        return {g for g, _ in self.conditions}
-
-    def is_contradictory(self) -> bool:
-        """True if the path requires some gate at both 0 and 1 (never on)."""
-        seen: dict[str, bool] = {}
-        for gate, level in self.conditions:
-            if gate in seen and seen[gate] != level:
-                return True
-            seen[gate] = level
-        return False
-
-
 def _bits(mask: int):
     """Positions of the set bits of ``mask``, lowest first."""
     while mask:
@@ -176,16 +150,15 @@ class PathSet:
     CCC's switch graph (:func:`_graph` documents the bit layout).
     The queries are order-free and answered from the masks, except the
     per-path walks (:meth:`chains`, :meth:`sums`, :meth:`rows_by_gate`),
-    which follow the set's node order, and :meth:`paths`; the filters
-    return a new ``PathSet`` over a subset of the nodes.
+    which follow the set's node order; the filters return a new
+    ``PathSet`` over a subset of the nodes.
 
     Holds the sweep record and graph, never the CCC: the set lives in
     ``ccc.path_cache``, and a reference back would form a cycle that
     only the cyclic garbage collector frees.
     """
 
-    __slots__ = ("_g", "_ts", "_nodes", "_mask_list", "_walked", "_gate_rows",
-                 "_paths")
+    __slots__ = ("_g", "_ts", "_nodes", "_mask_list", "_walked", "_gate_rows")
 
     def __init__(self, g: dict, ts: dict, nodes: np.ndarray,
                  masks: list[int] | None = None) -> None:
@@ -195,7 +168,6 @@ class PathSet:
         self._mask_list = masks
         self._walked: list[list[int]] | None = None
         self._gate_rows: dict[str, Sequence[int]] | None = None
-        self._paths: tuple[ConductionPath, ...] | None = None
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -206,7 +178,7 @@ class PathSet:
 
         The DFS records every node's mask as it walks; a BFS record
         keeps none, and the pair's chains are OR-ed here with numpy, so
-        pairs that are only ever materialized never pay for masks.
+        pairs that are only ever walked never pay for masks.
         """
         if self._mask_list is None:
             recorded = self._ts.get("mask")
@@ -493,44 +465,6 @@ class PathSet:
                 total += values[slot]
             sums.append(total)
         return sums
-
-    # -- materialization -----------------------------------------------------------
-
-    def paths(self) -> tuple[ConductionPath, ...]:
-        """The paths as objects, in the per-pair walk's order.
-
-        Parent chains run from the arrival back to the root, i.e.
-        already in source-to-target order; each chain yields its
-        devices, conditions, and forward rank key in one walk, and
-        sorting by key restores the per-pair enumeration order (module
-        docstring).  Built once and kept.
-        """
-        if self._paths is not None:
-            return self._paths
-        g, ts = self._g, self._ts
-        par, dev, rnk = ts["par"], ts["dev"], ts["rank"]
-        dev_names = g["dev_names"]
-        dev_gate, dev_level = g["dev_gate"], g["dev_level"]
-        gate_names = g["gate_names"]
-        keyed: list[tuple[tuple[int, ...], ConductionPath]] = []
-        for node in self._nodes.tolist():
-            key: list[int] = []
-            devs: list[str] = []
-            conds: list[tuple[str, bool]] = []
-            while node >= 0:
-                di = dev[node]
-                key.append(rnk[node])
-                devs.append(dev_names[di])
-                gi = dev_gate[di]
-                if gi >= 0:
-                    conds.append((gate_names[gi], bool(dev_level[di])))
-                node = par[node]
-            keyed.append((tuple(key),
-                          ConductionPath(devices=tuple(devs),
-                                         conditions=tuple(conds))))
-        keyed.sort(key=lambda kv: kv[0])
-        self._paths = tuple(p for _, p in keyed)
-        return self._paths
 
 
 def conduction_paths(
@@ -834,7 +768,7 @@ def _sweep_bfs(g: dict, tid: int, target: str, want_id: int,
     asked an order-free question.
 
     Nodes are recorded in level order rather than the DFS's preorder;
-    that is invisible to consumers, which sort materialized paths by
+    that is invisible to consumers, which sort a pair's paths by
     their forward rank sequences -- a total key (equal rank prefixes
     force equal net prefixes, and no sequence strictly prefixes
     another).  Buckets and overflow are grouped once at the end,
@@ -961,7 +895,7 @@ def sweep_paths_to_target(
     -- preorder
     for the DFS strategy, level order for the vectorized BFS used on
     CCCs of ``_BFS_MIN_DEVICES`` devices or more; consumers sort
-    materialized paths by their total forward-rank key, so the two are
+    a pair's paths by their total forward-rank key, so the two are
     interchangeable -- and ``overflow``, the net ids whose pair with
     ``target`` exceeded ``max_paths`` (their buckets are dropped and
     any request for them raises, exactly like the per-pair walk).

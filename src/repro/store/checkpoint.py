@@ -93,8 +93,7 @@ def design_fingerprint(bundle) -> DesignFingerprint:
         "clock_hints": fingerprint_value(list(bundle.clock_hints)),
         "rtl": _digest(["rtl", rtl]),
         "functional": fingerprint_value(
-            [bundle.sim_engine,
-             [sorted(step.items()) for step in bundle.functional_vectors],
+            [[sorted(step.items()) for step in bundle.functional_vectors],
              list(bundle.functional_probes)]),
         "mode": fingerprint_value(
             [bool(bundle.use_layout), bundle.parasitics]),

@@ -39,7 +39,7 @@ from repro.netlist.cell import Cell
 
 #: Bump when the canonical rendering (or any checkpointed payload shape)
 #: changes incompatibly; old store entries simply stop matching.
-FINGERPRINT_SCHEMA_VERSION = 1
+FINGERPRINT_SCHEMA_VERSION = 2
 
 
 def _digest(obj) -> str:

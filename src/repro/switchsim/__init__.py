@@ -18,10 +18,11 @@ Key behaviours the full-custom circuit styles require:
   is "possibly conducting"; a node that might be disturbed resolves to X
   rather than silently keeping a clean value.
 
-Two engines implement the same semantics: the pure-Python reference
+Two engines implement the same semantics over one
+:class:`PackedSwitchTables` build: the pure-Python reference
 (:class:`SwitchSimulator`, authoritative) and the numpy-batched
-:class:`VectorSwitchSimulator` (``SwitchSimulator(flat,
-engine="vector")``), bit-identical and much faster on large designs.
+:class:`VectorSwitchSimulator`, bit-identical and much faster on large
+designs.  Both take the same constructor arguments; pick one by class.
 """
 
 from repro.switchsim.values import Logic, NetState

@@ -3,11 +3,13 @@
 Evaluation model
 ----------------
 The design is partitioned into channel-connected components once, at
-construction.  For every CCC and every channel net, the conduction paths
-to each *source* (vdd, gnd, and any testbench-drivable port inside the
-CCC) are pre-enumerated with :mod:`repro.recognition.conduction`, and
-each path's series conductance is computed once -- devices never resize,
-so the value is constant for the life of the simulator.
+construction, and lowered into :class:`~repro.switchsim.tables.
+PackedSwitchTables`: one row per (CCC, channel net) in sorted-net
+order, and per row its conduction paths to each *source* (vdd, gnd,
+and any testbench-drivable port inside the CCC) with each path's
+series conductance and gate conditions -- devices never resize, so the
+values are constant for the life of the simulator.  The same build
+feeds the batched :class:`~repro.switchsim.vector.VectorSwitchSimulator`.
 
 At each settle step, a CCC is (re)evaluated from its gate-input values:
 
@@ -39,39 +41,28 @@ ring-oscillator-style non-settling structures.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from repro.netlist.flatten import FlatNetlist
-from repro.recognition.ccc import ChannelConnectedComponent, extract_cccs
-from repro.recognition.conduction import (
-    ConductionPath,
-    conduction_paths,
-    sweep_paths_to_target,
-)
+from repro.switchsim.tables import PackedSwitchTables
 from repro.switchsim.values import Logic, NetState
 
-_EMPTY: frozenset[str] = frozenset()
+_EMPTY: frozenset[int] = frozenset()
+
+#: The gate value that turns a device off, by its condition's required
+#: level (0 for PMOS, 1 for NMOS).
+_BLOCKS = (Logic.ONE, Logic.ZERO)
 
 
 class OscillationError(RuntimeError):
     """Raised when the design fails to settle (combinational loop)."""
 
 
-@dataclass
-class _SourcePaths:
-    """Pre-enumerated paths from one channel net to one source.
-
-    ``conductances[i]`` is the constant series conductance of
-    ``paths[i]``, computed once at construction.
-    """
-
-    source: str  # "vdd", "gnd", or a port name
-    paths: tuple[ConductionPath, ...]
-    conductances: list[float]
-
-
 class SwitchSimulator:
     """Event-driven switch-level simulator over a flat netlist.
+
+    This scalar engine is the authoritative semantics;
+    :class:`~repro.switchsim.vector.VectorSwitchSimulator` batches the
+    same solves with numpy and is bit-identical to it.
 
     Parameters
     ----------
@@ -99,63 +90,48 @@ class SwitchSimulator:
         False forces exhaustive re-solving of every channel net -- the
         seed engine's behaviour, kept as a cross-check and kill switch.
         Both modes produce identical states and history.
-    engine:
-        ``"reference"`` (the default) is this pure-Python event-driven
-        engine -- the authoritative semantics.  ``"vector"`` returns a
-        :class:`~repro.switchsim.vector.VectorSwitchSimulator` instead:
-        the numpy batched engine, bit-identical in states, history, and
-        oscillation behaviour, and much faster on large designs.
+    tables:
+        Pre-built :class:`PackedSwitchTables` for ``flat``, shareable
+        between simulators; their fingerprint is checked against the
+        netlist.  Without them, ``cache`` (a
+        :class:`repro.perf.DesignCache`) hands out one build per
+        unmutated netlist over its shared CCC extraction, and without
+        either the tables are built here.
     """
-
-    def __new__(cls, *args, engine: str = "reference", **kwargs):
-        if engine not in ("reference", "vector"):
-            raise ValueError(f"unknown switch-sim engine {engine!r}; "
-                             f"expected 'reference' or 'vector'")
-        if engine == "vector" and cls is SwitchSimulator:
-            from repro.switchsim.vector import VectorSwitchSimulator
-            return object.__new__(VectorSwitchSimulator)
-        return object.__new__(cls)
 
     def __init__(self, flat: FlatNetlist, dominance_ratio: float = 2.5,
                  l_min_um: float = 0.35, record_history: bool = True,
-                 incremental: bool = True, engine: str = "reference",
-                 cache=None):
+                 incremental: bool = True,
+                 tables: PackedSwitchTables | None = None, cache=None):
+        if tables is None:
+            if cache is not None:
+                tables = cache.switch_tables(flat, l_min_um=l_min_um)
+            else:
+                tables = PackedSwitchTables.build(flat, l_min_um=l_min_um)
+        elif not tables.matches(flat, l_min_um):
+            raise ValueError(
+                "packed switch tables are stale for this netlist (device "
+                "geometry/topology changed since they were built); rebuild "
+                "them or use DesignCache.switch_tables")
+        self._tables = tables
         self.flat = flat
         self.dominance_ratio = dominance_ratio
         self.l_min_um = l_min_um
         self.record_history = record_history
         self.incremental = incremental
-        # ``cache`` is a repro.perf.DesignCache: reuse its shared CCC
-        # extraction (and the warm path caches living on those CCCs) so
-        # table build, recognition, and this engine enumerate once.
-        self.cccs = extract_cccs(flat) if cache is None else cache.cccs(flat)
+        self.cccs = tables.cccs
         self.state: dict[str, NetState] = {
             name: NetState() for name in flat.nets
         }
         self.state["vdd"] = NetState(Logic.ONE, driven=True)
         self.state["gnd"] = NetState(Logic.ZERO, driven=True)
         self._externally_driven: dict[str, Logic] = {}
-        # Relative path conductance: W/L weighted by carrier mobility
-        # (holes are ~0.4x), so N-vs-P ratio fights resolve like silicon.
-        self._conductance: dict[str, float] = {
-            t.name: (1.0 if t.polarity == "nmos" else 0.4)
-                    * t.w_um / t.effective_length(l_min_um)
-            for t in flat.transistors
-        }
-        # ccc index -> channel net -> list of _SourcePaths
-        self._paths: list[dict[str, list[_SourcePaths]]] = []
-        self._gate_readers: dict[str, list[int]] = {}
-        self._port_cccs: dict[str, list[int]] = {}
-        # ccc index -> its channel nets in solve order (sorted once).
-        self._sorted_nets: list[list[str]] = []
-        # ccc index -> trigger net -> channel nets whose solution reads it.
-        self._affected: list[dict[str, frozenset[str]]] = []
-        # ccc index -> which ccc indices own each net as a channel net.
-        self._net_cccs: dict[str, list[int]] = {}
+        self._gate_readers = tables.gate_readers
+        self._port_cccs = tables.port_cccs
+        self._net_cccs = tables.net_cccs
         # ccc index -> fan-in nets changed since its last evaluation.
         # None = never evaluated -> full solve.
-        self._dirty: list[set[str] | None] = []
-        self._build_tables()
+        self._dirty: list[set[str] | None] = [None] * len(tables.cccs)
         self.time = 0
         self.history: list[tuple[int, str, Logic]] = []
         #: Cheap perf counters: ccc_evaluations, net_solves (actual),
@@ -172,54 +148,35 @@ class SwitchSimulator:
             "solve_count": 0,
             "skip_count": 0,
         }
+        self._lower_tables()
+
+    @property
+    def tables(self) -> PackedSwitchTables:
+        return self._tables
 
     # -- construction -------------------------------------------------------
 
-    def _build_tables(self) -> None:
-        for ccc in self.cccs:
-            table: dict[str, list[_SourcePaths]] = {}
-            affected: dict[str, set[str]] = {}
-            sources = ["vdd", "gnd"] + sorted(
-                n for n in ccc.channel_nets
-                if self.flat.nets[n].is_port
-            )
-            # One target-rooted sweep per source fills the pair cache
-            # for every channel net at once; the per-net queries below
-            # then materialize from it.
-            for src in sources:
-                sweep_paths_to_target(ccc, src)
-            for net in ccc.channel_nets:
-                entries = []
-                deps: set[str] = {net}
-                for src in sources:
-                    if src == net:
-                        continue
-                    paths = conduction_paths(ccc, net, src).paths()
-                    if paths:
-                        entries.append(_SourcePaths(
-                            source=src,
-                            paths=paths,
-                            conductances=[self._path_conductance(p)
-                                          for p in paths],
-                        ))
-                        if src not in ("vdd", "gnd"):
-                            deps.add(src)
-                        for p in paths:
-                            deps.update(p.gates())
-                table[net] = entries
-                for trigger in deps:
-                    affected.setdefault(trigger, set()).add(net)
-            self._paths.append(table)
-            self._sorted_nets.append(sorted(ccc.channel_nets))
-            self._affected.append({t: frozenset(nets)
-                                   for t, nets in affected.items()})
-            self._dirty.append(None)
-            for gate in ccc.gate_nets():
-                self._gate_readers.setdefault(gate, []).append(ccc.index)
-            for net in ccc.channel_nets:
-                self._net_cccs.setdefault(net, []).append(ccc.index)
-                if self.flat.nets[net].is_port:
-                    self._port_cccs.setdefault(net, []).append(ccc.index)
+    def _lower_tables(self) -> None:
+        """Flat Python lists over the tables' CSR pointers, which the
+        per-net solve walks in table order: a row's paths are
+        ``path_ptr[row]:path_ptr[row + 1]``, a path's conditions
+        ``cond_ptr[p]:cond_ptr[p + 1]``.  Names stand in for net ids,
+        so a solve reads :attr:`state` directly."""
+        T = self._tables
+        names = T.net_names
+        self._rows = [range(a, b) for a, b in zip(T.ccc_row_start.tolist(),
+                                                  T.ccc_row_end.tolist())]
+        self._path_ptr = T.path_ptr.tolist()
+        self._path_src = [names[i] for i in T.path_src.tolist()]
+        self._path_rail = T.path_src_rail.tolist()
+        self._path_g = T.path_g.tolist()
+        self._cond_ptr = T.cond_ptr.tolist()
+        self._cond_gate = [names[i] for i in T.cond_gate.tolist()]
+        self._cond_block = [_BLOCKS[level] for level in T.cond_level.tolist()]
+        # ccc index -> trigger net -> rows whose solution reads it.
+        self._affected = [{trigger: frozenset(rows.tolist())
+                           for trigger, rows in aff.items()}
+                          for aff in T.affected_rows]
 
     def _touch(self, net: str) -> None:
         """Record a testbench-side disturbance of ``net`` for the next
@@ -338,16 +295,18 @@ class SwitchSimulator:
             for trigger in dirty:
                 to_solve |= affected.get(trigger, _EMPTY)
         changed: list[str] = []
-        for net in self._sorted_nets[idx]:
+        row_name = self._tables.row_name
+        for row in self._rows[idx]:
+            net = row_name[row]
             if net in self._externally_driven:
                 continue  # testbench owns it
             counters["naive_net_solves"] += 1
-            if to_solve is not None and net not in to_solve:
+            if to_solve is not None and row not in to_solve:
                 counters["skip_count"] += 1
                 continue
             counters["net_solves"] += 1
             counters["solve_count"] += 1
-            new_state = self._solve_net(idx, net)
+            new_state = self._solve_net(row, net)
             old = self.state[net]
             if new_state.value != old.value or new_state.driven != old.driven:
                 self.state[net] = new_state
@@ -362,86 +321,78 @@ class SwitchSimulator:
                         to_solve |= affected.get(net, _EMPTY)
         return changed
 
-    def _solve_net(self, idx: int, net: str) -> NetState:
+    def _solve_net(self, row: int, net: str) -> NetState:
         # Definite (surely conducting) and maximal (possibly conducting
-        # included) conductance toward each level.  A maybe-path feeds
-        # the *maximal* bucket only: it cannot assert a value, but a
-        # definite path must out-muscle it to win cleanly.
-        g_def = {Logic.ZERO: 0.0, Logic.ONE: 0.0}
-        g_may = {Logic.ZERO: 0.0, Logic.ONE: 0.0}
-        possible: set[Logic] = set()
-        definite_x = False
-
-        for entry in self._paths[idx].get(net, []):
-            src_state = self.state[entry.source]
-            if entry.source not in ("vdd", "gnd") \
-                    and entry.source not in self._externally_driven:
+        # included) conductance toward each level, added in path order.
+        # A maybe-path feeds the *maximal* bucket only: it cannot assert
+        # a value, but a definite path must out-muscle it to win cleanly.
+        def0 = def1 = may0 = may1 = 0.0
+        poss0 = poss1 = definite_x = False
+        state = self.state
+        driven_ports = self._externally_driven
+        path_src = self._path_src
+        path_rail = self._path_rail
+        path_g = self._path_g
+        cond_ptr = self._cond_ptr
+        cond_gate = self._cond_gate
+        cond_block = self._cond_block
+        X, ZERO = Logic.X, Logic.ZERO
+        for p in range(self._path_ptr[row], self._path_ptr[row + 1]):
+            src = path_src[p]
+            if not path_rail[p] and src not in driven_ports:
                 # A port the testbench is not driving is an *output*:
                 # its value is computed, and must not back-drive its own
                 # CCC as a stale source.
                 continue
-            src_value = src_state.value
-            for path, g in zip(entry.paths, entry.conductances):
-                status = self._path_status(path)
-                if status == "off":
-                    continue
-                if src_value is Logic.X:
-                    possible.update((Logic.ZERO, Logic.ONE))
-                    g_may[Logic.ZERO] += g
-                    g_may[Logic.ONE] += g
-                    if status == "on":
+            # On, maybe (some gate at X), or off (some gate blocks).
+            maybe = False
+            for c in range(cond_ptr[p], cond_ptr[p + 1]):
+                gate_value = state[cond_gate[c]].value
+                if gate_value is cond_block[c]:
+                    break
+                if gate_value is X:
+                    maybe = True
+            else:
+                src_value = state[src].value
+                g = path_g[p]
+                if src_value is X:
+                    poss0 = poss1 = True
+                    may0 += g
+                    may1 += g
+                    if not maybe:
                         definite_x = True
-                elif status == "on":
-                    g_def[src_value] += g
-                    possible.add(src_value)
+                elif src_value is ZERO:
+                    poss0 = True
+                    if maybe:
+                        may0 += g
+                    else:
+                        def0 += g
                 else:
-                    g_may[src_value] += g
-                    possible.add(src_value)
+                    poss1 = True
+                    if maybe:
+                        may1 += g
+                    else:
+                        def1 += g
 
-        total0 = g_def[Logic.ZERO] + g_may[Logic.ZERO]
-        total1 = g_def[Logic.ONE] + g_may[Logic.ONE]
-        if g_def[Logic.ZERO] > 0.0 or g_def[Logic.ONE] > 0.0:
-            if g_def[Logic.ZERO] >= self.dominance_ratio * total1 \
+        if def0 > 0.0 or def1 > 0.0:
+            if def0 >= self.dominance_ratio * (def1 + may1) \
                     and not definite_x:
                 return NetState(Logic.ZERO, driven=True)
-            if g_def[Logic.ONE] >= self.dominance_ratio * total0 \
+            if def1 >= self.dominance_ratio * (def0 + may0) \
                     and not definite_x:
                 return NetState(Logic.ONE, driven=True)
             return NetState(Logic.X, driven=True)
         if definite_x:
             return NetState(Logic.X, driven=True)
-        if possible:
-            previous = self.state[net].value
-            if possible == {previous}:
+        previous = state[net].value
+        if poss0 or poss1:
+            if poss0 != poss1 and previous is (ZERO if poss0 else Logic.ONE):
                 # The only possible disturbance agrees with the retained
                 # value; keep it (still charge, not driven).
                 return NetState(previous, driven=False)
             return NetState(Logic.X, driven=False)
         # Fully isolated: retain charge.
-        prev = self.state[net]
-        return NetState(prev.value, driven=False)
-
-    def _path_status(self, path: ConductionPath) -> str:
-        """'on' / 'off' / 'maybe' under current gate values."""
-        maybe = False
-        state = self.state
-        for gate, level in path.conditions:
-            gv = state[gate].value
-            if gv is Logic.X:
-                maybe = True
-                continue
-            if (gv is Logic.ONE) != level:
-                return "off"
-        return "maybe" if maybe else "on"
-
-    def _path_conductance(self, path: ConductionPath) -> float:
-        inv_total = 0.0
-        for dev in path.devices:
-            g = self._conductance[dev]
-            if g <= 0:
-                return 0.0
-            inv_total += 1.0 / g
-        return 1.0 / inv_total if inv_total else float("inf")
+        return NetState(previous, driven=False)
 
     # -- helpers ------------------------------------------------------------------
 

@@ -1,18 +1,18 @@
 """Packed array form of the switch-level simulation tables.
 
-The reference engine keeps its pre-enumerated conduction paths in
-per-CCC Python dicts; :class:`PackedSwitchTables` lowers exactly the
-same data into flat numpy arrays so the vector engine can solve whole
-batches of channel nets with array ops:
+:class:`PackedSwitchTables` holds every CCC's pre-enumerated conduction
+paths as flat numpy arrays, the one table build both simulation
+engines read: the reference engine walks a row's paths one by one, and
+the vector engine solves whole batches of channel nets with array ops:
 
 * **rows** -- one row per (CCC, channel net), ordered by CCC index then
   sorted net name.  This is the global solve space; a row id identifies
   both the net and the owning component.
 * **paths CSR** -- ``path_ptr[row] : path_ptr[row+1]`` slices the per-row
   conduction paths (source net, rail flag, series conductance), laid out
-  in the reference engine's accumulation order (source entries in
-  ``[vdd, gnd, sorted ports]`` order, enumeration order within an
-  entry), so masked segment sums reproduce its float results bit for
+  in accumulation order (source entries in ``[vdd, gnd, sorted ports]``
+  order, enumeration order within an entry), so the vector engine's
+  masked segment sums reproduce the reference engine's walk bit for
   bit.
 * **conditions CSR** -- ``cond_ptr[path] : cond_ptr[path+1]`` slices the
   (gate net, required level) pairs that must hold for the path to
@@ -230,9 +230,8 @@ def _template_key(ccc: ChannelConnectedComponent, sorted_nets: list[str],
 class PackedSwitchTables:
     """Immutable packed solve tables for one flat netlist.
 
-    Build with :meth:`build`; share freely between
-    :class:`~repro.switchsim.vector.VectorSwitchSimulator` instances of
-    the *same* (unmutated) netlist.
+    Build with :meth:`build`; share freely between simulators (of
+    either engine) of the *same* (unmutated) netlist.
     """
 
     def __init__(self) -> None:
@@ -366,6 +365,8 @@ class PackedSwitchTables:
         self.net_ids = {n: i for i, n in enumerate(names)}
         self.n_nets = len(names)
 
+        # Relative path conductance: W/L weighted by carrier mobility
+        # (holes are ~0.4x), so N-vs-P ratio fights resolve like silicon.
         conductance = {
             t.name: (1.0 if t.polarity == "nmos" else 0.4)
                     * t.w_um / t.effective_length(l_min_um)
@@ -435,7 +436,7 @@ class PackedSwitchTables:
         byte-identical to a per-pair enumeration of this CCC -- including
         ``path_g``: inverse conductances are added column by column from
         0.0, and the padding of a short chain reads a slot whose inverse
-        is 0.0, which is the reference engine's per-device sequence.
+        is 0.0, which is the per-device series formula's sequence.
 
         A run of positions holds at most ``_WALK_CELLS`` chain cells
         (arrivals times the sweeps' depth), so the walk's transient

@@ -4,8 +4,9 @@
 reference :class:`~repro.switchsim.engine.SwitchSimulator` -- same
 constructor, same testbench interface, same :class:`Logic` results,
 same history stream, same oscillation detection -- that replaces the
-per-net Python dispatch with batched numpy array ops over
-:class:`~repro.switchsim.tables.PackedSwitchTables`.  It is built to be
+reference's per-net walk of the
+:class:`~repro.switchsim.tables.PackedSwitchTables` both engines read
+with batched numpy array ops over the same arrays.  It is built to be
 **bit-identical** to the reference engine, not merely equivalent; the
 reference stays authoritative and the equivalence is property-tested
 (``tests/switchsim/test_vector_equivalence.py``).
@@ -62,9 +63,8 @@ import heapq
 
 import numpy as np
 
-from repro.netlist.flatten import FlatNetlist
 from repro.switchsim.engine import OscillationError, SwitchSimulator
-from repro.switchsim.tables import PackedSwitchTables, csr_gather
+from repro.switchsim.tables import csr_gather
 from repro.switchsim.values import Logic, NetState
 
 _LOGIC = (Logic.ZERO, Logic.ONE, Logic.X)
@@ -100,56 +100,25 @@ class _Speculation:
 class VectorSwitchSimulator(SwitchSimulator):
     """Batched numpy engine behind the :class:`SwitchSimulator` API.
 
-    Construct directly, or via ``SwitchSimulator(flat, engine="vector")``.
-    Accepts an optional pre-built ``tables`` (see
-    :meth:`repro.perf.DesignCache.switch_tables`) to skip the packed
-    build; the tables' fingerprint is checked against the netlist.
+    Same constructor: ``tables=`` shares a pre-built
+    :class:`~repro.switchsim.tables.PackedSwitchTables` (see
+    :meth:`repro.perf.DesignCache.switch_tables`), checked against the
+    netlist's fingerprint.
     """
 
-    def __init__(self, flat: FlatNetlist, dominance_ratio: float = 2.5,
-                 l_min_um: float = 0.35, record_history: bool = True,
-                 incremental: bool = True, engine: str = "vector",
-                 tables: PackedSwitchTables | None = None,
-                 cache=None):
-        if tables is None:
-            # A DesignCache routes through its shared CCC extraction
-            # and hands out one build per (unmutated) netlist.
-            if cache is not None:
-                tables = cache.switch_tables(flat, l_min_um=l_min_um)
-            else:
-                tables = PackedSwitchTables.build(flat, l_min_um=l_min_um)
-        elif not tables.matches(flat, l_min_um):
-            raise ValueError(
-                "packed switch tables are stale for this netlist (device "
-                "geometry/topology changed since they were built); rebuild "
-                "them or use DesignCache.switch_tables")
-        self._tables = tables
-        self.flat = flat
-        self.dominance_ratio = dominance_ratio
-        self.l_min_um = l_min_um
-        self.record_history = record_history
-        self.incremental = incremental
-        self.cccs = tables.cccs
-        self.state: dict[str, NetState] = {
-            name: NetState() for name in flat.nets
-        }
-        self.state["vdd"] = NetState(Logic.ONE, driven=True)
-        self.state["gnd"] = NetState(Logic.ZERO, driven=True)
-        self._externally_driven: dict[str, Logic] = {}
-        n = tables.n_nets
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        T = self._tables
         # Numpy mirror of self.state, kept in lockstep: the state dict
         # stays authoritative for all API reads, the arrays feed the
         # batched solves.
-        self._val = np.full(n, 2, np.int8)
-        self._driven = np.zeros(n, bool)
-        self._ext = np.zeros(n, bool)
+        self._val = np.full(T.n_nets, 2, np.int8)
+        self._driven = np.zeros(T.n_nets, bool)
+        self._ext = np.zeros(T.n_nets, bool)
         for rail, level in (("vdd", 1), ("gnd", 0)):
-            rid = tables.net_ids[rail]
+            rid = T.net_ids[rail]
             self._val[rid] = level
             self._driven[rid] = True
-        self._gate_readers = tables.gate_readers
-        self._port_cccs = tables.port_cccs
-        self._net_cccs = tables.net_cccs
         # Incremental path classification: per conduction path, how many
         # gate conditions are definitely blocking / at X right now.
         # Maintained by _shift_cond on every net value change instead of
@@ -157,31 +126,19 @@ class VectorSwitchSimulator(SwitchSimulator):
         # without reading a gate: conditions only gate on non-rail nets,
         # and every non-rail net starts at X, so no condition blocks yet
         # and all of a path's conditions are unknown.
-        self._n_bad = np.zeros(tables.path_src.size, np.int32)
-        self._n_unk = np.diff(tables.cond_ptr).astype(np.int32)
-        self._dirty: list[set[str] | None] = [None] * len(tables.cccs)
+        self._n_bad = np.zeros(T.path_src.size, np.int32)
+        self._n_unk = np.diff(T.cond_ptr).astype(np.int32)
         # Bumped on *every* disturbance of a CCC's fan-in -- including
         # ones that land while its dirty set is None -- so speculative
         # results can detect staleness exactly.
-        self._dirty_version = [0] * len(tables.cccs)
-        self.time = 0
-        self.history: list[tuple[int, str, Logic]] = []
-        self.counters: dict[str, int] = {
-            "ccc_evaluations": 0,
-            "net_solves": 0,
-            "naive_net_solves": 0,
-            "settle_calls": 0,
-            "solve_count": 0,
-            "skip_count": 0,
-            # vector-only: batched passes run, and speculative CCC
-            # results discarded as stale (pure waste, never wrong).
-            "vector_passes": 0,
-            "vector_wasted_evals": 0,
-        }
+        self._dirty_version = [0] * len(T.cccs)
+        # vector-only: batched passes run, and speculative CCC results
+        # discarded as stale (pure waste, never wrong).
+        self.counters["vector_passes"] = 0
+        self.counters["vector_wasted_evals"] = 0
 
-    @property
-    def tables(self) -> PackedSwitchTables:
-        return self._tables
+    def _lower_tables(self) -> None:
+        """Nothing to lower: the batched solves read the packed arrays."""
 
     # -- testbench interface (array mirror maintenance) ----------------
 

@@ -4,13 +4,14 @@ The STA graph and the beta-ratio, edge-rate, writability and leakage
 checks price conduction paths straight from the sweep records
 (:meth:`~repro.recognition.conduction.PathSet.sums`) and test gates and
 devices as mask bits.  Their old forms, which materialize every pair
-with ``PathSet.paths()``, live in ``tests/oracles.py``.  On
-``chip_scale(1000)``, a domino adder and the latch, SRAM and mux zoo,
-with both sweep strategies, the graphs must agree arc for arc and float
+as path objects, live in ``tests/oracles.py``.  On ``chip_scale(1000)``,
+a domino adder and the latch, SRAM and mux zoo, with both sweep
+strategies, the graphs must agree arc for arc and float
 for float (with and without the arc-price cache), each arc's retained
 selection must be exactly the reference arc's path list, and the
 findings must be equal, metrics included.  A cold layout campaign must
-build no ``ConductionPath`` at all.
+build no ``ConductionPath`` at all: path objects exist only in the
+oracles, and production exposes no way to build them.
 """
 
 import dataclasses
@@ -40,7 +41,6 @@ from repro.netlist.flatten import flatten
 from repro.perf import DesignCache
 from repro.process.technology import strongarm_technology
 from repro.recognition import conduction
-from repro.recognition.conduction import ConductionPath
 from repro.timing.arccache import ArcPriceCache
 from repro.timing.clocking import TwoPhaseClock
 from repro.timing.delay import ArcDelayCalculator
@@ -208,6 +208,7 @@ def test_zoo_exercises_every_branch(contexts):
 
 def test_cold_layout_campaign_builds_no_conduction_path(monkeypatch):
     built = []
+    ConductionPath = oracles.ConductionPath
     init = ConductionPath.__init__
 
     def counting_init(self, *args, **kwargs):
@@ -222,8 +223,10 @@ def test_cold_layout_campaign_builds_no_conduction_path(monkeypatch):
     report = CbvCampaign(bundle).run(cache=DesignCache())
     assert report.timing is not None and report.timing.critical_paths
     assert not built
+    assert not hasattr(conduction, "ConductionPath")
+    assert not hasattr(conduction.PathSet, "paths")
     # The spy itself works: materializing one pair counts.
     ccc = report.design.classifications[0].ccc
     for out in sorted(ccc.output_nets or ccc.channel_nets):
-        conduction.conduction_paths(ccc, out, "gnd").paths()
+        oracles.materialize(conduction.conduction_paths(ccc, out, "gnd"))
     assert built

@@ -100,7 +100,6 @@ def test_campaign_functional_probe_x_fails(tech):
         # Clock never driven: the latch output q must stay unknown.
         functional_vectors=({"a": 1, "b": 0, "c": 0},),
         functional_probes=("q",),
-        sim_engine="reference",
     )
     report = CbvCampaign(bundle).run(until=FlowStage.LOGIC_VERIFICATION)
     logic = report.stage(FlowStage.LOGIC_VERIFICATION)

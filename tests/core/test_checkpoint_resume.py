@@ -117,6 +117,39 @@ def test_skipped_stage_is_never_checkpointed(tmp_path):
     assert len(hits(resumed)) == 6
 
 
+class CountingStore(ArtifactStore):
+    """An artifact store that records the key of every read."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.reads: list[str] = []
+
+    def get(self, key: str):
+        self.reads.append(key)
+        return super().get(key)
+
+
+def test_bundle_decided_skips_are_not_looked_up(tmp_path):
+    """A wireload design without RTL intent or vectors skips layout and
+    logic verification whatever the store holds, so a resumed run never
+    reads their keys -- and still reports exactly what a cold run does."""
+    from repro.checks.registry import ALL_CHECKS
+
+    bundle = make_bundle(rtl_intent={}, rtl_inputs={}, use_layout=False)
+    cold = CbvCampaign(bundle).run()
+    store = CountingStore(tmp_path / "store")
+    CbvCampaign(bundle).run(store=store)
+    resumed = CbvCampaign(bundle).run(store=store, resume=True)
+    keys = stage_keys(bundle, checks=ALL_CHECKS, timeout_s=None)
+    skipped = {keys[FlowStage.LAYOUT], keys[FlowStage.LOGIC_VERIFICATION]}
+    assert len(store.reads) == 5
+    assert not skipped & set(store.reads)
+    assert len(hits(resumed)) == 5
+    for flow in (FlowStage.LAYOUT, FlowStage.LOGIC_VERIFICATION):
+        assert resumed.stage(flow).status is StageStatus.SKIPPED
+    assert canonical(resumed) == canonical(cold)
+
+
 def test_design_edit_invalidates_only_affected_stages(tmp_path):
     store = ArtifactStore(tmp_path / "store")
     CbvCampaign(make_bundle()).run(store=store)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.designs import ChipScale, chip_scale
 from repro.netlist.flatten import flatten
-from repro.switchsim import SwitchSimulator
+from repro.switchsim import VectorSwitchSimulator
 
 
 def test_rejects_tiny_targets():
@@ -49,7 +49,7 @@ def test_clock_edge_reaches_minicore_tiles():
     """Toggling the root clock must propagate through the tree."""
     cs = chip_scale(300)
     flat = flatten(cs.cell)
-    sim = SwitchSimulator(flat, engine="vector")
+    sim = VectorSwitchSimulator(flat)
     for p in cs.stimulus_ports:
         sim.drive(p, 0)
     sim.settle()

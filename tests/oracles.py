@@ -8,7 +8,10 @@ bit-identical results.
 * :func:`enumerate_pair` -- the per-(source, target) depth-first walk
   that defines which conduction paths a pair has, and in which order.
   :func:`repro.recognition.conduction.conduction_paths` answers the
-  same question from one target-rooted sweep per target.
+  same question from one target-rooted sweep per target, as a packed
+  :class:`~repro.recognition.conduction.PathSet` that
+  :func:`materialize` turns into the walk's :class:`ConductionPath`
+  list.  Only the oracles and the tests build path objects.
 * :func:`direct_tables` -- the packed switch tables built CCC instance
   by CCC instance from per-pair walks.
   :meth:`repro.switchsim.tables.PackedSwitchTables.build` stamps
@@ -53,6 +56,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,11 +73,7 @@ from repro.layout.router import RouteSegment
 from repro.netlist.flatten import FlatNetlist
 from repro.netlist.nets import is_rail_name, is_supply_name
 from repro.recognition.ccc import ChannelConnectedComponent, extract_cccs
-from repro.recognition.conduction import (
-    ConductionPath,
-    PathSet,
-    conduction_paths,
-)
+from repro.recognition.conduction import PathSet, conduction_paths
 from repro.recognition.families import CCCClassification, CircuitFamily
 from repro.recognition.gates import drive_pull_paths
 from repro.recognition.latches import StorageNode, _strongly_connected
@@ -87,6 +87,31 @@ TABLE_ARRAYS = (
     "path_src_rail", "path_g", "cond_ptr", "cond_gate", "cond_level",
     "cond_internal", "cond_path", "aff_later_ptr", "aff_later_rows",
 )
+
+
+@dataclass(frozen=True)
+class ConductionPath:
+    """One simple channel path between two nets.
+
+    ``conditions`` is a tuple of ``(gate_net, required_level)`` pairs:
+    the path conducts when every gate net is at its required level
+    (1 for NMOS, 0 for PMOS).
+    """
+
+    devices: tuple[str, ...]
+    conditions: tuple[tuple[str, bool], ...]
+
+    def gates(self) -> set[str]:
+        return {g for g, _ in self.conditions}
+
+    def is_contradictory(self) -> bool:
+        """True if the path requires some gate at both 0 and 1 (never on)."""
+        seen: dict[str, bool] = {}
+        for gate, level in self.conditions:
+            if gate in seen and seen[gate] != level:
+                return True
+            seen[gate] = level
+        return False
 
 
 def enumerate_pair(
@@ -150,6 +175,40 @@ def enumerate_pair(
     return paths
 
 
+def materialize(pathset: PathSet) -> tuple[ConductionPath, ...]:
+    """A packed pair's paths as objects, in the per-pair walk's order.
+
+    Parent chains run from the arrival back to the root, i.e. already
+    in source-to-target order; each chain yields its devices,
+    conditions, and forward rank key in one walk, and sorting by key
+    restores the per-pair enumeration order (see the
+    :mod:`repro.recognition.conduction` docstring).
+    """
+    g, ts = pathset._g, pathset._ts
+    par, dev, rnk = ts["par"], ts["dev"], ts["rank"]
+    dev_names = g["dev_names"]
+    dev_gate, dev_level = g["dev_gate"], g["dev_level"]
+    gate_names = g["gate_names"]
+    keyed: list[tuple[tuple[int, ...], ConductionPath]] = []
+    for node in pathset._nodes.tolist():
+        key: list[int] = []
+        devs: list[str] = []
+        conds: list[tuple[str, bool]] = []
+        while node >= 0:
+            di = dev[node]
+            key.append(rnk[node])
+            devs.append(dev_names[di])
+            gi = dev_gate[di]
+            if gi >= 0:
+                conds.append((gate_names[gi], bool(dev_level[di])))
+            node = par[node]
+        keyed.append((tuple(key),
+                      ConductionPath(devices=tuple(devs),
+                                     conditions=tuple(conds))))
+    keyed.sort(key=lambda kv: kv[0])
+    return tuple(p for _, p in keyed)
+
+
 def direct_tables(flat: FlatNetlist, l_min_um: float = 0.35) -> dict:
     """The packed switch-table arrays of ``flat``, built directly.
 
@@ -171,7 +230,7 @@ def direct_tables(flat: FlatNetlist, l_min_um: float = 0.35) -> dict:
     }
 
     def path_conductance(path: ConductionPath) -> float:
-        # The reference engine's series formula, device by device.
+        # The series formula, device by device, from 0.0.
         inv_total = 0.0
         for dev in path.devices:
             g = conductance[dev]
@@ -424,7 +483,7 @@ def selected_paths(selection) -> tuple[ConductionPath, ...]:
     for pair, rows in selection:
         if rows is not None:
             pair = PathSet(pair._g, pair._ts, pair._nodes[rows])
-        out.extend(pair.paths())
+        out.extend(materialize(pair))
     return tuple(out)
 
 
@@ -440,7 +499,7 @@ def reference_timing_graph(design, calculator: OracleDelayCalculator,
     """The timing graph built from materialized path lists.
 
     The builder as it was before arcs priced packed selections: every
-    (output, source) pair is materialized with ``.paths()``, each arc
+    (output, source) pair is materialized (:func:`materialize`), each arc
     collects the :class:`ConductionPath` objects carrying its input,
     and ``calculator.drive_bounds`` prices the list.  Arc order, kinds,
     the self-feedback skip, the arc-cache keys and cycle breaking are
@@ -483,8 +542,8 @@ def reference_timing_graph(design, calculator: OracleDelayCalculator,
         for out in sorted(ccc.output_nets or ccc.channel_nets):
             dyn = classification.dynamic_nodes.get(out)
             if dyn is not None:
-                down = conduction_paths(ccc, out, "gnd").paths()
-                up = conduction_paths(ccc, out, "vdd").paths()
+                down = materialize(conduction_paths(ccc, out, "gnd"))
+                up = materialize(conduction_paths(ccc, out, "vdd"))
                 pre = [p for p in up
                        if set(p.devices) <= set(dyn.precharge_devices)]
                 if pre and dyn.clock:
@@ -499,7 +558,7 @@ def reference_timing_graph(design, calculator: OracleDelayCalculator,
                 continue
             arc_paths: dict[str, list] = {}
             for src in sources + [p for p in port_sources if p != out]:
-                paths = conduction_paths(ccc, out, src).paths()
+                paths = materialize(conduction_paths(ccc, out, src))
                 if not paths:
                     continue
                 for path in paths:
@@ -655,7 +714,7 @@ def reference_off_network_leakage(ccc: ChannelConnectedComponent, net: str,
     vdd = tech.vdd_at(annotated.corner)
     total = 0.0
     seen_first: set[str] = set()
-    for path in conduction_paths(ccc, net, "gnd").paths():
+    for path in materialize(conduction_paths(ccc, net, "gnd")):
         first = path.devices[0]
         if first in seen_first:
             continue
@@ -678,8 +737,9 @@ class OracleBetaRatioCheck(BetaRatioCheck):
                 down, up = pull_paths(classification.ccc, out)
                 if not down or not up:
                     continue
-                r_down = best_resistance(down.paths(), ctx.typical, devices)
-                r_up = best_resistance(up.paths(), ctx.typical, devices)
+                r_down = best_resistance(materialize(down), ctx.typical,
+                                         devices)
+                r_up = best_resistance(materialize(up), ctx.typical, devices)
                 if r_up <= 0 or r_down <= 0:
                     continue
                 ratio = (r_down / r_up)
@@ -716,7 +776,7 @@ class OracleEdgeRateCheck(EdgeRateCheck):
             for out in sorted(outputs):
                 if out in storage_nets:
                     continue
-                down, up = (s.paths() for s in drive_pull_paths(ccc, out))
+                down, up = (materialize(s) for s in drive_pull_paths(ccc, out))
                 dyn = classification.dynamic_nodes.get(out)
                 if dyn is not None and dyn.keeper_devices:
                     keepers = set(dyn.keeper_devices)
@@ -774,13 +834,13 @@ class OracleWritabilityCheck(WritabilityCheck):
             partner_set = {node.net}
             if node.partner:
                 partner_set.add(node.partner)
-            down = conduction_paths(ccc, node.net, "gnd").paths()
-            up = conduction_paths(ccc, node.net, "vdd").paths()
+            down = materialize(conduction_paths(ccc, node.net, "gnd"))
+            up = materialize(conduction_paths(ccc, node.net, "vdd"))
             port_paths = [
                 p for other in sorted(ccc.channel_nets)
                 if other != node.net and other in flat_nets
                 and flat_nets[other].is_port
-                for p in conduction_paths(ccc, node.net, other).paths()
+                for p in materialize(conduction_paths(ccc, node.net, other))
             ]
 
             def is_feedback(path) -> bool:
@@ -838,7 +898,7 @@ class OracleHotCarrierCheck(HotCarrierCheck):
         for classification in ctx.design.classifications:
             ccc = classification.ccc
             down_paths_by_output = {
-                out: conduction_paths(ccc, out, "gnd").paths()
+                out: materialize(conduction_paths(ccc, out, "gnd"))
                 for out in (ccc.output_nets or ccc.channel_nets)
             }
             for t in ccc.nmos():

@@ -85,10 +85,10 @@ def test_switch_tables_cached_and_fingerprint_invalidated():
     assert t3 is not t1
     assert t3.matches(flat, 0.35)
     # The rebuilt tables drive the vector engine on the mutated design.
-    from repro.switchsim import SwitchSimulator, VectorSwitchSimulator
+    from repro.switchsim import VectorSwitchSimulator
 
-    vec = SwitchSimulator(flat, engine="vector", tables=t3)
-    assert isinstance(vec, VectorSwitchSimulator)
+    vec = VectorSwitchSimulator(flat, tables=t3)
+    assert vec.tables is t3
 
 
 def test_collect_counters_merges_and_coerces():

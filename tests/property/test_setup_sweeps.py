@@ -2,10 +2,11 @@
 
 The target-rooted sweep (:func:`sweep_paths_to_target`) is the engine
 behind ``conduction_paths``.  Its contract is *bit-identity*: for every
-(source, target) pair ``PathSet.paths()`` must match the per-pair walk
+(source, target) pair the ``PathSet``'s paths, materialized
+(:func:`tests.oracles.materialize`), must match the per-pair walk
 (:func:`tests.oracles.enumerate_pair`) element-for-element -- same
-devices, same conditions, same **order** -- because packed-table
-layouts and the timing graph index path lists positionally; and every
+devices, same conditions, same **order** -- because the packed switch
+tables lay a pair's paths out in that order; and every
 order-free ``PathSet`` query must equal its oracle on those paths.
 
 Hypothesis drives random transistor soups (cycles, pass-gate meshes,
@@ -29,7 +30,7 @@ from repro.recognition.conduction import (
     conduction_paths,
     sweep_paths_to_target,
 )
-from tests.oracles import enumerate_pair
+from tests.oracles import enumerate_pair, materialize
 from tests.recognition.test_pathset import assert_queries_match
 
 PORTS = ["p0", "p1", "p2"]
@@ -84,7 +85,7 @@ def _check_pair(ccc, src, tgt, max_paths, via):
     assert got_err == expected_err, (via, src, tgt)
     if expected is not None:
         # Element-for-element: devices, conditions, and ordering.
-        assert list(got.paths()) == expected, (via, src, tgt)
+        assert list(materialize(got)) == expected, (via, src, tgt)
         assert_queries_match(ccc, got)
 
 
@@ -205,7 +206,8 @@ def test_overflow_message_matches_legacy_exactly(max_paths):
     flat = flatten(b.build())
     if max_paths >= 2:  # two parallel paths: no overflow at the default
         ccc = extract_cccs(flat)[0]
-        assert len(conduction_paths(ccc, "x", "y", max_paths).paths()) == 2
+        pair = conduction_paths(ccc, "x", "y", max_paths)
+        assert len(materialize(pair)) == 2
         return
     legacy_msg = sweep_msg = None
     try:
@@ -235,7 +237,7 @@ def test_chip_scale_pairs_match_per_pair_dfs():
             for tgt in ["vdd", "gnd"] + ports:
                 if tgt == net:
                     continue
-                assert (list(conduction_paths(ccc, net, tgt).paths())
+                assert (list(materialize(conduction_paths(ccc, net, tgt)))
                         == enumerate_pair(ccc, net, tgt)), (net, tgt)
                 pairs += 1
     assert pairs > 900

@@ -6,7 +6,7 @@ from repro.netlist.builder import CellBuilder
 from repro.netlist.flatten import flatten
 from repro.recognition.ccc import extract_cccs
 from repro.recognition.conduction import conduction_paths
-from tests.oracles import conduction_function
+from tests.oracles import conduction_function, materialize
 
 
 def nand2_ccc():
@@ -17,7 +17,7 @@ def nand2_ccc():
 
 def test_nand_pull_down_single_series_path():
     ccc = nand2_ccc()
-    down = conduction_paths(ccc, "y", "gnd").paths()
+    down = materialize(conduction_paths(ccc, "y", "gnd"))
     assert len(down) == 1
     assert len(down[0].devices) == 2
     assert set(down[0].conditions) == {("a", True), ("b", True)}
@@ -25,7 +25,7 @@ def test_nand_pull_down_single_series_path():
 
 def test_nand_pull_up_two_parallel_paths():
     ccc = nand2_ccc()
-    up = conduction_paths(ccc, "y", "vdd").paths()
+    up = materialize(conduction_paths(ccc, "y", "vdd"))
     assert len(up) == 2
     assert {p.conditions for p in up} == {(("a", False),), (("b", False),)}
 
@@ -33,12 +33,12 @@ def test_nand_pull_up_two_parallel_paths():
 def test_conduction_function_evaluation():
     ccc = nand2_ccc()
     down = conduction_paths(ccc, "y", "gnd")
-    assert conduction_function(down.paths(), {"a": True, "b": True})
-    assert not conduction_function(down.paths(), {"a": True, "b": False})
+    assert conduction_function(materialize(down), {"a": True, "b": True})
+    assert not conduction_function(materialize(down), {"a": True, "b": False})
     # Missing assignments are conservatively non-conducting, in the
     # packed truth table too: with ``b`` outside the inputs the single
     # series path never conducts.
-    assert not conduction_function(down.paths(), {"a": True})
+    assert not conduction_function(materialize(down), {"a": True})
     assert down.truth_table(["a"]) == 0
 
 
@@ -52,7 +52,7 @@ def test_contradictory_paths_dropped():
     ccc = extract_cccs(flatten(b.build()))[0]
     paths = conduction_paths(ccc, "x", "y")
     assert not paths
-    assert paths.paths() == ()
+    assert materialize(paths) == ()
 
 
 def test_transmission_gate_two_paths():
@@ -60,7 +60,7 @@ def test_transmission_gate_two_paths():
     b.transmission_gate("x", "y", "en", "en_b")
     ccc = extract_cccs(flatten(b.build()))[0]
     paths = conduction_paths(ccc, "x", "y")
-    assert len(paths.paths()) == 2
+    assert len(materialize(paths)) == 2
     assert paths.support() == {"en", "en_b"}
 
 
@@ -84,7 +84,7 @@ def test_paths_do_not_cross_rails():
     b = CellBuilder("inv", ports=["a", "y"])
     b.inverter("a", "y")
     ccc = extract_cccs(flatten(b.build()))[0]
-    down = conduction_paths(ccc, "y", "gnd").paths()
+    down = materialize(conduction_paths(ccc, "y", "gnd"))
     assert len(down) == 1
     assert down[0].conditions == (("a", True),)
 
@@ -94,5 +94,5 @@ def test_parallel_stack_path_count():
     b = CellBuilder("nor3", ports=["a", "b", "c", "y"])
     b.nor(["a", "b", "c"], "y")
     ccc = extract_cccs(flatten(b.build()))[0]
-    down = conduction_paths(ccc, "y", "gnd").paths()
+    down = materialize(conduction_paths(ccc, "y", "gnd"))
     assert len(down) == 3

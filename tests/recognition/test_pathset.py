@@ -5,8 +5,9 @@ the masks a :class:`~repro.recognition.conduction.PathSet` carries, and
 never builds the paths.  For every (output, rail) pair of
 ``chip_scale(1000)`` and of the latch, adder and mux designs, on both
 sweep strategies, each query here must equal its oracle in
-``tests/oracles.py`` applied to ``PathSet.paths()``, and ``.paths()``
-must equal the per-pair walk.  The one-pass hot-carrier check and the
+``tests/oracles.py`` applied to the materialized paths
+(:func:`tests.oracles.materialize`), which must equal the per-pair
+walk.  The one-pass hot-carrier check and the
 rewritten latch finder are compared with their old forms on the same
 designs.
 """
@@ -41,22 +42,22 @@ TABLE_INPUTS = 8
 
 
 def assert_queries_match(ccc, ps):
-    """Every order-free query on ``ps`` equals its oracle on ``.paths()``."""
-    paths = list(ps.paths())
+    """Every order-free query on ``ps`` equals its oracle on its paths."""
+    paths = list(oracles.materialize(ps))
     assert len(ps) == len(paths)
     assert ps.support() == oracles.support(paths)
     assert ps.devices() == oracles.devices(paths)
     assert ps.device_depths() == oracles.device_depths(paths)
     for polarity in ("nmos", "pmos"):
-        assert (list(ps.of_polarity(polarity).paths())
+        assert (list(oracles.materialize(ps.of_polarity(polarity)))
                 == oracles.of_polarity(paths, ccc, polarity))
     nets = sorted(ccc.channel_nets)
     for avoid in (ccc.output_nets, set(nets[::2]), {"vdd", "gnd"}):
-        assert (list(ps.avoiding(avoid).paths())
+        assert (list(oracles.materialize(ps.avoiding(avoid)))
                 == oracles.avoiding(paths, ccc, set(avoid)))
     gates = sorted(ps.support())
     for within in (set(gates[::2]), set(gates[1::2]), set(gates)):
-        assert (list(ps.gated_within(within).paths())
+        assert (list(oracles.materialize(ps.gated_within(within)))
                 == oracles.gated_within(paths, within))
     for gate in gates + ["no_such_net"]:
         assert ps.footed_by(gate) == oracles.footed_by(paths, gate)
@@ -98,7 +99,7 @@ def test_pathset_queries_match_oracles(zoo, design, strategy):
         for out in sorted(ccc.output_nets or ccc.channel_nets):
             for rail in ("gnd", "vdd"):
                 ps = conduction_paths(ccc, out, rail)
-                assert (list(ps.paths())
+                assert (list(oracles.materialize(ps))
                         == oracles.enumerate_pair(ccc, out, rail)), (out, rail)
                 assert_queries_match(ccc, ps)
                 pairs += 1
@@ -135,7 +136,7 @@ def test_ccc_and_path_cache_freed_by_refcount(zoo, strategy):
         for rail in ("gnd", "vdd"):
             ps = conduction_paths(ccc, out, rail)
             ps.support()
-            ps.of_polarity("nmos").paths()
+            oracles.materialize(ps.of_polarity("nmos"))
     ref = weakref.ref(ccc)
     gc.collect()
     gc.disable()

@@ -19,7 +19,7 @@ from repro.netlist.flatten import flatten
 from repro.netlist.nets import is_rail_name
 from repro.perf.cache import DesignCache
 from repro.recognition import conduction
-from repro.switchsim import SwitchSimulator
+from repro.switchsim import SwitchSimulator, VectorSwitchSimulator
 from repro.switchsim import tables as tables_mod
 from repro.switchsim.tables import PackedSwitchTables
 from tests.oracles import direct_tables, table_mismatches
@@ -151,7 +151,7 @@ def test_condition_counters_match_a_recount(case):
     reading a gate, then shifts them on every net change: after
     construction and after every settle they equal a recount."""
     cell, plan = case()
-    sim = SwitchSimulator(flatten(cell), engine="vector")
+    sim = VectorSwitchSimulator(flatten(cell))
     tables = sim.tables
     # The seeding relies on this: no condition gates on a rail.
     assert not any(is_rail_name(tables.net_names[g])
@@ -190,7 +190,7 @@ def test_design_cache_shares_cccs_across_consumers():
     assert cache.recognized(flat).classifications[0].ccc in cccs
     tables = cache.switch_tables(flat)
     assert tables.cccs is cccs                           # no re-extract
-    sim = SwitchSimulator(flat, engine="reference", cache=cache)
+    sim = SwitchSimulator(flat, cache=cache)
     assert sim.cccs is cccs
     # Declared mutation invalidates the shared extraction.
     flat.note_mutation()
@@ -208,8 +208,8 @@ def test_chipscale_vector_matches_reference_bit_for_bit():
     cs = chip_scale(target)
     flat = flatten(cs.cell)
     cache = DesignCache()
-    ref = SwitchSimulator(flat, engine="reference", cache=cache)
-    vec = SwitchSimulator(flat, engine="vector", cache=cache)
+    ref = SwitchSimulator(flat, cache=cache)
+    vec = VectorSwitchSimulator(flat, cache=cache)
     for drives in lcg_plan(cs, 12345):
         for net, value in drives:
             ref.drive(net, value)

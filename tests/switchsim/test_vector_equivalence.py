@@ -78,8 +78,7 @@ def _assert_lockstep(ref, vec, flat, context):
 
 def _random_stimulus_run(flat, seed, steps=40):
     ref = SwitchSimulator(flat)
-    vec = SwitchSimulator(flat, engine="vector")
-    assert isinstance(vec, VectorSwitchSimulator)
+    vec = VectorSwitchSimulator(flat)
     ports = sorted(p for p in flat.ports if p not in ("vdd", "gnd"))
     assert ports, "design has no drivable ports"
     rng = random.Random(seed)
@@ -116,7 +115,7 @@ def test_vector_matches_reference_exhaustive_mode(name):
     """incremental=False (the cross-check mode) must also be identical."""
     flat = flatten(SEED_DESIGNS[name]())
     ref = SwitchSimulator(flat, incremental=False)
-    vec = SwitchSimulator(flat, incremental=False, engine="vector")
+    vec = VectorSwitchSimulator(flat, incremental=False)
     ports = sorted(p for p in flat.ports if p not in ("vdd", "gnd"))
     rng = random.Random(7)
     for step in range(15):
@@ -141,7 +140,7 @@ def test_vector_oscillation_detection_matches():
     b.inverter("r1", "r2")
     flat = flatten(b.build())
     ref = SwitchSimulator(flat)
-    vec = SwitchSimulator(flat, engine="vector")
+    vec = VectorSwitchSimulator(flat)
     for sim in (ref, vec):
         sim.drive("en", 0)  # settles: r0=1, r1=0, r2=1
         sim.settle()
@@ -155,23 +154,14 @@ def test_vector_oscillation_detection_matches():
     assert ref.history == vec.history
 
 
-def test_engine_dispatch():
-    flat = flatten(SEED_DESIGNS["dcvsl_xor"]())
-    ref = SwitchSimulator(flat)
-    vec = SwitchSimulator(flat, engine="vector")
-    assert type(ref) is SwitchSimulator
-    assert type(vec) is VectorSwitchSimulator
-    assert isinstance(vec, SwitchSimulator)
-    with pytest.raises(ValueError, match="unknown switch-sim engine"):
-        SwitchSimulator(flat, engine="gpu")
-
-
-def test_prebuilt_tables_are_shareable_and_fingerprinted():
+@pytest.mark.parametrize("engine", [SwitchSimulator, VectorSwitchSimulator],
+                         ids=["scalar", "vector"])
+def test_prebuilt_tables_are_shareable_and_fingerprinted(engine):
     flat = flatten(SEED_DESIGNS["sram"]())
     tables = PackedSwitchTables.build(flat, l_min_um=0.35)
-    a = VectorSwitchSimulator(flat, tables=tables)
-    b = VectorSwitchSimulator(flat, tables=tables)
-    assert a.tables is b.tables
+    a = engine(flat, tables=tables)
+    b = engine(flat, tables=tables)
+    assert a.tables is b.tables is tables
     a.drive("wl0", 1)
     a.settle()
     # Sharing tables must not share dynamic state.
@@ -182,4 +172,4 @@ def test_prebuilt_tables_are_shareable_and_fingerprinted():
     flat.note_mutation()
     assert not tables.matches(flat, 0.35)
     with pytest.raises(ValueError, match="stale"):
-        VectorSwitchSimulator(flat, tables=tables)
+        engine(flat, tables=tables)
