@@ -6,13 +6,12 @@ chip-scale workload (:func:`repro.designs.chip_scale` at ~1k through
 ~50k transistors) the script measures
 
 * **cold table build** through the shared :class:`DesignCache` -- the
-  target-rooted path sweeps and the name-free CCC template cache --
-  with the process's peak RSS read right after it, before any oracle
-  runs (``build.peak_rss_mb``);
-* **legacy table build** -- the per-instance, per-pair oracle in
-  ``tests/oracles.py`` on fresh CCCs -- at the scales where it is still
-  affordable, asserting the two produce **byte-identical** packed
-  arrays -- any divergence fails the build regardless of speed;
+  target-rooted path sweeps and the name-free CCC template cache, with
+  no conduction path unrolled -- with the process's peak RSS read right
+  after it (``build.peak_rss_mb``);
+* **warm-cache re-build** (identity hit), and a short **vector-engine
+  smoke** on the built tables, which stamps only the CCCs whose solves
+  reach leaves open (``build.smoke_stamped_paths``);
 * **recognition**, which answers its questions from packed path sets
   over the sweeps the build left on the CCCs, and **STA timing-graph
   construction**, which prices each source pair's paths straight from
@@ -24,10 +23,14 @@ chip-scale workload (:func:`repro.designs.chip_scale` at ~1k through
   evaluation per device of every path of every arc, with the arc-price
   cache on as production runs it -- at 1k and 5k, asserting
   **bit-identical** arcs and notes;
-* **warm-cache re-build** (identity hit);
-* a short **vector-engine smoke** on the built tables, so the largest
-  scale is exercised end-to-end.  The tables are released before
-  recognition, which never reads them.
+* last, at the scales where the per-instance, per-pair oracle in
+  ``tests/oracles.py`` is still affordable, the **full table build**
+  like for like -- a fresh build plus stamping every CCC
+  (``build.full_s``) -- and the **legacy table build** on fresh CCCs,
+  back to back, asserting the two produce **byte-identical** packed
+  arrays; any divergence fails the build regardless of speed.  They
+  run after recognition and STA so that their high-water mark (the
+  oracle's, about 2.2 GB at 10k) cannot slow the timings before them.
 
 Results are merged into ``benchmarks/BENCH_setup.json`` by scale: a run
 replaces only the rows of the scales it ran, and stamps each with the
@@ -68,6 +71,7 @@ from repro.switchsim import VectorSwitchSimulator               # noqa: E402
 from repro.timing.arccache import ArcPriceCache                 # noqa: E402
 from repro.timing.delay import ArcDelayCalculator               # noqa: E402
 from repro.timing.graph import build_timing_graph               # noqa: E402
+from repro.switchsim.tables import PackedSwitchTables           # noqa: E402
 from tests.oracles import (                                      # noqa: E402
     OracleDelayCalculator,
     arc_rows,
@@ -150,6 +154,17 @@ def current_commit() -> str:
     return out.stdout.strip() or "unknown"
 
 
+def full_build(target: int) -> tuple[PackedSwitchTables, float, float]:
+    """(tables, build s, stamp s) for ``chip_scale(target)``: a cold
+    build on fresh CCCs, then every CCC stamped -- the same arrays the
+    oracle lays out, like for like."""
+    flat = flatten(chip_scale(target).cell)
+    tables = PackedSwitchTables.build(flat)
+    t0 = time.perf_counter()
+    tables.stamp(range(len(tables.cccs)))
+    return tables, tables.build_wall_s, time.perf_counter() - t0
+
+
 def bench_scale(label: str, target: int, check_legacy: bool,
                 check_sta_legacy: bool) -> dict:
     cs = chip_scale(target)
@@ -163,31 +178,14 @@ def bench_scale(label: str, target: int, check_legacy: bool,
     t0 = time.perf_counter()
     tables = cache.switch_tables(flat)
     cold_total_s = time.perf_counter() - t0
-    # Read before the oracle runs: the oracle and its map comparison
-    # set the process's later peak, not the build.
     build_peak_mb = high_water_mb()
     build_s = tables.build_wall_s  # pure build; cold_total adds
     enum_after = conduction.enumeration_counters()
     print(f"[{label}] cold build {build_s:.2f}s "
           f"({cold_total_s:.2f}s with fingerprint; "
-          f"rows={tables.row_net.size}, "
-          f"template hits={tables.template_hits})")
-
-    # The legacy baseline runs back-to-back with the cold build -- the
-    # two sides of the floor ratio should see the same host conditions,
-    # not be separated by minutes of recognition and STA.
-    legacy = None
-    if check_legacy:
-        old, legacy_s = legacy_build(target)
-        mismatches = table_mismatches(tables, old)
-        del old
-        identical = not mismatches
-        speedup = legacy_s / max(build_s, 1e-9)
-        print(f"[{label}] legacy build {legacy_s:.2f}s -> {speedup:.1f}x, "
-              f"{'byte-identical' if identical else f'DIVERGED {mismatches}'}")
-        legacy = {"build_s": round(legacy_s, 4),
-                  "speedup": round(speedup, 3),
-                  "byte_identical": identical}
+          f"rows={tables.n_rows}, "
+          f"template hits={tables.template_hits}), "
+          f"peak RSS {build_peak_mb:.0f} MB")
 
     # Warm path: an identity hit in the same cache.
     t0 = time.perf_counter()
@@ -204,22 +202,25 @@ def bench_scale(label: str, target: int, check_legacy: bool,
             sim.drive(net, value)
         events += sim.settle(max_events=5_000_000)
     smoke_s = time.perf_counter() - t0
-    print(f"[{label}] vector smoke {smoke_s:.2f}s, {events} events")
+    print(f"[{label}] vector smoke {smoke_s:.2f}s, {events} events, "
+          f"{tables.stamped_paths} paths stamped")
 
     # Recognition and STA never read the packed tables; releasing them
-    # (about 1 GB at 25k) keeps the largest scales inside host memory.
-    table_counts = {"rows": int(tables.row_net.size),
-                    "paths": int(tables.path_src.size),
-                    "conditions": int(tables.cond_gate.size),
-                    "template_hits": int(tables.template_hits)}
+    # keeps the largest scales inside host memory.
+    counts = tables.counters()
+    table_counts = {"rows": counts["packed_rows"],
+                    "paths": counts["packed_paths"],
+                    "conditions": counts["packed_conditions"],
+                    "template_hits": counts["packed_template_hits"],
+                    "smoke_stamped_paths": tables.stamped_paths}
     del tables, again, sim
     cache._switch_tables.clear()
 
     t0 = time.perf_counter()
     design = cache.recognized(flat)
     recognition_s = time.perf_counter() - t0
-    print(f"[{label}] recognition {recognition_s:.2f}s "
-          f"({len(design.classifications)} CCCs)")
+    n_cccs = len(design.classifications)
+    print(f"[{label}] recognition {recognition_s:.2f}s ({n_cccs} CCCs)")
 
     parasitics = cache.parasitics(flat, tech)
     fast = annotate(flat, parasitics, tech, Corner.FAST)
@@ -230,7 +231,8 @@ def bench_scale(label: str, target: int, check_legacy: bool,
     graph = build_timing_graph(design, ArcDelayCalculator(fast, slow),
                                arc_cache=ArcPriceCache())
     sta_graph_s = time.perf_counter() - t0
-    print(f"[{label}] STA graph {sta_graph_s:.2f}s ({len(graph.arcs)} arcs)")
+    sta_arcs = len(graph.arcs)
+    print(f"[{label}] STA graph {sta_graph_s:.2f}s ({sta_arcs} arcs)")
 
     sta_legacy = None
     if check_sta_legacy:
@@ -248,15 +250,41 @@ def bench_scale(label: str, target: int, check_legacy: bool,
         sta_legacy = {"sta_legacy_s": round(sta_legacy_s, 4),
                       "speedup": round(speedup, 3),
                       "bit_identical": identical}
+        del oracle
+
+    # Like for like, last: the full build (every CCC stamped) and the
+    # legacy baseline back to back, so the two sides of the floor ratio
+    # see the same host conditions.
+    legacy = None
+    full = {}
+    if check_legacy:
+        del design, graph, parasitics, fast, slow
+        cache = None
+        tables, full_build_s, stamp_s = full_build(target)
+        full = {"full_s": round(full_build_s + stamp_s, 4),
+                "full_stamp_s": round(stamp_s, 4)}
+        old, legacy_s = legacy_build(target)
+        mismatches = table_mismatches(tables, old)
+        del old, tables
+        identical = not mismatches
+        speedup = legacy_s / max(full_build_s + stamp_s, 1e-9)
+        print(f"[{label}] full build {full_build_s + stamp_s:.2f}s "
+              f"({stamp_s:.2f}s stamping); legacy build {legacy_s:.2f}s "
+              f"-> {speedup:.1f}x, "
+              f"{'byte-identical' if identical else f'DIVERGED {mismatches}'}")
+        legacy = {"build_s": round(legacy_s, 4),
+                  "speedup": round(speedup, 3),
+                  "byte_identical": identical}
 
     return {
         "transistors": len(flat.transistors),
         "nets": len(flat.nets),
-        "cccs": len(design.classifications),
+        "cccs": n_cccs,
         "build": {
             "new_s": round(build_s, 4),
             "cold_total_s": round(cold_total_s, 4),
             **table_counts,
+            **full,
             "target_sweeps": int(enum_after["target_sweeps"]
                                  - enum_before.get("target_sweeps", 0)),
             # The high-water mark right after the cold build; it covers
@@ -266,7 +294,7 @@ def bench_scale(label: str, target: int, check_legacy: bool,
         "legacy": legacy,
         "recognition_s": round(recognition_s, 4),
         "sta_graph_s": round(sta_graph_s, 4),
-        "sta_arcs": len(graph.arcs),
+        "sta_arcs": sta_arcs,
         "sta_legacy": sta_legacy,
         "warm": {"cache_hit_s": round(warm_hit_s, 6)},
         "smoke": {"steps": SMOKE_STEPS, "events": events,

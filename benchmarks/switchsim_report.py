@@ -3,10 +3,11 @@
 For each chip-scale workload (:func:`repro.designs.chip_scale` at ~1k,
 5k, and 10k transistors) the script
 
-* builds the packed solve tables once (timed separately -- path
-  enumeration is a per-design one-time cost, not solve throughput) and
-  hands that one build to both engines, timing each engine's
-  construction over it on its own;
+* builds the packed solve tables once (timed separately -- a
+  per-design one-time cost, not solve throughput) and hands that one
+  build to both engines, timing each engine's construction over it on
+  its own (the reference's includes stamping every CCC's path rows,
+  which the vector engine then finds stamped);
 * runs the *same* pseudo-random stimulus (deterministic LCG, clock
   toggling plus sparse data-port activity) through the reference
   engine and the vector engine, timing only the drive/settle loop;
@@ -136,6 +137,8 @@ def bench_scale(label: str, target: int, steps: int) -> dict:
             "skip_count": vec.counters["skip_count"],
             "vector_passes": vec.counters["vector_passes"],
             "vector_wasted_evals": vec.counters["vector_wasted_evals"],
+            "reach_solves": vec.counters["reach_solves"],
+            "row_solves": vec.counters["row_solves"],
         },
         "speedup": round(speedup, 3),
         "equivalent": equivalent,

@@ -43,7 +43,10 @@ def main() -> int:
         identical = identical and match
         print(f"  {name}: canonical reports "
               f"{'byte-identical' if match else 'DIVERGED'}")
-    return 0 if identical and result.ok() else 1
+    # Design verdicts (e.g. an adder's setup violations) are printed
+    # above; the exit code reports the fleet's own contract: every design
+    # concluded, and distribution left the reports byte-identical.
+    return 0 if identical and not result.failed else 1
 
 
 if __name__ == "__main__":

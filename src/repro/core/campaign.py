@@ -713,7 +713,8 @@ class CbvCampaign:
                         f"{len(bundle.functional_vectors)} vector(s)")
         metrics = collect_counters(
             {"sim_steps": float(len(bundle.functional_vectors)),
-             "sim_events": float(events)},
+             "sim_events": float(events),
+             "stamped_paths": float(sim.tables.stamped_paths)},
             sim.counters,
             setup,
         )

@@ -52,8 +52,11 @@ _NONCANONICAL_KEYS = frozenset({
     "workers",
     # setup-path effectiveness: sweep counts depend on which consumer
     # warmed the shared CCC path caches first, and template hits count
-    # work saved, not work concluded.
+    # work saved, not work concluded; likewise how the vector engine
+    # settled its solves (by reach or from path rows) and how many paths
+    # it stamped to do so.
     "target_sweeps", "path_cache_hits", "packed_template_hits",
+    "reach_solves", "row_solves", "stamped_paths",
     # fleet supervision events (which worker hung or which shard was
     # quarantined is run mechanics; the degraded *verdict* itself rides
     # in the stage statuses, which the canonical form keeps)
@@ -120,6 +123,9 @@ _SETUP_TRACE_KEYS = (
     ("target_sweeps", "tsweeps"),
     ("path_cache_hits", "path-hits"),
     ("packed_template_hits", "tpl-hits"),
+    ("reach_solves", "reach"),
+    ("row_solves", "rows"),
+    ("stamped_paths", "stamped"),
 )
 
 

@@ -5,11 +5,14 @@ Evaluation model
 The design is partitioned into channel-connected components once, at
 construction, and lowered into :class:`~repro.switchsim.tables.
 PackedSwitchTables`: one row per (CCC, channel net) in sorted-net
-order, and per row its conduction paths to each *source* (vdd, gnd,
-and any testbench-drivable port inside the CCC) with each path's
-series conductance and gate conditions -- devices never resize, so the
-values are constant for the life of the simulator.  The same build
-feeds the batched :class:`~repro.switchsim.vector.VectorSwitchSimulator`.
+order.  This engine stamps every CCC's conduction-path rows when it is
+built -- per row, its paths to each *source* (vdd, gnd, and any
+testbench-drivable port inside the CCC) with each path's series
+conductance and gate conditions; devices never resize, so the values
+are constant for the life of the simulator -- and solves every net by
+walking them: it is the full-path oracle.  The same build feeds the
+batched :class:`~repro.switchsim.vector.VectorSwitchSimulator`, which
+stamps only the CCCs whose solves its reach test leaves open.
 
 At each settle step, a CCC is (re)evaluated from its gate-input values:
 
@@ -157,16 +160,18 @@ class SwitchSimulator:
     # -- construction -------------------------------------------------------
 
     def _lower_tables(self) -> None:
-        """Flat Python lists over the tables' CSR pointers, which the
-        per-net solve walks in table order: a row's paths are
-        ``path_ptr[row]:path_ptr[row + 1]``, a path's conditions
-        ``cond_ptr[p]:cond_ptr[p + 1]``.  Names stand in for net ids,
-        so a solve reads :attr:`state` directly."""
+        """Stamp every CCC, then flat Python lists over the path store,
+        which the per-net solve walks in table order: a row's paths are
+        ``row_path_start[row]`` onward, ``row_path_count[row]`` of them,
+        a path's conditions ``cond_ptr[p]:cond_ptr[p + 1]``.  Names
+        stand in for net ids, so a solve reads :attr:`state` directly."""
         T = self._tables
+        T.stamp(range(len(T.cccs)))
         names = T.net_names
         self._rows = [range(a, b) for a, b in zip(T.ccc_row_start.tolist(),
                                                   T.ccc_row_end.tolist())]
-        self._path_ptr = T.path_ptr.tolist()
+        self._row_paths = [range(a, a + c) for a, c in zip(
+            T.row_path_start.tolist(), T.row_path_count.tolist())]
         self._path_src = [names[i] for i in T.path_src.tolist()]
         self._path_rail = T.path_src_rail.tolist()
         self._path_g = T.path_g.tolist()
@@ -337,7 +342,7 @@ class SwitchSimulator:
         cond_gate = self._cond_gate
         cond_block = self._cond_block
         X, ZERO = Logic.X, Logic.ZERO
-        for p in range(self._path_ptr[row], self._path_ptr[row + 1]):
+        for p in self._row_paths[row]:
             src = path_src[p]
             if not path_rail[p] and src not in driven_ports:
                 # A port the testbench is not driving is an *output*:

@@ -42,14 +42,31 @@ sequential pass would.  A pass keeps its wave queue as a boolean mask
 over the snapshot's rows and pops the lowest queued wave with one
 ``flatnonzero``: rows come out ascending and each once, with no sort.
 
-**Counters, not condition reads.**  Each path carries how many of its
-gate conditions are definitely blocking (``_n_bad``) and at X
-(``_n_unk``); a net change shifts them through the tables' gate-update
-maps.  They are seeded without reading a gate: conditions only gate on
-non-rail nets, which all start at X, so no path starts blocked and all
-its conditions start unknown.  A solve reads each run of consecutive
-rows -- adjacent path ranges -- as one slice of ``_n_bad`` and gathers
-only its unblocked paths, typically well under one percent of them.
+**Reach first, rows for fights.**  Most solves need no conduction
+path: which source levels reach a net decides them.  Each wave reads
+its CCCs' live devices as on, off or X -- a gate inside the device's
+own CCC read from the speculative overlay, any other from committed
+state, as the tables split conditions -- and one batched pass
+propagates the source levels {0, 1, X} over them, once through on
+devices (ON) and once through on-or-X devices (MAY): vdd, gnd and the
+ports the testbench holds are the sources, rails end paths, and ports
+are passed through, exactly the rules of the tables' path sweeps.
+With ``prev`` the net's current value:
+
+* X in ON: X, driven (a definitely-on path from an X source);
+* ON = {0} and MAY within {0}: 0, driven; likewise for 1;
+* ON empty, and ``prev`` is X or MAY within {prev}: ``prev``, undriven.
+
+ON is exact, since on devices cannot contradict one another, while
+MAY may hold levels whose only paths need a gate at both levels,
+which the tables prune; the rule only ever reads MAY as an upper
+bound.  Every other row -- a definite fight, a may-reach the pruning
+might remove, and every row of a CCC whose tables flag it
+``rows_only`` -- reads its stamped conduction-path rows, stamped into
+its CCC on first need, and is solved by the path sums below, each
+condition read with the same overlay/committed split.  No per-path
+state follows gate changes; a path only remembers the condition last
+found blocking it, which a solve reads first.
 
 The per-net resolution (conductance buckets, dominance-ratio fights,
 charge retention) is evaluated with masked ``np.bincount`` segment
@@ -68,11 +85,36 @@ from repro.switchsim.tables import csr_gather
 from repro.switchsim.values import Logic, NetState
 
 _LOGIC = (Logic.ZERO, Logic.ONE, Logic.X)
-_NO_PATHS = np.empty(0, np.int64)
 
-# Whether a gate value blocks a condition, by [required level][value];
-# X (value 2) is never definitely blocking, it makes the path "maybe".
-_IS_BAD = ((0, 1, 0), (1, 0, 0))
+#: Reach bits of a node: the source levels 0, 1, X reaching it through
+#: on devices in bits 0-2 (ON), through on-or-X devices in bits 3-5
+#: (MAY).  A source of level ``v`` sets ``_BOTH << v``.
+_BOTH = np.uint8(9)
+
+#: Which reach bits a device passes, by ``level * 3 + gate value``: all
+#: when on, the MAY half at X, none when off.  Level 2 is a device a
+#: rail gates on, whatever its gate slot reads.
+_PASS = np.array([63, 0, 56, 0, 63, 56, 63, 63, 63], np.uint8)
+
+
+def _decision_table() -> np.ndarray:
+    """Reach's verdict on a row, by ``reach bits * 3 + prev``: the new
+    value plus 3 when driven, or -1 when the row's paths must decide
+    (the rule in the module docstring)."""
+    table = np.full(64 * 3, -1, np.int8)
+    for bits in range(64):
+        on, may = bits & 7, bits >> 3
+        for prev in range(3):
+            if on & 4:
+                table[bits * 3 + prev] = 2 + 3
+            elif on in (1, 2) and may == on:
+                table[bits * 3 + prev] = on - 1 + 3
+            elif not on and (prev == 2 or not may & ~(1 << prev)):
+                table[bits * 3 + prev] = prev
+    return table
+
+
+_DECIDE = _decision_table()
 
 
 class _Speculation:
@@ -82,19 +124,22 @@ class _Speculation:
     *all* snapshot CCCs, sorted by global row id (which is (CCC, net)
     order, so per-CCC slices are contiguous and already in the
     reference's history order).  ``solved[ccc]`` counts rows actually
-    solved for that CCC; ``versions`` are the dirty-version counters at
-    speculation time, checked before each apply.
+    solved for that CCC, ``by_rows[ccc]`` those of them that read
+    conduction-path rows; ``versions`` are the dirty-version counters
+    at speculation time, checked before each apply.
     """
 
-    __slots__ = ("versions", "rows", "val", "drv", "vchg", "solved")
+    __slots__ = ("versions", "rows", "val", "drv", "vchg", "solved",
+                 "by_rows")
 
-    def __init__(self, versions, rows, val, drv, vchg, solved):
+    def __init__(self, versions, rows, val, drv, vchg, solved, by_rows):
         self.versions = versions
         self.rows = rows
         self.val = val
         self.drv = drv
         self.vchg = vchg
         self.solved = solved
+        self.by_rows = by_rows
 
 
 class VectorSwitchSimulator(SwitchSimulator):
@@ -119,26 +164,30 @@ class VectorSwitchSimulator(SwitchSimulator):
             rid = T.net_ids[rail]
             self._val[rid] = level
             self._driven[rid] = True
-        # Incremental path classification: per conduction path, how many
-        # gate conditions are definitely blocking / at X right now.
-        # Maintained by _shift_cond on every net value change instead of
-        # re-reading gate values per condition on every solve.  Seeded
-        # without reading a gate: conditions only gate on non-rail nets,
-        # and every non-rail net starts at X, so no condition blocks yet
-        # and all of a path's conditions are unknown.
-        self._n_bad = np.zeros(T.path_src.size, np.int32)
-        self._n_unk = np.diff(T.cond_ptr).astype(np.int32)
+        # Per stamped path, the condition last found blocking it (-1:
+        # none yet): a hint that only orders the row solves' reads.
+        self._watch = np.empty(0, np.int64)
+        # Reach scratch per row, all zero between passes, and each row's
+        # source bits while the testbench holds it as a port (see _reach).
+        self._bits = np.zeros(T.n_rows, np.uint8)
+        self._held = np.zeros(T.n_rows, np.uint8)
+        self._net_row = np.full(T.n_nets, -1, np.int64)
+        self._net_row[T.row_net] = np.arange(T.n_rows)
         # Bumped on *every* disturbance of a CCC's fan-in -- including
         # ones that land while its dirty set is None -- so speculative
         # results can detect staleness exactly.
         self._dirty_version = [0] * len(T.cccs)
         # vector-only: batched passes run, and speculative CCC results
-        # discarded as stale (pure waste, never wrong).
+        # discarded as stale (pure waste, never wrong); applied solves
+        # decided by reach and solved from conduction-path rows.
         self.counters["vector_passes"] = 0
         self.counters["vector_wasted_evals"] = 0
+        self.counters["reach_solves"] = 0
+        self.counters["row_solves"] = 0
 
     def _lower_tables(self) -> None:
-        """Nothing to lower: the batched solves read the packed arrays."""
+        """Nothing to lower, nor to stamp: reach decides most solves,
+        and a row solve stamps its CCC on first need."""
 
     # -- testbench interface (array mirror maintenance) ----------------
 
@@ -167,44 +216,12 @@ class VectorSwitchSimulator(SwitchSimulator):
         if nid is None:
             return  # net unknown to the netlist: electrically inert
         st = self.state[net]
-        old = int(self._val[nid])
-        new = st.value.value
-        self._val[nid] = new
+        self._val[nid] = st.value.value
         self._driven[nid] = st.driven
-        self._ext[nid] = net in self._externally_driven
-        if new != old:
-            self._shift_cond(nid, old, new)
-
-    def _shift_cond(self, nid: int, old: int, new: int,
-                    internal_only: bool = False) -> None:
-        """Shift path condition counters for a gate value transition.
-
-        Committed changes (``internal_only=False``) update every
-        condition on the net; speculative mid-pass changes update only
-        the net's *internal* conditions (paths of its owning CCC, the
-        wave-semantics reads) and are exactly undone by calling this
-        again with ``old``/``new`` swapped -- the updates are additive
-        integer deltas on static index sets.
-        """
-        T = self._tables
-        upd = (T.net_cond_int if internal_only else T.net_cond_all).get(nid)
-        if upd is None:
-            return
-        du = (new == 2) - (old == 2)
-        n_bad = self._n_bad
-        n_unk = self._n_unk
-        for lvl in (0, 1):
-            ent = upd[lvl]
-            if ent is None:
-                continue
-            db = _IS_BAD[lvl][new] - _IS_BAD[lvl][old]
-            if not (db or du):
-                continue
-            paths, mult = ent
-            if db:
-                n_bad[paths] += db * mult
-            if du:
-                n_unk[paths] += du * mult
+        self._ext[nid] = held = net in self._externally_driven
+        if net in self._port_cccs:
+            self._held[self._net_row[nid]] = (_BOTH << st.value.value
+                                              if held else 0)
 
     # -- the batched settle loop ---------------------------------------
 
@@ -329,12 +346,6 @@ class VectorSwitchSimulator(SwitchSimulator):
         drv = self._driven.copy()
         ext = self._ext
         row_wave = T.row_wave
-        # Speculative overlay writes shift the *internal* condition
-        # counters of the changed nets (wave-semantics visibility for
-        # the owning CCC only); every shift is recorded and exactly
-        # undone before returning, leaving the committed counters
-        # untouched by speculation.
-        shifts: list[tuple[int, int, int]] = []
         # The wave queue: a mask over the snapshot's rows (every row a
         # pass can reach is a snapshot CCC's).  Popping takes all queued
         # rows of the lowest wave, ascending.
@@ -355,6 +366,7 @@ class VectorSwitchSimulator(SwitchSimulator):
                         queued[rows - base_row] = True
 
         solved_parts: list[np.ndarray] = []
+        row_parts: list[np.ndarray] = []
         chg_rows: list[np.ndarray] = []
         chg_val: list[np.ndarray] = []
         chg_drv: list[np.ndarray] = []
@@ -370,19 +382,18 @@ class VectorSwitchSimulator(SwitchSimulator):
             rows = rows[~ext[T.row_net[rows]]]  # testbench owns those
             if rows.size == 0:
                 continue
-            new_v, new_d = self._solve_rows(rows, val)
+            new_v, new_d, open_ = self._reach(rows, val, base)
+            if open_.any():
+                by_rows = rows[open_]
+                new_v[open_], new_d[open_] = self._solve_rows(by_rows, val,
+                                                              base)
+                row_parts.append(by_rows)
             nets = T.row_net[rows]
             prev = val[nets]
             vchg = new_v != prev
             schg = vchg | (new_d != drv[nets])
             val[nets] = new_v
             drv[nets] = new_d
-            if vchg.any():
-                for nid_, ov, nv in zip(nets[vchg].tolist(),
-                                        prev[vchg].tolist(),
-                                        new_v[vchg].tolist()):
-                    self._shift_cond(nid_, ov, nv, internal_only=True)
-                    shifts.append((nid_, ov, nv))
             solved_parts.append(rows)
             if schg.any():
                 chg_rows.append(rows[schg])
@@ -399,73 +410,147 @@ class VectorSwitchSimulator(SwitchSimulator):
                 queued[T.aff_later_rows[csr_gather(starts, counts)]
                        - base_row] = True
 
-        # Unwind every speculative counter shift: committed state owns
-        # the counters, speculation only borrowed them for the pass.
-        for nid_, ov, nv in reversed(shifts):
-            self._shift_cond(nid_, nv, ov, internal_only=True)
-
         n_cccs = len(T.cccs)
-        if solved_parts:
-            solved = np.bincount(T.row_ccc[np.concatenate(solved_parts)],
-                                 minlength=n_cccs)
-        else:
-            solved = np.zeros(n_cccs, np.int64)
+
+        def per_ccc(parts: list[np.ndarray]) -> np.ndarray:
+            if not parts:
+                return np.zeros(n_cccs, np.int64)
+            return np.bincount(T.row_ccc[np.concatenate(parts)],
+                               minlength=n_cccs)
+
+        solved = per_ccc(solved_parts)
+        by_rows = per_ccc(row_parts)
         if chg_rows:
             rows = np.concatenate(chg_rows)
             order = np.argsort(rows)
             return _Speculation(versions, rows[order],
                                 np.concatenate(chg_val)[order],
                                 np.concatenate(chg_drv)[order],
-                                np.concatenate(chg_vc)[order], solved)
+                                np.concatenate(chg_vc)[order], solved,
+                                by_rows)
         empty = np.empty(0, np.int64)
         return _Speculation(versions, empty, empty.astype(np.int8),
-                            empty.astype(bool), empty.astype(bool), solved)
+                            empty.astype(bool), empty.astype(bool), solved,
+                            by_rows)
 
-    def _solve_rows(self, rows: np.ndarray,
-                    val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`SwitchSimulator._solve_net` over many rows.
+    def _reach(self, rows: np.ndarray, val: np.ndarray, base: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Decide ``rows`` (ascending, unique) from which source levels
+        reach them; returns ``(value, driven, open)`` per row, where
+        ``open`` marks the rows reach leaves to their path rows (their
+        value and driven entries are placeholders).
 
-        ``val`` is the in-pass overlay (source/prev reads); path on/off
-        classification comes from the incrementally maintained
-        ``_n_bad``/``_n_unk`` counters (internal conditions track the
-        overlay via :meth:`_shift_cond`, external conditions sit at the
-        committed pre-pass state).  ``rows`` are ascending and unique.
-        Returns the new (value, driven) per row;
-        bit-identical to the scalar solver because the bincount segment
-        sums add path conductances in the same order as the reference's
-        scalar ``+=`` loop, and dropping a masked-out path only removes
-        a ``+ 0.0`` term (which never changes a float sum bitwise).
+        One pass over every live device of the rows' CCCs: a gate
+        inside the device's CCC reads the overlay ``val``, any other
+        gate the committed ``base``.  Nodes start from their held-port
+        bits, rail devices add their rail's level, and every device
+        ORs its ends' bits into each other, masked by what it passes,
+        to a fixpoint.
         """
         T = self._tables
+        rc = T.row_ccc[rows]
+        heads = np.ones(rc.size, bool)
+        np.not_equal(rc[1:], rc[:-1], out=heads[1:])
+        cccs = rc[heads]
+        d0 = T.dev_ptr[cccs]
+        di = csr_gather(d0, T.dev_ptr[cccs + 1] - d0)
+        gate = T.dev_gate[di]
+        gv = np.where(T.dev_internal[di], val[gate], base[gate])
+        passes = _PASS[T.dev_level[di] * 3 + gv]
+        live = passes != 0
+        di, passes = di[live], passes[live]
+        a, b = T.dev_a[di], T.dev_b[di]
+        bits, held = self._bits, self._held
+        bits[a] = held[a]
+        pair = b >= 0
+        ea, eb, mask = a[pair], b[pair], passes[pair]
+        bits[eb] = held[eb]
+        if not pair.all():
+            rail = ~pair
+            np.bitwise_or.at(bits, a[rail], passes[rail] & (
+                _BOTH << val[T.dev_rail[di[rail]]].astype(np.uint8)))
+        if ea.size:
+            ba, bb = bits[ea], bits[eb]
+            while True:
+                u = (ba | bb) & mask
+                np.bitwise_or.at(bits, ea, u)
+                np.bitwise_or.at(bits, eb, u)
+                na, nb = bits[ea], bits[eb]
+                if not ((na != ba).any() or (nb != bb).any()):
+                    break
+                ba, bb = na, nb
+        code = _DECIDE[bits[rows] * 3 + val[T.row_net[rows]]]
+        bits[a] = 0
+        bits[eb] = 0
+        return (code % 3, code >= 3,
+                (code < 0) | T.ccc_rows_only[rc])
+
+    def _solve_rows(self, rows: np.ndarray, val: np.ndarray,
+                    base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized :meth:`SwitchSimulator._solve_net` over many rows,
+        from their conduction-path rows (stamping their CCCs first).
+
+        ``val`` is the in-pass overlay (source/prev reads, internal
+        conditions), ``base`` the committed pre-pass state (external
+        conditions).  ``rows`` are ascending and unique.  Returns the
+        new (value, driven) per row; bit-identical to the scalar solver
+        because the bincount segment sums add path conductances in the
+        same order as the reference's scalar ``+=`` loop, and dropping
+        a masked-out path only removes a ``+ 0.0`` term (which never
+        changes a float sum bitwise).
+        """
+        T = self._tables
+        rc = T.row_ccc[rows]
+        T.stamp(rc[~T.ccc_stamped[rc]])
         nr = rows.size
-        ptr = T.path_ptr
-        # Consecutive rows own adjacent path ranges: read each run of
-        # rows as one slice of the blocking counters and keep only its
-        # unblocked paths -- blocked ones (any definitely-off gate)
-        # contribute nothing.
-        last = np.flatnonzero(rows[1:] != rows[:-1] + 1)
-        firsts = [int(ptr[rows[0]]), *ptr[rows[last + 1]].tolist()]
-        ends = [*ptr[rows[last] + 1].tolist(), int(ptr[rows[-1] + 1])]
-        n_bad = self._n_bad
-        live = [np.flatnonzero(n_bad[a:b] == 0) + a
-                for a, b in zip(firsts, ends) if a < b]
-        pi = np.concatenate(live) if live else _NO_PATHS
+        counts = T.row_path_count[rows]
+        pi = csr_gather(T.row_path_start[rows], counts)
+        seg = np.repeat(np.arange(nr), counts)
+        src = T.path_src[pi]
+        act = T.path_src_rail[pi] | self._ext[src]
+        if not act.all():
+            # Non-rail sources only drive while externally held.
+            pi, seg, src = pi[act], seg[act], src[act]
+        # Conditions: a path is off when one blocks (a definite gate
+        # value opposite its required level: value + level == 1), and
+        # on when none is at X.  A path's watched condition -- the last
+        # one found blocking it -- is read first; only paths it no
+        # longer blocks read all their conditions.
+        watch = self._watch
+        if watch.size < T.path_src.size:  # the store grew: double
+            grown = np.full(max(T.path_src.size, 2 * watch.size), -1,
+                            np.int64)
+            grown[:watch.size] = watch
+            watch = self._watch = grown
+        w = watch[pi]
+        unsure = w < 0
+        wc = w[~unsure]
+        gate = T.cond_gate[wc]
+        unsure[~unsure] = (np.where(T.cond_internal[wc], val[gate],
+                                    base[gate]) + T.cond_level[wc]) != 1
+        pi, seg, src = pi[unsure], seg[unsure], src[unsure]
+        c0 = T.cond_ptr[pi]
+        nc = T.cond_ptr[pi + 1] - c0
+        ci = csr_gather(c0, nc)
+        owner = np.repeat(np.arange(pi.size), nc)
+        gate = T.cond_gate[ci]
+        gv = np.where(T.cond_internal[ci], val[gate], base[gate])
+        blocks = gv + T.cond_level[ci] == 1
+        off = np.zeros(pi.size, bool)
+        off[owner[blocks]] = True
+        watch[pi[owner[blocks]]] = ci[blocks]
+        maybe = np.zeros(pi.size, bool)
+        maybe[owner[gv == 2]] = True
+        if off.any():
+            pi, seg, src, maybe = (pi[~off], seg[~off], src[~off],
+                                   maybe[~off])
         if pi.size:
-            seg = np.searchsorted(ptr[rows + 1], pi, side="right")
-            src = T.path_src[pi]
-            act = T.path_src_rail[pi] | self._ext[src]
-            if not act.all():
-                # Non-rail sources only drive while externally held.
-                pi = pi[act]
-                seg = seg[act]
-                src = src[act]
             g = T.path_g[pi]
-            on = self._n_unk[pi] == 0
+            on = ~maybe
             sv = val[src]
             sx = sv == 2           # X source through a non-off path
             d0 = on & (sv == 0)
             d1 = on & (sv == 1)
-            maybe = ~on            # pstate == 1
             m0 = (maybe & (sv == 0)) | sx
             m1 = (maybe & (sv == 1)) | sx
             dx = sx & on           # definitely-on path from an X source
@@ -518,10 +603,13 @@ class VectorSwitchSimulator(SwitchSimulator):
         _, spec, lo, hi, solved = entry
         naive = int(np.count_nonzero(
             ~self._ext[T.row_net[T.ccc_rows_arr[idx]]]))
+        by_rows = int(spec.by_rows[idx])
         counters["naive_net_solves"] += naive
         counters["net_solves"] += solved
         counters["solve_count"] += solved
         counters["skip_count"] += naive - solved
+        counters["reach_solves"] += solved - by_rows
+        counters["row_solves"] += by_rows
         changed: list[str] = []
         if lo == hi:
             return changed
@@ -537,8 +625,6 @@ class VectorSwitchSimulator(SwitchSimulator):
                                spec.vchg[lo:hi].tolist()):
             name = row_name[r]
             nid = row_net[r]
-            if vc:
-                self._shift_cond(int(nid), int(self._val[nid]), v)
             self._val[nid] = v
             self._driven[nid] = d
             logic = _LOGIC[v]

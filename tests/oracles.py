@@ -54,7 +54,6 @@ bit-identical results.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
@@ -78,6 +77,7 @@ from repro.recognition.families import CCCClassification, CircuitFamily
 from repro.recognition.gates import drive_pull_paths
 from repro.recognition.latches import StorageNode, _strongly_connected
 from repro.recognition.signature import topology_signature
+from repro.switchsim.tables import csr_gather
 from repro.timing.delay import ArcDelayCalculator
 from repro.timing.graph import DelayArc, TimingGraph, _break_cycles
 
@@ -85,7 +85,7 @@ from repro.timing.graph import DelayArc, TimingGraph, _break_cycles
 TABLE_ARRAYS = (
     "row_net", "row_ccc", "row_wave", "path_ptr", "path_src",
     "path_src_rail", "path_g", "cond_ptr", "cond_gate", "cond_level",
-    "cond_internal", "cond_path", "aff_later_ptr", "aff_later_rows",
+    "cond_internal", "aff_later_ptr", "aff_later_rows",
 )
 
 
@@ -324,7 +324,6 @@ def direct_tables(flat: FlatNetlist, l_min_um: float = 0.35) -> dict:
     for targets in aff_later:
         aff_flat.extend(targets)
         aff_ptr.append(len(aff_flat))
-    cond_ptr_arr = np.array(cond_ptr, np.int64)
     return {
         "row_net": np.array(row_net, np.int64),
         "row_ccc": np.array(row_ccc, np.int64),
@@ -333,12 +332,10 @@ def direct_tables(flat: FlatNetlist, l_min_um: float = 0.35) -> dict:
         "path_src": np.array(path_src, np.int64),
         "path_src_rail": np.array(path_src_rail, bool),
         "path_g": np.array(path_g, np.float64),
-        "cond_ptr": cond_ptr_arr,
+        "cond_ptr": np.array(cond_ptr, np.int64),
         "cond_gate": np.array(cond_gate, np.int64),
         "cond_level": np.array(cond_level, np.int8),
         "cond_internal": np.array(cond_internal, bool),
-        "cond_path": np.repeat(np.arange(len(path_src), dtype=np.int32),
-                               np.diff(cond_ptr_arr)),
         "aff_later_ptr": np.array(aff_ptr, np.int64),
         "aff_later_rows": np.array(aff_flat, np.int64),
         "row_name": [names[i] for i in row_net],
@@ -346,74 +343,42 @@ def direct_tables(flat: FlatNetlist, l_min_um: float = 0.35) -> dict:
     }
 
 
-def condition_groups(reference: dict) -> tuple[dict, dict]:
-    """``(net_cond_all, net_cond_int)`` of :func:`direct_tables` output.
-
-    A plain loop over the conditions and their owning paths.  Per gate
-    net and required level, each map holds the paths with a condition
-    on that net and level, ascending and each once, with how many such
-    conditions the path has (both ``int32``): ``net_cond_int`` only the
-    conditions inside the net's own CCC, ``net_cond_all`` that internal
-    group followed by the external one.  A level without conditions is
-    ``None``; a net without internal conditions has no
-    ``net_cond_int`` entry.  Nets are keyed in ascending order.
+def stamped_tables(tables) -> dict:
+    """The path and condition arrays of ``tables`` (a built
+    :class:`~repro.switchsim.tables.PackedSwitchTables`) after stamping
+    every CCC, read row by row into the CSR layout of
+    :func:`direct_tables` -- ``path_ptr`` and ``cond_ptr`` rebuilt from
+    the per-row path counts -- whatever order the CCCs were stamped in.
     """
-    groups: dict[tuple[int, int, bool], tuple[array, array]] = {}
-    chunk = 1 << 20  # conditions per step: bounds the .tolist() lists
-    for lo in range(0, len(reference["cond_gate"]), chunk):
-        columns = [reference[name][lo:lo + chunk].tolist() for name in (
-            "cond_path", "cond_gate", "cond_level", "cond_internal")]
-        for path, *key in zip(*columns):
-            paths, mult = groups.setdefault(tuple(key),
-                                            (array("i"), array("i")))
-            if paths and paths[-1] == path:
-                mult[-1] += 1
-            else:
-                paths.append(path)
-                mult.append(1)
-
-    def entry(*keys) -> tuple[np.ndarray, np.ndarray] | None:
-        found = [groups[k] for k in keys if k in groups]
-        if not found:
-            return None
-        return tuple(np.concatenate([np.array(g[i], np.int32)
-                                     for g in found]) for i in (0, 1))
-
-    all_: dict[int, tuple] = {}
-    internal: dict[int, tuple] = {}
-    for net in sorted({k[0] for k in groups}):
-        all_[net] = tuple(entry((net, lvl, True), (net, lvl, False))
-                          for lvl in (0, 1))
-        if (net, 0, True) in groups or (net, 1, True) in groups:
-            internal[net] = tuple(entry((net, lvl, True)) for lvl in (0, 1))
-    return all_, internal
-
-
-def _map_mismatch(ours: dict, theirs: dict) -> bool:
-    """True when two gate-update maps differ in keys, key order, or any
-    entry's presence, dtype, shape or bytes."""
-    if list(ours) != list(theirs):
-        return True
-    for net, levels in ours.items():
-        for x, y in zip(levels, theirs[net]):
-            if (x is None) != (y is None):
-                return True
-            if x is not None and any(
-                    a.dtype != b.dtype or a.shape != b.shape
-                    or a.tobytes() != b.tobytes() for a, b in zip(x, y)):
-                return True
-    return False
+    tables.stamp(range(len(tables.cccs)))
+    counts = tables.row_path_count
+    paths = csr_gather(tables.row_path_start, counts)
+    c0 = tables.cond_ptr[paths]
+    nc = tables.cond_ptr[paths + 1] - c0
+    conds = csr_gather(c0, nc)
+    out = {
+        "path_ptr": np.r_[0, np.cumsum(counts)].astype(np.int64),
+        "cond_ptr": np.r_[0, np.cumsum(nc)].astype(np.int64),
+    }
+    for name in ("path_src", "path_src_rail", "path_g"):
+        out[name] = getattr(tables, name)[paths]
+    for name in ("cond_gate", "cond_level", "cond_internal"):
+        out[name] = getattr(tables, name)[conds]
+    return out
 
 
 def table_mismatches(tables, reference: dict) -> list[str]:
     """Names of the packed arrays in which ``tables`` (a built
     :class:`~repro.switchsim.tables.PackedSwitchTables`) differs from
     ``reference`` (:func:`direct_tables`) in dtype, shape or bytes;
-    empty when they are identical.  The gate-update maps are compared
-    with :func:`condition_groups` of the reference."""
+    empty when they are identical.  The path and condition arrays are
+    compared after stamping every CCC (:func:`stamped_tables`), and the
+    exact counts the build reports without stamping must match them."""
     bad = []
+    stamped = stamped_tables(tables)
     for name in TABLE_ARRAYS:
-        x, y = getattr(tables, name), reference[name]
+        x = stamped[name] if name in stamped else getattr(tables, name)
+        y = reference[name]
         if (x.dtype != y.dtype or x.shape != y.shape
                 or x.tobytes() != y.tobytes()):
             bad.append(name)
@@ -425,11 +390,10 @@ def table_mismatches(tables, reference: dict) -> list[str]:
                                     for k in a)
             for a, b in zip(ours, theirs)):
         bad.append("affected_rows")
-    all_, internal = condition_groups(reference)
-    if _map_mismatch(tables.net_cond_all, all_):
-        bad.append("net_cond_all")
-    if _map_mismatch(tables.net_cond_int, internal):
-        bad.append("net_cond_int")
+    counts = tables.counters()
+    if (counts["packed_paths"] != reference["path_src"].size
+            or counts["packed_conditions"] != reference["cond_gate"].size):
+        bad.append("counters")
     return bad
 
 

@@ -10,11 +10,14 @@ drive/release stimulus.  Networks that legitimately oscillate must
 raise :class:`OscillationError` in *both* engines with identical
 pre-raise history.
 
-Both engines read one :class:`PackedSwitchTables` build, so their
-agreement says nothing about the tables themselves: every soup's build
-is also compared with the per-pair oracle (:func:`tests.oracles.
-direct_tables`) byte for byte.
+The vector engine reads a build of its own, stamping CCCs only as its
+solves need them, while the reference's build has every CCC stamped;
+agreement between the engines says nothing about the tables
+themselves, so every soup's build is also compared with the per-pair
+oracle (:func:`tests.oracles.direct_tables`) byte for byte.
 """
+
+import random
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -65,11 +68,12 @@ def _build(devices):
 
 
 def _engines(flat, **kwargs):
-    """Both engines over one table build, checked against the oracle."""
+    """The reference over a build checked against the oracle, and the
+    vector engine over a fresh, lazily stamped one."""
     tables = PackedSwitchTables.build(flat)
     assert table_mismatches(tables, direct_tables(flat)) == []
     return (SwitchSimulator(flat, tables=tables, **kwargs),
-            VectorSwitchSimulator(flat, tables=tables, **kwargs))
+            VectorSwitchSimulator(flat, **kwargs))
 
 
 def _apply(sim, net, action):
@@ -84,9 +88,34 @@ def _apply(sim, net, action):
 @given(network, stimulus)
 @settings(max_examples=60, deadline=None)
 def test_vector_identical_on_random_networks(devices, steps):
+    _lockstep(devices, steps)
+
+
+def test_soups_exercise_reach_and_rows():
+    """Soups drawn as the property tests draw them, from a fixed seed:
+    over the sample, reach decides some solves and path rows settle
+    others, both in lockstep with the reference."""
+    rng = random.Random(20261019)
+    solves = {"reach_solves": 0, "row_solves": 0}
+    for _ in range(60):
+        devices = [(rng.choice(["nmos", "pmos"]), rng.choice(NETS),
+                    rng.choice(NETS), rng.choice(NETS), rng.choice(WIDTHS))
+                   for _ in range(rng.randint(2, 9))]
+        steps = [(rng.choice(PORTS), rng.choice(["0", "1", "x", "release"]))
+                 for _ in range(50)]
+        vec = _lockstep(devices, steps)
+        if vec is not None:
+            for key in solves:
+                solves[key] += vec.counters[key]
+    assert solves["reach_solves"] > 0 and solves["row_solves"] > 0, solves
+
+
+def _lockstep(devices, steps):
+    """Run both engines on one soup, asserting identity after every
+    settle; returns the vector engine, or ``None`` for an empty soup."""
     flat = _build(devices)
     if flat is None:
-        return
+        return None
     ref, vec = _engines(flat)
     nets = sorted(flat.nets)
     for step, (net, action) in enumerate(steps):
@@ -106,7 +135,7 @@ def test_vector_identical_on_random_networks(devices, steps):
             # Both diverged at the same budget; the pre-raise trace
             # must still agree, then the network is unusable.
             assert ref.history == vec.history
-            return
+            return vec
         assert ref_events == vec_events, step
         for name in nets:
             rs, vs = ref.state[name], vec.state[name]
@@ -116,6 +145,9 @@ def test_vector_identical_on_random_networks(devices, steps):
     for key in ("ccc_evaluations", "net_solves", "naive_net_solves",
                 "solve_count", "skip_count"):
         assert ref.counters[key] == vec.counters[key], key
+    assert (vec.counters["reach_solves"] + vec.counters["row_solves"]
+            == vec.counters["solve_count"])
+    return vec
 
 
 @given(network, stimulus)

@@ -2,26 +2,28 @@
 
 The packed-table builder stamps name-free CCC templates and rides
 target-rooted path sweeps; this file pins the invariant that makes that
-safe -- the stamped arrays and gate-update maps are **byte-identical**
-to a per-instance build from per-pair walks
-(:func:`tests.oracles.direct_tables`, :func:`tests.oracles.condition_groups`),
-path overflow included -- plus the vector engine's condition counters
-against a recount, the cache-sharing contracts (`DesignCache.cccs`,
-`switch_tables`) and a chip-scale reference-vs-vector regression.
+safe -- with every CCC stamped, the arrays are **byte-identical** to a
+per-instance build from per-pair walks
+(:func:`tests.oracles.direct_tables`), and the exact counts the build
+reports without stamping match them, path overflow included -- plus
+the cache-sharing contracts (`DesignCache.cccs`, `switch_tables`), a
+chip-scale reference-vs-vector regression under two stimuli, and which
+CCCs the vector engine stamps under contention-free stimulus.
 """
 
-import numpy as np
+import random
+
 import pytest
 
 from repro.designs import chip_scale
 from repro.netlist.builder import CellBuilder
 from repro.netlist.flatten import flatten
-from repro.netlist.nets import is_rail_name
 from repro.perf.cache import DesignCache
 from repro.recognition import conduction
 from repro.switchsim import SwitchSimulator, VectorSwitchSimulator
 from repro.switchsim import tables as tables_mod
 from repro.switchsim.tables import PackedSwitchTables
+from perfbench.designs import chip_vectors
 from tests.oracles import direct_tables, table_mismatches
 
 
@@ -61,15 +63,15 @@ def test_chunked_sweep_walk_byte_identical(monkeypatch):
 
 
 def test_build_without_gate_conditions():
-    """Paths gated only by rails, and nets with no path at all: no
-    condition to group, so the gate-update maps stay empty."""
+    """Paths gated only by rails, and nets with no path at all: paths
+    without a single condition."""
     b = CellBuilder("ungated", ports=["a"])
     b.nmos("vdd", "y", "gnd", w=1.0)
     b.nmos("a", "x0", "x1", w=1.0)
     cell = b.build()
     tables = PackedSwitchTables.build(flatten(cell))
-    assert tables.path_src.size and not tables.cond_gate.size
-    assert tables.net_cond_all == {} and tables.net_cond_int == {}
+    counts = tables.counters()
+    assert counts["packed_paths"] and not counts["packed_conditions"]
     assert table_mismatches(tables, direct_tables(flatten(cell))) == []
 
 
@@ -99,19 +101,6 @@ def test_path_overflow_raises_like_the_oracle(bfs, monkeypatch):
         PackedSwitchTables.build(flatten(ladder_cell()))
 
 
-def recount(sim):
-    """Each path's blocking and unknown condition counts, recounted
-    from the conditions CSR and the simulator's current net values."""
-    tables = sim.tables
-    gv = sim._val[tables.cond_gate]
-    bad = np.where(tables.cond_level == 1, gv == 0, gv == 1)
-    n_paths = tables.path_src.size
-    return (np.bincount(tables.cond_path, weights=bad,
-                        minlength=n_paths).astype(np.int32),
-            np.bincount(tables.cond_path, weights=gv == 2,
-                        minlength=n_paths).astype(np.int32))
-
-
 def lcg_plan(cs, seed: int) -> list[list[tuple[str, int]]]:
     """Six steps of drives for a ``chip_scale`` design: every stimulus
     port low, then the clock toggling with a sparse LCG-drawn third of
@@ -131,42 +120,6 @@ def lcg_plan(cs, seed: int) -> list[list[tuple[str, int]]]:
                 drives.append((p, lcg() % 2))
         plans.append(drives)
     return plans
-
-
-def tiled_case():
-    return tiled_cell(), [
-        [("d", 0), ("en", 0), ("en_b", 1)], [("en", 1), ("en_b", 0)],
-        [("d", 1)], [("en", 0), ("en_b", 1)], [("d", 0)]]
-
-
-def chip_case():
-    cs = chip_scale(1000)
-    return cs.cell, lcg_plan(cs, 777)
-
-
-@pytest.mark.parametrize("case", [tiled_case, chip_case],
-                         ids=["tiled-slices", "chipscale-1000"])
-def test_condition_counters_match_a_recount(case):
-    """The vector engine seeds its per-path condition counters without
-    reading a gate, then shifts them on every net change: after
-    construction and after every settle they equal a recount."""
-    cell, plan = case()
-    sim = VectorSwitchSimulator(flatten(cell))
-    tables = sim.tables
-    # The seeding relies on this: no condition gates on a rail.
-    assert not any(is_rail_name(tables.net_names[g])
-                   for g in np.unique(tables.cond_gate).tolist())
-    n_bad, n_unk = recount(sim)
-    assert np.array_equal(sim._n_bad, n_bad)
-    assert np.array_equal(sim._n_unk, n_unk)
-    for drives in plan:
-        for net, value in drives:
-            sim.drive(net, value)
-        sim.settle(max_events=5_000_000)
-        n_bad, n_unk = recount(sim)
-        assert np.array_equal(sim._n_bad, n_bad)
-        assert np.array_equal(sim._n_unk, n_unk)
-    assert sim.counters["solve_count"] > 0
 
 
 def test_fingerprint_memoized_per_epoch():
@@ -197,24 +150,66 @@ def test_design_cache_shares_cccs_across_consumers():
     assert cache.cccs(flat) is not cccs
 
 
-def test_chipscale_vector_matches_reference_bit_for_bit():
+def lcg_steps(cs):
+    return [dict(drives) for drives in lcg_plan(cs, 12345)]
+
+
+def chip_steps(cs):
+    return chip_vectors(cs, random.Random(0))
+
+
+@pytest.mark.parametrize("steps", [lcg_steps, chip_steps],
+                         ids=["lcg_plan", "chip_vectors"])
+def test_chipscale_vector_matches_reference_bit_for_bit(steps):
     """The tier-1 guard for the whole setup path: a chip-scale design
-    built through the shared cache must simulate bit-identically to the
-    scalar reference engine.  (CHIPSCALE_REF_TARGET=10000 runs the full
-    10k comparison; 1k is the always-on tier.)"""
+    built through the shared cache, its CCCs stamped only as solves need
+    them, must simulate bit-identically to the scalar reference engine
+    on a build of its own, under random drives (where the bus CCCs
+    fight) and under perfbench's stimulus (where they never do).
+    (CHIPSCALE_REF_TARGET=10000 runs the full 10k comparison; 1k is the
+    always-on tier.)"""
     import os
 
     target = int(os.environ.get("CHIPSCALE_REF_TARGET", "1000"))
     cs = chip_scale(target)
     flat = flatten(cs.cell)
-    cache = DesignCache()
-    ref = SwitchSimulator(flat, cache=cache)
-    vec = VectorSwitchSimulator(flat, cache=cache)
-    for drives in lcg_plan(cs, 12345):
-        for net, value in drives:
-            ref.drive(net, value)
-            vec.drive(net, value)
-        ref.settle(max_events=5_000_000)
-        vec.settle(max_events=5_000_000)
-        nets = sorted(flat.nets)
-        assert [ref.value(n) for n in nets] == [vec.value(n) for n in nets]
+    ref = SwitchSimulator(flat)
+    vec = VectorSwitchSimulator(flat, cache=DesignCache())
+    nets = sorted(flat.nets)
+    for drives in steps(cs):
+        for net in sorted(drives):
+            ref.drive(net, drives[net])
+            vec.drive(net, drives[net])
+        assert (ref.settle(max_events=5_000_000)
+                == vec.settle(max_events=5_000_000))
+        assert [ref.state[n] for n in nets] == [vec.state[n] for n in nets]
+    assert ref.history == vec.history
+    for key in ("ccc_evaluations", "net_solves", "naive_net_solves",
+                "settle_calls", "solve_count", "skip_count"):
+        assert ref.counters[key] == vec.counters[key], key
+    assert (vec.counters["reach_solves"] + vec.counters["row_solves"]
+            == vec.counters["solve_count"])
+
+
+def test_contention_free_stimulus_stamps_no_bus_ccc():
+    """Under perfbench's stimulus no solve of the two largest template
+    shapes (the bus and register-file CCCs) is left open by reach, so
+    none of their CCCs is stamped, and stamping stays far below the
+    table's exact path count."""
+    cs = chip_scale(1000)
+    sim = VectorSwitchSimulator(flatten(cs.cell), record_history=False)
+    for drives in chip_steps(cs):
+        for net in sorted(drives):
+            sim.drive(net, drives[net])
+        sim.settle()
+    tables = sim.tables
+    instances: dict[int, list[int]] = {}
+    for idx, (tpl, _) in enumerate(tables._plan):
+        instances.setdefault(id(tpl), []).append(idx)
+    size = {key: int(tables._plan[idx[0]][0].row_path_counts.sum())
+            for key, idx in instances.items()}
+    largest = sorted(size, key=size.get)[-2:]
+    assert all(not tables.ccc_stamped[i]
+               for key in largest for i in instances[key])
+    assert sim.counters["row_solves"] > 0
+    assert 0 < tables.stamped_paths < tables.counters()["packed_paths"] // 4
