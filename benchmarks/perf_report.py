@@ -9,8 +9,9 @@
   (baseline, memoized) pairs; asserts >= 3x at width 16 between the
   fastest sample of each side.
 * ``switchsim``    -- the domino-adder precharge/evaluate workload;
-  compares actual net solves against the naive (re-solve everything)
-  count the engine tracks alongside; asserts >= 2x fewer.
+  compares the engine's net solves against the exhaustive oracle's
+  (``tests.oracles.ExhaustiveSwitchSimulator``, which re-solves every
+  net on each settle); asserts >= 2x fewer.
 * ``battery``      -- the serial battery's wall time, and its sharded
   form: the registry split into 1, 2, 4 and 17 contiguous slices, each
   run serially and joined with ``merge_shard_batteries`` exactly as the
@@ -20,14 +21,15 @@
 ``BENCH_timing.json`` -- the incremental timing engine:
 
 * ``elmore``       -- RC-ladder scaling: one pre-optimisation
-  ``elmore_delay_reference`` query vs the linear-pass ``elmore_all``
-  sweep of *every* node; asserts the full sweep beats a single legacy
-  query >= 5x at 1000 sections (the honest lower bound -- the legacy
-  ``worst_elmore`` issued N such queries).
+  ``tests.oracles.reference_elmore_delay`` query vs the linear-pass
+  ``elmore_all`` sweep of *every* node; asserts the full sweep beats a
+  single legacy query >= 5x at 1000 sections (the honest lower bound --
+  the legacy ``worst_elmore`` issued N such queries).
 * ``sizing_loop``  -- the size -> re-verify loop over a multi-lane
-  datapath, full rebuild vs incremental (load refresh + arc re-price +
-  dirty-cone propagation); asserts >= 2x wall-clock and bit-identical
-  reports.
+  datapath, the full-rebuild oracle (``tests.oracles.
+  reference_close_timing``) vs ``close_timing`` (load refresh + arc
+  re-price + dirty-cone propagation); asserts >= 2x wall-clock and
+  bit-identical reports.
 * ``incremental_sta`` -- random arc re-pricings on the domino adder;
   asserts incremental arrival windows equal a from-scratch analyzer's.
 * ``battery_timing`` -- the setup/race check inside the sharded
@@ -38,6 +40,8 @@ Run directly::
     PYTHONPATH=src python benchmarks/perf_report.py
 
 The JSON lands next to this file; keys are stable so CI can diff runs.
+Both files carry the ``commit`` (``git describe --always --dirty``) and
+the ``cpu_count`` of the run.
 """
 
 from __future__ import annotations
@@ -48,7 +52,8 @@ import sys
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-# The repo root, for the in-process shard merge in tests/sharding.py.
+# The repo root, for the in-process shard merge in tests/sharding.py and
+# the oracles in tests/oracles.py.
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
 from repro.checks.driver import make_context                    # noqa: E402
@@ -66,6 +71,12 @@ from repro.timing.clocking import TwoPhaseClock                 # noqa: E402
 from repro.timing.constraints import generate_constraints       # noqa: E402
 from repro.timing.driver import analyze_design                  # noqa: E402
 from repro.timing.sizing import close_timing                    # noqa: E402
+from setup_report import current_commit                         # noqa: E402
+from tests.oracles import (                                     # noqa: E402
+    ExhaustiveSwitchSimulator,
+    reference_close_timing,
+    reference_elmore_delay,
+)
 from tests.sharding import sharded_battery                      # noqa: E402
 
 WIDTHS = (2, 4, 8, 16)
@@ -120,17 +131,17 @@ def bench_recognition() -> dict:
 def bench_switchsim(width: int = 8, cycles: int = 20) -> dict:
     """Domino precharge/evaluate cycling with changing operands.
 
-    Runs the identical stimulus through the incremental engine and the
-    exhaustive (``incremental=False``) engine; both settle to the same
-    states and history (asserted), the incremental one solving a
-    fraction of the nets -- only fan-in-disturbed CCCs re-solve.
+    Runs the identical stimulus through the engine and its exhaustive
+    oracle; both settle to the same states and history (asserted), the
+    engine solving a fraction of the nets -- only fan-in-disturbed CCCs
+    re-solve.
     """
     flat = flatten(domino_carry_adder(width))
 
-    def run(incremental: bool) -> SwitchSimulator:
+    def run(engine: type[SwitchSimulator]) -> SwitchSimulator:
         import random
 
-        sim = SwitchSimulator(flat, incremental=incremental)
+        sim = engine(flat)
         rng = random.Random(42)  # fixed seed: runs are comparable
         for cycle in range(cycles):
             a, b = rng.getrandbits(width), rng.getrandbits(width)
@@ -146,7 +157,7 @@ def bench_switchsim(width: int = 8, cycles: int = 20) -> dict:
             sim.step(clk=1)      # evaluate
         return sim
 
-    inc, full = run(True), run(False)
+    inc, full = run(SwitchSimulator), run(ExhaustiveSwitchSimulator)
     states = sorted(flat.nets)
     assert inc.values(states) == full.values(states)
     assert inc.history == full.history
@@ -193,7 +204,7 @@ def bench_battery(width: int = 8) -> dict:
 def bench_elmore(sections_list=(100, 300, 1000)) -> dict:
     """RC-ladder scaling: legacy per-query kernel vs the linear passes.
 
-    The baseline is ONE ``elmore_delay_reference`` query at the far tap
+    The baseline is ONE ``reference_elmore_delay`` query at the far tap
     (the pre-optimisation kernel re-walked the subtree per path node);
     the optimised side is ``elmore_all`` computing EVERY node.  The
     legacy ``worst_elmore`` issued N baseline queries, so the reported
@@ -204,7 +215,7 @@ def bench_elmore(sections_list=(100, 300, 1000)) -> dict:
         tree = uniform_ladder(sections, total_resistance=200.0 * sections,
                               total_cap=2e-15 * sections)
         far = f"n{sections}"
-        base_s = _best(lambda: tree.elmore_delay_reference(far, 100.0))
+        base_s = _best(lambda: reference_elmore_delay(tree, far, 100.0))
         all_s = _best(lambda: [tree._invalidate(), tree.elmore_all(100.0)])
         # Identity of the kernels on the worst tap (float-exact).
         assert tree.elmore_all(100.0)[far] == tree.elmore_delay(far, 100.0)
@@ -232,21 +243,20 @@ def _sizing_workload(tech, lanes=32, stages=8, load_f=300e-15):
 
 
 def bench_sizing_loop(iterations: int = 6) -> dict:
-    """The size -> re-verify loop, full rebuild vs incremental."""
+    """The size -> re-verify loop, full-rebuild oracle vs the live loop."""
     tech = strongarm_technology()
     clock = TwoPhaseClock(period_s=6.25e-9)
     loads = [300e-15 * (1.2 ** i) for i in range(iterations)]
 
-    def run(incremental: bool):
+    def run(loop):
         flat, path = _sizing_workload(tech)
         run_ = analyze_design(flat, tech, clock)
         start = time.perf_counter()
-        closure = close_timing(run_, tech, path, loads,
-                               incremental=incremental)
+        closure = loop(run_, tech, path, loads)
         return time.perf_counter() - start, closure
 
-    full_s, full = run(False)
-    inc_s, inc = run(True)
+    full_s, full = run(reference_close_timing)
+    inc_s, inc = run(close_timing)
     identical = (
         sorted((n, w.t_min, w.t_max) for n, w in full.report.arrivals.items())
         == sorted((n, w.t_min, w.t_max) for n, w in inc.report.arrivals.items())
@@ -342,7 +352,9 @@ def timing_report() -> dict:
 
 
 def main() -> dict:
+    stamp = {"commit": current_commit(), "cpu_count": os.cpu_count() or 1}
     report = {
+        **stamp,
         "recognition": bench_recognition(),
         "switchsim": {w: bench_switchsim(w) for w in (4, 8, 16)},
         "battery": bench_battery(),
@@ -361,7 +373,7 @@ def main() -> dict:
     with open(out, "w") as fh:
         json.dump(report, fh, indent=2)
 
-    timing = timing_report()
+    timing = {**stamp, **timing_report()}
     timing_out = os.path.join(os.path.dirname(__file__), "BENCH_timing.json")
     with open(timing_out, "w") as fh:
         json.dump(timing, fh, indent=2)

@@ -137,8 +137,9 @@ class CheckContext:
     supply_regions: dict[str, str] = field(default_factory=dict)
     supply_offsets_v: dict[str, float] = field(default_factory=dict)
     #: Session :class:`repro.perf.DesignCache` that produced this context,
-    #: if any.  Checks may use it for derived artifacts (e.g. the other
-    #: corner); fleet battery shards build their contexts without one,
+    #: if any: a campaign passes its own, a fleet battery shard its
+    #: design session's.  Checks may use it for derived artifacts (e.g.
+    #: the other corner); contexts built without one are just as valid,
     #: so treat it as an optimisation, never a dependency.
     cache: object | None = field(default=None, repr=False, compare=False)
 

@@ -7,10 +7,14 @@ the battery so each setup endpoint and each race constraint becomes one
 :class:`~repro.checks.base.Finding` -- PASS endpoints are auto-cleared
 by the designer-filter model, violations queue with slack metrics.
 
-The check is a pure function of the shared context (it builds its own
-graph and analyzer), so it shards like every other battery member: the
-fleet runs it in whichever battery shard holds its registry slot, and
-the merged findings are byte-identical to a serial run.
+The check is a pure function of the shared context: it runs the one
+timing pipeline (:func:`~repro.timing.driver.analyze_annotated`) on the
+context's corners and clock, with default pessimism and no false paths,
+so it shards like every other battery member: the fleet runs it in
+whichever battery shard holds its registry slot, and the merged
+findings are byte-identical to a serial run.  The flow's timing stage
+runs the same pipeline under the bundle's rules (DESIGN.md, "One timing
+pipeline").
 
 It needs both delay corners; contexts built without a SLOW annotation
 or without a clock (e.g. quick feasibility studies) skip it silently.
@@ -19,10 +23,7 @@ or without a clock (e.g. quick feasibility studies) skip it silently.
 from __future__ import annotations
 
 from repro.checks.base import Check, CheckContext, Finding, Severity
-from repro.timing.analyzer import TimingAnalyzer
-from repro.timing.constraints import generate_constraints
-from repro.timing.delay import ArcDelayCalculator
-from repro.timing.graph import build_timing_graph
+from repro.timing.driver import analyze_annotated
 
 
 class SetupRaceCheck(Check):
@@ -33,12 +34,8 @@ class SetupRaceCheck(Check):
     def run(self, ctx: CheckContext) -> list[Finding]:
         if ctx.clock is None or ctx.slow is None:
             return []
-        design = ctx.design
-        calculator = ArcDelayCalculator(ctx.fast, ctx.slow)
-        graph = build_timing_graph(design, calculator)
-        analyzer = TimingAnalyzer(design, graph, ctx.clock,
-                                  generate_constraints(design))
-        report = analyzer.verify()
+        report = analyze_annotated(ctx.design, ctx.fast, ctx.slow,
+                                   ctx.clock).report
 
         findings: list[Finding] = []
         for path in report.critical_paths:

@@ -39,7 +39,7 @@ import traceback
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.checks.base import Check, CheckSettings
+from repro.checks.base import Check, CheckContext, CheckSettings
 from repro.checks.driver import make_context
 from repro.checks.registry import ALL_CHECKS, BatteryResult, run_battery
 from repro.core.stages import FlowStage, StageResult, StageStatus
@@ -63,10 +63,7 @@ from repro.switchsim import Logic, OscillationError, VectorSwitchSimulator
 from repro.timing.analyzer import TimingReport
 from repro.timing.arccache import ArcPriceCache
 from repro.timing.clocking import TwoPhaseClock
-from repro.timing.constraints import generate_constraints
-from repro.timing.delay import ArcDelayCalculator
-from repro.timing.graph import build_timing_graph
-from repro.timing.analyzer import TimingAnalyzer
+from repro.timing.driver import analyze_annotated
 from repro.timing.pessimism import PessimismSettings
 
 _MISSING = object()
@@ -155,6 +152,24 @@ def _bundle_skip(bundle: DesignBundle, flow: FlowStage) -> str | None:
             and not bundle.functional_vectors):
         return "no RTL intent or functional vectors declared"
     return None
+
+
+def battery_context(bundle: DesignBundle, art: dict, cache) -> CheckContext:
+    """The circuit stage's check context, from ``bundle``, the stage
+    artifacts ``art`` (``flat``, ``design``, ``parasitics`` and, after a
+    layout, ``antenna``) and the session ``cache`` (a
+    :class:`repro.perf.DesignCache`, or None).
+
+    A campaign's circuit stage, its checkpoint replay and the fleet's
+    battery shards all build their contexts here, so the shards' merged
+    findings stay byte-identical to a single-process battery.
+    """
+    return make_context(
+        art["flat"], bundle.technology, clock=bundle.clock,
+        clock_hints=bundle.clock_hints, parasitics=art["parasitics"],
+        antenna=art.get("antenna"), settings=bundle.check_settings,
+        design=art["design"], cache=cache,
+    )
 
 
 @dataclass
@@ -452,12 +467,7 @@ class CbvCampaign:
 
         # -- circuit verification (the check battery) ---------------------------
         def circuit() -> StageResult:
-            ctx = make_context(
-                art["flat"], bundle.technology, clock=bundle.clock,
-                clock_hints=bundle.clock_hints, parasitics=art["parasitics"],
-                antenna=art.get("antenna"), settings=bundle.check_settings,
-                design=art["design"], cache=cache,
-            )
+            ctx = battery_context(bundle, art, cache)
             art["ctx"] = ctx
             if battery_runner is not None:
                 battery = battery_runner(ctx, trace)
@@ -490,16 +500,12 @@ class CbvCampaign:
         # -- timing verification ------------------------------------------------
         def timing_stage() -> StageResult:
             ctx = art["ctx"]
-            design = art["design"]
-            calculator = ArcDelayCalculator(ctx.fast, ctx.slow,
-                                            bundle.pessimism)
             arc_cache = ArcPriceCache()
-            graph = build_timing_graph(design, calculator,
-                                       arc_cache=arc_cache)
-            constraints = generate_constraints(design, bundle.pessimism)
-            analyzer = TimingAnalyzer(design, graph, bundle.clock, constraints)
-            analyzer.declare_false_through(*bundle.false_through)
-            timing = analyzer.verify()
+            run = analyze_annotated(
+                art["design"], ctx.fast, ctx.slow, bundle.clock,
+                pessimism=bundle.pessimism,
+                false_through=bundle.false_through, arc_cache=arc_cache)
+            timing = run.report
             report.timing = timing
             report.queue.add_timing(timing.setup_violations, timing.races)
             timing_status = (StageStatus.FAIL
@@ -515,7 +521,7 @@ class CbvCampaign:
                     {"min_cycle_s": timing.min_cycle_time_s,
                      "setup_violations": float(len(timing.setup_violations)),
                      "races": float(len(timing.races))},
-                    analyzer,
+                    run.analyzer,
                     arc_cache,
                 ),
             )
@@ -568,12 +574,7 @@ class CbvCampaign:
             battery = BatteryResult.from_dict(a["battery"])
             # Rebuild the live context: downstream timing needs it even
             # when the battery itself is replayed from the store.
-            ctx = make_context(
-                art["flat"], bundle.technology, clock=bundle.clock,
-                clock_hints=bundle.clock_hints, parasitics=art["parasitics"],
-                antenna=art.get("antenna"), settings=bundle.check_settings,
-                design=art["design"], cache=cache,
-            )
+            ctx = battery_context(bundle, art, cache)
             art["ctx"] = ctx
             art["battery"] = battery
             report.queue.add_findings(battery.findings)

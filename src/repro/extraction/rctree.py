@@ -17,8 +17,6 @@ turns those into Elmore delays for every node (:meth:`RCTree.elmore_all`).
 Both passes are cached and invalidated only when the tree itself
 changes (:meth:`add_node` / :meth:`add_cap`), so a Fig-5 multi-tap
 study over an N-section ladder costs O(N), not O(N^2).
-:meth:`elmore_delay_reference` keeps the naive per-query walk as the
-correctness baseline for the property suite and the benchmark.
 """
 
 from __future__ import annotations
@@ -152,35 +150,6 @@ class RCTree:
             if tree_node.parent is None:
                 continue
             delay += tree_node.r_to_parent * self._down[name]  # type: ignore[index]
-        return delay
-
-    def elmore_delay_reference(self, node: str,
-                               driver_resistance: float = 0.0) -> float:
-        """The pre-optimisation per-query kernel: every downstream cap
-        on the path is re-walked from scratch (O(path * subtree)).
-
-        Kept as the independent correctness reference for the property
-        suite and as the honest baseline ``benchmarks/perf_report.py``
-        times ``elmore_all`` against.
-        """
-        if node not in self._nodes:
-            raise KeyError(f"RC tree has no node {node!r}")
-
-        def subtree_cap(name: str) -> float:
-            total = 0.0
-            stack = [name]
-            while stack:
-                n = self._nodes[stack.pop()]
-                total += n.cap
-                stack.extend(n.children)
-            return total
-
-        delay = driver_resistance * subtree_cap(self.root)
-        for name in self.path_to_root(node):
-            tree_node = self._nodes[name]
-            if tree_node.parent is None:
-                continue
-            delay += tree_node.r_to_parent * subtree_cap(name)
         return delay
 
     def worst_elmore(self, driver_resistance: float = 0.0) -> tuple[str, float]:

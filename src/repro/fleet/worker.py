@@ -51,9 +51,8 @@ import resource
 import threading
 import traceback
 
-from repro.checks.driver import make_context
 from repro.checks.registry import run_battery
-from repro.core.campaign import CbvCampaign
+from repro.core.campaign import CbvCampaign, battery_context
 from repro.core.report import report_to_dict
 from repro.core.stages import FlowStage, StageStatus
 from repro.core.trace import CampaignTrace
@@ -107,11 +106,7 @@ def _run_battery_shard(job: Job, store: ArtifactStore, config: FleetConfig,
         raise RuntimeError(
             f"battery shard cannot run: missing artifact(s) "
             f"{', '.join(missing)} (prepare degraded after checkpointing?)")
-    ctx = make_context(
-        art["flat"], bundle.technology, clock=bundle.clock,
-        clock_hints=bundle.clock_hints, parasitics=art["parasitics"],
-        antenna=art.get("antenna"), settings=bundle.check_settings,
-        design=art["design"], cache=session.cache)
+    ctx = battery_context(bundle, art, session.cache)
     shard = job.shard
     # The shard battery records into its own trace so exactly the
     # check events of this slice -- no stage or checkpoint noise --

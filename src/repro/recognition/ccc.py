@@ -100,36 +100,6 @@ class ChannelConnectedComponent:
         return len(self.transistors)
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[str, str] = {}
-        self.size: dict[str, int] = {}
-
-    def find(self, x: str) -> str:
-        self.parent.setdefault(x, x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        # Union by size: attaching the smaller tree keeps find() paths
-        # logarithmic even on long pass-transistor strings, where naive
-        # linking degenerates into linear chains and quadratic
-        # extraction.
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        sa = self.size.get(ra, 1)
-        sb = self.size.get(rb, 1)
-        if sa < sb:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] = sa + sb
-
-
 def extract_cccs(flat: FlatNetlist) -> list[ChannelConnectedComponent]:
     """Partition a flat netlist's transistors into CCCs.
 

@@ -487,14 +487,6 @@ class ArtifactStore:
             except OSError:
                 pass
 
-    def delete(self, key: str) -> bool:
-        path = self._path(key)
-        try:
-            os.unlink(path)
-        except FileNotFoundError:
-            return False
-        return True
-
     def clear_tmp(self) -> int:
         """Remove stale in-flight files left by crashed writers."""
         removed = 0

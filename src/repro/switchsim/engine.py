@@ -36,9 +36,10 @@ actually changed since it last evaluated, and re-solves only the channel
 nets whose pre-computed dependency sets intersect those changes.  Nets
 whose fan-in is untouched would solve to their previous state, so
 skipping them leaves the final state and the history order bit-identical
-to exhaustive re-solving (``incremental=False`` forces the exhaustive
-mode for cross-checking).  A bounded iteration count guards against
-ring-oscillator-style non-settling structures.
+to exhaustive re-solving (``tests/oracles.py``'s
+``ExhaustiveSwitchSimulator`` re-solves every net of every CCC, and the
+property suite holds the two equal).  A bounded iteration count guards
+against ring-oscillator-style non-settling structures.
 """
 
 from __future__ import annotations
@@ -87,12 +88,6 @@ class SwitchSimulator:
         costs both that memory and an append on the hottest path.
         Final state, determinism, and settle() return values are
         unaffected either way.
-    incremental:
-        When True (the default), a CCC evaluation re-solves only the
-        channel nets whose fan-in changed since the CCC last evaluated.
-        False forces exhaustive re-solving of every channel net -- the
-        seed engine's behaviour, kept as a cross-check and kill switch.
-        Both modes produce identical states and history.
     tables:
         Pre-built :class:`PackedSwitchTables` for ``flat``, shareable
         between simulators; their fingerprint is checked against the
@@ -104,7 +99,6 @@ class SwitchSimulator:
 
     def __init__(self, flat: FlatNetlist, dominance_ratio: float = 2.5,
                  l_min_um: float = 0.35, record_history: bool = True,
-                 incremental: bool = True,
                  tables: PackedSwitchTables | None = None, cache=None):
         if tables is None:
             if cache is not None:
@@ -121,7 +115,6 @@ class SwitchSimulator:
         self.dominance_ratio = dominance_ratio
         self.l_min_um = l_min_um
         self.record_history = record_history
-        self.incremental = incremental
         self.cccs = tables.cccs
         self.state: dict[str, NetState] = {
             name: NetState() for name in flat.nets
@@ -236,14 +229,11 @@ class SwitchSimulator:
         gate_readers = self._gate_readers
         port_cccs = self._port_cccs
         dirty = self._dirty
-        if self.incremental:
-            # Only CCCs with a pending disturbance (or never evaluated)
-            # can change state; the rest would solve to their previous
-            # values, so skipping them is behaviour-preserving.
-            heap = [i for i in range(n) if dirty[i] is None or dirty[i]]
-        else:
-            heap = list(range(n))
-        # An ascending list is already a valid heap.
+        # Only CCCs with a pending disturbance (or never evaluated) can
+        # change state; the rest would solve to their previous values,
+        # so skipping them is behaviour-preserving.  An ascending list
+        # is already a valid heap.
+        heap = [i for i in range(n) if dirty[i] is None or dirty[i]]
         in_pending = [False] * n
         for i in heap:
             in_pending[i] = True
@@ -293,8 +283,8 @@ class SwitchSimulator:
         dirty = self._dirty[idx]
         self._dirty[idx] = set()
         affected = self._affected[idx]
-        if dirty is None or not self.incremental:
-            to_solve = None  # exhaustive: solve every channel net
+        if dirty is None:
+            to_solve = None  # never evaluated: solve every channel net
         else:
             to_solve = set()
             for trigger in dirty:

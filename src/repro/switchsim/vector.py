@@ -233,10 +233,7 @@ class VectorSwitchSimulator(SwitchSimulator):
         gate_readers = self._gate_readers
         port_cccs = self._port_cccs
         counters = self.counters
-        if self.incremental:
-            heap = [i for i in range(n) if dirty[i] is None or dirty[i]]
-        else:
-            heap = list(range(n))
+        heap = [i for i in range(n) if dirty[i] is None or dirty[i]]
         in_pending = [False] * n
         pend = np.zeros(n, bool)  # numpy mirror for fast snapshot scans
         for i in heap:
@@ -355,7 +352,7 @@ class VectorSwitchSimulator(SwitchSimulator):
         versions = {idx: self._dirty_version[idx] for idx in snap}
         for idx in snap:
             dirty = self._dirty[idx]
-            if dirty is None or not self.incremental:
+            if dirty is None:
                 queued[T.ccc_row_start[idx] - base_row:
                        T.ccc_row_end[idx] - base_row] = True
             else:

@@ -20,7 +20,9 @@ Structure:
 * :mod:`~repro.timing.constraints` -- setup/hold/glitch constraint
   generation for on-the-fly state elements and dynamic nodes;
 * :mod:`~repro.timing.analyzer` -- arrival-window propagation, critical
-  paths, race detection, minimum cycle time, and false-path exclusion.
+  paths, race detection, minimum cycle time, and false-path exclusion;
+* :mod:`~repro.timing.driver` -- the one pipeline that chains them, which
+  the battery's setup/race check and the flow's timing stage both call.
 """
 
 from repro.timing.pessimism import PessimismSettings
@@ -36,7 +38,7 @@ from repro.timing.analyzer import (
     TimingPath,
     TimingReport,
 )
-from repro.timing.driver import TimingRun, analyze_design
+from repro.timing.driver import TimingRun, analyze_annotated, analyze_design
 from repro.timing.report import render_path, render_timing_report
 from repro.timing.sizing import ClosureResult, SizingResult, close_timing, size_path
 
@@ -58,6 +60,7 @@ __all__ = [
     "TimingPath",
     "TimingReport",
     "TimingRun",
+    "analyze_annotated",
     "analyze_design",
     "render_path",
     "render_timing_report",

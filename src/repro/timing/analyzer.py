@@ -22,9 +22,8 @@ formula to the exact same operands in the same order, so incremental
 windows are bit-identical to a from-scratch ``verify()`` -- the same
 contract as the incremental switch simulator, pinned by the property
 suite in ``tests/property/test_incremental_sta.py``.  Any change the
-cone logic cannot prove local (new arcs, edited source arrivals, edited
-false-path set, a different clock skew) silently falls back to full
-propagation.
+cone logic cannot prove local (new arcs, an edited false-path set, a
+different clock skew) silently falls back to full propagation.
 """
 
 from __future__ import annotations
@@ -103,7 +102,6 @@ class TimingAnalyzer:
         self.clock = clock
         self.constraints = constraints
         self._false_through: set[str] = set()
-        self._input_windows: dict[str, ArrivalWindow] = {}
         # Incremental-propagation state: the windows and source seeds of
         # the last propagation, plus the exact configuration they were
         # computed under.  A configuration or structure mismatch forces
@@ -128,16 +126,11 @@ class TimingAnalyzer:
         """Exclude paths through these nets (architecturally false)."""
         self._false_through.update(nets)
 
-    def set_input_arrival(self, net: str, t_min: float = 0.0, t_max: float = 0.0) -> None:
-        self._input_windows[net] = ArrivalWindow(t_min=t_min, t_max=t_max)
-
     # -- arrival propagation ------------------------------------------------------
 
     def _source_seeds(self) -> dict[str, ArrivalWindow]:
-        """Arrival seeds: declared inputs, INPUT ports, clock roots.
-
-        Clock roots carry +/- skew; explicit input windows override.
-        """
+        """Arrival seeds: clock roots, carrying +/- skew, and INPUT
+        ports, arriving at time zero."""
         seeds: dict[str, ArrivalWindow] = {}
         skew = self.clock.skew_s
         for name, clock_net in self.design.clocks.items():
@@ -145,7 +138,6 @@ class TimingAnalyzer:
                 seeds[name] = ArrivalWindow(0.0, skew)
         for net in self.design.nets_of_kind(NetKind.INPUT):
             seeds.setdefault(net, ArrivalWindow(0.0, 0.0))
-        seeds.update(self._input_windows)
         return seeds
 
     def _config(self) -> tuple:
@@ -154,7 +146,6 @@ class TimingAnalyzer:
             self.graph.structure_version,
             self.clock.skew_s,
             frozenset(self._false_through),
-            tuple(sorted(self._input_windows.items())),
         )
 
     def _recompute_window(

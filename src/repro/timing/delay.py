@@ -198,15 +198,6 @@ class ArcDelayCalculator:
         r_min, r_max = self.drive_bounds(paths, prices)
         return self.delay_from_drive(r_min, r_max, output_net)
 
-    def nominal_delay(
-        self,
-        paths: Sequence[tuple[PathSet, Sequence[int] | None]],
-        output_net: str,
-    ) -> float:
-        """A single point estimate (geometric middle of the bounds)."""
-        arc = self.arc_delay(paths, output_net)
-        return (arc.d_min * arc.d_max) ** 0.5 if arc.d_min > 0 else arc.d_max / 2
-
     # -- arc-price cache keys ------------------------------------------------
 
     def environment_key(self) -> tuple:

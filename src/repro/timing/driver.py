@@ -1,9 +1,20 @@
-"""One-call timing verification driver.
+"""The timing pipeline: one function every static timing run calls.
 
-Glues the full stack together: recognition -> extraction (wireload by
-default) -> FAST/SLOW annotation -> arc building -> constraint
-generation -> analysis.  This is what the CBV flow stage
-(:mod:`repro.core`) and most benchmarks call.
+:func:`analyze_annotated` prices the arcs of a recognized design from
+its FAST/SLOW annotations, builds the timing graph, generates the
+constraints, declares the false paths and verifies.  It is the only
+place in the package that does so; its callers differ only in the rules
+they pass:
+
+* the battery's setup/race check
+  (:class:`~repro.checks.timing_sta.SetupRaceCheck`): default
+  pessimism, no false paths;
+* the CBV flow's timing stage (:mod:`repro.core.campaign`): the
+  bundle's pessimism and false paths, through an
+  :class:`~repro.timing.arccache.ArcPriceCache`;
+* :func:`analyze_design`, for the feasibility study and the
+  benchmarks: recognition, extraction (wireload by default) and
+  annotation first, then the pipeline with whatever rules it is given.
 """
 
 from __future__ import annotations
@@ -41,7 +52,34 @@ class TimingRun:
     slow: AnnotatedDesign
     analyzer: TimingAnalyzer
     report: TimingReport
-    calculator: ArcDelayCalculator | None = None
+    calculator: ArcDelayCalculator
+
+
+def analyze_annotated(
+    design: RecognizedDesign,
+    fast: AnnotatedDesign,
+    slow: AnnotatedDesign,
+    clock: TwoPhaseClock,
+    *,
+    pessimism: PessimismSettings | None = None,
+    false_through: Iterable[str] = (),
+    arc_cache=None,
+) -> TimingRun:
+    """Price, build the graph, constrain and verify one annotated design.
+
+    ``pessimism`` widens both the arc delays and the constraint margins
+    (default settings when None); ``false_through`` names the nets whose
+    paths are architecturally false; ``arc_cache`` is an
+    :class:`~repro.timing.arccache.ArcPriceCache` shared across builds
+    so identical bit-slices price their arcs once.
+    """
+    calculator = ArcDelayCalculator(fast, slow, pessimism)
+    graph = build_timing_graph(design, calculator, arc_cache=arc_cache)
+    analyzer = TimingAnalyzer(design, graph, clock,
+                              generate_constraints(design, pessimism))
+    analyzer.declare_false_through(*false_through)
+    return TimingRun(design=design, fast=fast, slow=slow, analyzer=analyzer,
+                     report=analyzer.verify(), calculator=calculator)
 
 
 def analyze_design(
@@ -55,12 +93,12 @@ def analyze_design(
     design: RecognizedDesign | None = None,
     arc_cache=None,
 ) -> TimingRun:
-    """Run the complete static timing verification stack.
+    """Recognize, extract and annotate ``flat``, then run the pipeline.
 
     ``design`` short-circuits recognition with a precomputed result
-    (it must be for this ``flat``); ``arc_cache`` is an
-    :class:`~repro.timing.arccache.ArcPriceCache` shared across builds
-    so identical bit-slices price their arcs once.
+    (it must be for this ``flat``); ``parasitics`` replaces the default
+    wireload extraction.  The rest is handed to
+    :func:`analyze_annotated`.
     """
     if design is None:
         design = recognize(flat, clock_hints=clock_hints)
@@ -68,12 +106,5 @@ def analyze_design(
         parasitics = WireloadModel().extract(flat, technology.wires)
     fast = annotate(flat, parasitics, technology, Corner.FAST)
     slow = annotate(flat, parasitics, technology, Corner.SLOW)
-    calculator = ArcDelayCalculator(fast, slow, pessimism)
-    graph = build_timing_graph(design, calculator, arc_cache=arc_cache)
-    constraints = generate_constraints(design, pessimism)
-    analyzer = TimingAnalyzer(design, graph, clock, constraints)
-    analyzer.declare_false_through(*false_through)
-    report = analyzer.verify()
-    return TimingRun(design=design, fast=fast, slow=slow,
-                     analyzer=analyzer, report=report,
-                     calculator=calculator)
+    return analyze_annotated(design, fast, slow, clock, pessimism=pessimism,
+                             false_through=false_through, arc_cache=arc_cache)

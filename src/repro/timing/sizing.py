@@ -150,7 +150,7 @@ def size_path(
                         total_effort=total_effort, stage_effort=stage_effort)
 
 
-# -- sizing loop (size -> re-verify, full or incremental) ----------------------
+# -- sizing loop (size -> re-verify, incrementally) ---------------------------
 
 
 @dataclass
@@ -171,7 +171,6 @@ class ClosureResult:
     """What a :func:`close_timing` loop did and where it ended."""
 
     path_nets: list[str]
-    incremental: bool
     iterations: list[SizingIteration] = field(default_factory=list)
     report: object | None = None  # final TimingReport
 
@@ -184,84 +183,51 @@ def close_timing(
     technology: Technology,
     path_nets: list[str],
     loads_f: Sequence[float],
-    incremental: bool = False,
     min_width_um: float = 0.4,
     max_scale: float = 64.0,
-    parasitics=None,
 ) -> ClosureResult:
     """The sizing loop: re-size one path per load target, re-verify.
 
     ``run`` is a live :class:`~repro.timing.driver.TimingRun`; each entry
     of ``loads_f`` is the load target of one :func:`size_path` call,
-    followed by a timing re-verification.
-
-    * ``incremental=False`` re-annotates both corners and rebuilds the
-      calculator, graph, and analyzer from scratch every iteration --
-      the reference flow (``run`` is updated to the rebuilt objects).
-    * ``incremental=True`` keeps everything live: refresh the loads of
-      the nets on resized-device terminals
-      (:func:`repro.extraction.annotate.update_net_loads` -- wire
-      parasitics never move, the wireload model ignores widths),
-      re-price only the arcs whose pricing inputs changed (arcs into
-      refreshed nets, plus arcs out of CCCs containing a resized
-      device), and let ``verify(incremental=True)`` re-propagate the
-      dirty cones.  The per-iteration reports are bit-identical to the
-      full flow's because every stage of the shortcut recomputes the
-      exact full-flow formula on the exact full-flow operands.
+    followed by a timing re-verification that keeps everything live:
+    refresh the loads of the nets on resized-device terminals
+    (:func:`repro.extraction.annotate.update_net_loads` -- wire
+    parasitics never move, the wireload model ignores widths), re-price
+    only the arcs whose pricing inputs changed (arcs into refreshed
+    nets, plus arcs out of CCCs containing a resized device), and let
+    ``verify(incremental=True)`` re-propagate the dirty cones.  Each
+    iteration's report is bit-identical to re-annotating both corners
+    and re-running the whole timing pipeline, because every step
+    recomputes the pipeline's exact formula on its exact operands
+    (``tests/oracles.py``'s ``reference_close_timing`` is that rebuild).
     """
-    from repro.extraction.annotate import annotate, update_net_loads
-    from repro.extraction.wireload import WireloadModel
-    from repro.timing.analyzer import TimingAnalyzer
-    from repro.timing.constraints import generate_constraints
-    from repro.timing.delay import ArcDelayCalculator
-    from repro.timing.graph import build_timing_graph, reprice_arcs
+    from repro.extraction.annotate import update_net_loads
+    from repro.timing.graph import reprice_arcs
 
     design = run.design
     flat = run.fast.flat
-    clock = run.analyzer.clock
-    pessimism = run.calculator.pessimism if run.calculator else None
-    if not incremental and parasitics is None:
-        # Widths never enter the wireload model, so one extraction is
-        # exact for every iteration.
-        parasitics = WireloadModel().extract(flat, technology.wires)
-
-    closure = ClosureResult(path_nets=list(path_nets), incremental=incremental)
+    closure = ClosureResult(path_nets=list(path_nets))
     for index, c_load in enumerate(loads_f):
         sized = size_path(flat, design, technology, path_nets, c_load,
                           min_width_um=min_width_um, max_scale=max_scale)
         resized = {name for stage in sized.stages if stage.scale != 1.0
                    for name in stage.devices}
-        if incremental:
-            by_name = {t.name: t for t in flat.transistors}
-            touched: set[str] = set()
-            for name in resized:
-                t = by_name[name]
-                touched.update((t.gate, t.drain, t.source))
-            nets_updated = update_net_loads(run.fast, sorted(touched))
-            update_net_loads(run.slow, sorted(touched))
-            affected = set(touched)
-            for classification in design.classifications:
-                ccc = classification.ccc
-                if any(t.name in resized for t in ccc.transistors):
-                    affected.update(ccc.output_nets or ccc.channel_nets)
-            arcs_repriced = reprice_arcs(run.analyzer.graph, run.calculator,
-                                         sorted(affected))
-            report = run.analyzer.verify(incremental=True)
-        else:
-            fast = annotate(flat, parasitics, technology, Corner.FAST)
-            slow = annotate(flat, parasitics, technology, Corner.SLOW)
-            calculator = ArcDelayCalculator(fast, slow, pessimism)
-            graph = build_timing_graph(design, calculator)
-            analyzer = TimingAnalyzer(design, graph, clock,
-                                      generate_constraints(design, pessimism))
-            analyzer.declare_false_through(*run.analyzer._false_through)
-            for net, window in run.analyzer._input_windows.items():
-                analyzer.set_input_arrival(net, window.t_min, window.t_max)
-            report = analyzer.verify()
-            nets_updated = len(fast.loads)
-            arcs_repriced = len(graph.arcs)
-            run.fast, run.slow = fast, slow
-            run.analyzer, run.calculator = analyzer, calculator
+        by_name = {t.name: t for t in flat.transistors}
+        touched: set[str] = set()
+        for name in resized:
+            t = by_name[name]
+            touched.update((t.gate, t.drain, t.source))
+        nets_updated = update_net_loads(run.fast, sorted(touched))
+        update_net_loads(run.slow, sorted(touched))
+        affected = set(touched)
+        for classification in design.classifications:
+            ccc = classification.ccc
+            if any(t.name in resized for t in ccc.transistors):
+                affected.update(ccc.output_nets or ccc.channel_nets)
+        arcs_repriced = reprice_arcs(run.analyzer.graph, run.calculator,
+                                     sorted(affected))
+        report = run.analyzer.verify(incremental=True)
         run.report = report
         closure.iterations.append(SizingIteration(
             index=index,

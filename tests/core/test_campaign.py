@@ -9,7 +9,9 @@ from repro.core.stages import FlowStage, StageStatus
 from repro.core.triage import DesignerQueue, QueueItem
 from repro.netlist.builder import CellBuilder
 from repro.process.technology import strongarm_technology
+from repro.timing import driver as timing_pipeline
 from repro.timing.clocking import TwoPhaseClock
+from repro.timing.pessimism import PessimismSettings
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +133,59 @@ def test_campaign_wireload_mode(tech):
     report = CbvCampaign(make_bundle(tech, use_layout=False)).run()
     assert report.stage(FlowStage.LAYOUT).status is StageStatus.SKIPPED
     assert report.stage(FlowStage.EXTRACTION).status is StageStatus.PASS
+
+
+def _check_verdicts(report) -> dict[str, Severity]:
+    return {f.subject: f.severity for f in
+            report.artifacts["battery"].of_check("timing_setup_race")}
+
+
+def _stage_flags(report) -> list[str]:
+    timing = report.timing
+    return sorted({p.endpoint for p in timing.setup_violations}
+                  | {r.constraint.net for r in timing.races})
+
+
+def test_check_and_stage_agree_under_default_rules(tech):
+    """At default pessimism with no false paths the battery's setup/race
+    check and the timing stage run the same pipeline under the same
+    rules, so they flag the same endpoints."""
+    report = CbvCampaign(make_bundle(
+        tech, clock=TwoPhaseClock(period_s=30e-12))).run()
+    flagged = sorted(net for net, severity in _check_verdicts(report).items()
+                     if severity is Severity.VIOLATION)
+    assert flagged == _stage_flags(report) == ["lat_13", "q", "y"]
+
+
+def test_check_keeps_default_rules_under_bundle_pessimism(tech):
+    """The check ignores the bundle's pessimism; only the stage widens.
+    Paranoid settings turn lat_13 and q into races in the stage, while
+    the check passes every endpoint."""
+    report = CbvCampaign(make_bundle(
+        tech, pessimism=PessimismSettings.paranoid())).run()
+    assert not report.timing.setup_violations
+    assert _stage_flags(report) == ["lat_13", "q"]
+    verdicts = _check_verdicts(report)
+    assert verdicts["lat_13"] is Severity.PASS
+    assert verdicts["q"] is Severity.PASS
+    assert set(verdicts.values()) == {Severity.PASS}
+
+
+def test_cold_campaign_builds_two_timing_graphs_through_one_pipeline(
+        tech, monkeypatch):
+    """The check and the stage each build one graph, both through the
+    pipeline module's ``build_timing_graph``."""
+    built = []
+    real = timing_pipeline.build_timing_graph
+
+    def counting(design, calculator, **kwargs):
+        built.append(calculator.pessimism)
+        return real(design, calculator, **kwargs)
+
+    monkeypatch.setattr(timing_pipeline, "build_timing_graph", counting)
+    paranoid = PessimismSettings.paranoid()
+    CbvCampaign(make_bundle(tech, pessimism=paranoid)).run()
+    assert built == [PessimismSettings(), paranoid]
 
 
 def test_render_report_contains_stages(tech):

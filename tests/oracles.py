@@ -50,6 +50,18 @@ bit-identical results.
   :func:`reference_antenna_geometry` -- the router testing every
   interval of every track, coupling runs over every pair of trunks, and
   antenna areas scanning every rectangle per net and layer.
+* :class:`ExhaustiveSwitchSimulator` -- the scalar switch-level engine
+  re-solving every channel net of every CCC on each settle, where
+  :class:`repro.switchsim.engine.SwitchSimulator` re-solves only the
+  nets whose fan-in changed.
+* :func:`reference_elmore_delay` -- one Elmore query re-walking every
+  downstream subtree on the root path, where
+  :class:`repro.extraction.rctree.RCTree` serves every node from two
+  cached linear passes.
+* :func:`reference_close_timing` -- the sizing loop re-annotating both
+  corners and re-running the whole timing pipeline each iteration,
+  where :func:`repro.timing.sizing.close_timing` refreshes loads,
+  re-prices the touched arcs and re-propagates the dirty cones.
 """
 
 from __future__ import annotations
@@ -77,9 +89,16 @@ from repro.recognition.families import CCCClassification, CircuitFamily
 from repro.recognition.gates import drive_pull_paths
 from repro.recognition.latches import StorageNode, _strongly_connected
 from repro.recognition.signature import topology_signature
+from repro.extraction.annotate import annotate
+from repro.extraction.rctree import RCTree
+from repro.extraction.wireload import WireloadModel
+from repro.process.corners import Corner
+from repro.switchsim.engine import SwitchSimulator
 from repro.switchsim.tables import csr_gather
 from repro.timing.delay import ArcDelayCalculator
+from repro.timing.driver import TimingRun, analyze_annotated
 from repro.timing.graph import DelayArc, TimingGraph, _break_cycles
+from repro.timing.sizing import ClosureResult, SizingIteration, size_path
 
 #: Every numpy column of the packed tables.
 TABLE_ARRAYS = (
@@ -1111,3 +1130,95 @@ def reference_antenna_geometry(layout, flat, l_min_um=0.35,
             has_diffusion=bool(flat_net.channel_pins()),
         ))
     return out
+
+
+# -- switch-level simulation, Elmore delay and the sizing loop ----------------
+
+
+class ExhaustiveSwitchSimulator(SwitchSimulator):
+    """:class:`~repro.switchsim.engine.SwitchSimulator` re-solving every
+    channel net of every CCC on each settle, as if no CCC had ever been
+    evaluated.
+
+    The production engine re-solves only the nets whose fan-in changed;
+    its states, history, ``settle()`` returns and counters must equal
+    this one's.
+    """
+
+    def settle(self, max_events: int = 100000) -> int:
+        self._dirty = [None] * len(self.cccs)
+        return super().settle(max_events)
+
+    def _evaluate(self, idx: int) -> list[str]:
+        self._dirty[idx] = None
+        return super()._evaluate(idx)
+
+
+def reference_elmore_delay(tree: RCTree, node: str,
+                           driver_resistance: float = 0.0) -> float:
+    """:meth:`repro.extraction.rctree.RCTree.elmore_delay` re-walking the
+    downstream subtree of every node on the root path (O(path *
+    subtree)), in a different association order than the linear
+    passes."""
+    if node not in tree._nodes:
+        raise KeyError(f"RC tree has no node {node!r}")
+
+    def subtree_cap(name: str) -> float:
+        total = 0.0
+        stack = [name]
+        while stack:
+            n = tree._nodes[stack.pop()]
+            total += n.cap
+            stack.extend(n.children)
+        return total
+
+    delay = driver_resistance * subtree_cap(tree.root)
+    for name in tree.path_to_root(node):
+        tree_node = tree._nodes[name]
+        if tree_node.parent is None:
+            continue
+        delay += tree_node.r_to_parent * subtree_cap(name)
+    return delay
+
+
+def reference_close_timing(run: TimingRun, technology, path_nets, loads_f,
+                           min_width_um: float = 0.4,
+                           max_scale: float = 64.0) -> ClosureResult:
+    """:func:`repro.timing.sizing.close_timing` rebuilding everything on
+    each iteration: both corners re-annotated from the wireload
+    extraction (``run`` must come from :func:`analyze_design`'s default
+    parasitics), then the whole timing pipeline re-run under ``run``'s
+    pessimism and false paths.  ``run`` is updated to the rebuilt
+    objects."""
+    design = run.design
+    flat = run.fast.flat
+    # Widths never enter the wireload model, so one extraction is exact
+    # for every iteration.
+    parasitics = WireloadModel().extract(flat, technology.wires)
+    closure = ClosureResult(path_nets=list(path_nets))
+    for index, c_load in enumerate(loads_f):
+        sized = size_path(flat, design, technology, path_nets, c_load,
+                          min_width_um=min_width_um, max_scale=max_scale)
+        resized = {name for stage in sized.stages if stage.scale != 1.0
+                   for name in stage.devices}
+        rebuilt = analyze_annotated(
+            design,
+            annotate(flat, parasitics, technology, Corner.FAST),
+            annotate(flat, parasitics, technology, Corner.SLOW),
+            run.analyzer.clock,
+            pessimism=run.calculator.pessimism,
+            false_through=run.analyzer._false_through)
+        run.fast, run.slow = rebuilt.fast, rebuilt.slow
+        run.analyzer, run.calculator = rebuilt.analyzer, rebuilt.calculator
+        run.report = report = rebuilt.report
+        closure.iterations.append(SizingIteration(
+            index=index,
+            c_load_f=c_load,
+            resized_devices=len(resized),
+            nets_updated=len(rebuilt.fast.loads),
+            arcs_repriced=len(rebuilt.analyzer.graph.arcs),
+            min_cycle_time_s=report.min_cycle_time_s,
+            worst_slack_s=report.worst_slack(),
+        ))
+    closure.report = run.report
+    return closure

@@ -3,8 +3,9 @@
 ``elmore_all`` computes every node's delay in two linear passes; its
 contract is exact agreement with the per-node ``elmore_delay`` (both
 accumulate R * downstream-C root-to-leaf) and numerical agreement with
-``elmore_delay_reference`` (the original per-query kernel, which sums
-the same products in a different association order).  Random tree
+``tests.oracles.reference_elmore_delay`` (the original per-query
+kernel, which sums the same products in a different association
+order).  Random tree
 shapes, section counts, and R/C values probe both.
 """
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.extraction.rctree import RCTree, uniform_ladder
+from tests.oracles import reference_elmore_delay
 
 
 @st.composite
@@ -51,7 +53,8 @@ def test_elmore_all_equals_per_node_queries(tree, r_drive):
 def test_elmore_all_matches_naive_reference(tree, r_drive):
     delays = tree.elmore_all(driver_resistance=r_drive)
     for node in tree.nodes():
-        reference = tree.elmore_delay_reference(node, driver_resistance=r_drive)
+        reference = reference_elmore_delay(tree, node,
+                                           driver_resistance=r_drive)
         assert delays[node] == pytest.approx(reference, rel=1e-9, abs=1e-30)
 
 

@@ -1,9 +1,9 @@
 """Property tests: incremental settle is observably identical to naive.
 
-The incremental engine only re-solves nets whose fan-in actually
-changed; the contract (see ``SwitchSimulator``) is that skipping the
-rest leaves the final state AND the history event order bit-identical
-to the always-resolve-everything mode.  Random stimulus sequences over
+The engine only re-solves nets whose fan-in actually changed; the
+contract (see ``SwitchSimulator``) is that skipping the rest leaves the
+final state AND the history event order bit-identical to re-solving
+everything (``tests.oracles.ExhaustiveSwitchSimulator``).  Random stimulus sequences over
 dynamic (domino) and sequential (latch) designs probe exactly the
 paths where stale-value bugs would hide.
 """
@@ -15,22 +15,23 @@ from repro.designs.adders import domino_carry_adder
 from repro.designs.latch_zoo import dynamic_latch
 from repro.netlist.flatten import flatten
 from repro.switchsim.engine import SwitchSimulator
+from tests.oracles import ExhaustiveSwitchSimulator
 
 
-def _run(flat, stimulus, incremental):
-    sim = SwitchSimulator(flat, incremental=incremental)
+def _run(flat, stimulus, engine):
+    sim = engine(flat)
     for vector in stimulus:
         sim.step(**vector)
     return sim
 
 
 def _assert_identical(flat, stimulus):
-    fast = _run(flat, stimulus, incremental=True)
-    naive = _run(flat, stimulus, incremental=False)
+    fast = _run(flat, stimulus, SwitchSimulator)
+    naive = _run(flat, stimulus, ExhaustiveSwitchSimulator)
     nets = sorted(flat.nets)
     assert fast.values(nets) == naive.values(nets)
     assert fast.history == naive.history
-    # The point of incremental mode: never MORE work than naive.
+    # The point of incremental solving: never MORE work than naive.
     assert fast.counters["net_solves"] <= naive.counters["net_solves"]
 
 

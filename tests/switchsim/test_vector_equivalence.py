@@ -110,28 +110,6 @@ def test_vector_matches_reference_on_seed_design(name):
         _random_stimulus_run(flat, seed=hash((name, seed)) & 0xFFFF)
 
 
-@pytest.mark.parametrize("name", ["domino_adder", "sram", "minicore"])
-def test_vector_matches_reference_exhaustive_mode(name):
-    """incremental=False (the cross-check mode) must also be identical."""
-    flat = flatten(SEED_DESIGNS[name]())
-    ref = SwitchSimulator(flat, incremental=False)
-    vec = VectorSwitchSimulator(flat, incremental=False)
-    ports = sorted(p for p in flat.ports if p not in ("vdd", "gnd"))
-    rng = random.Random(7)
-    for step in range(15):
-        net = rng.choice(ports)
-        value = rng.choice((0, 1, Logic.X))
-        ref.drive(net, value)
-        vec.drive(net, value)
-        assert ref.settle() == vec.settle()
-        _assert_lockstep(ref, vec, flat, step)
-    assert ref.history == vec.history
-    for key in SHARED_COUNTERS:
-        assert ref.counters[key] == vec.counters[key], key
-    # Exhaustive mode never skips.
-    assert vec.counters["skip_count"] == 0
-
-
 def test_vector_oscillation_detection_matches():
     """A ring oscillator must raise in both engines at the same budget."""
     b = CellBuilder("ring", ports=["en"])

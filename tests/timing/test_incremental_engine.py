@@ -2,7 +2,8 @@
 
 Covers the pieces the property suite exercises only end-to-end: the
 arc-price cache, incremental load refresh, arc re-pricing after a
-resize, the sizing loop's two modes, and the battery's setup/race check.
+resize, the sizing loop against its full-rebuild oracle, and the
+battery's setup/race check.
 """
 
 import pytest
@@ -23,6 +24,7 @@ from repro.timing.clocking import TwoPhaseClock
 from repro.timing.driver import analyze_design
 from repro.timing.graph import reprice_arcs
 from repro.timing.sizing import close_timing
+from tests.oracles import reference_close_timing
 from tests.sharding import sharded_battery
 
 
@@ -121,11 +123,11 @@ def test_close_timing_incremental_identical_to_full(tech):
 
     flat1, path = chain_flat()
     run1 = analyze_design(flat1, tech, CLOCK)
-    full = close_timing(run1, tech, path, loads, incremental=False)
+    full = reference_close_timing(run1, tech, path, loads)
 
     flat2, path = chain_flat()
     run2 = analyze_design(flat2, tech, CLOCK)
-    inc = close_timing(run2, tech, path, loads, incremental=True)
+    inc = close_timing(run2, tech, path, loads)
 
     assert sorted((n, w.t_min, w.t_max) for n, w in full.report.arrivals.items()) \
         == sorted((n, w.t_min, w.t_max) for n, w in inc.report.arrivals.items())
@@ -135,7 +137,7 @@ def test_close_timing_incremental_identical_to_full(tech):
     for a, b in zip(full.iterations, inc.iterations):
         assert a.min_cycle_time_s == b.min_cycle_time_s
         assert a.worst_slack_s == b.worst_slack_s
-    # The point of incremental mode: far fewer arcs re-priced.
+    # The point of the live loop: far fewer arcs re-priced.
     assert sum(i.arcs_repriced for i in inc.iterations) \
         < sum(i.arcs_repriced for i in full.iterations)
 
@@ -144,7 +146,7 @@ def test_close_timing_improves_timing(tech):
     flat, path = chain_flat(lanes=1, load_f=500e-15)
     run = analyze_design(flat, tech, CLOCK)
     before = run.report.min_cycle_time_s
-    closure = close_timing(run, tech, path, [500e-15], incremental=True)
+    closure = close_timing(run, tech, path, [500e-15])
     assert closure.report.min_cycle_time_s < before
 
 
