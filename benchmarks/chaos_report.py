@@ -19,7 +19,8 @@ deterministic :class:`~repro.chaos.FaultPlan` schedules:
   never be abandoned.
 
 Any non-canonical survival -- a run that "passed" with different bytes
--- exits 1.  Results land in ``benchmarks/BENCH_chaos.json``.
+-- exits 1.  Results land in ``benchmarks/BENCH_chaos.json``, stamped
+with the commit (``git describe --always --dirty``) and ``cpu_count``.
 
 Usage::
 
@@ -45,6 +46,7 @@ from repro.core.stages import FlowStage, StageStatus
 from repro.fleet import FleetConfig, run_fleet
 from repro.fleet.suite import alpha_slice_bundle
 from repro.process.technology import strongarm_technology
+from setup_report import current_commit
 
 OUT_JSON = pathlib.Path(__file__).parent / "BENCH_chaos.json"
 
@@ -225,6 +227,8 @@ def main() -> int:
 
     total_faults = sum(r["injected_total"] for r in serial)
     payload = {
+        "commit": current_commit(),
+        "cpu_count": os.cpu_count() or 1,
         "schedules": schedules,
         "store_rates": STORE_RATES,
         "base_seed": BASE_SEED,

@@ -19,10 +19,12 @@ contract at once:
 Results land in ``benchmarks/BENCH_scenarios.json``: the Monte-Carlo
 power distribution (mean / std / quantiles / 95% band around the
 paper's ~0.5 W Table-1 anchor), fuzz agreement stats, per-worker-count
-wall clocks, and the kill-resume evidence.  The 4-worker speedup floor
-is enforced only on hosts with >= 4 CPUs at full acceptance scale;
-otherwise the floor is waived and the reason recorded in the JSON
-(CI surfaces it in the job summary instead of faking a scaling result).
+wall clocks, and the kill-resume evidence, stamped with the commit
+(``git describe --always --dirty``) and ``cpu_count``.  The 4-worker
+speedup floor is enforced only on hosts with >= 4 CPUs at full
+acceptance scale; otherwise the floor is waived and the reason
+recorded in the JSON (CI surfaces it in the job summary instead of
+faking a scaling result).
 
 Sizing knobs (CI smoke runs shrink them)::
 
@@ -45,6 +47,7 @@ import time
 from repro.fleet import FleetConfig, run_scenario_fleet
 from repro.scenarios import FuzzSpec, MonteCarloSpec, ScenarioCampaign
 from repro.store import ArtifactStore
+from setup_report import current_commit
 
 OUT_JSON = pathlib.Path(__file__).parent / "BENCH_scenarios.json"
 STORE_ROOT = pathlib.Path(__file__).parent / "SCENARIO_store"
@@ -207,6 +210,7 @@ def main() -> int:
     payload = {
         "config": {"fuzz_seeds": fuzz.seeds, "fuzz_cycles": fuzz.cycles,
                    "mc_samples": mc.samples, "shards": SHARDS},
+        "commit": current_commit(),
         "cpu_count": cpus,
         "serial_s": round(serial_s, 4),
         "montecarlo_stats": summarize(

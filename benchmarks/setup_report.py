@@ -11,11 +11,20 @@ chip-scale workload (:func:`repro.designs.chip_scale` at ~1k through
   after it (``build.peak_rss_mb``);
 * **warm-cache re-build** (identity hit), and a short **vector-engine
   smoke** on the built tables, which stamps only the CCCs whose solves
-  reach leaves open (``build.smoke_stamped_paths``);
+  reach leaves open (``build.smoke_stamped_paths``).  Its random LCG
+  drives make every bus CCC fight, so it stamps nearly every path: the
+  engine's worst case;
+* a **perfbench-stimulus smoke** (``vectors``): the vector engine on
+  fresh tables under ``perfbench/designs.py``'s ``chip_vectors`` --
+  the stimulus ``chip_front_3k`` and the chip campaigns drive, where
+  the buses never fight -- with its settle time and stamped paths;
 * **recognition**, which answers its questions from packed path sets
-  over the sweeps the build left on the CCCs, and **STA timing-graph
-  construction**, which prices each source pair's paths straight from
-  the sweep records;
+  over the sweeps the build left on the CCCs, with the process's
+  ``VmRSS`` rise across it (``recognition_rss_mb``, measured after
+  :func:`release_free_memory` hands the freed tables' pages back, so
+  it counts what recognition keeps), and **STA
+  timing-graph construction**, which prices each source pair's paths
+  straight from the sweep records;
 * **legacy STA graph** -- :func:`tests.oracles.reference_timing_graph`,
   which materializes every pair as path objects
   (:func:`tests.oracles.materialize`),
@@ -49,9 +58,12 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import ctypes
+import gc
 import json
 import os
 import pathlib
+import random
 import resource
 import subprocess
 import sys
@@ -72,6 +84,7 @@ from repro.timing.arccache import ArcPriceCache                 # noqa: E402
 from repro.timing.delay import ArcDelayCalculator               # noqa: E402
 from repro.timing.graph import build_timing_graph               # noqa: E402
 from repro.switchsim.tables import PackedSwitchTables           # noqa: E402
+from perfbench.designs import chip_vectors                      # noqa: E402
 from tests.oracles import (                                      # noqa: E402
     OracleDelayCalculator,
     arc_rows,
@@ -127,28 +140,49 @@ def make_smoke_plan(cs, steps: int) -> list[list[tuple[str, int]]]:
     return plan
 
 
+def _status_mb(field: str) -> float | None:
+    """``field`` of ``/proc/self/status`` in MB, or None without it."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith(field + ":"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return None
+
+
+def release_free_memory() -> None:
+    """Collect garbage and hand the C heap's free pages back to the OS
+    (glibc ``malloc_trim``), so that a VmRSS rise measured after this
+    counts new memory rather than reuse of memory freed before it.  Only
+    the collection runs where there is no glibc."""
+    gc.collect()
+    try:
+        ctypes.CDLL("libc.so.6").malloc_trim(0)
+    except (OSError, AttributeError):
+        pass
+
+
 def high_water_mb() -> float:
     """This process's peak resident set so far, in MB (``VmHWM``).
 
     Falls back to ``ru_maxrss`` where ``/proc`` has no status file.
     """
-    try:
-        with open("/proc/self/status", encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) / 1024
-    except OSError:
-        pass
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    peak = _status_mb("VmHWM")
+    if peak is None:
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return peak
 
 
-def current_commit() -> str:
-    """``git describe --always --dirty`` of the checkout, or "unknown"."""
+def current_commit(checkout: pathlib.Path | None = None) -> str:
+    """``git describe --always --dirty`` of ``checkout`` (default: this
+    one), or "unknown"."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            cwd=pathlib.Path(__file__).resolve().parent, check=True,
-            capture_output=True, text=True)
+            cwd=checkout or pathlib.Path(__file__).resolve().parent,
+            check=True, capture_output=True, text=True)
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
     return out.stdout.strip() or "unknown"
@@ -216,11 +250,37 @@ def bench_scale(label: str, target: int, check_legacy: bool,
     del tables, again, sim
     cache._switch_tables.clear()
 
+    # perfbench's stimulus on fresh tables over the same CCCs.
+    tables = cache.switch_tables(flat)
+    sim = VectorSwitchSimulator(flat, tables=tables, record_history=False)
+    steps = chip_vectors(cs, random.Random(0))
+    t0 = time.perf_counter()
+    vec_events = 0
+    for drives in steps:
+        for net in sorted(drives):
+            sim.drive(net, drives[net])
+        vec_events += sim.settle(max_events=5_000_000)
+    vectors = {"steps": len(steps), "events": vec_events,
+               "settle_s": round(time.perf_counter() - t0, 4),
+               "stamped_paths": tables.stamped_paths,
+               "reach_solves": sim.counters["reach_solves"],
+               "row_solves": sim.counters["row_solves"]}
+    print(f"[{label}] chip_vectors smoke {vectors['settle_s']:.2f}s, "
+          f"{vec_events} events, {tables.stamped_paths} paths stamped")
+    del tables, sim
+    cache._switch_tables.clear()
+
+    release_free_memory()
+    rss_before = _status_mb("VmRSS")
     t0 = time.perf_counter()
     design = cache.recognized(flat)
     recognition_s = time.perf_counter() - t0
+    rss_after = _status_mb("VmRSS")
+    recognition_rss_mb = (round(rss_after - rss_before, 1)
+                          if rss_before is not None else None)
     n_cccs = len(design.classifications)
-    print(f"[{label}] recognition {recognition_s:.2f}s ({n_cccs} CCCs)")
+    print(f"[{label}] recognition {recognition_s:.2f}s ({n_cccs} CCCs), "
+          f"VmRSS +{recognition_rss_mb} MB")
 
     parasitics = cache.parasitics(flat, tech)
     fast = annotate(flat, parasitics, tech, Corner.FAST)
@@ -293,12 +353,14 @@ def bench_scale(label: str, target: int, check_legacy: bool,
         },
         "legacy": legacy,
         "recognition_s": round(recognition_s, 4),
+        "recognition_rss_mb": recognition_rss_mb,
         "sta_graph_s": round(sta_graph_s, 4),
         "sta_arcs": sta_arcs,
         "sta_legacy": sta_legacy,
         "warm": {"cache_hit_s": round(warm_hit_s, 6)},
         "smoke": {"steps": SMOKE_STEPS, "events": events,
                   "wall_s": round(smoke_s, 4)},
+        "vectors": vectors,
         # Process-wide high-water mark, so it covers the scales run
         # before this one in the same invocation.
         "peak_rss_mb": round(high_water_mb(), 1),

@@ -14,15 +14,15 @@ One packed form
 ---------------
 :func:`conduction_paths` answers a pair ``(source, target)`` with a
 :class:`PathSet`: the pair's arrival nodes in one target-rooted sweep
-record (:func:`sweep_paths_to_target`) plus one bitmask per path.  A
-mask holds the path's devices, the nets it visits (both ends
-included), and the gates it requires high and low; the per-node DFS
-records it as it walks, and for the vectorized BFS's large records the
-``PathSet`` ORs it up the pair's parent chains on first use.
-Recognition asks only order-free questions -- gate support, device
-union, polarity and net filters, pure-clock and footer tests, truth
-tables -- and answers them with integer operations on those masks,
-building no per-path objects.
+record (:func:`sweep_paths_to_target`).  Recognition asks only
+order-free questions -- gate support, device union, polarity and net
+filters, pure-clock and footer tests, truth tables -- and a path meets
+a net, a gate, a polarity or a device exactly when one of its devices
+does.  So each question is a per-device fact tested along the set's
+walk, its paths' device slots: Python lists for small sets, numpy
+chains for large ones, walked once and kept.  No sweep records, and no
+set keeps, anything per path beyond that walk, and no per-path object
+is built.
 
 Who walks paths
 ---------------
@@ -31,7 +31,7 @@ electrical checks -- read each path's devices straight off the sweep
 record: :meth:`PathSet.chains` walks the pair's parent chains into
 device slots, and :meth:`PathSet.sums` adds per-device values along
 them (in Python for small sets, with numpy columns for large ones).
-Gate and device tests are mask bits (:meth:`PathSet.where`,
+Gate and device tests run along the same walks (:meth:`PathSet.where`,
 :meth:`PathSet.rows_by_gate`).  The packed switch tables, which both
 switch-level simulation engines read, walk paths too: their builder
 reads each source's sweep record once for all of a CCC's channel nets,
@@ -89,8 +89,9 @@ immaterial, which frees the traversal strategy: small CCCs run a
 per-node Python DFS, while CCCs of ``_BFS_MIN_DEVICES`` devices or more
 run a level-synchronous vectorized BFS (:func:`_sweep_bfs`) that
 expands whole frontier levels with numpy and tracks each partial
-path's mask as uint64 words.  Both produce the same buckets, overflow
-set, path masks and per-pair orders.
+path's state as uint64 mask words, one frontier level at a time.  Both
+produce the same node columns (up to record order), buckets, overflow
+set and per-pair orders.
 
 ``source == target`` is not a pair any consumer asks about (a loop back
 to the source joins no two nets) and raises ``ValueError``.
@@ -99,9 +100,9 @@ to the source joins no two nets) and raises ``ValueError``.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable, Sequence
-from functools import reduce
-from itertools import compress, repeat
+from collections.abc import Iterable, Sequence, Set
+from functools import cache, reduce
+from itertools import compress
 from operator import or_
 
 import numpy as np
@@ -136,9 +137,13 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _bit_names(mask: int, names: list[str]) -> set[str]:
-    """The names whose positions are set in ``mask``."""
-    return {names[i] for i in _bits(mask)}
+@cache
+def _input_tables(n: int) -> tuple[int, list[int]]:
+    """The all-ones truth table over ``n`` inputs, and per input ``k``
+    the minterms where it is 1: blocks of 2**k ones every 2**(k+1)."""
+    full = (1 << (1 << n)) - 1
+    return full, [(full // ((1 << (2 << k)) - 1))
+                  * (((1 << (1 << k)) - 1) << (1 << k)) for k in range(n)]
 
 
 class PathSet:
@@ -146,88 +151,92 @@ class PathSet:
 
     Holds the pair's arrival nodes in the target's sweep record (an
     ``intc`` array: the record's bucket itself, or a subset of it) and,
-    from the first order-free query on, each path's mask over the
-    CCC's switch graph (:func:`_graph` documents the bit layout).
-    The queries are order-free and answered from the masks, except the
-    per-path walks (:meth:`chains`, :meth:`sums`, :meth:`rows_by_gate`),
-    which follow the set's node order; the filters return a new
-    ``PathSet`` over a subset of the nodes.
+    from the first order-free query on, the set's walk: each path's
+    device slots (:meth:`_walk`).  A path meets a net, a gate, a
+    polarity or a device exactly when one of its devices does, so every
+    order-free query tests per-device facts along that walk and keeps
+    nothing per path but the walk itself.  The filters return a new
+    ``PathSet`` over a subset of the nodes, with the walk filtered
+    along; the per-path walks (:meth:`chains`, :meth:`sums`,
+    :meth:`rows_by_gate`) follow the set's node order.
 
     Holds the sweep record and graph, never the CCC: the set lives in
     ``ccc.path_cache``, and a reference back would form a cycle that
     only the cyclic garbage collector frees.
     """
 
-    __slots__ = ("_g", "_ts", "_nodes", "_mask_list", "_walked", "_gate_rows")
+    __slots__ = ("_g", "_ts", "_nodes", "_walked", "_gate_rows")
 
-    def __init__(self, g: dict, ts: dict, nodes: np.ndarray,
-                 masks: list[int] | None = None) -> None:
+    def __init__(self, g: dict, ts: dict, nodes: np.ndarray) -> None:
         self._g = g
         self._ts = ts
         self._nodes = nodes
-        self._mask_list = masks
-        self._walked: list[list[int]] | None = None
+        self._walked: list[list[int]] | np.ndarray | None = None
         self._gate_rows: dict[str, Sequence[int]] | None = None
 
     def __len__(self) -> int:
         return len(self._nodes)
 
-    @property
-    def _masks(self) -> list[int]:
-        """Each path's mask: the OR of its devices' ``dev_bits``.
+    def _meets(self, devs: Set[int]) -> list[bool] | np.ndarray:
+        """Per path, in node order: whether one of its devices is in
+        ``devs``."""
+        walk = self._walk()
+        if isinstance(walk, list):
+            return [not devs.isdisjoint(slots) for slots in walk]
+        flag = np.zeros(len(self._g["dev_names"]) + 1, bool)
+        flag[list(devs)] = True
+        return flag[walk].any(axis=1)  # the -1 padding reads the last
 
-        The DFS records every node's mask as it walks; a BFS record
-        keeps none, and the pair's chains are OR-ed here with numpy, so
-        pairs that are only ever walked never pay for masks.
-        """
-        if self._mask_list is None:
-            recorded = self._ts.get("mask")
-            if recorded is not None:
-                self._mask_list = list(map(recorded.__getitem__,
-                                           self._nodes.tolist()))
-            else:
-                self._mask_list = _chain_masks(self._g, self._ts, self._nodes)
-        return self._mask_list
-
-    def _keep(self, bad: int, need: int | None = None) -> PathSet:
-        """The paths whose masks share no bit with ``bad`` and, when
-        ``need`` is given, at least one with ``need``; a kept walk
-        (:meth:`_walk`) is filtered along."""
-        masks = self._masks
-        if need is not None:
-            sel = [m & need and not m & bad for m in masks]
-        else:
-            sel = [not m & bad for m in masks]
-        if all(sel):
+    def _keep(self, bad: Set[int], *need: Set[int]) -> PathSet:
+        """The paths with no device in ``bad`` and one in each of
+        ``need``; the kept walk (:meth:`_walk`) is filtered along."""
+        walk = self._walk()
+        if isinstance(walk, list):
+            sel = ([bad.isdisjoint(slots) for slots in walk] if bad
+                   else [True] * len(walk))
+            for devs in need:
+                sel = [k and m for k, m in zip(sel, self._meets(devs))]
+            if all(sel):
+                return self
+            kept = PathSet(self._g, self._ts,
+                           self._nodes[np.array(sel, bool)])
+            kept._walked = list(compress(walk, sel))
+            return kept
+        sel = ~self._meets(bad) if bad else np.ones(len(walk), bool)
+        for devs in need:
+            sel &= self._meets(devs)
+        if sel.all():
             return self
-        kept = PathSet(self._g, self._ts, self._nodes[np.array(sel, bool)],
-                       list(compress(masks, sel)))
-        if self._walked is not None:
-            kept._walked = list(compress(self._walked, sel))
+        kept = PathSet(self._g, self._ts, self._nodes[sel])
+        if not kept._walks_in_python():
+            kept._walked = walk[sel]
         return kept
 
-    def _union(self) -> int:
-        return reduce(or_, self._masks, 0)
+    def _devices_on(self) -> Iterable[int]:
+        """The slots of the devices on some path."""
+        walk = self._walk()
+        if isinstance(walk, list):
+            return set().union(*walk)
+        seen = np.zeros(len(self._g["dev_names"]) + 1, bool)
+        seen[walk] = True
+        return np.flatnonzero(seen[:-1]).tolist()
 
-    def _gate_bits(self, nets: Iterable[str]) -> int:
-        """Both level bits of every gate in ``nets``."""
+    def _gated_by(self, nets: Iterable[str]) -> set[int]:
+        """The devices gated by one of ``nets``."""
         g = self._g
-        ids = g["gate_ids"]
-        bits = 0
+        ids, gate_devs = g["gate_ids"], g["gate_devs"]
+        devs: set[int] = set()
         for n in nets:
             gid = ids.get(n)
             if gid is not None:
-                bits |= (1 << (g["hi0"] + gid)) | (1 << (g["lo0"] + gid))
-        return bits
+                devs |= gate_devs[gid]
+        return devs
 
-    def _device_bits(self, names: Iterable[str]) -> int:
-        """The device bits of ``names``."""
+    def _device_slots(self, names: Iterable[str]) -> set[int]:
+        """The slots of the devices ``names``."""
         wanted = set(names)
-        bits = 0
-        for slot, name in enumerate(self._g["dev_names"]):
-            if name in wanted:
-                bits |= 1 << slot
-        return bits
+        return {slot for slot, name in enumerate(self._g["dev_names"])
+                if name in wanted}
 
     @property
     def device_names(self) -> list[str]:
@@ -244,51 +253,50 @@ class PathSet:
         """The paths with a condition on one of ``through`` (if given),
         through one of the devices ``using`` (if given), and with no
         condition on ``avoid_gates`` and no device in ``avoid_devices``."""
-        out = self
+        need = []
         through = list(through)
         if through:
-            out = out._keep(0, need=self._gate_bits(through))
+            need.append(self._gated_by(through))
         using = list(using)
         if using:
-            out = out._keep(0, need=self._device_bits(using))
-        bad = self._gate_bits(avoid_gates) | self._device_bits(avoid_devices)
-        return out._keep(bad) if bad else out
+            need.append(self._device_slots(using))
+        bad = self._gated_by(avoid_gates) | self._device_slots(avoid_devices)
+        return self._keep(bad, *need) if bad or need else self
 
     def avoiding(self, nets: Iterable[str]) -> PathSet:
-        """The paths that touch none of ``nets`` (either end included)."""
+        """The paths that touch none of ``nets`` (either end included):
+        none of whose devices has a channel terminal on them."""
         g = self._g
-        ids, net0 = g["net_ids"], g["net0"]
-        bad = 0
+        ids = g["net_ids"]
+        bad: set[int] = set()
         for n in nets:
             i = ids.get(n)
             if i is not None:
-                bad |= 1 << (net0 + i)
+                bad.update(_net_devs(g)[i])
         return self._keep(bad) if bad else self
 
     def of_polarity(self, polarity: str) -> PathSet:
         """The paths whose devices are all ``"nmos"`` or all ``"pmos"``."""
         return self._keep(
-            self._g["pmos_bits" if polarity == "nmos" else "nmos_bits"])
+            self._g["pmos_devs" if polarity == "nmos" else "nmos_devs"])
 
     def gated_within(self, nets: Iterable[str]) -> PathSet:
         """The paths with at least one condition, every one on ``nets``."""
-        field = self._g["gate_field"]
-        return self._keep(field & ~self._gate_bits(nets), need=field)
+        gated = self._g["gated"]
+        return self._keep(gated - self._gated_by(nets), gated)
 
     # -- order-free answers ------------------------------------------------------
 
     def support(self) -> set[str]:
         """All gate nets appearing in any path."""
         g = self._g
-        u = self._union()
-        full = (1 << len(g["gate_names"])) - 1
-        return _bit_names(((u >> g["hi0"]) | (u >> g["lo0"])) & full,
-                          g["gate_names"])
+        names, dev_gate = g["gate_names"], g["dev_gate"]
+        return {names[gid] for gid in map(dev_gate.__getitem__,
+                                          self._devices_on()) if gid >= 0}
 
     def devices(self) -> set[str]:
         """All devices on any path."""
-        names = self._g["dev_names"]
-        return _bit_names(self._union() & ((1 << len(names)) - 1), names)
+        return set(map(self._g["dev_names"].__getitem__, self._devices_on()))
 
     def footed_by(self, gate: str) -> bool:
         """True if some path requires ``gate`` high and at least one
@@ -297,9 +305,9 @@ class PathSet:
         gid = g["gate_ids"].get(gate)
         if gid is None:
             return False
-        bit = 1 << (g["hi0"] + gid)
-        rest = g["gate_field"] & ~bit
-        return any(m & bit and m & rest for m in self._masks)
+        level = g["dev_level"]
+        high = {d for d in g["gate_devs"][gid] if level[d]}
+        return len(self._keep(set(), high, g["gated"] - high)) > 0
 
     def truth_table(self, inputs: list[str], max_inputs: int = 16) -> int:
         """Conduction truth table as a bitmask.
@@ -318,46 +326,76 @@ class PathSet:
                 f"instead"
             )
         g = self._g
-        hi0, lo0, field = g["hi0"], g["lo0"], g["gate_field"]
-        gate_full = (1 << len(g["gate_names"])) - 1
-        full = (1 << (1 << len(inputs))) - 1
-        # Minterms where input k is 1: blocks of 2**k ones every 2**(k+1).
-        var: dict[int, int] = {}
-        known = 0
+        ids = g["gate_ids"]
+        k_of: dict[int, int] = {}
         for k, name in enumerate(inputs):
-            gid = g["gate_ids"].get(name)
+            gid = ids.get(name)
             if gid is not None:
-                var[gid] = ((full // ((1 << (2 << k)) - 1))
-                            * (((1 << (1 << k)) - 1) << (1 << k)))
-                known |= 1 << gid
+                k_of[gid] = k
+        full, by_input = _input_tables(len(inputs))
+        walk = self._walk()
+        if isinstance(walk, list):
+            # A path's gate cube: its devices' ``cond_bits`` OR-ed; a
+            # cube on a gate outside ``inputs`` never conducts.
+            cond_bits = g["cond_bits"]
+            n_gates = len(g["gate_names"])
+            gate_full = (1 << n_gates) - 1
+            var = {gid: by_input[k] for gid, k in k_of.items()}
+            known = sum(1 << gid for gid in var)
+            cubes = [(cube & gate_full, cube >> n_gates) for cube in
+                     {reduce(or_, map(cond_bits.__getitem__, slots), 0)
+                      for slots in walk}]
+            cubes = [(hi, lo) for hi, lo in cubes if not (hi | lo) & ~known]
+        else:
+            # Each device's condition as an input bit, high or low, over
+            # the chains; a device gated outside ``inputs`` blocks its
+            # paths.
+            var = by_input
+            gate_devs, level = g["gate_devs"], g["dev_level"]
+            hi_of = np.zeros(len(level) + 1, np.int64)  # last: padding
+            lo_of = hi_of.copy()
+            inside: set[int] = set()
+            for gid, k in k_of.items():
+                for d in gate_devs[gid]:
+                    (hi_of if level[d] else lo_of)[d] = 1 << k
+                    inside.add(d)
+            outside = g["gated"] - inside
+            rows = walk[~self._meets(outside)] if outside else walk
+            cubes = set(zip(
+                np.bitwise_or.reduce(hi_of[rows], axis=1).tolist(),
+                np.bitwise_or.reduce(lo_of[rows], axis=1).tolist()))
         table = 0
-        for cube in {m & field for m in self._masks}:
-            hi = (cube >> hi0) & gate_full
-            lo = (cube >> lo0) & gate_full
-            if (hi | lo) & ~known:
-                continue
+        for hi, lo in cubes:
             t = full
-            for gid in _bits(hi):
-                t &= var[gid]
-            for gid in _bits(lo):
-                t &= ~var[gid]
+            for i in _bits(hi):
+                t &= var[i]
+            for i in _bits(lo):
+                t &= ~var[i]
             table |= t
         return table
 
     def device_depths(self) -> dict[str, int]:
-        """Length of the shortest path through each device on a path."""
-        by_len: dict[int, int] = {}
-        depths = self._ts["depth"][self._nodes].tolist()
-        for d, m in zip(depths, self._masks):
-            by_len[d] = by_len.get(d, 0) | m
+        """Length of the shortest path through each device on a path,
+        shallowest first (then by slot)."""
+        walk = self._walk()
+        if isinstance(walk, list):
+            best: dict[int, int] = {}
+            for slots in walk:
+                n = len(slots)
+                for slot in slots:
+                    if n < best.get(slot, n + 1):
+                        best[slot] = n
+            ranked = sorted((d, slot) for slot, d in best.items())
+        else:
+            top = np.iinfo(np.int64).max
+            shortest = np.full(len(self._g["dev_names"]) + 1, top)
+            np.minimum.at(shortest, walk, (walk >= 0).sum(axis=1)[:, None])
+            slots = np.flatnonzero(shortest[:-1] < top)
+            depth = shortest[slots]
+            order = np.lexsort((slots, depth))
+            ranked = zip(depth[order].tolist(), slots[order].tolist())
         names = self._g["dev_names"]
-        unseen = (1 << len(names)) - 1
-        out: dict[str, int] = {}
-        for d in sorted(by_len):
-            for name in _bit_names(by_len[d] & unseen, names):
-                out[name] = d
-            unseen &= ~by_len[d]
-        return out
+        return {names[slot]: d for d, slot in ranked}
 
     def rows_by_gate(self) -> dict[str, Sequence[int]]:
         """For each gate net some path has a condition on, the positions
@@ -369,7 +407,7 @@ class PathSet:
         rows: dict[str, Sequence[int]] = {}
         if self._walks_in_python():
             dev_gate = g["dev_gate"]
-            for row, slots in enumerate(self._walk()):
+            for row, slots in enumerate(self._slot_lists()):
                 for slot in slots:
                     gid = dev_gate[slot]
                     if gid >= 0:
@@ -377,7 +415,7 @@ class PathSet:
                         if not at or at[-1] != row:
                             at.append(row)
         else:
-            chains = self.chains()
+            chains = self._chain_rows()
             gate_of = np.append(np.asarray(g["dev_gate"], np.int64),
                                 -1)[chains]
             gated = gate_of >= 0
@@ -396,27 +434,53 @@ class PathSet:
     # -- per-path walks ------------------------------------------------------------
 
     def _walks_in_python(self) -> bool:
-        """Whether :meth:`sums` and :meth:`rows_by_gate` walk this set in
-        Python, keeping the walk, rather than with numpy per call
-        (``_NUMPY_MIN_PATHS``)."""
+        """Whether this set is walked in Python, keeping the walk as
+        lists, rather than with numpy (``_NUMPY_MIN_PATHS``)."""
         return len(self._nodes) < _NUMPY_MIN_PATHS
 
-    def _walk(self) -> list[list[int]]:
-        """:meth:`chains` as Python lists, walked once and kept: a small
-        set is priced again by every timing build and check, and its
-        lists cost less than the walk."""
+    def _walk(self) -> list[list[int]] | np.ndarray:
+        """Each path's device slots, walked once and kept.
+
+        A small set (:meth:`_walks_in_python`) keeps Python lists
+        (:meth:`_slot_lists`): it is priced again by every timing build
+        and check, and its lists cost less than the walk.  A large set
+        keeps its :meth:`chains`, as ``int16`` where the CCC's slots
+        fit, once an order-free query asks; a large set that is only
+        priced keeps nothing.
+        """
         if self._walked is None:
-            ts = self._ts
-            par, dev = memoryview(ts["par"]), memoryview(ts["dev"])
-            walked = []
-            for node in self._nodes.tolist():
-                slots = []
-                while node >= 0:
-                    slots.append(dev[node])
-                    node = par[node]
-                walked.append(slots)
-            self._walked = walked
+            if self._walks_in_python():
+                return self._slot_lists()
+            chains = self.chains()
+            if len(self._g["dev_names"]) < 1 << 15:
+                chains = chains.astype(np.int16)
+            self._walked = chains
         return self._walked
+
+    def _slot_lists(self) -> list[list[int]]:
+        """:meth:`chains` as Python lists, walked once and kept -- or,
+        where the set already keeps its chains, walked for this call."""
+        if isinstance(self._walked, list):
+            return self._walked
+        ts = self._ts
+        par, dev = memoryview(ts["par"]), memoryview(ts["dev"])
+        walked = []
+        for node in self._nodes.tolist():
+            slots = []
+            while node >= 0:
+                slots.append(dev[node])
+                node = par[node]
+            walked.append(slots)
+        if self._walked is None:
+            self._walked = walked
+        return walked
+
+    def _chain_rows(self) -> np.ndarray:
+        """:meth:`chains`: the kept walk if it is in that form, else
+        built for this call."""
+        if isinstance(self._walked, np.ndarray):
+            return self._walked
+        return self.chains()
 
     def chains(self) -> np.ndarray:
         """Device slots along each path, source to target.
@@ -442,20 +506,17 @@ class PathSet:
         columns with numpy, which gives the same sums because the
         ``0.0`` padding adds nothing.
         """
-        walked = self._walked
-        if walked is None:
-            if not self._walks_in_python():
-                cols = np.append(np.asarray(values, np.float64),
-                                 0.0)[self.chains()]
-                if ascending:
-                    cols.sort(axis=1)
-                total = np.zeros(len(cols))
-                for col in cols.T:
-                    total += col
-                return total.tolist()
-            walked = self._walk()
+        if not self._walks_in_python():
+            cols = np.append(np.asarray(values, np.float64),
+                             0.0)[self._chain_rows()]
+            if ascending:
+                cols.sort(axis=1)
+            total = np.zeros(len(cols))
+            for col in cols.T:
+                total += col
+            return total.tolist()
         sums = []
-        for slots in walked:
+        for slots in self._slot_lists():
             # From 0.0, two values add to the same sum in either order:
             # only longer paths need sorting.
             if ascending and len(slots) > 2:
@@ -541,27 +602,24 @@ def _graph(ccc: ChannelConnectedComponent) -> dict:
     tuples carry the *arrival rank* -- the entering device's position
     in the reversed adjacency list of the arrived-at net --
     pre-resolved, which is all the order-restoration sort needs (see
-    the module docstring), and the device's mask bits.
+    the module docstring).
 
     Layout: ``net_ids``/``nets`` name<->id maps (nets appearing as a
     live channel terminal, rails included), ``net_rail`` per-id rail
     flags, ``adj[i]`` entries ``(dev, other, gid, lvl, other_rail,
-    arr_rank, bits)`` in ``ccc.transistors`` order (permanently-off
-    devices -- NMOS gated by gnd, PMOS by vdd -- elided, which keeps
-    the relative order of the rest, all the rank sort depends on),
-    ``dev_names`` in ``ccc.transistors`` order,
-    ``dev_gate``/``dev_level`` the device's condition as a gate id (-1
-    for none) and required level, and ``gate_names``/``gate_ids`` the
-    gate id<->name tables.
-
-    A path mask sets bit ``dev`` for each device, ``net0 + net`` for
-    each visited net, and ``hi0 + gid`` / ``lo0 + gid`` for each gate
-    required high / low.  The nets of a simple path are exactly the
-    channel terminals of its devices, so a path's mask is the OR of
-    ``dev_bits`` -- per device: its own bit, both terminals, and its
-    condition -- over its devices.  ``gate_field`` covers both gate
-    ranges and ``nmos_bits``/``pmos_bits`` the devices of each
-    polarity.
+    arr_rank)`` in ``ccc.transistors`` order (permanently-off devices
+    -- NMOS gated by gnd, PMOS by vdd -- elided, which keeps the
+    relative order of the rest, all the rank sort depends on),
+    ``dev_names`` in ``ccc.transistors`` order, ``dev_gate``/
+    ``dev_level`` the device's condition as a gate id (-1 for none)
+    and required level, and ``gate_names``/``gate_ids`` the gate
+    id<->name tables.  The per-device facts the :class:`PathSet`
+    filters test, as sets of device slots: ``gate_devs[gid]`` the
+    devices ``gid`` gates, ``gated`` every device with a condition,
+    and ``nmos_devs``/``pmos_devs`` the devices of each polarity (the
+    devices on a net are :func:`_net_devs`).  ``cond_bits[dev]`` is the
+    device's condition as one bit, ``gid`` for high and ``n_gates +
+    gid`` for low (0 for none).
     """
     state = _sweep_state(ccc)
     g = state.get("graph")
@@ -586,7 +644,6 @@ def _graph(ccc: ChannelConnectedComponent) -> dict:
             adj.append([])
         return i
 
-    live_ends: dict[int, tuple[int, int]] = {}
     for di, t in enumerate(ccc.transistors):
         level = t.polarity == "nmos"
         dev_names.append(t.name)
@@ -605,45 +662,51 @@ def _graph(ccc: ChannelConnectedComponent) -> dict:
             continue
         d, s = t.channel_terminals()
         d_id, s_id = nid_of(d), nid_of(s)
-        live_ends[di] = (d_id, s_id)
         lvl = 1 if level else 0
         adj[d_id].append((di, s_id, gid, lvl, net_rail[s_id]))
         adj[s_id].append((di, d_id, gid, lvl, net_rail[d_id]))
-    net0 = len(dev_names)
-    hi0 = net0 + len(nets)
-    lo0 = hi0 + len(gate_names)
-    dev_bits = [0] * net0  # a permanently-off device is on no path
-    for di, (d_id, s_id) in live_ends.items():
-        bits = (1 << di) | (1 << (net0 + d_id)) | (1 << (net0 + s_id))
-        gid = dev_gate[di]
-        if gid >= 0:
-            bits |= 1 << ((hi0 if dev_level[di] else lo0) + gid)
-        dev_bits[di] = bits
-    # Fold each entry's arrival rank in -- its device's position in the
-    # *arrived-at* net's reversed adjacency list -- and its mask bits.
+    # Fold each entry's arrival rank in: its device's position in the
+    # *arrived-at* net's reversed adjacency list.
     ranks: list[dict[int, int]] = [
         {e[0]: pos for pos, e in enumerate(reversed(entries))}
         for entries in adj
     ]
     for i, entries in enumerate(adj):
-        adj[i] = [e + (ranks[e[1]][e[0]], dev_bits[e[0]]) for e in entries]
+        adj[i] = [e + (ranks[e[1]][e[0]],) for e in entries]
     # Visit order is reversed adjacency; pre-reverse once so the sweep's
     # descent step skips a ``reversed()`` wrapper per frame.
     radj = [tuple(reversed(entries)) for entries in adj]
-    gate_full = (1 << len(gate_names)) - 1
-    nmos_bits = sum(1 << di for di, lvl in enumerate(dev_level) if lvl)
+    gate_devs: list[set[int]] = [set() for _ in gate_names]
+    for di, gid in enumerate(dev_gate):
+        if gid >= 0:
+            gate_devs[gid].add(di)
+    nmos_devs = frozenset(di for di, lvl in enumerate(dev_level) if lvl)
+    n_gates = len(gate_names)
     g = {
         "net_ids": net_ids, "nets": nets, "net_rail": net_rail,
         "adj": adj, "radj": radj, "dev_names": dev_names,
         "dev_gate": dev_gate, "dev_level": dev_level,
         "gate_names": gate_names, "gate_ids": gate_ids,
-        "dev_bits": dev_bits, "net0": net0, "hi0": hi0, "lo0": lo0,
-        "gate_field": (gate_full << hi0) | (gate_full << lo0),
-        "nmos_bits": nmos_bits,
-        "pmos_bits": ((1 << net0) - 1) & ~nmos_bits,
+        "gate_devs": [frozenset(devs) for devs in gate_devs],
+        "gated": frozenset(di for di, gid in enumerate(dev_gate)
+                           if gid >= 0),
+        "nmos_devs": nmos_devs,
+        "pmos_devs": frozenset(range(len(dev_names))) - nmos_devs,
+        "cond_bits": [0 if gid < 0 else 1 << (gid if lvl else n_gates + gid)
+                      for gid, lvl in zip(dev_gate, dev_level)],
     }
     state["graph"] = g
     return g
+
+
+def _net_devs(g: dict) -> list[tuple[int, ...]]:
+    """Per net id, the devices with a channel terminal on it (from
+    ``adj``), cached on the graph dict on first use."""
+    net_devs = g.get("net_devs")
+    if net_devs is None:
+        net_devs = g["net_devs"] = [tuple(e[0] for e in entries)
+                                    for entries in g["adj"]]
+    return net_devs
 
 
 #: Path count from which a :class:`PathSet` sums and groups its paths
@@ -672,12 +735,18 @@ def _bfs_csr(g: dict) -> dict:
 
     Flattens ``g["radj"]`` -- reversed adjacency, though the BFS does
     not depend on edge order -- into per-edge numpy columns plus a
-    ``start``/``deg`` index, cached on the graph dict.  Each edge also
-    carries the mask positions it probes: the arrival net, the device,
-    and the gate level that contradicts its condition (``veto``).
-    ``dev_rows`` holds each device's ``dev_bits`` as uint64 words, low
-    word first, plus a zero row last, so the ``-1`` padding of
-    :func:`_chains` reads as no device.
+    ``start``/``deg`` index, cached on the graph dict.
+
+    The sweep tracks each partial path's state as one bitmask of
+    uint64 words, low word first: bit ``dev`` for each device used,
+    ``net0 + net`` for each net visited (both ends included), and
+    ``hi0 + gid`` / ``lo0 + gid`` for each gate required high / low.
+    The nets of a simple path are exactly the channel terminals of its
+    devices, so the state is the OR of ``dev_rows`` -- per device: its
+    own bit, both terminals, and its condition -- over its devices,
+    plus the root's net bit.  Each edge carries the positions it
+    probes: the arrival net, the device, and the gate level that
+    contradicts its condition (``veto``).
     """
     csr = g.get("csr")
     if csr is not None:
@@ -686,25 +755,34 @@ def _bfs_csr(g: dict) -> dict:
     deg = np.array([len(e) for e in radj], np.int64)
     start = np.zeros(deg.size + 1, np.int64)
     np.cumsum(deg, out=start[1:])
-    flat = [e[:6] for entries in radj for e in entries]
+    flat = [e for entries in radj for e in entries]
     if flat:
         cols = np.array(flat, np.int64)
     else:
         cols = np.empty((0, 6), np.int64)
     dev, other, gid, lvl = cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3]
     has_g = gid >= 0
-    width = max(1, -(-(g["lo0"] + len(g["gate_names"])) // 64))
-    word = (1 << 64) - 1
+    net0 = len(g["dev_names"])
+    hi0 = net0 + len(g["nets"])
+    lo0 = hi0 + len(g["gate_names"])
+    width = max(1, -(-(lo0 + len(g["gate_names"])) // 64))
+    # Every live device has one edge per direction, so its edges set
+    # its own bit, both terminals' bits and its condition's.
+    dev_rows = np.zeros((net0, width), np.uint64)
+    for rows, pos in ((dev, dev), (dev, net0 + other),
+                      (dev[has_g],
+                       np.where(lvl == 1, hi0, lo0)[has_g] + gid[has_g])):
+        np.bitwise_or.at(dev_rows, (rows, pos >> 6),
+                         np.left_shift(np.uint64(1),
+                                       (pos & 63).astype(np.uint64)))
     csr = g["csr"] = {
         "deg": deg, "start": start[:-1],
         "dev": dev, "other": other, "has_g": has_g,
         "rail": cols[:, 4], "rank": cols[:, 5],
-        "net_pos": g["net0"] + other,
-        "veto_pos": np.where(has_g, np.where(lvl == 1, g["lo0"], g["hi0"])
-                             + gid, 0),
-        "dev_rows": np.array(
-            [[(b >> (64 * k)) & word for k in range(width)]
-             for b in [*g["dev_bits"], 0]], np.uint64).reshape(-1, width),
+        "net0": net0,
+        "net_pos": net0 + other,
+        "veto_pos": np.where(has_g, np.where(lvl == 1, lo0, hi0) + gid, 0),
+        "dev_rows": dev_rows,
     }
     return csr
 
@@ -734,38 +812,20 @@ def _chains(ts: dict, nodes: np.ndarray, ranks: bool = False):
     return (out, keys) if ranks else out
 
 
-def _chain_masks(g: dict, ts: dict, nodes: np.ndarray) -> list[int]:
-    """The masks of ``nodes``' paths in a sweep record: ``dev_rows``
-    OR-ed along their :func:`_chains`."""
-    dev_rows = _bfs_csr(g)["dev_rows"]
-    rows = np.zeros((len(nodes), dev_rows.shape[1]), np.uint64)
-    for col in _chains(ts, nodes).T:
-        rows |= dev_rows[col]
-    return _rows_to_ints(rows)
-
-
-def _rows_to_ints(rows: np.ndarray) -> list[int]:
-    """Each row of uint64 mask words, low word first, as one Python int."""
-    row_bytes = np.ascontiguousarray(rows, "<u8").view(
-        np.dtype((np.void, rows.shape[1] * 8))).ravel().tolist()
-    return list(map(int.from_bytes, row_bytes, repeat("little")))
-
-
 def _sweep_bfs(g: dict, tid: int, target: str, want_id: int,
                max_paths: int) -> dict:
     """Vectorized all-sources sweep: expand the simple-path forest one
     depth level at a time with numpy.
 
-    Each partial path is a frontier row carrying its mask (layout in
-    :func:`_graph`) as uint64 words: conditions only accumulate along a
-    path, so a contradiction test is one bit probe and no undo is ever
-    needed.  A level expands every frontier row across its net's full
-    edge list with gather/repeat, filters admissible arrivals with mask
-    probes, records them as sweep nodes, and ORs each non-rail
-    arrival's device bits into a copy of its parent's mask to form the
-    next frontier.  The masks are not kept: a :class:`PathSet` rebuilds
-    its pair's from the parent chains (:func:`_chain_masks`) only when
-    asked an order-free question.
+    Each partial path is a frontier row carrying its state mask (layout
+    in :func:`_bfs_csr`) as uint64 words: conditions only accumulate
+    along a path, so a contradiction test is one bit probe and no undo
+    is ever needed.  A level expands every frontier row across its
+    net's full edge list with gather/repeat, filters admissible
+    arrivals with mask probes, records them as sweep nodes, and ORs
+    each non-rail arrival's device bits into a copy of its parent's
+    mask to form the next frontier.  A frontier's masks die with its
+    level; the record keeps none.
 
     Nodes are recorded in level order rather than the DFS's preorder;
     that is invisible to consumers, which sort a pair's paths by
@@ -788,7 +848,7 @@ def _sweep_bfs(g: dict, tid: int, target: str, want_id: int,
     f_net = np.array([tid], np.int64)
     f_node = np.array([-1], np.int64)
     f_mask = np.zeros((1, dev_rows.shape[1]), np.uint64)
-    root = g["net0"] + tid
+    root = csr["net0"] + tid
     f_mask[0, root >> 6] = one << np.uint64(root & 63)
 
     par_parts: list[np.ndarray] = []
@@ -889,13 +949,11 @@ def sweep_paths_to_target(
     Returns (and caches under ``("tsweep", target, max_paths)`` in the
     sweep state) a dict of numpy node columns
     ``par``/``dev``/``rank``/``depth`` (parent node or -1, device slot,
-    arrival rank, chain length), for the DFS strategy ``mask`` (each
-    node's path mask as a Python int, layout in :func:`_graph`),
-    ``buckets`` mapping net id to arrival node indices in record order
-    -- preorder
+    arrival rank, chain length) and nothing else per node, ``buckets``
+    mapping net id to arrival node indices in record order -- preorder
     for the DFS strategy, level order for the vectorized BFS used on
-    CCCs of ``_BFS_MIN_DEVICES`` devices or more; consumers sort
-    a pair's paths by their total forward-rank key, so the two are
+    CCCs of ``_BFS_MIN_DEVICES`` devices or more; consumers sort a
+    pair's paths by their total forward-rank key, so the two are
     interchangeable -- and ``overflow``, the net ids whose pair with
     ``target`` exceeded ``max_paths`` (their buckets are dropped and
     any request for them raises, exactly like the per-pair walk).
@@ -922,7 +980,6 @@ def sweep_paths_to_target(
     # re-boxing millions of ints (a measurable slice of chip-scale
     # builds).  Order per node: parent, device, rank, depth.
     cols = array("i")
-    masks: list[int] = []
     buckets: dict[int, array] = {}
     overflow: set[int] = set()
     if tid is not None:
@@ -937,11 +994,9 @@ def sweep_paths_to_target(
         # and the *current* frame lives in locals -- the ``frames``
         # stack only holds suspended ancestors, so a node costs no
         # tuple indexing.  Frame: (net, via_dev, via_gid, via_lvl,
-        # parent node, path mask, child iterator); the via-edge's state
-        # is undone when the iterator is exhausted (the ``for/else``
-        # branch).
+        # parent node, child iterator); the via-edge's state is undone
+        # when the iterator is exhausted (the ``for/else`` branch).
         cols_extend = cols.extend
-        masks_append = masks.append
         buckets_get = buckets.get
         n_nodes = 0
         depth = 1
@@ -949,11 +1004,9 @@ def sweep_paths_to_target(
         frames_append, frames_pop = frames.append, frames.pop
         cur, cur_dev, cur_gid, cur_lvl = tid, -1, -1, 0
         parent_node = -1
-        cur_mask = 0
         children = iter(radj[tid])
         while True:
-            for (d_i, other, gid, lvl, other_rail, arr_rank,
-                 bits) in children:
+            for d_i, other, gid, lvl, other_rail, arr_rank in children:
                 if dev_on[d_i] or visited[other]:
                     continue
                 if gid >= 0:
@@ -964,8 +1017,6 @@ def sweep_paths_to_target(
                 node = n_nodes
                 n_nodes += 1
                 cols_extend((parent_node, d_i, arr_rank, depth))
-                mask = cur_mask | bits
-                masks_append(mask)
                 # A missing bucket means first arrival *or* an
                 # overflowed-and-dropped net; the overflow set is only
                 # consulted on that cold path, not per node.
@@ -992,10 +1043,9 @@ def sweep_paths_to_target(
                 visited[other] = 1
                 frames_append(
                     (cur, cur_dev, cur_gid, cur_lvl, parent_node,
-                     cur_mask, children))
+                     children))
                 cur, cur_dev, cur_gid, cur_lvl = other, d_i, gid, lvl
                 parent_node = node
-                cur_mask = mask
                 children = iter(radj[other])
                 depth += 1
                 break
@@ -1009,7 +1059,7 @@ def sweep_paths_to_target(
                 if not frames:
                     break
                 (cur, cur_dev, cur_gid, cur_lvl, parent_node,
-                 cur_mask, children) = frames_pop()
+                 children) = frames_pop()
                 depth -= 1
 
     quads = np.frombuffer(cols, np.intc).reshape(-1, 4)
@@ -1018,7 +1068,6 @@ def sweep_paths_to_target(
         "dev": quads[:, 1],
         "rank": quads[:, 2],
         "depth": quads[:, 3],
-        "mask": masks,
         "buckets": {
             i: np.frombuffer(b, np.intc) for i, b in buckets.items()
         },

@@ -3,7 +3,7 @@
 The STA graph and the beta-ratio, edge-rate, writability and leakage
 checks price conduction paths straight from the sweep records
 (:meth:`~repro.recognition.conduction.PathSet.sums`) and test gates and
-devices as mask bits.  Their old forms, which materialize every pair
+devices along the same walks.  Their old forms, which materialize every pair
 as path objects, live in ``tests/oracles.py``.  On ``chip_scale(1000)``,
 a domino adder and the latch, SRAM and mux zoo, with both sweep
 strategies, the graphs must agree arc for arc and float

@@ -29,12 +29,12 @@ bit-identical results.
 * :class:`OracleBetaRatioCheck`, :class:`OracleEdgeRateCheck`,
   :class:`OracleWritabilityCheck` and :func:`reference_off_network_leakage`
   -- the checks filtering and pricing materialized paths
-  (:func:`path_resistance` and friends), where production tests mask
-  bits and adds along the sweep records' parent chains.
+  (:func:`path_resistance` and friends), where production tests
+  per-device facts and adds along the sweep records' parent chains.
 * :func:`support`, :func:`truth_table`, :func:`conduction_function` and
   the other path-list queries below -- the per-path forms of the
   order-free questions :class:`repro.recognition.conduction.PathSet`
-  answers from its masks.
+  answers from per-device facts along its walk.
 * :class:`OracleHotCarrierCheck` -- the hot-carrier check testing every
   NMOS device against every pull-down path of its CCC, where
   :class:`repro.checks.hot_carrier.HotCarrierCheck` reads each device's

@@ -1,18 +1,22 @@
 """Differential tests: packed ``PathSet`` queries ≡ their path-list oracles.
 
-Recognition answers every question about a pair's conduction paths from
-the masks a :class:`~repro.recognition.conduction.PathSet` carries, and
-never builds the paths.  For every (output, rail) pair of
-``chip_scale(1000)`` and of the latch, adder and mux designs, on both
-sweep strategies, each query here must equal its oracle in
-``tests/oracles.py`` applied to the materialized paths
-(:func:`tests.oracles.materialize`), which must equal the per-pair
-walk.  The one-pass hot-carrier check and the
+Recognition answers every question about a pair's conduction paths by
+testing per-device facts along the set's walk -- Python lists for small
+sets, numpy chains for large ones -- and never builds the paths or a
+per-path mask.  For every (output, rail) pair of ``chip_scale(1000)``
+and of the latch, adder and mux designs, on both sweep strategies, and
+of the two largest CCC shapes of ``chip_scale(3000)`` (144 and 112
+devices, the sets perfbench's ``chip_front_3k`` queries), each query
+here must equal its oracle in ``tests/oracles.py`` applied to the
+materialized paths (:func:`tests.oracles.materialize`), which must
+equal the per-pair walk.  The one-pass hot-carrier check and the
 rewritten latch finder are compared with their old forms on the same
-designs.
+designs, and recognizing ``chip_scale(3000)`` must leave no per-path
+state behind.
 """
 
 import gc
+import tracemalloc
 import weakref
 
 import pytest
@@ -33,6 +37,7 @@ from repro.process.technology import strongarm_technology
 from repro.recognition import conduction
 from repro.recognition.ccc import extract_cccs
 from repro.recognition.conduction import conduction_paths
+from repro.recognition.memo import ClassificationMemo
 from repro.recognition.recognizer import recognize
 from tests import oracles
 
@@ -104,6 +109,51 @@ def test_pathset_queries_match_oracles(zoo, design, strategy):
                 assert_queries_match(ccc, ps)
                 pairs += 1
     assert pairs
+
+
+@pytest.fixture(scope="module")
+def bus_cccs():
+    """The 144- and the 112-device CCC shapes of ``chip_scale(3000)``,
+    one CCC each."""
+    cccs = extract_cccs(flatten(chip_scale(3000).cell))
+    return {n: next(c for c in cccs if len(c.transistors) == n)
+            for n in (144, 112)}
+
+
+@pytest.mark.parametrize("devices", [144, 112])
+def test_pathset_queries_match_oracles_on_bus_cccs(bus_cccs, devices):
+    """At perfbench's scale, under the default strategy: every set here
+    comes from the vectorized sweep and answers from its numpy chains."""
+    ccc = bus_cccs[devices]
+    assert len(ccc.transistors) >= conduction._BFS_MIN_DEVICES
+    sizes = []
+    for out in sorted(ccc.output_nets or ccc.channel_nets):
+        for rail in ("gnd", "vdd"):
+            ps = conduction_paths(ccc, out, rail)
+            assert (list(oracles.materialize(ps))
+                    == oracles.enumerate_pair(ccc, out, rail)), (out, rail)
+            assert_queries_match(ccc, ps)
+            sizes.append(len(ps))
+    assert min(sizes) >= conduction._NUMPY_MIN_PATHS
+
+
+def test_recognition_retains_no_per_path_state():
+    """What recognizing ``chip_scale(3000)`` leaves allocated -- the
+    sweep records, the kept walks, the design -- stays under 18 MB.
+    One Python-int mask per path queried came to 14.7 MiB here, and
+    the design to 24-25 MB with them; without them it is about 14 MB."""
+    flat = flatten(chip_scale(3000).cell)
+    memo = ClassificationMemo()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        design = recognize(flat, memo=memo)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert design.classifications
+    assert retained < 18e6, f"{retained / 1e6:.1f} MB retained"
 
 
 def test_hot_carrier_matches_every_path_scan(zoo):
