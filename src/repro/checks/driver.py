@@ -67,5 +67,4 @@ def make_context(
         clock=clock,
         antenna=antenna,
         settings=settings or CheckSettings(),
-        cache=cache,
     )

@@ -6,8 +6,9 @@ Two JSON shapes exist:
   wall-clock timings and cache/store effectiveness counters; what a CI
   dashboard trends.
 * the **canonical** form (``canonical=True``) -- the run's *facts* only:
-  wall-clock fields, cache/store/chaos counters, worker ids / worker
-  counts, and ``checkpoint.*`` / ``store.*`` trace events are stripped.
+  wall-clock fields, worker ids, the counters the metrics table
+  (:mod:`repro.perf.metrics`) declares non-canonical, and
+  ``checkpoint.*`` / ``store.*`` trace events are stripped.
   Two runs over the same design produce byte-identical canonical JSON
   whether they ran cold, resumed from a checkpoint store, had their
   battery sharded across a :mod:`repro.fleet` worker pool, or survived
@@ -32,6 +33,7 @@ from repro.core.campaign import CbvReport
 from repro.core.stages import StageResult, StageStatus
 from repro.core.trace import CampaignTrace
 from repro.core.triage import QueueItem
+from repro.perf.metrics import metric
 
 _STATUS_MARK = {
     StageStatus.PASS: "ok",
@@ -41,31 +43,6 @@ _STATUS_MARK = {
     StageStatus.ERROR: "ERR!",
 }
 
-#: Metric / counter keys that record how fast (or how cached) a run was,
-#: not what it concluded; the canonical form drops them.
-_NONCANONICAL_KEYS = frozenset({
-    "wall_s", "seconds", "battery_seconds",
-    # classification-memo effectiveness (process-history dependent)
-    "classify_hits", "classify_misses", "gate_hits", "gate_misses",
-    # how many processes ran the battery (run mechanics, not a verdict;
-    # serial and fleet-sharded runs must compare identical)
-    "workers",
-    # setup-path effectiveness: sweep counts depend on which consumer
-    # warmed the shared CCC path caches first, and template hits count
-    # work saved, not work concluded; likewise how the vector engine
-    # settled its solves (by reach or from path rows) and how many paths
-    # it stamped to do so.
-    "target_sweeps", "path_cache_hits", "packed_template_hits",
-    "reach_solves", "row_solves", "stamped_paths",
-    # fleet supervision events (which worker hung or which shard was
-    # quarantined is run mechanics; the degraded *verdict* itself rides
-    # in the stage statuses, which the canonical form keeps)
-    "workers_hung", "poison_shards", "leases_rearmed",
-})
-#: ``chaos_`` covers injected-fault totals: a survivable fault schedule
-#: must leave the canonical report identical to a fault-free run, so
-#: injection bookkeeping cannot appear in it.
-_NONCANONICAL_PREFIXES = ("store_", "cache_", "chaos_")
 #: Trace-event namespaces that record durability/degradation mechanics,
 #: not conclusions: ``checkpoint.*`` (hit/write/corrupt/rerun) and
 #: ``store.*`` (e.g. ``store.degraded``) both drop from canonical form.
@@ -73,12 +50,11 @@ _NONCANONICAL_EVENT_PREFIXES = ("checkpoint.", "store.")
 
 
 def is_canonical_key(key: str) -> bool:
-    """True when a metric/counter key is a run *fact* (kept by the
-    canonical form) rather than run mechanics (wall clock, cache and
-    store effectiveness, worker counts)."""
-    return not (key in _NONCANONICAL_KEYS
-                or key.endswith("_seconds")
-                or key.startswith(_NONCANONICAL_PREFIXES))
+    """True when the metrics table declares ``key`` a run *fact* (kept by
+    the canonical form) rather than run mechanics (wall clock, cache and
+    store effectiveness, worker counts); ``ValueError`` names a key it
+    does not declare."""
+    return metric(key).canonical
 
 
 def canonical_counters(counters: dict) -> dict:
@@ -117,7 +93,7 @@ def render_report(report: CbvReport, max_queue_items: int = 20) -> str:
 
 #: Setup-path counters worth a second trace line, in display order.
 #: ``(key, short label)`` -- zeros are elided so quiet stages stay one
-#: line; ``table_build_seconds`` keeps its unit.
+#: line; a value in seconds keeps its unit.
 _SETUP_TRACE_KEYS = (
     ("table_build_seconds", "build"),
     ("target_sweeps", "tsweeps"),
@@ -135,7 +111,7 @@ def _setup_line(counters: dict) -> str | None:
         value = counters.get(key)
         if not value:
             continue
-        if key.endswith("_seconds"):
+        if metric(key).unit == "s":
             parts.append(f"{label}={value:.2f}s")
         else:
             parts.append(f"{label}={value:g}")

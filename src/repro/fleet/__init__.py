@@ -56,7 +56,6 @@ from repro.fleet.merge import (
 from repro.fleet.metrics import (
     FleetMetrics,
     render_prometheus,
-    render_store_stats,
 )
 from repro.fleet.queue import Lease, WorkQueue
 from repro.fleet.scheduler import (
@@ -99,7 +98,6 @@ __all__ = [
     "partition_checks",
     "prepare_job",
     "render_prometheus",
-    "render_store_stats",
     "resolve_bundle",
     "run_fleet",
     "run_scenario_fleet",

@@ -54,8 +54,6 @@ class WorkQueue:
         self._leases: dict[str, Lease] = {}
         self._done: set[str] = set()
         self._cancelled: set[str] = set()
-        #: Jobs marked done by quarantine, not success (see :meth:`poison`).
-        self._poisoned: set[str] = set()
         self.steals = 0
         self.requeues = 0
         self.expirations = 0
@@ -176,16 +174,12 @@ class WorkQueue:
     def poison(self, job_id: str) -> list[Job]:
         """Quarantine a job that keeps destroying its workers.
 
-        The job is marked done -- its dependents release and run -- but
-        remembered as poisoned so the scheduler can degrade the
-        dependents' output instead of pretending the work happened.
+        The job is marked done, so its dependents release and run; the
+        scheduler has already recorded the poisoning on the dependent
+        that degrades its output (see ``_Pool._poison_shard``).
         Returns the released dependents, like :meth:`complete`.
         """
-        self._poisoned.add(job_id)
         return self.complete(job_id)
-
-    def is_poisoned(self, job_id: str) -> bool:
-        return job_id in self._poisoned
 
     def cancel_design(self, design: str) -> list[Job]:
         """Remove every queued/blocked job of a failed design; in-flight

@@ -12,12 +12,14 @@ The subsystem has two front doors over one engine:
 The shared engine (:class:`_Pool`) spawns ``workers`` OS processes
 (``fork`` start method where the platform has it, else ``spawn``),
 seeds the :class:`~repro.fleet.queue.WorkQueue`, and runs a
-single-threaded event loop over the shared outbox until it has been
-asked to stop and every accepted name has finished.  The front doors
-and the service (:mod:`repro.service`) all drive it the same way:
-names arrive through ``add_design``; a batch front door adds its whole
-suite and calls ``request_stop`` before ``run``, while the service
-keeps adding names until it shuts down.  The loop:
+single-threaded event loop over its outbox until it has been asked to
+stop and every accepted name has finished.  Each worker sends on its
+own pipe, which one relay thread moves onto the outbox whole message by
+whole message, so a worker killed mid-message tears only its own pipe.
+The front doors and the service (:mod:`repro.service`) all drive it
+the same way: names arrive through ``add_design``; a batch front door
+adds its whole suite and calls ``request_stop`` before ``run``, while
+the service keeps adding names until it shuts down.  The loop:
 
 * ``heartbeat`` messages renew the sender's lease; a lease that goes
   ``FleetConfig.lease_s`` without one is broken and its job requeued --
@@ -58,6 +60,7 @@ from __future__ import annotations
 import multiprocessing
 import queue as queue_mod
 import tempfile
+import threading
 from dataclasses import dataclass, field, replace
 
 from repro.core.campaign import CbvReport
@@ -109,10 +112,12 @@ class FleetResult:
 class _WorkerHandle:
     """Scheduler-side bookkeeping for one worker process."""
 
-    def __init__(self, wid: str, proc, inbox) -> None:
+    def __init__(self, wid: str, proc, inbox, relay) -> None:
         self.wid = wid
         self.proc = proc
         self.inbox = inbox
+        #: The thread moving this worker's messages onto the outbox.
+        self.relay = relay
         self.ready = False
         self.job_id: str | None = None
         #: Real (unskewed) scheduler clock at the last message received
@@ -129,6 +134,21 @@ class _WorkerHandle:
 
 #: The outbox message :meth:`_Pool.call_soon` sends to wake the loop.
 _WAKE = ("wake", None, None, None, [])
+
+
+def _relay(conn, outbox: queue_mod.Queue) -> None:
+    """Move one worker's messages from its pipe onto the outbox, whole.
+
+    Stops at EOF (the worker exited or died) or at a message the worker
+    was killed partway through sending, whose rest never arrives.
+    """
+    with conn:
+        while True:
+            try:
+                message = conn.recv()
+            except (EOFError, OSError):
+                return
+            outbox.put(message)
 
 
 def _pick_context():
@@ -172,7 +192,9 @@ class _Pool:
                                if config.max_respawns is not None
                                else workers)
         self.ctx = _pick_context()
-        self.outbox = self.ctx.Queue()
+        #: Every worker message, and :meth:`call_soon`'s wake, in arrival
+        #: order; the relays fill it.
+        self.outbox: queue_mod.Queue = queue_mod.Queue()
         self.metrics = FleetMetrics(workers=workers)
         self.ftrace = CampaignTrace(worker_id="fleet")
         self.wq = WorkQueue(lease_s=config.lease_s)
@@ -214,7 +236,7 @@ class _Pool:
         -- through here.  A wake message on the outbox ends the loop's
         wait for worker messages, so ``fn`` runs at once rather than at
         the next ``poll_s`` tick.  Safe after :meth:`run` has returned:
-        the outbox stays open, and the callback is simply never run.
+        the callback is simply never run.
         """
         self._injected.put(fn)
         self.outbox.put(_WAKE)
@@ -267,11 +289,19 @@ class _Pool:
         wid = f"w{self._next_wid}"
         self._next_wid += 1
         inbox = self.ctx.Queue()
+        receive, send = self.ctx.Pipe(duplex=False)
         proc = self.ctx.Process(target=worker_main, name=wid,
-                                args=(wid, inbox, self.outbox, self.config),
+                                args=(wid, inbox, send, self.config),
                                 daemon=True)
         proc.start()
-        handle = _WorkerHandle(wid, proc, inbox)
+        # Workers started later must not inherit the write end: the
+        # pipe of a worker that dies mid-message reaches EOF only once
+        # every copy of it is closed.
+        send.close()
+        relay = threading.Thread(target=_relay, args=(receive, self.outbox),
+                                 name=f"{wid}-relay", daemon=True)
+        relay.start()
+        handle = _WorkerHandle(wid, proc, inbox, relay)
         self.handles[wid] = handle
         self.wq.add_worker(wid)
         self.metrics.workers_spawned += 1
@@ -516,24 +546,21 @@ class _Pool:
                     handle.inbox.put(("stop",))
                 except Exception:  # noqa: BLE001 -- already dying
                     pass
-            # Drain stragglers (notably "bye" with final event slices).
             deadline = self.watch.elapsed() + 2.0
-            while self.watch.elapsed() < deadline:
-                if not any(h.proc.is_alive() for h in self.handles.values()):
-                    try:
-                        while True:
-                            self._on_message(self.outbox.get(timeout=0.05))
-                    except queue_mod.Empty:
-                        break
-                try:
-                    self._on_message(self.outbox.get(timeout=0.05))
-                except queue_mod.Empty:
-                    continue
             for handle in self.handles.values():
-                handle.proc.join(timeout=1.0)
+                handle.proc.join(
+                    timeout=max(0.0, deadline - self.watch.elapsed()))
                 if handle.proc.is_alive():
                     handle.proc.terminate()
                     handle.proc.join(timeout=1.0)
+                handle.relay.join(timeout=1.0)
+            # The relays have delivered every whole message, notably the
+            # "bye"s with the final event slices.
+            while True:
+                try:
+                    self._on_message(self.outbox.get_nowait())
+                except queue_mod.Empty:
+                    break
 
         metrics = self.metrics
         metrics.workers_alive = sum(

@@ -29,12 +29,11 @@ so the next read goes back to the store.
 
 A worker holds sessions for at most :data:`MAX_SESSIONS` designs and
 drops a design's session when its finalize job ends.  The dropped
-session leaves the map at once but is freed only once the worker is
-idle after sending the job's reply, so freeing its artifacts stays off
-the reply path.  A job whose
-worker holds no session -- another worker, a retry after SIGKILL, a
-respawned worker -- starts a fresh one and reads the store as a
-session-less job would.
+session leaves the map at once but is freed only after the worker has
+sent the job's reply, so freeing its artifacts stays off the reply
+path.  A job whose worker holds no session -- another worker, a retry
+after SIGKILL, a respawned worker -- starts a fresh one and reads the
+store as a session-less job would.
 """
 
 from __future__ import annotations
@@ -149,6 +148,6 @@ class WorkerSessions:
         self.retired = self._sessions.pop(design, None)
 
     def release(self) -> None:
-        """Free the retired session; the worker calls this once idle
-        after its reply."""
+        """Free the retired session; the worker calls this right after
+        sending a job's reply."""
         self.retired = None

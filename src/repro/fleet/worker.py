@@ -12,10 +12,12 @@ every message is a picklable tuple
 where ``kind`` is ``ready`` / ``heartbeat`` / ``done`` / ``error`` /
 ``bye`` and ``events`` carries the worker-trace slice recorded since the
 previous message, so the scheduler can assemble the full fleet log even
-from workers that later die.  A daemon thread heartbeats the current
-job id every ``FleetConfig.heartbeat_s`` so the scheduler can renew the
-job's lease; a worker that is SIGKILLed simply stops heartbeating and
-its lease expires.
+from workers that later die.  Messages go out synchronously on the
+worker's own pipe to the scheduler, one at a time: a worker killed
+partway through a message tears only its own channel.  A daemon thread
+heartbeats the current job id every ``FleetConfig.heartbeat_s`` so the
+scheduler can renew the job's lease; a worker that is SIGKILLed simply
+stops heartbeating and its lease expires.
 
 Job execution leans entirely on the campaign's own checkpoint/resume,
 run against the design's :class:`~repro.fleet.session.DesignSession`:
@@ -41,12 +43,11 @@ worker, a retry, a respawned worker) replays them from the store.
   front-half stage) skips sharding -- finalize runs the battery inline,
   preserving exactly the degraded single-process behavior.  The
   worker drops the design's session when finalize ends, ok or error,
-  and frees it once idle, after the reply has gone out.
+  and frees it right after the reply has gone out.
 """
 
 from __future__ import annotations
 
-import queue
 import resource
 import threading
 import traceback
@@ -66,12 +67,6 @@ from repro.store.checkpoint import load_checkpoint
 #: Artifacts the battery stage cannot run without; prepare must have
 #: produced (and checkpointed) all of them for sharding to be safe.
 _BATTERY_NEEDS = ("flat", "design", "parasitics")
-
-#: Seconds a worker holding a finalized design's session waits for its
-#: next job before freeing the session, time in which the outbox's
-#: feeder thread sends the finalize reply.  A job that arrives sooner
-#: frees it first.
-_IDLE_FREE_S = 0.005
 
 
 def _run_prepare(job: Job, store: ArtifactStore, config: FleetConfig,
@@ -244,6 +239,9 @@ def _peak_rss_mb() -> float:
 def worker_main(worker_id: str, inbox, outbox, config: FleetConfig) -> None:
     """Process entry point: serve jobs from ``inbox`` until told to stop.
 
+    ``outbox`` is this worker's end of its pipe to the scheduler (a
+    ``multiprocessing`` connection, or anything with ``send``).
+
     With ``config.chaos`` set, the worker wires the plan in at two
     levels: its store becomes a :class:`~repro.chaos.ChaosStore`
     (scheduled write/read/lock/latency faults), and every job boundary
@@ -272,6 +270,12 @@ def worker_main(worker_id: str, inbox, outbox, config: FleetConfig) -> None:
         cursor = len(wt.events)
         return events
 
+    send_lock = threading.Lock()
+
+    def send(kind: str, job_id=None, payload=None, events=()) -> None:
+        with send_lock:  # the heartbeat thread shares the pipe
+            outbox.send((kind, worker_id, job_id, payload, list(events)))
+
     current: dict[str, str | None] = {"job_id": None}
     stop_beat = threading.Event()
 
@@ -279,26 +283,14 @@ def worker_main(worker_id: str, inbox, outbox, config: FleetConfig) -> None:
         while not stop_beat.wait(config.heartbeat_s):
             job_id = current["job_id"]
             if job_id is not None:
-                outbox.put(("heartbeat", worker_id, job_id, None, []))
+                send("heartbeat", job_id)
 
     threading.Thread(target=beat, daemon=True,
                      name=f"{worker_id}-heartbeat").start()
 
-    outbox.put(("ready", worker_id, None, None, []))
+    send("ready")
     while True:
-        message = None
-        if sessions.retired is not None:
-            # Free a finalized design's session once idle.  ``put``
-            # hands the reply to the outbox's feeder thread, and freeing
-            # holds the interpreter lock, so freeing at once would hold
-            # the reply up: blocking here lets the feeder send it first.
-            try:
-                message = inbox.get(timeout=_IDLE_FREE_S)
-            except queue.Empty:
-                pass
-            sessions.release()
-        if message is None:
-            message = inbox.get()
+        message = inbox.get()
         if message[0] == "stop":
             break
         job: Job = message[1]
@@ -317,7 +309,7 @@ def worker_main(worker_id: str, inbox, outbox, config: FleetConfig) -> None:
             wt.emit("job_end", name=job.job_id, status="error",
                     wall_s=watch.elapsed(), detail=detail)
             current["job_id"] = None
-            outbox.put(("error", worker_id, job.job_id, detail, drain()))
+            send("error", job.job_id, detail, drain())
         else:
             seconds = watch.elapsed()
             wt.emit("job_end", name=job.job_id, status="ok", wall_s=seconds)
@@ -328,11 +320,13 @@ def worker_main(worker_id: str, inbox, outbox, config: FleetConfig) -> None:
                 apply_process_fault(injector.fire(
                     "worker.job_end", token=f"{job.job_id}:{job.retries}"))
             current["job_id"] = None
-            outbox.put(("done", worker_id, job.job_id,
-                        {"result": result, "job_seconds": seconds,
-                         "store_counters": store.counters(),
-                         "session_hit": sessions.hits > hits,
-                         "peak_rss_mb": _peak_rss_mb()},
-                        drain()))
+            send("done", job.job_id,
+                 {"result": result, "job_seconds": seconds,
+                  "store_counters": store.counters(),
+                  "session_hit": sessions.hits > hits,
+                  "peak_rss_mb": _peak_rss_mb()},
+                 drain())
+        # The reply has been sent: free the session a finalize closed.
+        sessions.release()
     stop_beat.set()
-    outbox.put(("bye", worker_id, None, None, drain()))
+    send("bye", events=drain())

@@ -15,7 +15,9 @@ verification loop fast without touching what any tool computes:
   ``ArtifactStore.counters`` -- ``store_hits`` / ``store_misses`` /
   ``store_writes`` / ``store_corrupt``) are aggregated for reports by
   :func:`collect_counters`; a resumed campaign's ``campaign_end`` trace
-  event carries the store counters alongside the cache's.
+  event carries the store counters alongside the cache's;
+* :mod:`repro.perf.metrics` declares each of those counters, and each
+  exported series, once: kind, unit, canonical or not, HELP text.
 """
 
 from repro.perf.cache import DesignCache, collect_counters

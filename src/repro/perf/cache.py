@@ -102,11 +102,6 @@ class DesignCache:
         self._recognized[key] = (flat, design)
         return design
 
-    def cccs_of_net(self, flat: FlatNetlist,
-                    net: str) -> list[ChannelConnectedComponent]:
-        """Indexed replacement for the linear scan in ``ccc_of_net``."""
-        return self.recognized(flat).cccs_of_net(net)
-
     # -- extraction / annotation ---------------------------------------------
 
     def parasitics(self, flat: FlatNetlist,

@@ -22,10 +22,3 @@ class Stopwatch:
     def elapsed(self) -> float:
         """Seconds since construction (monotonic, never negative)."""
         return time.perf_counter() - self._t0
-
-    def restart(self) -> float:
-        """Reset the epoch to now; returns the elapsed time it replaced."""
-        now = time.perf_counter()
-        elapsed = now - self._t0
-        self._t0 = now
-        return elapsed

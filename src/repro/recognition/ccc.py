@@ -88,10 +88,6 @@ class ChannelConnectedComponent:
         """True if any member channel terminal is the given rail net."""
         return any(rail in t.channel_terminals() for t in self.transistors)
 
-    def devices_on_net(self, net: str) -> list[Transistor]:
-        """Member transistors with a channel terminal on ``net``."""
-        return [t for t in self.transistors if net in t.channel_terminals()]
-
     def gate_nets(self) -> set[str]:
         """All nets gating member devices (internal feedback included)."""
         return {t.gate for t in self.transistors}

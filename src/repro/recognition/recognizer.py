@@ -54,32 +54,12 @@ class RecognizedDesign:
     dcvsl_pairs: list[tuple[str, str]] = field(default_factory=list)
     net_kinds: dict[str, NetKind] = field(default_factory=dict)
     perf: dict[str, int] = field(default_factory=dict)
-    _net_ccc_index: dict[str, list[int]] | None = field(
-        default=None, repr=False, compare=False)
 
     def kind(self, net: str) -> NetKind:
         return self.net_kinds.get(net, NetKind.UNKNOWN)
 
-    def cccs_of_net(self, net: str) -> list[ChannelConnectedComponent]:
-        """All CCCs whose channel nets include ``net`` (indexed, O(1)).
-
-        Replaces linear scans over ``cccs`` (see
-        :func:`repro.recognition.ccc.ccc_of_net`); the index is built
-        lazily on first use and covers every channel net of the design.
-        """
-        if self._net_ccc_index is None:
-            index: dict[str, list[int]] = {}
-            for ccc in self.cccs:
-                for n in ccc.channel_nets:
-                    index.setdefault(n, []).append(ccc.index)
-            self._net_ccc_index = index
-        return [self.cccs[i] for i in self._net_ccc_index.get(net, [])]
-
     def nets_of_kind(self, kind: NetKind) -> list[str]:
         return sorted(n for n, k in self.net_kinds.items() if k is kind)
-
-    def classification_of(self, ccc: ChannelConnectedComponent) -> CCCClassification:
-        return self.classifications[ccc.index]
 
     def storage_node(self, net: str) -> StorageNode | None:
         for node in self.storage:

@@ -33,7 +33,7 @@ or from a shell: ``repro-serve --port 7997`` (also
 """
 
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.metrics import ServiceMetrics, render_service_prometheus
+from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
     ERROR_CODES,
     MAX_LINE,
@@ -64,7 +64,6 @@ __all__ = [
     "TenantScheduler",
     "VARIANT_COUNT",
     "VerificationService",
-    "render_service_prometheus",
     "variant_bundle",
     "variant_ref",
 ]

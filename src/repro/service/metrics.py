@@ -1,21 +1,16 @@
-"""Service counters and their Prometheus text rendering.
+"""Service counters.
 
 :class:`ServiceMetrics` is the front end's scoreboard, mutated only on
 the event loop (one writer, no locks) -- the service-layer sibling of
 :class:`repro.fleet.metrics.FleetMetrics`, which keeps counting the
-pool underneath.  :func:`render_service_prometheus` renders both layers
-a scraper cares about: scalar service counters, per-tenant labeled
-series from a :meth:`TenantScheduler.snapshot
-<repro.service.tenants.TenantScheduler.snapshot>`, verdict-cache
-counters, and the shared store's stats gauges (same spellings as the
-fleet exporter, different prefix).
+pool underneath.  The ``metrics`` op exports it, with the tenant,
+verdict-cache and store series, through
+:func:`repro.perf.metrics.prometheus_text`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.fleet.metrics import render_store_stats
+from dataclasses import asdict, dataclass
 
 
 @dataclass
@@ -32,78 +27,4 @@ class ServiceMetrics:
     failed: int = 0           # campaigns the fleet abandoned
 
     def to_dict(self) -> dict:
-        return {
-            "submissions": self.submissions,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "cache_hits": self.cache_hits,
-            "coalesced": self.coalesced,
-            "launched": self.launched,
-            "sealed": self.sealed,
-            "failed": self.failed,
-        }
-
-
-#: (field, HELP text, TYPE) -- every scalar here is a lifetime counter.
-_SCALARS = (
-    ("submissions", "Submit requests received.", "counter"),
-    ("admitted", "Submissions admitted to a tenant queue.", "counter"),
-    ("rejected", "Submissions refused with backpressure.", "counter"),
-    ("cache_hits", "Submissions answered from the verdict cache with "
-     "zero battery executions.", "counter"),
-    ("coalesced", "Submissions joined onto an identical in-flight "
-     "campaign.", "counter"),
-    ("launched", "Campaigns handed to the fleet pool.", "counter"),
-    ("sealed", "Campaign reports sealed and delivered.", "counter"),
-    ("failed", "Campaigns the fleet abandoned.", "counter"),
-)
-
-#: (snapshot key, metric suffix, HELP text, TYPE) for per-tenant series.
-_TENANT_SERIES = (
-    ("weight", "tenant_weight", "Configured fair-share weight.", "gauge"),
-    ("queue_depth", "tenant_queue_depth", "Admitted campaigns waiting "
-     "for a fair-share grant.", "gauge"),
-    ("inflight", "tenant_inflight", "Campaigns currently on the fleet "
-     "pool.", "gauge"),
-    ("admitted", "tenant_admitted", "Submissions admitted.", "counter"),
-    ("rejected", "tenant_rejected", "Submissions refused with "
-     "backpressure.", "counter"),
-    ("granted", "tenant_granted", "Fair-share grants drained to the "
-     "pool.", "counter"),
-)
-
-#: Verdict-cache counters (:meth:`repro.store.verdicts.VerdictIndex
-#: .counters`) exported verbatim.
-_VERDICT_HELP = {
-    "verdict_hits": "Verdict-cache lookups answered from the store.",
-    "verdict_misses": "Verdict-cache lookups that ran a campaign.",
-    "verdict_seals": "Sealed reports written to the verdict cache.",
-    "verdict_rejected": "Cache blobs invalidated for a bad shape.",
-}
-
-
-def render_service_prometheus(metrics: ServiceMetrics,
-                              tenants: dict | None = None,
-                              verdicts: dict | None = None,
-                              store_stats: dict | None = None,
-                              prefix: str = "repro_service") -> str:
-    """Prometheus text exposition of the whole service scoreboard."""
-    lines: list[str] = []
-    for name, help_text, kind in _SCALARS:
-        full = f"{prefix}_{name}"
-        lines.append(f"# HELP {full} {help_text}")
-        lines.append(f"# TYPE {full} {kind}")
-        lines.append(f"{full} {getattr(metrics, name)}")
-    for key, suffix, help_text, kind in _TENANT_SERIES:
-        full = f"{prefix}_{suffix}"
-        lines.append(f"# HELP {full} {help_text}")
-        lines.append(f"# TYPE {full} {kind}")
-        for tenant, snap in sorted((tenants or {}).items()):
-            lines.append(f'{full}{{tenant="{tenant}"}} {snap[key]}')
-    for key, value in sorted((verdicts or {}).items()):
-        full = f"{prefix}_{key}"
-        lines.append(f"# HELP {full} {_VERDICT_HELP.get(key, key)}")
-        lines.append(f"# TYPE {full} counter")
-        lines.append(f"{full} {value}")
-    lines.extend(render_store_stats(store_stats or {}, prefix=prefix))
-    return "\n".join(lines) + "\n"
+        return asdict(self)

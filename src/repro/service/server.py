@@ -34,7 +34,8 @@ from repro.core.report import report_from_dict, report_to_json
 from repro.core.trace import CampaignTrace
 from repro.fleet.jobs import FleetConfig, JobKind, prepare_job, resolve_bundle
 from repro.fleet.scheduler import _Pool, design_flow_hook
-from repro.service.metrics import ServiceMetrics, render_service_prometheus
+from repro.perf.metrics import prometheus_text
+from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
     MAX_LINE,
     PROTOCOL_VERSION,
@@ -501,9 +502,14 @@ class VerificationService:
 
     async def _op_metrics(self, request: dict, writer) -> None:
         store_stats = await self.loop.run_in_executor(None, self.store.stats)
-        text = render_service_prometheus(
-            self.metrics, tenants=self.tenants.snapshot(),
-            verdicts=self.verdicts.counters(), store_stats=store_stats)
+        tenants = self.tenants.snapshot()
+        text = prometheus_text(
+            "repro_service", self.metrics,
+            *((f"tenant_{key}", {t: snap[key] for t, snap in tenants.items()})
+              for key in ("weight", "queue_depth", "inflight", "admitted",
+                          "rejected", "granted")),
+            *sorted(self.verdicts.counters().items()),
+            store_stats=store_stats)
         writer.write(encode({"ok": True, "text": text}))
 
     async def _op_configure_tenant(self, request: dict, writer) -> None:

@@ -8,7 +8,9 @@ uses for the kill-and-resume acceptance test.
 """
 
 import os
+import pickle
 import signal
+import struct
 
 from repro.checks.base import Check
 from repro.core.campaign import DesignBundle
@@ -23,6 +25,10 @@ SENTINEL_ENV = "REPRO_FLEET_KILL_SENTINEL"
 
 #: Sentinel for :class:`StopWorkerOnce` (SIGSTOP instead of SIGKILL).
 STOP_SENTINEL_ENV = "REPRO_FLEET_STOP_SENTINEL"
+
+#: Sentinel for :func:`torn_worker_main` (killed partway through a
+#: message instead of inside a check).
+TORN_SENTINEL_ENV = "REPRO_FLEET_TORN_SENTINEL"
 
 
 def dp_bundle() -> DesignBundle:
@@ -106,3 +112,39 @@ class KillWorkerAlways(Check):
     def run(self, ctx):
         os.kill(os.getpid(), signal.SIGKILL)
         return []  # unreachable
+
+
+class _TornOnce:
+    """A worker's pipe end that cuts one message off halfway, fleet-wide.
+
+    The first ``done`` message it carries goes out as its length prefix
+    and half its bytes (the ``multiprocessing`` connection framing);
+    then the worker SIGKILLs itself, exactly as a kill landing in the
+    middle of a send would leave the pipe.  Same O_EXCL sentinel
+    discipline as :class:`KillWorkerOnce`.
+    """
+
+    def __init__(self, conn) -> None:
+        self.conn = conn
+
+    def send(self, message) -> None:
+        sentinel = os.environ.get(TORN_SENTINEL_ENV)
+        if message[0] == "done" and sentinel:
+            try:
+                fd = os.open(sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                pass
+            else:
+                os.close(fd)
+                data = pickle.dumps(message)
+                os.write(self.conn.fileno(), struct.pack("!i", len(data))
+                         + data[:len(data) // 2])
+                os.kill(os.getpid(), signal.SIGKILL)
+        self.conn.send(message)
+
+
+def torn_worker_main(worker_id, inbox, outbox, config):
+    """``repro.fleet.worker.worker_main`` over a :class:`_TornOnce` pipe."""
+    from repro.fleet.worker import worker_main
+
+    worker_main(worker_id, inbox, _TornOnce(outbox), config)

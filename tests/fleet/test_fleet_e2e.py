@@ -107,4 +107,4 @@ def test_prometheus_rendering_is_well_formed():
     assert 'repro_fleet_stage_wall_seconds{kind="battery"} 2.0' in text
     assert 'repro_fleet_jobs_done_by_kind{kind="prepare"} 1' in text
     assert text.endswith("\n")
-    assert m.to_dict()["jobs_by_kind"] == {"battery": 2, "prepare": 1}
+    assert m.jobs_by_kind == {"battery": 2, "prepare": 1}

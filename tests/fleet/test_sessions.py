@@ -309,22 +309,25 @@ def test_sessions_are_bounded_and_dropped_by_finalize(tmp_path):
 def test_worker_replies_before_freeing_a_finalized_session(tmp_path,
                                                            monkeypatch):
     """``worker_main`` frees a finalized design's session only once the
-    finalize job's ``done`` message is on the outbox."""
+    finalize job's ``done`` message has been sent."""
     config = FleetConfig(store_dir=str(tmp_path / "store"))
     design, ref = "svc_v00", variant_ref(0)
-    inbox, outbox = queue.Queue(), queue.Queue()
+    inbox, sent = queue.Queue(), []
     for job in (prepare_job(design, ref), finalize_job(design, ref, [])):
         inbox.put(("job", job))
     inbox.put(("stop",))
     freed = []
     real = WorkerSessions.release
 
+    class Outbox:
+        send = staticmethod(sent.append)
+
     def spy(self):
         if self.retired is not None:
-            freed.append([(m[0], m[2]) for m in outbox.queue])
+            freed.append([(m[0], m[2]) for m in sent])
         real(self)
 
     monkeypatch.setattr(WorkerSessions, "release", spy)
-    worker_main("w0", inbox, outbox, config)
+    worker_main("w0", inbox, Outbox(), config)
     assert len(freed) == 1
     assert ("done", f"{design}:finalize") in freed[0]

@@ -4,15 +4,23 @@ A hostile check (see :mod:`fleet_harness`) SIGKILLs the first worker
 process that runs it, exactly once fleet-wide.  The supervisor must
 detect the death, requeue the dead worker's leased job onto a freshly
 spawned replacement, and still deliver a merged report canonically
-byte-identical to a single-process run of the same check list.
+byte-identical to a single-process run of the same check list.  A
+worker killed partway through sending a message must not wedge the
+other workers' messages either.
 """
 
-from fleet_harness import SENTINEL_ENV, KillWorkerOnce, dp_bundle
+from fleet_harness import (
+    SENTINEL_ENV,
+    TORN_SENTINEL_ENV,
+    KillWorkerOnce,
+    dp_bundle,
+    torn_worker_main,
+)
 
 from repro.checks.registry import ALL_CHECKS
 from repro.core.campaign import CbvCampaign
 from repro.core.report import report_to_json
-from repro.fleet import FleetConfig, run_fleet
+from repro.fleet import FleetConfig, run_fleet, scheduler
 
 HOSTILE_CHECKS = ALL_CHECKS + (KillWorkerOnce,)
 
@@ -54,5 +62,28 @@ def test_sigkilled_worker_is_replaced_and_report_matches(tmp_path,
     # the single-process baseline is directly comparable -- and the
     # fleet's merged report must match it byte for byte.
     baseline = CbvCampaign(dp_bundle()).run(checks=HOSTILE_CHECKS)
+    assert (report_to_json(result.reports["dp"], canonical=True)
+            == report_to_json(baseline, canonical=True))
+
+
+def test_worker_killed_mid_message_does_not_wedge_the_fleet(tmp_path,
+                                                            monkeypatch):
+    """The first ``done`` reply fleet-wide is torn: its worker writes half
+    the message to its pipe and dies.  Only that worker's channel is
+    cut; the finished-but-unreported job is requeued and the design
+    completes with the serial report."""
+    sentinel = tmp_path / "torn.sentinel"
+    monkeypatch.setenv(TORN_SENTINEL_ENV, str(sentinel))
+    monkeypatch.setattr(scheduler, "worker_main", torn_worker_main)
+    config = FleetConfig(store_dir=str(tmp_path / "store"),
+                         heartbeat_s=0.1, lease_s=10.0,
+                         fleet_timeout_s=120.0)
+    result = run_fleet({"dp": dp_bundle}, workers=2, config=config)
+
+    assert sentinel.exists()
+    assert result.failed == {}
+    assert result.metrics.workers_dead == 1
+    assert result.metrics.retries >= 1
+    baseline = CbvCampaign(dp_bundle()).run()
     assert (report_to_json(result.reports["dp"], canonical=True)
             == report_to_json(baseline, canonical=True))

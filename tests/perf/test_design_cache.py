@@ -47,16 +47,6 @@ def test_parasitics_and_annotated_cached():
     assert cache.annotated(flat, p, tech, Corner.FAST) is not a_typ
 
 
-def test_cccs_of_net_matches_linear_scan():
-    from repro.recognition.ccc import ccc_of_net
-
-    cache = DesignCache()
-    flat = _flat(4)
-    design = cache.recognized(flat)
-    for net in flat.nets:
-        assert cache.cccs_of_net(flat, net) == ccc_of_net(design.cccs, net)
-
-
 def test_shared_memo_spans_designs():
     """The second topologically-equal design classifies via the memo."""
     cache = DesignCache()
