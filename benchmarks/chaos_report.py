@@ -10,9 +10,11 @@ deterministic :class:`~repro.chaos.FaultPlan` schedules:
   canonical report must be **byte-identical** to the fault-free
   baseline -- including runs that degraded to un-checkpointed on a
   sticky ENOSPC.
-* **fleet supervision schedules** -- pinned SIGSTOP (watchdog reap)
-  and lease-clock-jump (lease re-arm) schedules through a 2-worker
-  fleet; both must survive byte-identically.
+* **fleet supervision schedules** -- pinned SIGSTOP (watchdog reap),
+  lease-clock-jump (lease re-arm) and full-disk (every store write
+  ENOSPC, so no shard blob lands and finalize recomputes the shards)
+  schedules through a 2-worker fleet; all must survive
+  byte-identically.
 * **poison-shard schedule** -- a hostile check that kills every worker
   leasing its shard; the design must ship a *well-formed degraded*
   report (ERROR circuit stage naming the quarantine, timing intact),
@@ -62,6 +64,7 @@ STORE_RATES = {"store.put": 0.4, "store.get": 0.4,
 #: Pinned fleet schedules (seeds verified to fire; see tests/fleet).
 SIGSTOP_SEED = 4
 CLOCK_SEED = 8
+FULL_DISK_SEED = 7
 
 
 def bundle():
@@ -99,7 +102,7 @@ def serial_soak(schedules: int, baseline: str) -> tuple[list[dict], list[str]]:
             store = ChaosStore(root, plan, lock_stale_s=0.2,
                                lock_timeout_s=5.0, write_retries=1,
                                write_backoff_s=0.005)
-            report = CbvCampaign(bundle()).run(store=store, resume=True)
+            report = CbvCampaign(bundle()).run(store=store)
             identical = report_to_json(report, canonical=True) == baseline
             record["runs"].append({
                 "phase": phase,
@@ -133,6 +136,10 @@ def fleet_schedules(baseline: str) -> tuple[list[dict], list[str]]:
          FaultPlan.make(CLOCK_SEED, rates={"scheduler.clock": 0.35},
                         clock_jump_s=120.0, max_per_hook=2),
          dict(hung_after_s=5.0, lease_s=20.0)),
+        ("full-disk",
+         FaultPlan.make(FULL_DISK_SEED, rates={"store.put": 1.0},
+                        kinds={"store.put": ("enospc",)}),
+         dict()),
     ]
     for name, plan, knobs in specs:
         config = FleetConfig(
@@ -214,7 +221,7 @@ def poison_schedule() -> tuple[dict, list[str]]:
 def main() -> int:
     schedules = int(os.environ.get("CHAOS_SCHEDULES", DEFAULT_SCHEDULES))
     print(f"chaos soak: {schedules} serial schedule(s) + "
-          f"3 fleet schedule(s)")
+          f"4 fleet schedule(s)")
     baseline = report_to_json(CbvCampaign(bundle()).run(), canonical=True)
 
     print("serial store-fault soak:")

@@ -88,8 +88,7 @@ def main() -> int:
 
         store = ArtifactStore(store_dir)
         checkpointed = len(store.keys())
-        resumed = CbvCampaign(factory(technology)).run(store=store,
-                                                       resume=True)
+        resumed = CbvCampaign(factory(technology)).run(store=store)
         cold = CbvCampaign(factory(technology)).run()
 
         corrupt = [e.to_dict() for e in resumed.trace.events

@@ -181,8 +181,7 @@ def main() -> int:
     else:
         store = ArtifactStore(STORE_ROOT)
         surviving = len(store.keys())
-        resumed = ScenarioCampaign(fuzz, shards=SHARDS).run(store=store,
-                                                            resume=True)
+        resumed = ScenarioCampaign(fuzz, shards=SHARDS).run(store=store)
         events = [e.event for e in resumed.trace.events]
         hits = events.count("checkpoint.hit")
         identical = resumed.to_json(canonical=True) == baselines[fuzz.name]

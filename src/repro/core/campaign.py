@@ -16,13 +16,15 @@ crashing or hung check degrades to one VIOLATION finding.  Everything
 the run did is logged to a structured :class:`~repro.core.trace.CampaignTrace`
 on the report.
 
-Durability is the third leg (``run(store=..., resume=True)``): each
-completed stage is checkpointed to a crash-safe
-:class:`~repro.store.ArtifactStore` under a key fingerprinting exactly
-that stage's inputs, and a resumed run replays finished stages --
-verified by checksum, corrupt blobs quarantined and re-run -- producing
-a report canonically byte-identical to a cold run.  See
-:mod:`repro.store`.
+Durability is the third leg (``run(store=...)``): each completed stage
+is checkpointed to a crash-safe :class:`~repro.store.ArtifactStore`
+under a key fingerprinting exactly that stage's inputs, and a run over
+a store that already holds them replays finished stages -- verified by
+checksum, corrupt blobs quarantined and re-run -- producing a report
+canonically byte-identical to a cold run.  See :mod:`repro.store`.
+
+What each stage is keyed by, needs and keeps is declared once, in the
+stage table :data:`repro.core.stages.STAGES`.
 
 The same store / trace / canonical-report contract is shared by the
 statistical campaigns in :mod:`repro.scenarios`
@@ -42,23 +44,28 @@ from dataclasses import dataclass, field
 from repro.checks.base import Check, CheckContext, CheckSettings
 from repro.checks.driver import make_context
 from repro.checks.registry import ALL_CHECKS, BatteryResult, run_battery
-from repro.core.stages import FlowStage, StageResult, StageStatus
+from repro.core.stages import (
+    STAGES,
+    FlowStage,
+    StageResult,
+    StageSpec,
+    StageStatus,
+)
 from repro.core.trace import CampaignTrace, TraceEvent
 from repro.core.triage import DesignerQueue
 from repro.equivalence.combinational import check_gate_vs_function
 from repro.extraction.caps import Parasitics
 from repro.extraction.extract import extract_macrocell
-from repro.extraction.wireload import WireloadModel
 from repro.layout.antenna_geom import antenna_geometry
 from repro.layout.macrocell import generate_macrocell
 from repro.netlist.cell import Cell
 from repro.netlist.erc import run_erc
 from repro.netlist.flatten import FlatNetlist, flatten
-from repro.perf import collect_counters
+from repro.perf import DesignCache, collect_counters
 from repro.perf.stopwatch import Stopwatch
 from repro.process.technology import Technology
 from repro.recognition.conduction import enumeration_counters
-from repro.recognition.recognizer import RecognizedDesign, recognize
+from repro.recognition.recognizer import RecognizedDesign
 from repro.switchsim import Logic, OscillationError, VectorSwitchSimulator
 from repro.timing.analyzer import TimingReport
 from repro.timing.arccache import ArcPriceCache
@@ -142,9 +149,8 @@ def _bundle_skip(bundle: DesignBundle, flow: FlowStage) -> str | None:
     decides it, else None: a wireload design has no layout, and a
     design with no RTL intent and no vectors has no logic stage.
 
-    The stage functions skip from here, and a resumed run reads it
-    before probing the store: SKIPPED results are never checkpointed,
-    so the probe could only miss.
+    The campaign decides it before probing the store: SKIPPED results
+    are never checkpointed, so the probe could only miss.
     """
     if flow is FlowStage.LAYOUT and not bundle.use_layout:
         return "no layout; wireload parasitics in use"
@@ -158,7 +164,7 @@ def battery_context(bundle: DesignBundle, art: dict, cache) -> CheckContext:
     """The circuit stage's check context, from ``bundle``, the stage
     artifacts ``art`` (``flat``, ``design``, ``parasitics`` and, after a
     layout, ``antenna``) and the session ``cache`` (a
-    :class:`repro.perf.DesignCache`, or None).
+    :class:`repro.perf.DesignCache`).
 
     A campaign's circuit stage, its checkpoint replay and the fleet's
     battery shards all build their contexts here, so the shards' merged
@@ -185,8 +191,9 @@ class CbvReport:
     #: Structured event log of the run (JSON-lines serializable).
     trace: CampaignTrace = field(default_factory=CampaignTrace)
     #: The inter-stage artifact map (``flat`` / ``design`` /
-    #: ``parasitics`` / ``antenna`` / ``ctx`` / ``battery`` ...) exactly
-    #: as the run left it.  Partial runs (``run(until=...)``) expose
+    #: ``parasitics`` / ``antenna`` / ``ctx`` / ``battery`` / ``timing``
+    #: ...) exactly as the run left it; ``flat``, ``design`` and
+    #: ``timing`` above are set from it when the run ends.  Partial runs (``run(until=...)``) expose
     #: their intermediate products here so a distributed executor
     #: (:mod:`repro.fleet`) can continue from them; never serialized by
     #: :func:`repro.core.report.report_to_dict`.
@@ -217,11 +224,11 @@ class CbvCampaign:
     def __init__(self, bundle: DesignBundle):
         self.bundle = bundle
 
-    def run(self, *, cache=None,
+    def run(self, *, cache: DesignCache | None = None,
             checks: tuple[type[Check], ...] = ALL_CHECKS,
             timeout_s: float | None = None,
             trace: CampaignTrace | None = None,
-            store=None, resume: bool = False,
+            store=None,
             until: FlowStage | None = None,
             battery_runner: Callable[..., BatteryResult] | None = None,
             ) -> CbvReport:
@@ -230,19 +237,22 @@ class CbvCampaign:
         ``cache`` is a :class:`repro.perf.DesignCache`: recognition,
         extraction, and corner annotation route through it (and through
         :func:`repro.checks.driver.make_context`), so a session verifying
-        several views of one netlist derives each artifact once.
+        several views of one netlist derives each artifact once.  The
+        switch-level tables come from it too.  Without one the run
+        builds a fresh :meth:`DesignCache.over_process_memo
+        <repro.perf.DesignCache.over_process_memo>`.
         ``timeout_s`` / ``checks`` are handed to
         :func:`repro.checks.registry.run_battery`.
 
         ``store`` is a :class:`repro.store.ArtifactStore`: every stage
         that completes with a design verdict (PASS / ATTENTION / FAIL)
-        is checkpointed atomically under its input fingerprint.  With
-        ``resume=True``, stages whose checkpoint verifies are replayed
-        (result, artifacts, and trace events restored) instead of
-        re-executed; ERROR and SKIPPED outcomes, batteries that recorded
-        check crashes, and corrupt or missing blobs always re-run.  A
-        stage the bundle alone skips (no layout in wireload mode, no
-        logic stage without RTL intent or vectors) is not looked up.
+        is checkpointed atomically under its input fingerprint, and a
+        stage whose checkpoint verifies is replayed (result, kept
+        artifacts, and trace events restored) instead of re-executed;
+        ERROR and SKIPPED outcomes, batteries that recorded check
+        crashes, and corrupt or missing blobs always re-run.  A stage
+        the bundle alone skips (no layout in wireload mode, no logic
+        stage without RTL intent or vectors) is not looked up.
         Checkpoint faults degrade -- a corrupt blob is quarantined and
         logged as a ``checkpoint.corrupt`` trace event, a failed write
         as ``checkpoint.write_error``, and a store stuck in ENOSPC
@@ -262,7 +272,11 @@ class CbvCampaign:
         ``battery_runner(ctx, trace)`` and must return a
         :class:`BatteryResult` (the fleet's merged-shard loader).
         """
+        if until is not None and until not in STAGES:
+            raise ValueError(f"until={until!r} is not a runnable flow stage")
         bundle = self.bundle
+        if cache is None:
+            cache = DesignCache.over_process_memo()
         if trace is None:
             trace = CampaignTrace()
         report = CbvReport(bundle_name=bundle.name, trace=trace)
@@ -283,96 +297,10 @@ class CbvCampaign:
                 bundle, checks=checks, timeout_s=timeout_s)
         trace.emit("campaign_start", name=bundle.name)
 
-        def run_stage(flow: FlowStage, fn: Callable[[], StageResult],
-                      requires: tuple[str, ...] = (),
-                      capture: Callable[[], dict | None] | None = None,
-                      replay: Callable[[dict], None] | None = None) -> None:
-            missing = [key for key in requires if key not in art]
-            if missing:
-                result = StageResult(
-                    stage=flow, status=StageStatus.SKIPPED,
-                    summary="skipped: missing upstream artifact(s): "
-                            + ", ".join(missing),
-                )
-                report.stages.append(result)
-                trace.emit("stage_skipped", name=flow.value,
-                           status=result.status.value, detail=result.summary)
-                return
-
-            key = keys.get(flow)
-            if (store is not None and resume and key is not None
-                    and _bundle_skip(bundle, flow) is None):
-                loaded = load_checkpoint(
-                    store, key, flow.value, trace,
-                    lambda payload: _check_stage_checkpoint(flow, payload))
-                if loaded is not None:
-                    result = loaded["result"]
-                    artifacts, events = loaded["artifacts"], loaded["events"]
-                    rerun = result.status in (StageStatus.ERROR,
-                                              StageStatus.SKIPPED)
-                    if not rerun:
-                        try:
-                            # Artifact restoration comes first: a payload
-                            # missing a key fails here, before any trace
-                            # or report mutation, and degrades to re-run.
-                            if replay is not None:
-                                replay(artifacts)
-                        except Exception as exc:  # noqa: BLE001 -- degrade
-                            store.invalidate(key)
-                            trace.emit(
-                                "checkpoint.corrupt", name=flow.value,
-                                detail=f"{key}: replay failed: "
-                                       f"{type(exc).__name__}: {exc}")
-                        else:
-                            trace.replay(events)
-                            report.stages.append(result)
-                            trace.emit("checkpoint.hit", name=flow.value,
-                                       status=result.status.value)
-                            return
-                    else:
-                        trace.emit("checkpoint.rerun", name=flow.value,
-                                   status=result.status.value)
-
-            first_event = len(trace.events)
-            trace.emit("stage_start", name=flow.value)
-            stage_watch = Stopwatch()
-            try:
-                result = fn()
-            except Exception as exc:  # noqa: BLE001 -- isolation is the point
-                tb = traceback.format_exc()
-                result = StageResult(
-                    stage=flow, status=StageStatus.ERROR,
-                    summary=f"stage crashed: {type(exc).__name__}: {exc}",
-                    details=tb.rstrip().splitlines(),
-                )
-            report.stages.append(result)
-            trace.emit(
-                "stage_end", name=flow.value, status=result.status.value,
-                wall_s=stage_watch.elapsed(), counters=result.metrics,
-                detail=("\n".join(result.details)
-                        if result.status is StageStatus.ERROR else ""),
-            )
-            if (store is not None and key is not None
-                    and result.status not in (StageStatus.ERROR,
-                                              StageStatus.SKIPPED)):
-                artifacts = capture() if capture is not None else {}
-                if artifacts is not None:
-                    payload = {
-                        "result": result,
-                        "artifacts": artifacts,
-                        "events": [e.to_dict()
-                                   for e in trace.events[first_event:]],
-                    }
-                    writer.write(key, payload, meta={
-                        "design": bundle.name, "stage": flow.value,
-                        "status": result.status.value,
-                    }, label=flow.value)
-
         # -- schematic entry (with ERC) -----------------------------------------
         def schematic() -> StageResult:
             flat = flatten(bundle.cell)
             art["flat"] = flat
-            report.flat = flat
             erc_violations = run_erc(flat)
             return StageResult(
                 stage=FlowStage.SCHEMATIC,
@@ -389,14 +317,10 @@ class CbvCampaign:
 
         # -- recognition -------------------------------------------------------
         def recognition() -> StageResult:
-            flat = art["flat"]
             enum_before = enumeration_counters()
-            if cache is not None:
-                design = cache.recognized(flat, clock_hints=bundle.clock_hints)
-            else:
-                design = recognize(flat, clock_hints=bundle.clock_hints)
+            design = cache.recognized(art["flat"],
+                                      clock_hints=bundle.clock_hints)
             art["design"] = design
-            report.design = design
             hist = design.family_histogram()
             return StageResult(
                 stage=FlowStage.RECOGNITION, status=StageStatus.PASS,
@@ -417,10 +341,6 @@ class CbvCampaign:
 
         # -- layout ------------------------------------------------------------
         def layout() -> StageResult:
-            skip = _bundle_skip(bundle, FlowStage.LAYOUT)
-            if skip is not None:
-                return StageResult(stage=FlowStage.LAYOUT,
-                                   status=StageStatus.SKIPPED, summary=skip)
             flat = art["flat"]
             mc = generate_macrocell(bundle.name, flat.transistors,
                                     l_min_um=bundle.technology.l_min_um)
@@ -438,17 +358,12 @@ class CbvCampaign:
         # -- extraction (wireload fallback keeps the flow alive if layout
         #    errored: the paper's feasibility mode is exactly this) ------------
         def extraction() -> StageResult:
-            flat = art["flat"]
             fallback = ""
             parasitics = art.get("layout_parasitics")
             if parasitics is None:
-                if bundle.parasitics is not None:
-                    parasitics = bundle.parasitics
-                elif cache is not None:
-                    parasitics = cache.parasitics(flat, bundle.technology)
-                else:
-                    parasitics = WireloadModel().extract(
-                        flat, bundle.technology.wires)
+                parasitics = (bundle.parasitics if bundle.parasitics is not None
+                              else cache.parasitics(art["flat"],
+                                                    bundle.technology))
                 if bundle.use_layout:
                     fallback = " (wireload fallback: layout stage failed)"
             art["parasitics"] = parasitics
@@ -506,7 +421,7 @@ class CbvCampaign:
                 pessimism=bundle.pessimism,
                 false_through=bundle.false_through, arc_cache=arc_cache)
             timing = run.report
-            report.timing = timing
+            art["timing"] = timing
             report.queue.add_timing(timing.setup_violations, timing.races)
             timing_status = (StageStatus.FAIL
                              if timing.setup_violations or timing.races
@@ -526,43 +441,15 @@ class CbvCampaign:
                 ),
             )
 
-        # -- checkpoint plumbing: what each stage persists (capture) and
-        #    how a stored stage re-enters the live run (replay).  Replay
-        #    handlers do their fallible work first and mutate the report/
-        #    queue last, so a bad payload degrades cleanly to re-execution.
-        def capture_schematic() -> dict:
-            return {"flat": art["flat"]}
-
-        def replay_schematic(a: dict) -> None:
-            flat = a["flat"]
-            art["flat"] = flat
-            report.flat = flat
-
-        def capture_recognition() -> dict:
-            return {"design": art["design"]}
-
-        def replay_recognition(a: dict) -> None:
-            design = a["design"]
-            art["design"] = design
-            report.design = design
-
-        def capture_layout() -> dict:
-            return {"layout_parasitics": art["layout_parasitics"],
-                    "antenna": art["antenna"]}
-
-        def replay_layout(a: dict) -> None:
-            parasitics, antenna = a["layout_parasitics"], a["antenna"]
-            art["layout_parasitics"] = parasitics
-            art["antenna"] = antenna
-
-        def capture_extraction() -> dict:
-            return {"parasitics": art["parasitics"]}
-
-        def replay_extraction(a: dict) -> None:
-            art["parasitics"] = a["parasitics"]
-
-        def capture_circuit() -> dict | None:
-            battery = art["battery"]
+        # -- checkpoint hooks.  A checkpoint stores the artifacts its
+        #    stage keeps (per the stage table) and a replay restores them.
+        #    The circuit stage stores its battery in dict form, and none
+        #    at all when a check crashed; the circuit and timing replays
+        #    also refill the designer queue.  A replay hook does its
+        #    fallible work first and mutates the queue last, so a bad
+        #    payload degrades cleanly to re-execution.
+        def encode_circuit(kept: dict) -> dict | None:
+            battery = kept["battery"]
             # A battery that recorded check crashes is a tool fault, not
             # a design verdict: never checkpoint it, so the resume re-runs
             # the checks in (hopefully) a healthier environment.
@@ -570,52 +457,134 @@ class CbvCampaign:
                 return None
             return {"battery": battery.to_dict()}
 
-        def replay_circuit(a: dict) -> None:
-            battery = BatteryResult.from_dict(a["battery"])
+        def replay_circuit(kept: dict) -> None:
+            battery = BatteryResult.from_dict(kept["battery"])
             # Rebuild the live context: downstream timing needs it even
             # when the battery itself is replayed from the store.
-            ctx = battery_context(bundle, art, cache)
-            art["ctx"] = ctx
-            art["battery"] = battery
+            kept.update(battery=battery,
+                        ctx=battery_context(bundle, art, cache))
             report.queue.add_findings(battery.findings)
 
-        def capture_timing() -> dict:
-            return {"timing": report.timing}
-
-        def replay_timing(a: dict) -> None:
-            timing = a["timing"]
+        def replay_timing(kept: dict) -> None:
+            timing = kept["timing"]
             if not isinstance(timing, TimingReport):
                 raise TypeError("checkpoint payload is not a TimingReport")
-            report.timing = timing
             report.queue.add_timing(timing.setup_violations, timing.races)
 
-        plan: list[tuple[FlowStage, Callable[[], StageResult], dict]] = [
-            (FlowStage.SCHEMATIC, schematic,
-             dict(capture=capture_schematic, replay=replay_schematic)),
-            (FlowStage.RECOGNITION, recognition,
-             dict(requires=("flat",), capture=capture_recognition,
-                  replay=replay_recognition)),
-            (FlowStage.LAYOUT, layout,
-             dict(requires=("flat",), capture=capture_layout,
-                  replay=replay_layout)),
-            (FlowStage.EXTRACTION, extraction,
-             dict(requires=("flat",), capture=capture_extraction,
-                  replay=replay_extraction)),
-            (FlowStage.LOGIC_VERIFICATION, logic,
-             dict(requires=("design", "flat"))),
-            (FlowStage.CIRCUIT_VERIFICATION, circuit,
-             dict(requires=("flat", "design", "parasitics"),
-                  capture=capture_circuit, replay=replay_circuit)),
-            (FlowStage.TIMING_VERIFICATION, timing_stage,
-             dict(requires=("design", "ctx"),
-                  capture=capture_timing, replay=replay_timing)),
-        ]
-        if until is not None and until not in {flow for flow, _, _ in plan}:
-            raise ValueError(f"until={until!r} is not a runnable flow stage")
-        for flow, fn, kwargs in plan:
-            run_stage(flow, fn, **kwargs)
-            if flow is until:
+        stage_fns: dict[FlowStage, Callable[[], StageResult]] = {
+            FlowStage.SCHEMATIC: schematic,
+            FlowStage.RECOGNITION: recognition,
+            FlowStage.LAYOUT: layout,
+            FlowStage.EXTRACTION: extraction,
+            FlowStage.LOGIC_VERIFICATION: logic,
+            FlowStage.CIRCUIT_VERIFICATION: circuit,
+            FlowStage.TIMING_VERIFICATION: timing_stage,
+        }
+        encoders = {FlowStage.CIRCUIT_VERIFICATION: encode_circuit}
+        replays = {FlowStage.CIRCUIT_VERIFICATION: replay_circuit,
+                   FlowStage.TIMING_VERIFICATION: replay_timing}
+
+        def replayed(spec: StageSpec, key: str) -> bool:
+            """Replay ``spec``'s checkpoint under ``key``; False when
+            there is none to replay and the stage must run."""
+            flow = spec.flow
+            loaded = load_checkpoint(
+                store, key, flow.value, trace,
+                lambda payload: _check_stage_checkpoint(flow, payload))
+            if loaded is None:
+                return False
+            result = loaded["result"]
+            if result.status in (StageStatus.ERROR, StageStatus.SKIPPED):
+                trace.emit("checkpoint.rerun", name=flow.value,
+                           status=result.status.value)
+                return False
+            try:
+                # Artifact restoration comes first: a payload missing a
+                # key fails here, before any trace or report mutation,
+                # and degrades to re-run.
+                kept = {name: loaded["artifacts"][name]
+                        for name in spec.keeps}
+                if flow in replays:
+                    replays[flow](kept)
+            except Exception as exc:  # noqa: BLE001 -- degrade
+                store.invalidate(key)
+                trace.emit("checkpoint.corrupt", name=flow.value,
+                           detail=f"{key}: replay failed: "
+                                  f"{type(exc).__name__}: {exc}")
+                return False
+            art.update(kept)
+            trace.replay(loaded["events"])
+            report.stages.append(result)
+            trace.emit("checkpoint.hit", name=flow.value,
+                       status=result.status.value)
+            return True
+
+        def run_stage(spec: StageSpec) -> None:
+            flow = spec.flow
+            missing = [name for name in spec.requires if name not in art]
+            if missing:
+                result = StageResult(
+                    stage=flow, status=StageStatus.SKIPPED,
+                    summary="skipped: missing upstream artifact(s): "
+                            + ", ".join(missing),
+                )
+                report.stages.append(result)
+                trace.emit("stage_skipped", name=flow.value,
+                           status=result.status.value, detail=result.summary)
+                return
+
+            skip = _bundle_skip(bundle, flow)
+            key = keys.get(flow) if skip is None else None
+            if key is not None and replayed(spec, key):
+                return
+
+            first_event = len(trace.events)
+            trace.emit("stage_start", name=flow.value)
+            stage_watch = Stopwatch()
+            try:
+                result = (stage_fns[flow]() if skip is None
+                          else StageResult(stage=flow,
+                                           status=StageStatus.SKIPPED,
+                                           summary=skip))
+            except Exception as exc:  # noqa: BLE001 -- isolation is the point
+                tb = traceback.format_exc()
+                result = StageResult(
+                    stage=flow, status=StageStatus.ERROR,
+                    summary=f"stage crashed: {type(exc).__name__}: {exc}",
+                    details=tb.rstrip().splitlines(),
+                )
+            report.stages.append(result)
+            trace.emit(
+                "stage_end", name=flow.value, status=result.status.value,
+                wall_s=stage_watch.elapsed(), counters=result.metrics,
+                detail=("\n".join(result.details)
+                        if result.status is StageStatus.ERROR else ""),
+            )
+            if (key is not None
+                    and result.status not in (StageStatus.ERROR,
+                                              StageStatus.SKIPPED)):
+                kept = {name: art[name] for name in spec.keeps}
+                if flow in encoders:
+                    kept = encoders[flow](kept)
+                if kept is not None:
+                    payload = {
+                        "result": result,
+                        "artifacts": kept,
+                        "events": [e.to_dict()
+                                   for e in trace.events[first_event:]],
+                    }
+                    writer.write(key, payload, meta={
+                        "design": bundle.name, "stage": flow.value,
+                        "status": result.status.value,
+                    }, label=flow.value)
+
+        for spec in STAGES.values():
+            run_stage(spec)
+            if spec.flow is until:
                 break
+        report.flat = art.get("flat")
+        report.design = art.get("design")
+        report.timing = art.get("timing")
 
         trace.emit(
             "campaign_end", name=bundle.name,
@@ -632,12 +601,8 @@ class CbvCampaign:
         return report
 
     def _logic_stage(self, design: RecognizedDesign, flat: FlatNetlist,
-                     cache=None) -> StageResult:
+                     cache: DesignCache) -> StageResult:
         bundle = self.bundle
-        skip = _bundle_skip(bundle, FlowStage.LOGIC_VERIFICATION)
-        if skip is not None:
-            return StageResult(stage=FlowStage.LOGIC_VERIFICATION,
-                               status=StageStatus.SKIPPED, summary=skip)
         mismatches: list[str] = []
         checked = 0
         for output, intent in bundle.rtl_intent.items():
@@ -676,8 +641,8 @@ class CbvCampaign:
             details=mismatches,
         )
 
-    def _functional_leg(self, flat: FlatNetlist,
-                        cache) -> tuple[list[str], dict[str, float]]:
+    def _functional_leg(self, flat: FlatNetlist, cache: DesignCache,
+                        ) -> tuple[list[str], dict[str, float]]:
         """Run the bundle's functional vectors through the vector engine.
 
         Returns ``(problems, metrics)``.  The metrics surface the

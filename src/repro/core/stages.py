@@ -1,4 +1,11 @@
-"""Flow stages and their results (the boxes of Figure 2)."""
+"""Flow stages, their results, and the stage table (the boxes of Figure 2).
+
+:data:`STAGES` declares each runnable stage once: the fingerprint
+components keying its checkpoint, the artifacts it cannot run without,
+and the artifacts its checkpoint keeps.  The campaign
+(:meth:`repro.core.campaign.CbvCampaign.run`), the checkpoint keys
+(:mod:`repro.store.checkpoint`) and the fleet worker all read it.
+"""
 
 from __future__ import annotations
 
@@ -65,3 +72,49 @@ class StageResult:
             metrics={k: float(v) for k, v in data.get("metrics", {}).items()},
             details=[str(d) for d in data.get("details", [])],
         )
+
+
+@dataclass(frozen=True)
+class StageSpec:
+    """What one runnable stage reads, needs and keeps."""
+
+    flow: FlowStage
+    #: Fingerprint components its checkpoint key covers (see
+    #: :func:`repro.store.checkpoint.design_fingerprint`).  Listing an
+    #: extra one only forfeits a replay; omitting a real input would
+    #: replay stale results, so when in doubt a component is listed.
+    inputs: tuple[str, ...]
+    #: Artifacts it cannot run without: a missing one skips the stage.
+    requires: tuple[str, ...] = ()
+    #: Artifacts its checkpoint stores and a replay restores.
+    keeps: tuple[str, ...] = ()
+
+
+#: Every stage :meth:`CbvCampaign.run <repro.core.campaign.CbvCampaign.run>`
+#: executes, in run order.  ``circuit_verification`` also keys on the
+#: battery invocation (check list and timeout) -- see
+#: :func:`repro.store.checkpoint.stage_key`.
+STAGES: dict[FlowStage, StageSpec] = {spec.flow: spec for spec in (
+    StageSpec(FlowStage.SCHEMATIC, ("topology", "geometry"),
+              keeps=("flat",)),
+    StageSpec(FlowStage.RECOGNITION,
+              ("topology", "geometry", "clock_hints"),
+              requires=("flat",), keeps=("design",)),
+    StageSpec(FlowStage.LAYOUT,
+              ("topology", "geometry", "technology", "mode"),
+              requires=("flat",), keeps=("layout_parasitics", "antenna")),
+    StageSpec(FlowStage.EXTRACTION,
+              ("topology", "geometry", "technology", "mode"),
+              requires=("flat",), keeps=("parasitics",)),
+    StageSpec(FlowStage.LOGIC_VERIFICATION,
+              ("topology", "geometry", "clock_hints", "rtl", "functional"),
+              requires=("design", "flat")),
+    StageSpec(FlowStage.CIRCUIT_VERIFICATION,
+              ("topology", "geometry", "technology", "mode", "clock",
+               "clock_hints", "settings"),
+              requires=("flat", "design", "parasitics"), keeps=("battery",)),
+    StageSpec(FlowStage.TIMING_VERIFICATION,
+              ("topology", "geometry", "technology", "mode", "clock",
+               "clock_hints", "pessimism"),
+              requires=("design", "ctx"), keeps=("timing",)),
+)}

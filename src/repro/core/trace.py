@@ -27,7 +27,7 @@ designs, and grepped by CI without a parser.  Event kinds:
 ``campaign_end``    run totals (``counters`` include cache counters)
 ================  ===========================================================
 
-Checkpoint/resume runs (``CbvCampaign.run(store=..., resume=True)``)
+Checkpointed runs (``CbvCampaign.run(store=...)``)
 additionally emit a ``checkpoint.*`` namespace:
 
 =======================  ===================================================

@@ -32,12 +32,6 @@ class MiniCore:
     width: int
     entries: int
 
-    def operand_ports(self) -> list[str]:
-        return [f"d{b}" for b in range(self.width)]
-
-    def result_ports(self) -> list[str]:
-        return [f"r{b}" for b in range(self.width)]
-
 
 def mini_core(width: int = 2, entries: int = 2, name: str = "minicore") -> MiniCore:
     """Build the slice.

@@ -39,8 +39,3 @@ def array_nmos_width_um(rows: int, cols: int,
                         w_pull: float = 2.0, w_access: float = 1.2) -> float:
     """Total NMOS width of an array (for leakage-region accounting)."""
     return rows * cols * (2 * w_pull + 2 * w_access)
-
-
-def array_pmos_width_um(rows: int, cols: int, w_load: float = 0.4) -> float:
-    """Total PMOS width of an array."""
-    return rows * cols * 2 * w_load

@@ -60,9 +60,6 @@ class BddManager:
         index = self._var_index[name]
         return self._mk(index, 0, 1)
 
-    def var_name(self, index: int) -> str:
-        return self._var_names[index]
-
     def num_vars(self) -> int:
         return len(self._var_names)
 

@@ -13,7 +13,7 @@ verifier and the electrical check battery both consume -- the paper's
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from repro.extraction.caps import NetParasitics, Parasitics
@@ -102,13 +102,53 @@ def annotate(
 ) -> AnnotatedDesign:
     """Combine wire parasitics with device loading for every net."""
     design = AnnotatedDesign(flat=flat, technology=technology, corner=corner)
+    _load_nets(design, flat.nets, parasitics.of)
+    return design
+
+
+def update_net_loads(design: AnnotatedDesign, nets: Iterable[str]) -> int:
+    """Recompute the device-load half of the given nets in place.
+
+    After an in-place device resize (:func:`repro.timing.sizing.size_path`)
+    only the nets on a resized device's terminals see their gate/junction
+    caps move; this recomputes exactly those, keeping each net's wire
+    parasitics (widths never enter the wireload model).  It loads them
+    through the same body as :func:`annotate`, so the refreshed loads are
+    bit-identical to a full re-annotation -- which is what lets the
+    incremental timing path reuse them.
+
+    Returns the number of nets refreshed.
+    """
+    def kept_wire(name: str) -> NetParasitics:
+        old = design.loads.get(name)
+        return old.wire if old is not None else NetParasitics(net=name)
+
+    return _load_nets(design, nets, kept_wire)
+
+
+def _load_nets(design: AnnotatedDesign, nets: Iterable[str],
+               wire_of: Callable[[str], NetParasitics]) -> int:
+    """Store a fresh :class:`NetLoad` for each of ``nets`` in ``design``.
+
+    A load is the net's wire (``wire_of(net)``), every gate and junction
+    on its pins in pin order, and its explicit capacitors to a rail.
+    Names ``design.flat`` does not know are skipped; returns the number
+    of nets loaded.
+    """
+    flat = design.flat
+    technology = design.technology
+    corner = design.corner
     by_name = {t.name: t for t in flat.transistors}
     caps_by_net: dict[str, list] = {}
     for cap in flat.capacitors:
         caps_by_net.setdefault(cap.a, []).append(cap)
         caps_by_net.setdefault(cap.b, []).append(cap)
-    for name, net in flat.nets.items():
-        load = NetLoad(net=name, wire=parasitics.of(name))
+    loaded = 0
+    for name in nets:
+        net = flat.nets.get(name)
+        if net is None:
+            continue
+        load = NetLoad(net=name, wire=wire_of(name))
         for pin in net.pins:
             device = by_name.get(pin.device)
             if device is None:
@@ -125,52 +165,5 @@ def annotate(
             if other in ("vdd", "gnd"):
                 load.extra_cap_f += cap.cap_f
         design.loads[name] = load
-    return design
-
-
-def update_net_loads(design: AnnotatedDesign, nets: Iterable[str]) -> int:
-    """Recompute the device-load half of the given nets in place.
-
-    After an in-place device resize (:func:`repro.timing.sizing.size_path`)
-    only the nets on a resized device's terminals see their gate/junction
-    caps move; this recomputes exactly those, keeping each net's wire
-    parasitics (widths never enter the wireload model).  The per-net body
-    is the same accumulation, in the same pin order, as :func:`annotate`,
-    so the refreshed loads are bit-identical to a full re-annotation --
-    which is what lets the incremental timing path reuse them.
-
-    Returns the number of nets refreshed.
-    """
-    flat = design.flat
-    technology = design.technology
-    corner = design.corner
-    by_name = {t.name: t for t in flat.transistors}
-    caps_by_net: dict[str, list] = {}
-    for cap in flat.capacitors:
-        caps_by_net.setdefault(cap.a, []).append(cap)
-        caps_by_net.setdefault(cap.b, []).append(cap)
-    updated = 0
-    for name in nets:
-        net = flat.nets.get(name)
-        if net is None:
-            continue
-        old = design.loads.get(name)
-        wire = old.wire if old is not None else NetParasitics(net=name)
-        load = NetLoad(net=name, wire=wire)
-        for pin in net.pins:
-            device = by_name.get(pin.device)
-            if device is None:
-                continue  # capacitor/resistor pins carry no device cap here
-            model = technology.mosfet(device.polarity, corner)
-            l_eff = device.effective_length(technology.l_min_um)
-            if pin.terminal == "gate":
-                load.gate_cap_f += model.gate_capacitance(device.w_um, l_eff)
-            else:
-                load.junction_cap_f += model.diffusion_capacitance(device.w_um)
-        for cap in caps_by_net.get(name, []):
-            other = cap.b if cap.a == name else cap.a
-            if other in ("vdd", "gnd"):
-                load.extra_cap_f += cap.cap_f
-        design.loads[name] = load
-        updated += 1
-    return updated
+        loaded += 1
+    return loaded

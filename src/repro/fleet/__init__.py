@@ -47,7 +47,6 @@ from repro.fleet.jobs import (
 from repro.fleet.merge import (
     CHECK_EVENTS,
     PoisonShards,
-    ShardMissing,
     assemble_scenario_report,
     make_battery_runner,
     merge_shard_batteries,
@@ -83,7 +82,6 @@ __all__ = [
     "Lease",
     "PoisonShards",
     "SEED_SUITE",
-    "ShardMissing",
     "ShardSpec",
     "WorkQueue",
     "adder_bundle",

@@ -17,16 +17,17 @@ The merge is installed into the finalize campaign as a
 ``battery_runner`` (see :meth:`CbvCampaign.run`): it loads every shard
 through :func:`repro.store.checkpoint.load_checkpoint`, emits the
 battery start/end envelope the serial runner would, and replays the
-shard check events into the campaign trace in order.  A missing or
-corrupt shard raises :class:`ShardMissing` -- inside the campaign's
-stage isolation that degrades to a circuit-stage ERROR, not a crash.
+shard check events into the campaign trace in order.  A shard it cannot
+load -- never written (a store degraded by a full disk drops every
+write) or quarantined as corrupt -- it recomputes on the finalize
+campaign's own check context, through :func:`run_battery_shard`, the
+function the shard job runs.  The scenario rollup does the same with
+:func:`repro.scenarios.runner.run_shard`.
 """
 
 from __future__ import annotations
 
-from repro.checks.base import Finding
-from repro.checks.filters import filter_findings
-from repro.checks.registry import BatteryResult
+from repro.checks.registry import BatteryResult, run_battery
 from repro.core.trace import CampaignTrace
 from repro.fleet.jobs import FleetConfig, ShardSpec
 from repro.store.artifact import ArtifactStore, StoreError
@@ -37,10 +38,6 @@ from repro.store.fingerprint import FINGERPRINT_SCHEMA_VERSION, _digest
 #: battery envelope (battery_start / battery_end) is the merger's to
 #: emit, exactly once.
 CHECK_EVENTS = frozenset({"check_start", "check_end", "check_crash"})
-
-
-class ShardMissing(StoreError):
-    """A battery shard's blob is absent or failed verification."""
 
 
 class PoisonShards(StoreError):
@@ -72,30 +69,43 @@ def shard_store_key(circuit_key: str, shard: ShardSpec) -> str:
 def merge_shard_batteries(payloads: list[dict]) -> BatteryResult:
     """Concatenate shard results (in shard order) into one battery.
 
-    Findings, per-check slots, per-check seconds, and crash records all
-    concatenate; the triage queues are re-derived from the merged
-    findings stream, exactly as ``run_battery`` builds them.
+    Findings, per-check seconds and crash records concatenate into one
+    battery dict; :meth:`BatteryResult.from_dict` then derives the
+    per-check slots and triage queues from it, exactly as ``run_battery``
+    builds them.
     """
-    findings: list[Finding] = []
-    per_check: dict[str, list[Finding]] = {}
+    findings: list[dict] = []
     per_check_seconds: dict[str, float] = {}
     crashes: dict[str, str] = {}
     for payload in payloads:
-        part = BatteryResult.from_dict(payload["battery"])
-        findings.extend(part.findings)
-        for name, fs in part.per_check.items():
-            per_check.setdefault(name, []).extend(fs)
-        for name, seconds in part.per_check_seconds.items():
+        part = payload["battery"]
+        findings.extend(part.get("findings", []))
+        for name, seconds in part.get("per_check_seconds", {}).items():
             per_check_seconds[name] = (
                 per_check_seconds.get(name, 0.0) + seconds)
-        crashes.update(part.crashes)
-    return BatteryResult(
-        findings=findings,
-        queues=filter_findings(findings),
-        per_check=per_check,
-        per_check_seconds=per_check_seconds,
-        crashes=crashes,
-    )
+        crashes.update(part.get("crashes", {}))
+    return BatteryResult.from_dict({"findings": findings,
+                                    "per_check_seconds": per_check_seconds,
+                                    "crashes": crashes})
+
+
+def run_battery_shard(ctx, config: FleetConfig, shard: ShardSpec,
+                      worker_id: str) -> dict:
+    """One battery shard's payload: ``shard``'s slice of the check
+    registry run over ``ctx``, as ``{battery, events}``.
+
+    The shard job stores it under :func:`shard_store_key`; the finalize
+    runner calls it for a shard whose blob it cannot load.  The slice
+    records into its own trace, so the payload carries exactly this
+    slice's check events -- no stage or checkpoint noise -- for the
+    merge to replay.
+    """
+    sub = CampaignTrace(worker_id=worker_id)
+    battery = run_battery(ctx, checks=config.checks[shard.lo:shard.hi],
+                          timeout_s=config.timeout_s, trace=sub)
+    return {"battery": battery.to_dict(),
+            "events": [e.to_dict() for e in sub.events
+                       if e.event in CHECK_EVENTS]}
 
 
 def _check_battery_shard(payload) -> None:
@@ -103,19 +113,6 @@ def _check_battery_shard(payload) -> None:
     if (not isinstance(payload, dict) or "battery" not in payload
             or not isinstance(payload.get("events"), list)):
         raise ValueError("payload shape is not a battery shard")
-
-
-def _load_shard(store: ArtifactStore, key: str, label: str, trace,
-                valid) -> dict:
-    """One shard's payload; :class:`ShardMissing` when absent or bad.
-
-    A wrong-shaped blob is quarantined on the way, so a retry recomputes
-    it instead of re-tripping.
-    """
-    payload = load_checkpoint(store, key, label, trace, valid)
-    if payload is None:
-        raise ShardMissing(f"{label} is missing or corrupt")
-    return payload
 
 
 def assemble_scenario_report(store: ArtifactStore, spec,
@@ -126,21 +123,24 @@ def assemble_scenario_report(store: ArtifactStore, spec,
     Shard order is sample-index order (contiguous ranges), so the
     assembled trace -- and therefore the canonical report JSON -- is
     byte-identical to the serial :class:`ScenarioCampaign`'s no matter
-    which workers computed which shards.  A missing or wrong-shaped
-    shard raises :class:`ShardMissing`; ``trace`` receives its
-    ``checkpoint.corrupt`` event.
+    which workers computed which shards.  A shard that is missing or
+    fails validation (``trace`` receives its ``checkpoint.corrupt``
+    event) is recomputed here with ``run_shard``.
     """
     # Imported lazily: repro.scenarios imports repro.fleet.jobs for the
     # shard partitioner, so a module-level import here would be a cycle.
     from repro.scenarios.report import assemble_report, check_scenario_shard
+    from repro.scenarios.runner import run_shard
     from repro.scenarios.spec import shard_key
 
-    payloads = [
-        _load_shard(store, shard_key(spec, s.index, s.count),
-                    f"scenario shard {s.label()}", trace,
-                    check_scenario_shard)
-        for s in sorted(shards, key=lambda s: s.index)
-    ]
+    payloads = []
+    for s in sorted(shards, key=lambda s: s.index):
+        payload = load_checkpoint(store, shard_key(spec, s.index, s.count),
+                                  f"scenario shard {s.label()}", trace,
+                                  check_scenario_shard)
+        if payload is None:
+            payload = run_shard(spec, s.lo, s.hi, worker_id=trace.worker_id)
+        payloads.append(payload)
     return assemble_report(spec, payloads)
 
 
@@ -154,9 +154,9 @@ def make_battery_runner(store: ArtifactStore, circuit_key: str,
     which every shard key derives from (see :func:`shard_store_key`).
 
     The returned callable matches the :meth:`CbvCampaign.run` contract:
-    ``runner(ctx, trace) -> BatteryResult``.  ``ctx`` is unused -- every
-    check already ran in the shard jobs -- but kept so the campaign's
-    circuit stage is oblivious to where its battery came from.
+    ``runner(ctx, trace) -> BatteryResult``.  The shard jobs already ran
+    every check, so ``ctx`` only serves a shard whose blob the runner
+    cannot load: it recomputes that shard's slice on ``ctx``.
 
     ``poisoned`` carries the scheduler's quarantine records (see
     ``_Pool._poison_shard``) for shards that repeatedly killed their
@@ -170,10 +170,14 @@ def make_battery_runner(store: ArtifactStore, circuit_key: str,
             raise PoisonShards(
                 f"{len(poisoned)} battery shard(s) quarantined as poison "
                 f"(each repeatedly killed its worker): {labels}")
-        payloads = [_load_shard(store, shard_store_key(circuit_key, s),
-                                f"battery shard {s.label()}", trace,
-                                _check_battery_shard)
-                    for s in shards]
+        payloads = []
+        for s in shards:
+            payload = load_checkpoint(store, shard_store_key(circuit_key, s),
+                                      f"battery shard {s.label()}", trace,
+                                      _check_battery_shard)
+            if payload is None:
+                payload = run_battery_shard(ctx, config, s, trace.worker_id)
+            payloads.append(payload)
         trace.emit("battery_start", counters={
             "checks": float(len(config.checks)),
             "workers": float(len(shards)),

@@ -43,7 +43,6 @@ from collections import OrderedDict
 from repro.core.stages import FlowStage
 from repro.fleet.jobs import FleetConfig, Job, resolve_bundle
 from repro.perf.cache import DesignCache
-from repro.recognition.recognizer import _default_memo
 from repro.store.checkpoint import stage_keys
 
 #: Designs one worker keeps sessions for; the least recently used goes
@@ -62,7 +61,7 @@ class DesignSession:
         self.ref = ref
         self.keys = stage_keys(bundle, checks=config.checks,
                                timeout_s=config.timeout_s)
-        self.cache = DesignCache(memo=_default_memo())
+        self.cache = DesignCache.over_process_memo()
         self._held: dict[str, tuple] = {}
 
     @property

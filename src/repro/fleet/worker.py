@@ -26,16 +26,18 @@ whose design's earlier jobs ran here replays their checkpoints from
 the live payloads the session holds, and any other job (another
 worker, a retry, a respawned worker) replays them from the store.
 
-* ``prepare`` runs the flow through logic verification with
-  ``resume=True`` -- every completed stage is durably checkpointed,
-  and a retry (or any other worker) replays instead of recomputing.
-  Its result reports the recognized CCC count (which sizes the battery
-  shards) and whether the front half degraded.
+* ``prepare`` runs the flow through logic verification -- every
+  completed stage is durably checkpointed, and a retry (or any other
+  worker) replays instead of recomputing.  Its result reports the
+  recognized CCC count (which sizes the battery shards) and whether the
+  front half degraded.
 * ``battery[i/k]`` replays the checkpointed stages up to extraction,
   builds the check context, runs its slice of the check registry, and
   stores ``{battery, events}`` under the shard key.  Running the same
   shard twice is harmless: the store's write lock serializes the
-  writers and drops the duplicate blob.
+  writers and drops the duplicate blob.  The write is best-effort, as
+  every checkpoint write is: a shard whose blob never lands is
+  recomputed by finalize.
 * ``finalize`` replays the same checkpoints and re-runs the circuit
   stage with the merged-shard ``battery_runner``; the resulting
   :class:`~repro.core.campaign.CbvReport` is canonically byte-identical
@@ -52,34 +54,37 @@ import resource
 import threading
 import traceback
 
-from repro.checks.registry import run_battery
 from repro.core.campaign import CbvCampaign, battery_context
 from repro.core.report import report_to_dict
-from repro.core.stages import FlowStage, StageStatus
+from repro.core.stages import STAGES, FlowStage
 from repro.core.trace import CampaignTrace
 from repro.fleet.jobs import FleetConfig, Job, JobKind
-from repro.fleet.merge import CHECK_EVENTS, make_battery_runner, shard_store_key
+from repro.fleet.merge import (
+    make_battery_runner,
+    run_battery_shard,
+    shard_store_key,
+)
 from repro.fleet.session import WorkerSessions
 from repro.perf.stopwatch import Stopwatch
 from repro.store.artifact import ArtifactStore
-from repro.store.checkpoint import load_checkpoint
+from repro.store.checkpoint import CheckpointWriter, load_checkpoint
 
-#: Artifacts the battery stage cannot run without; prepare must have
-#: produced (and checkpointed) all of them for sharding to be safe.
-_BATTERY_NEEDS = ("flat", "design", "parasitics")
+#: Artifacts the circuit stage cannot run without; prepare must have
+#: produced all of them for the design's battery to be sharded.
+_BATTERY_REQUIRES = STAGES[FlowStage.CIRCUIT_VERIFICATION].requires
 
 
 def _run_prepare(job: Job, store: ArtifactStore, config: FleetConfig,
                  wt: CampaignTrace, sessions: WorkerSessions) -> dict:
     session = sessions.open(job, store, config)
     report = CbvCampaign(session.bundle).run(
-        store=session, resume=True, cache=session.cache,
+        store=session, cache=session.cache,
         checks=config.checks, timeout_s=config.timeout_s,
         until=FlowStage.LOGIC_VERIFICATION, trace=wt)
     rec = report.stage(FlowStage.RECOGNITION, None)
     cccs = int(rec.metrics.get("cccs", 0)) if rec is not None else 0
     degraded = (bool(report.errored_stages())
-                or any(k not in report.artifacts for k in _BATTERY_NEEDS))
+                or any(k not in report.artifacts for k in _BATTERY_REQUIRES))
     return {
         "cccs": cccs,
         "degraded": degraded,
@@ -92,32 +97,28 @@ def _run_battery_shard(job: Job, store: ArtifactStore, config: FleetConfig,
     session = sessions.open(job, store, config)
     bundle = session.bundle
     partial = CbvCampaign(bundle).run(
-        store=session, resume=True, cache=session.cache,
+        store=session, cache=session.cache,
         checks=config.checks, timeout_s=config.timeout_s,
         until=FlowStage.EXTRACTION, trace=wt)
     art = partial.artifacts
-    missing = [k for k in _BATTERY_NEEDS if k not in art]
+    missing = [k for k in _BATTERY_REQUIRES if k not in art]
     if missing:
         raise RuntimeError(
             f"battery shard cannot run: missing artifact(s) "
             f"{', '.join(missing)} (prepare degraded after checkpointing?)")
-    ctx = battery_context(bundle, art, session.cache)
     shard = job.shard
-    # The shard battery records into its own trace so exactly the
-    # check events of this slice -- no stage or checkpoint noise --
-    # are persisted for the finalize merge.
-    sub = CampaignTrace(worker_id=wt.worker_id)
-    battery = run_battery(ctx, checks=config.checks[shard.lo:shard.hi],
-                          timeout_s=config.timeout_s, trace=sub)
-    events = [e.to_dict() for e in sub.events if e.event in CHECK_EVENTS]
-    session.put(shard_store_key(session.circuit_key, shard),
-                {"battery": battery.to_dict(), "events": events},
-                meta={"design": job.design, "shard": shard.label()})
-    wt.replay(events)
+    payload = run_battery_shard(battery_context(bundle, art, session.cache),
+                                config, shard, wt.worker_id)
+    battery = payload["battery"]
+    wt.replay(payload["events"])
+    CheckpointWriter(session, wt).write(
+        shard_store_key(session.circuit_key, shard), payload,
+        meta={"design": job.design, "shard": shard.label()},
+        label=f"battery shard {shard.label()}")
     return {
         "shard": shard.label(),
-        "findings": len(battery.findings),
-        "crashes": len(battery.crashes),
+        "findings": len(battery["findings"]),
+        "crashes": len(battery["crashes"]),
     }
 
 
@@ -132,20 +133,9 @@ def _run_finalize(job: Job, store: ArtifactStore, config: FleetConfig,
     # campaign's events, not this worker's whole history.
     rtrace = CampaignTrace(worker_id=wt.worker_id)
     report = CbvCampaign(session.bundle).run(
-        store=session, resume=True, cache=session.cache,
+        store=session, cache=session.cache,
         checks=config.checks, timeout_s=config.timeout_s, trace=rtrace,
         battery_runner=runner)
-    circuit = report.stage(FlowStage.CIRCUIT_VERIFICATION, None)
-    if (job.shards and not poisoned and circuit is not None
-            and circuit.status is StageStatus.ERROR):
-        # A missing/corrupt shard surfaced as a circuit-stage ERROR;
-        # that is a fleet fault, not a design verdict -- fail the job so
-        # the scheduler retries it (the shard jobs already completed, so
-        # a retry reloads or recomputes what is actually in the store).
-        # Poisoned shards are the exception: their circuit-stage ERROR
-        # *is* the intended degraded verdict, and the report ships.
-        raise RuntimeError("finalize could not assemble shard batteries: "
-                           + circuit.summary)
     return {"report": report_to_dict(report), "ok": report.ok()}
 
 
@@ -165,22 +155,22 @@ def _run_scenario_shard(job: Job, store: ArtifactStore,
     # Cross-run fleet resume: a verified shard blob from an earlier
     # fleet (or serial) run over the same spec and shard layout replays
     # instead of recomputing -- the exact validation the serial
-    # campaign's ``resume=True`` applies, so corrupt or wrong-shaped
-    # blobs are quarantined and the shard re-runs.
+    # campaign applies, so corrupt or wrong-shaped blobs are quarantined
+    # and the shard re-runs.
     payload = load_checkpoint(store, key, label, wt, check_scenario_shard)
-    replayed = payload is not None
-    if payload is None:
+    if payload is not None:
+        wt.replay(payload["events"])
+        wt.emit("checkpoint.hit", name=label)
+    else:
         # Running the same shard twice (retry, expired lease) is
         # harmless: the payload is deterministic and the store's write
         # lock drops the duplicate blob, exactly like battery shards.
         payload = run_shard(spec, shard.lo, shard.hi,
                             worker_id=wt.worker_id)
-        store.put(key, payload,
-                  meta={"scenario": spec.name, "kind": spec.kind,
-                        "shard": shard.label()})
-    wt.replay(payload["events"])
-    wt.emit("checkpoint.hit" if replayed else "checkpoint.write",
-            name=label)
+        wt.replay(payload["events"])
+        CheckpointWriter(store, wt).write(
+            key, payload, meta={"scenario": spec.name, "kind": spec.kind,
+                                "shard": shard.label()}, label=label)
     mismatches = sum(m.get("mismatches", 0.0)
                      for m in payload["samples"].values())
     return {
@@ -196,9 +186,7 @@ def _run_scenario_rollup(job: Job, store: ArtifactStore,
     from repro.scenarios.spec import resolve_scenario
 
     spec = resolve_scenario(job.bundle_ref)
-    # A missing/corrupt shard raises ShardMissing -> the job errors and
-    # the scheduler retries it (the shard jobs completed, so a retry
-    # reloads or a re-run recomputes what the store actually holds).
+    # A shard whose blob is missing or corrupt is recomputed here.
     report = assemble_scenario_report(store, spec, job.shards, wt)
     return {"report": report.to_dict(), "ok": report.ok()}
 

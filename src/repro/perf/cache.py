@@ -33,7 +33,11 @@ from repro.process.corners import Corner
 from repro.process.technology import Technology
 from repro.recognition.ccc import ChannelConnectedComponent, extract_cccs
 from repro.recognition.memo import ClassificationMemo
-from repro.recognition.recognizer import RecognizedDesign, recognize
+from repro.recognition.recognizer import (
+    RecognizedDesign,
+    _default_memo,
+    recognize,
+)
 from repro.switchsim.tables import PackedSwitchTables
 
 
@@ -44,8 +48,9 @@ class DesignCache:
     ----------
     memo:
         Classification memo to share; a fresh one is created by default
-        so the cache is fully self-contained (pass the process-wide memo
-        if you want cross-session template reuse).
+        so the cache is fully self-contained.  :meth:`over_process_memo`
+        builds one over the process-wide memo instead, for template
+        reuse across sessions.
     """
 
     def __init__(self, memo: ClassificationMemo | None = None) -> None:
@@ -62,6 +67,14 @@ class DesignCache:
         # them, so folding them into hits/misses would double-count.
         self.ccc_hits = 0
         self.ccc_misses = 0
+
+    @classmethod
+    def over_process_memo(cls) -> DesignCache:
+        """A fresh cache over the process-wide classification memo, the
+        one :func:`recognize` uses by default: what a campaign or a check
+        context given no cache runs through, and what a fleet worker
+        keeps per design."""
+        return cls(memo=_default_memo())
 
     # -- recognition ---------------------------------------------------------
 

@@ -5,8 +5,8 @@ fleet's semantic baseline): it partitions the sample range into
 contiguous shards, runs each through
 :func:`repro.scenarios.runner.run_shard`, and -- when given an
 :class:`~repro.store.ArtifactStore` -- checkpoints every completed
-shard under :func:`repro.scenarios.spec.shard_key`.  A resumed run
-(``resume=True``) replays verified shard blobs instead of re-running
+shard under :func:`repro.scenarios.spec.shard_key`, and replays the
+verified shard blobs the store already holds instead of re-running
 their seeds: the replay restores the per-sample metrics *and* the
 ``scenario.sample`` trace events, then logs a ``checkpoint.hit``, so
 "no re-run of checkpointed seeds" is observable in both the trace and
@@ -47,7 +47,8 @@ def shard_bounds(spec: ScenarioSpec, shards: int) -> list[tuple[int, int]]:
 
 
 class ScenarioCampaign:
-    """Runs one scenario spec, optionally checkpointed and resumable."""
+    """Runs one scenario spec, checkpointed and resumed from a store
+    when given one."""
 
     def __init__(self, spec: ScenarioSpec, shards: int = 1) -> None:
         if shards < 1:
@@ -55,7 +56,7 @@ class ScenarioCampaign:
         self.spec = spec
         self.shards = shards
 
-    def run(self, *, store=None, resume: bool = False,
+    def run(self, *, store=None,
             trace: CampaignTrace | None = None) -> ScenarioReport:
         """Execute (or resume) every shard; returns the sealed report."""
         from repro.store.checkpoint import CheckpointWriter, load_checkpoint
@@ -69,10 +70,9 @@ class ScenarioCampaign:
         rollup = ScenarioRollup()
         for index, (lo, hi) in enumerate(bounds):
             label = f"{spec.name}:shard[{index + 1}/{len(bounds)}]"
-            key = (shard_key(spec, index, len(bounds))
-                   if store is not None else None)
             payload = None
-            if store is not None and resume:
+            if store is not None:
+                key = shard_key(spec, index, len(bounds))
                 payload = load_checkpoint(store, key, label, trace,
                                           check_scenario_shard)
             replayed = payload is not None

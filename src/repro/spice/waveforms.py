@@ -31,10 +31,6 @@ class Waveform:
         mask = self.times >= t
         return float(self.values[mask].min())
 
-    def max_after(self, t: float) -> float:
-        mask = self.times >= t
-        return float(self.values[mask].max())
-
 
 def crossing_time(
     wave: Waveform,

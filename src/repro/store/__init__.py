@@ -5,8 +5,8 @@ chip.  PR 3 made a run survive its own tools crashing; this package
 makes it survive the *process* dying: every completed flow stage is
 serialized to a crash-safe on-disk :class:`ArtifactStore` under a key
 derived from a canonical design fingerprint, and
-``CbvCampaign.run(store=..., resume=True)`` replays finished stages
-instead of recomputing them.
+``CbvCampaign.run(store=...)`` replays finished stages instead of
+recomputing them.
 
 * :mod:`repro.store.artifact` -- atomic (tmp + fsync + rename),
   checksum-verified blob store; corrupt blobs are quarantined, never
@@ -14,10 +14,11 @@ instead of recomputing them.
 * :mod:`repro.store.fingerprint` -- canonical digests of netlist
   topology, device geometry, technology/corner parameters, and
   behavioural inputs.
-* :mod:`repro.store.checkpoint` -- the stage -> inputs dependency map
-  and per-stage key derivation, so an edit invalidates exactly the
-  stages whose inputs changed, plus the one checkpoint reader and
-  writer every campaign and fleet shard shares.
+* :mod:`repro.store.checkpoint` -- per-stage key derivation over the
+  inputs the stage table (:data:`repro.core.stages.STAGES`) names, so
+  an edit invalidates exactly the stages whose inputs changed, plus the
+  one checkpoint reader and writer every campaign and fleet shard
+  shares.
 * :mod:`repro.store.verdicts` -- the cross-user verdict cache: sealed
   campaign reports keyed by (design fingerprint, battery invocation),
   so a re-submission of a verified design is answered with zero
@@ -32,7 +33,6 @@ from repro.store.artifact import (
     StoreWriteError,
 )
 from repro.store.checkpoint import (
-    STAGE_INPUTS,
     CheckpointWriter,
     DesignFingerprint,
     design_fingerprint,
@@ -65,7 +65,6 @@ __all__ = [
     "load_checkpoint",
     "stage_key",
     "stage_keys",
-    "STAGE_INPUTS",
     "FINGERPRINT_SCHEMA_VERSION",
     "fingerprint_callable",
     "fingerprint_cell_geometry",

@@ -15,18 +15,16 @@ stage name), so:
 * changing a check threshold re-runs the battery alone;
 * editing an RTL intent lambda re-proves logic equivalence alone.
 
-``STAGE_INPUTS`` is the single source of truth for that dependency map
-(documented in DESIGN.md as part of the checkpoint contract).  Being
-conservative is always safe -- listing an extra component merely forfeits
-a replay -- while omitting a real input would replay stale results, so
-when in doubt a component is included.
+Each stage's subset is its ``inputs`` in the stage table,
+:data:`repro.core.stages.STAGES` (documented in DESIGN.md as part of the
+checkpoint contract).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.stages import FlowStage
+from repro.core.stages import STAGES, FlowStage
 from repro.process.corners import Corner, corner_spec
 from repro.store.artifact import CorruptArtifact, StoreMiss
 from repro.store.fingerprint import (
@@ -56,25 +54,6 @@ class DesignFingerprint:
 
     def subset(self, names: tuple[str, ...]) -> dict[str, str]:
         return {name: self.components[name] for name in names}
-
-
-#: Which fingerprint components each flow stage's results depend on.
-#: ``circuit_verification`` additionally keys on the battery invocation
-#: (check list and timeout) -- see :func:`stage_key`.
-STAGE_INPUTS: dict[FlowStage, tuple[str, ...]] = {
-    FlowStage.SCHEMATIC: ("topology", "geometry"),
-    FlowStage.RECOGNITION: ("topology", "geometry", "clock_hints"),
-    FlowStage.LAYOUT: ("topology", "geometry", "technology", "mode"),
-    FlowStage.EXTRACTION: ("topology", "geometry", "technology", "mode"),
-    FlowStage.LOGIC_VERIFICATION: (
-        "topology", "geometry", "clock_hints", "rtl", "functional"),
-    FlowStage.CIRCUIT_VERIFICATION: (
-        "topology", "geometry", "technology", "mode", "clock",
-        "clock_hints", "settings"),
-    FlowStage.TIMING_VERIFICATION: (
-        "topology", "geometry", "technology", "mode", "clock",
-        "clock_hints", "pessimism"),
-}
 
 
 def design_fingerprint(bundle) -> DesignFingerprint:
@@ -115,7 +94,7 @@ def stage_key(fp: DesignFingerprint, stage: FlowStage, *,
     merged shards are byte-identical to one serial battery.
     """
     parts: list = ["stage", FINGERPRINT_SCHEMA_VERSION, stage.value,
-                   sorted(fp.subset(STAGE_INPUTS[stage]).items())]
+                   sorted(fp.subset(STAGES[stage].inputs).items())]
     if stage is FlowStage.CIRCUIT_VERIFICATION:
         parts.append([[c.__module__, c.__qualname__, c.name] for c in checks])
         parts.append(repr(timeout_s))
@@ -127,7 +106,7 @@ def stage_keys(bundle, *, checks: tuple = (),
     """Every stage's checkpoint key for one bundle + battery invocation."""
     fp = design_fingerprint(bundle)
     return {stage: stage_key(fp, stage, checks=checks, timeout_s=timeout_s)
-            for stage in STAGE_INPUTS}
+            for stage in STAGES}
 
 
 def load_checkpoint(store, key: str, label: str, trace, valid):

@@ -50,7 +50,7 @@ def chaos_store(root, plan, **kw):
 
 def test_mixed_store_faults_are_survived_byte_identically(tmp_path):
     store = chaos_store(tmp_path / "store", MIXED_PLAN)
-    report = CbvCampaign(bundle()).run(store=store, resume=True)
+    report = CbvCampaign(bundle()).run(store=store)
     assert sum(store.injector.counters().values()) > 0  # schedule fired
     assert report_to_json(report, canonical=True) == campaign_baseline()
 
@@ -58,7 +58,7 @@ def test_mixed_store_faults_are_survived_byte_identically(tmp_path):
     # corrupted ones quarantine and re-run, and the report still
     # matches byte for byte.
     resumed_store = chaos_store(tmp_path / "store", MIXED_PLAN)
-    resumed = CbvCampaign(bundle()).run(store=resumed_store, resume=True)
+    resumed = CbvCampaign(bundle()).run(store=resumed_store)
     assert report_to_json(resumed, canonical=True) == campaign_baseline()
     events = {e.event for e in resumed.trace.events}
     assert "checkpoint.hit" in events  # it genuinely resumed
@@ -68,7 +68,7 @@ def test_enospc_degraded_campaign_still_concludes_identically(tmp_path):
     plan = FaultPlan.make(7, rates={"store.put": 1.0},
                           kinds={"store.put": ("enospc",)}, max_per_hook=99)
     store = chaos_store(tmp_path / "store", plan, write_retries=1)
-    report = CbvCampaign(bundle()).run(store=store, resume=True)
+    report = CbvCampaign(bundle()).run(store=store)
 
     assert store.degraded
     degraded = [e for e in report.trace.events if e.event == "store.degraded"]
@@ -80,12 +80,11 @@ def test_enospc_degraded_campaign_still_concludes_identically(tmp_path):
 
 def test_scenario_campaign_survives_store_faults(tmp_path):
     store = chaos_store(tmp_path / "store", MIXED_PLAN)
-    report = ScenarioCampaign(FUZZ, shards=2).run(store=store, resume=True)
+    report = ScenarioCampaign(FUZZ, shards=2).run(store=store)
     assert report.to_json(canonical=True) == scenario_baseline()
 
     resumed_store = chaos_store(tmp_path / "store", MIXED_PLAN)
-    resumed = ScenarioCampaign(FUZZ, shards=2).run(store=resumed_store,
-                                                   resume=True)
+    resumed = ScenarioCampaign(FUZZ, shards=2).run(store=resumed_store)
     assert resumed.to_json(canonical=True) == scenario_baseline()
 
 
@@ -93,6 +92,6 @@ def test_scenario_campaign_survives_full_disk(tmp_path):
     plan = FaultPlan.make(7, rates={"store.put": 1.0},
                           kinds={"store.put": ("enospc",)}, max_per_hook=99)
     store = chaos_store(tmp_path / "store", plan, write_retries=1)
-    report = ScenarioCampaign(FUZZ, shards=2).run(store=store, resume=True)
+    report = ScenarioCampaign(FUZZ, shards=2).run(store=store)
     assert store.degraded
     assert report.to_json(canonical=True) == scenario_baseline()

@@ -69,8 +69,7 @@ def main() -> int:
         print("survived a SIGKILL?!")
         return 3
     if mode == "resume":
-        report = CbvCampaign(bundle).run(store=ArtifactStore(store_dir),
-                                         resume=True)
+        report = CbvCampaign(bundle).run(store=ArtifactStore(store_dir))
     elif mode == "cold":
         report = CbvCampaign(bundle).run()
     else:

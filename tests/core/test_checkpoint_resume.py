@@ -12,9 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.checks.registry import ALL_CHECKS
 from repro.core.campaign import CbvCampaign, DesignBundle
 from repro.core.report import report_to_json
-from repro.core.stages import FlowStage, StageStatus
+from repro.core.stages import STAGES, FlowStage, StageStatus
 from repro.netlist.builder import CellBuilder
 from repro.process.technology import strongarm_technology
 from repro.store import ArtifactStore, stage_keys
@@ -58,7 +61,7 @@ def test_resume_is_byte_identical_to_cold_run(tmp_path):
     cold = CbvCampaign(make_bundle()).run()
     store = ArtifactStore(tmp_path / "store")
     first = CbvCampaign(make_bundle()).run(store=store)
-    resumed = CbvCampaign(make_bundle()).run(store=store, resume=True)
+    resumed = CbvCampaign(make_bundle()).run(store=store)
 
     assert canonical(first) == canonical(cold)
     assert canonical(resumed) == canonical(cold)
@@ -75,7 +78,7 @@ def test_resume_restores_downstream_artifacts(tmp_path):
     would: flat netlist, recognized design, and timing report."""
     store = ArtifactStore(tmp_path / "store")
     CbvCampaign(make_bundle()).run(store=store)
-    resumed = CbvCampaign(make_bundle()).run(store=store, resume=True)
+    resumed = CbvCampaign(make_bundle()).run(store=store)
     assert resumed.flat is not None
     assert resumed.design is not None
     assert resumed.timing is not None
@@ -88,13 +91,12 @@ def test_corrupt_checkpoint_degrades_to_rerun(tmp_path):
     cold = CbvCampaign(bundle).run(store=store)
 
     # run() defaults checks=ALL_CHECKS; replicate for the circuit key
-    from repro.checks.registry import ALL_CHECKS
     keys = stage_keys(bundle, checks=ALL_CHECKS, timeout_s=None)
     blob = store._path(keys[FlowStage.CIRCUIT_VERIFICATION])
     raw = blob.read_bytes()
     blob.write_bytes(raw[: len(raw) // 2])  # torn write
 
-    resumed = CbvCampaign(make_bundle()).run(store=store, resume=True)
+    resumed = CbvCampaign(make_bundle()).run(store=store)
     corrupt = [e for e in resumed.trace.events
                if e.event == "checkpoint.corrupt"]
     assert corrupt and corrupt[0].name == "circuit_verification"
@@ -110,7 +112,7 @@ def test_skipped_stage_is_never_checkpointed(tmp_path):
     store = ArtifactStore(tmp_path / "store")
     CbvCampaign(bundle).run(store=store)
     resumed = CbvCampaign(make_bundle(rtl_intent={}, rtl_inputs={})).run(
-        store=store, resume=True)
+        store=store)
     assert resumed.stage(FlowStage.LOGIC_VERIFICATION).status \
         is StageStatus.SKIPPED
     assert "logic_verification" not in hits(resumed)
@@ -133,13 +135,11 @@ def test_bundle_decided_skips_are_not_looked_up(tmp_path):
     """A wireload design without RTL intent or vectors skips layout and
     logic verification whatever the store holds, so a resumed run never
     reads their keys -- and still reports exactly what a cold run does."""
-    from repro.checks.registry import ALL_CHECKS
-
     bundle = make_bundle(rtl_intent={}, rtl_inputs={}, use_layout=False)
     cold = CbvCampaign(bundle).run()
+    CbvCampaign(bundle).run(store=ArtifactStore(tmp_path / "store"))
     store = CountingStore(tmp_path / "store")
-    CbvCampaign(bundle).run(store=store)
-    resumed = CbvCampaign(bundle).run(store=store, resume=True)
+    resumed = CbvCampaign(bundle).run(store=store)
     keys = stage_keys(bundle, checks=ALL_CHECKS, timeout_s=None)
     skipped = {keys[FlowStage.LAYOUT], keys[FlowStage.LOGIC_VERIFICATION]}
     assert len(store.reads) == 5
@@ -150,14 +150,50 @@ def test_bundle_decided_skips_are_not_looked_up(tmp_path):
     assert canonical(resumed) == canonical(cold)
 
 
+# -- the stage table ----------------------------------------------------------
+
+
+def test_stage_keys_cover_exactly_the_stage_table():
+    keys = stage_keys(make_bundle(), checks=ALL_CHECKS, timeout_s=None)
+    assert list(keys) == list(STAGES)
+    assert len(set(keys.values())) == len(STAGES)
+
+
+def test_checkpoints_keep_exactly_the_tabled_artifacts(tmp_path):
+    bundle = make_bundle()
+    store = ArtifactStore(tmp_path / "store")
+    CbvCampaign(bundle).run(store=store)
+    for flow, key in stage_keys(bundle, checks=ALL_CHECKS,
+                                timeout_s=None).items():
+        payload, _meta = store.get(key)
+        assert set(payload["artifacts"]) == set(STAGES[flow].keeps), flow
+
+
+@pytest.mark.parametrize("flow,overrides", [
+    (FlowStage.LAYOUT, dict(use_layout=False)),
+    (FlowStage.LOGIC_VERIFICATION, dict(rtl_intent={}, rtl_inputs={})),
+])
+def test_bundle_only_skip_is_a_skipped_stage_never_checkpointed(
+        tmp_path, flow, overrides):
+    bundle = make_bundle(**overrides)
+    store = ArtifactStore(tmp_path / "store")
+    report = CbvCampaign(bundle).run(store=store)
+    events = [e for e in report.trace.events if e.name == flow.value]
+    assert [e.event for e in events] == ["stage_start", "stage_end"]
+    assert events[1].status == StageStatus.SKIPPED.value
+    assert report.stage(flow).status is StageStatus.SKIPPED
+    keys = stage_keys(bundle, checks=ALL_CHECKS, timeout_s=None)
+    assert not store.has(keys[flow])
+    assert len(report.trace.of("checkpoint.write")) == len(STAGES) - 1
+
+
 def test_design_edit_invalidates_only_affected_stages(tmp_path):
     store = ArtifactStore(tmp_path / "store")
     CbvCampaign(make_bundle()).run(store=store)
 
     cell = make_bundle().cell
     cell.transistors[0].w_um *= 2
-    resumed = CbvCampaign(make_bundle(cell=cell)).run(store=store,
-                                                      resume=True)
+    resumed = CbvCampaign(make_bundle(cell=cell)).run(store=store)
     # geometry is an input of every stage: nothing replays, all re-run
     assert hits(resumed) == []
     assert canonical(resumed) == canonical(

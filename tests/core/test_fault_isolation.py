@@ -219,7 +219,8 @@ def test_campaign_skips_true_dependents_after_recognition_error(
     def bad_recognize(*args, **kwargs):
         raise ValueError("recognizer choked")
 
-    monkeypatch.setattr("repro.core.campaign.recognize", bad_recognize)
+    # The campaign recognizes through its DesignCache.
+    monkeypatch.setattr("repro.perf.cache.recognize", bad_recognize)
     report = CbvCampaign(make_bundle(tech)).run()
     assert report.stage(FlowStage.RECOGNITION).status is StageStatus.ERROR
     # Layout/extraction only need the flat netlist: they still run.
@@ -317,12 +318,14 @@ def test_campaign_routes_through_make_context(tech, monkeypatch):
     assert cache.hits >= 1
 
 
-def test_campaign_cached_battery_matches_uncached(tech):
-    uncached = CbvCampaign(make_bundle(tech)).run()
-    cached = CbvCampaign(make_bundle(tech)).run(cache=DesignCache())
-    assert ([i.identity() for i in cached.queue.items]
-            == [i.identity() for i in uncached.queue.items])
-    assert cached.ok() == uncached.ok()
+def test_campaign_private_memo_cache_matches_process_memo_cache(tech):
+    # Given no cache, a campaign builds one over the process-wide
+    # classification memo; a DesignCache() carries a private memo.
+    process_memo = CbvCampaign(make_bundle(tech)).run()
+    private_memo = CbvCampaign(make_bundle(tech)).run(cache=DesignCache())
+    assert ([i.identity() for i in private_memo.queue.items]
+            == [i.identity() for i in process_memo.queue.items])
+    assert private_memo.ok() == process_memo.ok()
 
 
 # ---- triage regressions ------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Fleet chaos acceptance: hung workers, poison shards, clock jumps.
+"""Fleet chaos acceptance: hung workers, poison shards, clock jumps,
+full disks.
 
-Three supervision behaviors the SIGKILL death test cannot reach:
+Four behaviors the SIGKILL death test cannot reach:
 
 * a SIGSTOPped worker is *alive* -- only the heartbeat-age watchdog
   can notice it, kill it, and requeue its job;
@@ -8,8 +9,13 @@ Three supervision behaviors the SIGKILL death test cannot reach:
   (ERROR-status circuit stage) instead of eating the respawn budget
   and abandoning the design;
 * a lease-clock jump must re-arm the leases of provably live workers,
-  not hand their jobs out twice.
+  not hand their jobs out twice;
+* a full disk lands no shard blob at all, so finalize and rollup must
+  recompute the shards they cannot load -- as a serial campaign runs on
+  un-checkpointed.
 """
+
+import pytest
 
 from fleet_harness import (
     STOP_SENTINEL_ENV,
@@ -23,7 +29,14 @@ from repro.checks.registry import ALL_CHECKS
 from repro.core.campaign import CbvCampaign
 from repro.core.report import report_to_json
 from repro.core.stages import FlowStage, StageStatus
-from repro.fleet import FleetConfig, run_fleet
+from repro.fleet import FleetConfig, run_fleet, run_scenario_fleet
+from repro.fleet.suite import SEED_SUITE
+from repro.scenarios import MonteCarloSpec, ScenarioCampaign
+
+#: Every store write hits ENOSPC: each worker's store degrades on its
+#: first write and skips every later one.
+FULL_DISK = FaultPlan.make(7, rates={"store.put": 1.0},
+                           kinds={"store.put": ("enospc",)})
 
 
 def test_sigstopped_worker_is_reaped_by_the_watchdog(tmp_path, monkeypatch):
@@ -101,3 +114,34 @@ def test_clock_jump_rearms_live_leases_instead_of_requeueing(tmp_path):
     baseline = CbvCampaign(dp_bundle()).run()
     assert (report_to_json(result.reports["dp"], canonical=True)
             == report_to_json(baseline, canonical=True))
+
+
+@pytest.mark.parametrize("designs,workers", [
+    (("adder8",), 1),
+    (("adder8", "alpha_slice"), 2),
+])
+def test_fleet_survives_a_full_disk(tmp_path, designs, workers):
+    suite = {name: SEED_SUITE[name] for name in designs}
+    config = FleetConfig(store_dir=str(tmp_path / "store"),
+                         heartbeat_s=0.1, fleet_timeout_s=180.0,
+                         chaos=FULL_DISK)
+    result = run_fleet(suite, workers=workers, config=config)
+
+    assert result.failed == {}
+    for name, factory in suite.items():
+        assert (report_to_json(result.reports[name], canonical=True)
+                == report_to_json(CbvCampaign(factory()).run(),
+                                  canonical=True))
+
+
+def test_scenario_fleet_survives_a_full_disk(tmp_path):
+    spec = MonteCarloSpec(name="cascade-mc", campaign_seed=2026, samples=48)
+    config = FleetConfig(store_dir=str(tmp_path / "store"),
+                         heartbeat_s=0.1, fleet_timeout_s=180.0,
+                         chaos=FULL_DISK)
+    result = run_scenario_fleet({spec.name: spec}, workers=2, shards=4,
+                                config=config)
+
+    assert result.failed == {}
+    assert (result.reports[spec.name].to_json(canonical=True)
+            == ScenarioCampaign(spec, shards=4).run().to_json(canonical=True))

@@ -159,7 +159,6 @@ def test_session_modes_are_one_computation(tmp_path, design):
 
 
 def test_session_budget(tmp_path, monkeypatch):
-    import repro.checks.driver as driver_mod
     import repro.perf.cache as cache_mod
     import repro.store.checkpoint as checkpoint_mod
 
@@ -177,8 +176,8 @@ def test_session_budget(tmp_path, monkeypatch):
         return real_annotate(flat, parasitics, technology, corner)
 
     monkeypatch.setattr(checkpoint_mod, "design_fingerprint", counting_fp)
+    # Every check context annotates through a DesignCache.
     monkeypatch.setattr(cache_mod, "annotate", counting_annotate)
-    monkeypatch.setattr(driver_mod, "annotate", counting_annotate)
 
     config = FleetConfig()
     ref = "repro.fleet.suite:alpha_slice"
@@ -284,7 +283,8 @@ def test_a_read_fault_without_the_session_still_quarantines_and_reruns(
                                                          canonical=True)
 
 
-def test_sessions_are_bounded_and_dropped_by_finalize(tmp_path):
+def test_sessions_are_bounded_and_dropped_by_finalize(tmp_path,
+                                                      monkeypatch):
     config = FleetConfig()
     store = ArtifactStore(tmp_path / "store")
     sessions = WorkerSessions()
@@ -298,10 +298,14 @@ def test_sessions_are_bounded_and_dropped_by_finalize(tmp_path):
     # A finalize that errors drops its session too.
     design, ref = designs[-1], variant_ref(len(designs) - 1)
     wt = CampaignTrace(worker_id="w0")
-    prep = execute_job(prepare_job(design, ref), store, config, wt, sessions)
-    shards = battery_jobs(design, ref, prep["cccs"], config)
-    with pytest.raises(RuntimeError, match="could not assemble"):
-        execute_job(finalize_job(design, ref, shards), store, config, wt,
+    execute_job(prepare_job(design, ref), store, config, wt, sessions)
+
+    def broken_export(report):
+        raise RuntimeError("report export failed")
+
+    monkeypatch.setattr("repro.fleet.worker.report_to_dict", broken_export)
+    with pytest.raises(RuntimeError, match="report export failed"):
+        execute_job(finalize_job(design, ref, []), store, config, wt,
                     sessions)
     assert design not in sessions
 

@@ -64,11 +64,11 @@ def test_every_emitted_key_is_declared(tmp_path):
         for _ in ("cold", "resumed"):
             store = ArtifactStore(tmp_path / f"store-{name}")
             seen |= _campaign_keys(
-                CbvCampaign(factory()).run(store=store, resume=True))
+                CbvCampaign(factory()).run(store=store))
     chaos = ChaosStore(tmp_path / "chaos", CHAOS, lock_stale_s=0.2,
                        lock_timeout_s=5.0, write_backoff_s=0.005)
     seen |= _campaign_keys(
-        CbvCampaign(alpha_slice()).run(store=chaos, resume=True))
+        CbvCampaign(alpha_slice()).run(store=chaos))
     seen |= _campaign_keys(CbvCampaign(chip_bundle(1000, 0, False)).run(
         cache=DesignCache()))
     for spec in (FUZZ, MC):

@@ -89,7 +89,7 @@ def test_resume_replays_checkpoints_without_rerunning_seeds(
         raise AssertionError("a checkpointed seed was re-run")
 
     monkeypatch.setattr(campaign_mod, "run_shard", forbid)
-    resumed = ScenarioCampaign(FUZZ, shards=4).run(store=store, resume=True)
+    resumed = ScenarioCampaign(FUZZ, shards=4).run(store=store)
     events = [e.event for e in resumed.trace.events]
     assert events.count("checkpoint.hit") == 4
     assert "checkpoint.write" not in events
@@ -124,7 +124,7 @@ def test_killed_campaign_resumes_without_rerunning_seeds(
         return run_shard(spec_ref, lo, hi, worker_id=worker_id)
 
     monkeypatch.setattr(campaign_mod, "run_shard", counting)
-    resumed = ScenarioCampaign(FUZZ, shards=4).run(store=store, resume=True)
+    resumed = ScenarioCampaign(FUZZ, shards=4).run(store=store)
     # Only the two missing shards ran; the checkpointed seeds replayed.
     assert sorted(resumed_calls) == sorted(
         b for b in campaign_mod.shard_bounds(FUZZ, 4) if b not in calls)
@@ -140,7 +140,7 @@ def test_corrupt_checkpoint_is_quarantined_and_rerun(tmp_path):
     key = shard_key(FUZZ, 0, 2)
     store.invalidate(key)
     store.put(key, {"junk": True})  # wrong shape, verifies fine
-    resumed = ScenarioCampaign(FUZZ, shards=2).run(store=store, resume=True)
+    resumed = ScenarioCampaign(FUZZ, shards=2).run(store=store)
     events = [e.event for e in resumed.trace.events]
     assert "checkpoint.corrupt" in events
     assert events.count("checkpoint.hit") == 1  # the intact shard

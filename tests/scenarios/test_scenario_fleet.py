@@ -53,7 +53,7 @@ def test_fleet_reports_are_byte_identical_across_worker_counts(tmp_path):
 def test_fleet_rerun_resumes_from_shard_checkpoints(tmp_path):
     # Same store_dir, same spec, same shard layout: the second fleet
     # run must reload every shard checkpoint instead of recomputing --
-    # the fleet analogue of ScenarioCampaign(resume=True).
+    # the fleet analogue of a ScenarioCampaign run over a store.
     config = fast_config(tmp_path)
     first = run_scenario_fleet({FUZZ.name: FUZZ}, workers=2, shards=SHARDS,
                                config=config)

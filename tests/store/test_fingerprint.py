@@ -4,14 +4,10 @@ stages whose declared inputs changed."""
 import dataclasses
 
 from repro.core.campaign import DesignBundle
-from repro.core.stages import FlowStage
+from repro.core.stages import STAGES, FlowStage
 from repro.netlist.builder import CellBuilder
 from repro.process.technology import strongarm_technology
-from repro.store import (
-    STAGE_INPUTS,
-    design_fingerprint,
-    stage_keys,
-)
+from repro.store import design_fingerprint, stage_keys
 from repro.store.fingerprint import (
     fingerprint_callable,
     fingerprint_cell_geometry,
@@ -57,14 +53,14 @@ def test_identical_bundles_share_every_key():
 def test_every_executed_stage_has_declared_inputs():
     # BEHAVIORAL_RTL is the paper's upstream input, not a stage the
     # campaign executes; every stage run() can reach has a dependency set
-    assert set(STAGE_INPUTS) == set(FlowStage) - {FlowStage.BEHAVIORAL_RTL}
+    assert set(STAGES) == set(FlowStage) - {FlowStage.BEHAVIORAL_RTL}
 
 
 def test_device_resize_invalidates_everything():
     cell = small_cell()
     cell.transistors[0].w_um *= 2
     assert changed_stages(make_bundle(), make_bundle(cell=cell)) \
-        == set(STAGE_INPUTS)
+        == set(STAGES)
 
 
 def test_pessimism_tweak_invalidates_timing_only():
