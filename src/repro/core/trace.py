@@ -184,6 +184,8 @@ class CampaignTrace:
         self.worker_id = worker_id
         self._watch = Stopwatch()
         self.events: list[TraceEvent] = []
+        #: Events handed over by :meth:`drain`, no longer held here.
+        self._drained = 0
 
     # -- recording -----------------------------------------------------------
 
@@ -193,7 +195,7 @@ class CampaignTrace:
              detail: str = "") -> TraceEvent:
         """Append one event stamped with the trace clock."""
         record = TraceEvent(
-            seq=len(self.events),
+            seq=self._drained + len(self.events),
             t_s=self._watch.elapsed(),
             event=event,
             name=name,
@@ -219,6 +221,15 @@ class CampaignTrace:
         for e in parsed:
             self.emit(e.event, name=e.name, status=e.status,
                       wall_s=e.wall_s, counters=e.counters, detail=e.detail)
+
+    def drain(self) -> list[TraceEvent]:
+        """Hand over the events recorded since the last drain and stop
+        holding them.  Sequence numbers run on across drains, so a
+        drained trace's events keep the ``(worker, seq)`` identities an
+        undrained one would give them."""
+        events, self.events = self.events, []
+        self._drained += len(events)
+        return events
 
     # -- queries -------------------------------------------------------------
 

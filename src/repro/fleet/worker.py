@@ -12,12 +12,13 @@ every message is a picklable tuple
 where ``kind`` is ``ready`` / ``heartbeat`` / ``done`` / ``error`` /
 ``bye`` and ``events`` carries the worker-trace slice recorded since the
 previous message, so the scheduler can assemble the full fleet log even
-from workers that later die.  Messages go out synchronously on the
-worker's own pipe to the scheduler, one at a time: a worker killed
-partway through a message tears only its own channel.  A daemon thread
-heartbeats the current job id every ``FleetConfig.heartbeat_s`` so the
-scheduler can renew the job's lease; a worker that is SIGKILLed simply
-stops heartbeating and its lease expires.
+from workers that later die; the worker keeps no event it has sent.
+Messages go out synchronously on the worker's own pipe to the
+scheduler, one at a time: a worker killed partway through a message
+tears only its own channel.  A daemon thread heartbeats the current job
+id every ``FleetConfig.heartbeat_s`` so the scheduler can renew the
+job's lease; a worker that is SIGKILLed simply stops heartbeating and
+its lease expires.
 
 Job execution leans entirely on the campaign's own checkpoint/resume,
 run against the design's :class:`~repro.fleet.session.DesignSession`:
@@ -250,13 +251,11 @@ def worker_main(worker_id: str, inbox, outbox, config: FleetConfig) -> None:
         store = ArtifactStore(config.store_dir)
     wt = CampaignTrace(worker_id=worker_id)
     sessions = WorkerSessions()
-    cursor = 0
 
     def drain() -> list[dict]:
-        nonlocal cursor
-        events = [e.to_dict() for e in wt.events[cursor:]]
-        cursor = len(wt.events)
-        return events
+        # The worker keeps no event it has sent: a long-lived worker's
+        # trace holds one job's events at most.
+        return [e.to_dict() for e in wt.drain()]
 
     send_lock = threading.Lock()
 

@@ -6,9 +6,10 @@ constructor, same testbench interface, same :class:`Logic` results,
 same history stream, same oscillation detection -- that replaces the
 reference's per-net walk of the
 :class:`~repro.switchsim.tables.PackedSwitchTables` both engines read
-with batched numpy array ops over the same arrays.  It is built to be
-**bit-identical** to the reference engine, not merely equivalent; the
-reference stays authoritative and the equivalence is property-tested
+with batched numpy array ops over the same arrays, where a batch pays
+for itself.  It is built to be **bit-identical** to the reference
+engine, not merely equivalent; the reference stays authoritative and
+the equivalence is property-tested
 (``tests/switchsim/test_vector_equivalence.py``).
 
 Two levels of batching recover the reference's strictly sequential
@@ -16,10 +17,10 @@ semantics:
 
 **Speculative frontier scheduling (across CCCs).**  The reference pops
 one CCC at a time from a smallest-index-first worklist.  Here, every
-pending CCC is evaluated *speculatively* in one batched pass against a
-copy of the current state, then results are applied one CCC at a time
-in exactly the reference's pop order.  Before applying a CCC's result
-we check its dirty-version counter: any disturbance recorded since the
+pending CCC is evaluated *speculatively* in one pass against the
+current state, then results are applied one CCC at a time in exactly
+the reference's pop order.  Before applying a CCC's result we check
+its dirty-version counter: any disturbance recorded since the
 speculation (a gate or port input changed by an earlier apply) bumps
 the counter and the stale result is discarded, falling back to a fresh
 speculation pass.  A surviving result provably read nothing any earlier
@@ -27,27 +28,38 @@ apply wrote: cross-CCC influence flows only through gate/port nets,
 every such write bumps the reader's version, and external nets are read
 from the pre-pass base state (see ``cond_internal`` in the tables), so
 applying a surviving result is exactly what the reference would have
-computed at that point.  When the frontier is wide (independent CCCs,
-the common case after a clock edge) one numpy pass replaces hundreds of
-Python evaluations and nothing is discarded.
+computed at that point.
 
-**Wave-leveled solving (within and across CCC evaluations).**  Inside
-one evaluation the reference solves channel nets in sorted order with
+**Wave-leveled solving (within one CCC evaluation).**  Inside one
+evaluation the reference solves channel nets in sorted order with
 mid-pass visibility.  The packed tables levelize that order into static
-*waves* such that solving whole waves at once -- all CCCs together --
-observes exactly the sequential intermediate states; mid-pass
-expansions (a changed net opening paths for later nets) always target
-strictly greater waves, so the wave sweep picks them up like the
-sequential pass would.  A pass keeps its wave queue as a boolean mask
-over the snapshot's rows and pops the lowest queued wave with one
-``flatnonzero``: rows come out ascending and each once, with no sort.
+*waves* such that solving whole waves at once observes exactly the
+sequential intermediate states; mid-pass expansions (a changed net
+opening paths for later nets) always target strictly greater waves, so
+the wave sweep picks them up like the sequential pass would.
+
+**Small CCCs in Python, large ones batched.**  A speculated CCC reads
+only its own channel nets from the pass's overlay and everything else
+from committed state, so the CCCs of a pass are independent, and each
+can be evaluated on its own.  A CCC with fewer than
+:data:`_NUMPY_MIN_DEVICES` live devices is: in plain Python
+(:meth:`VectorSwitchSimulator._settle_small`), on Python lists of the
+tables' per-row and per-device columns built once per simulator, and
+on its path rows read from the tables' arrays when a row is solved,
+because a numpy pass costs a fixed few hundred microseconds that such
+a CCC's whole evaluation does not.  The larger CCCs of a pass share
+one batched numpy pass: its wave queue is a boolean mask over their
+rows, and each pop takes the queued rows of the lowest wave with one
+``flatnonzero`` -- ascending and each once, with no sort -- for all of
+them together.  Which branch evaluates a CCC changes no result and no
+counter: the speculation schedule is the same either way.
 
 **Reach first, rows for fights.**  Most solves need no conduction
 path: which source levels reach a net decides them.  Each wave reads
 its CCCs' live devices as on, off or X -- a gate inside the device's
 own CCC read from the speculative overlay, any other from committed
-state, as the tables split conditions -- and one batched pass
-propagates the source levels {0, 1, X} over them, once through on
+state, as the tables split conditions -- and propagates the source
+levels {0, 1, X} over them as 6-bit node masks, once through on
 devices (ON) and once through on-or-X devices (MAY): vdd, gnd and the
 ports the testbench holds are the sources, rails end paths, and ports
 are passed through, exactly the rules of the tables' path sweeps.
@@ -65,13 +77,14 @@ might remove, and every row of a CCC whose tables flag it
 ``rows_only`` -- reads its stamped conduction-path rows, stamped into
 its CCC on first need, and is solved by the path sums below, each
 condition read with the same overlay/committed split.  No per-path
-state follows gate changes; a path only remembers the condition last
-found blocking it, which a solve reads first.
+state follows gate changes; a batched solve only remembers, per path,
+the condition last found blocking it, which it reads first.
 
-The per-net resolution (conductance buckets, dominance-ratio fights,
-charge retention) is evaluated with masked ``np.bincount`` segment
-sums, which accumulate in array order -- the same float addition order
-as the reference's scalar loop, hence bit-identical conductance totals.
+The path sums add each row's path conductances in path order, the
+reference's float addition order, hence bit-identical totals: a small
+CCC's row solve walks the paths one by one as
+:meth:`SwitchSimulator._solve_net` does, and the batched solve uses
+masked ``np.bincount`` segment sums, which accumulate in array order.
 """
 
 from __future__ import annotations
@@ -86,6 +99,14 @@ from repro.switchsim.values import Logic, NetState
 
 _LOGIC = (Logic.ZERO, Logic.ONE, Logic.X)
 
+#: Live devices from which a CCC's speculative evaluation joins the
+#: pass's batched numpy solve; a smaller CCC is settled on its own in
+#: plain Python.  The conduction sweep's size rule (its
+#: ``_BFS_MIN_DEVICES``): numpy's fixed cost per pass outweighs a small
+#: CCC's whole evaluation, while a Python evaluation of a 448-device
+#: bus CCC costs more than a batched pass.  Read at call time.
+_NUMPY_MIN_DEVICES = 48
+
 #: Reach bits of a node: the source levels 0, 1, X reaching it through
 #: on devices in bits 0-2 (ON), through on-or-X devices in bits 3-5
 #: (MAY).  A source of level ``v`` sets ``_BOTH << v``.
@@ -95,6 +116,7 @@ _BOTH = np.uint8(9)
 #: when on, the MAY half at X, none when off.  Level 2 is a device a
 #: rail gates on, whatever its gate slot reads.
 _PASS = np.array([63, 0, 56, 0, 63, 56, 63, 63, 63], np.uint8)
+_PASS_LIST = _PASS.tolist()
 
 
 def _decision_table() -> np.ndarray:
@@ -115,31 +137,7 @@ def _decision_table() -> np.ndarray:
 
 
 _DECIDE = _decision_table()
-
-
-class _Speculation:
-    """Result of one batched speculative pass over a frontier snapshot.
-
-    ``rows``/``val``/``drv``/``vchg`` hold the state-changing rows of
-    *all* snapshot CCCs, sorted by global row id (which is (CCC, net)
-    order, so per-CCC slices are contiguous and already in the
-    reference's history order).  ``solved[ccc]`` counts rows actually
-    solved for that CCC, ``by_rows[ccc]`` those of them that read
-    conduction-path rows; ``versions`` are the dirty-version counters
-    at speculation time, checked before each apply.
-    """
-
-    __slots__ = ("versions", "rows", "val", "drv", "vchg", "solved",
-                 "by_rows")
-
-    def __init__(self, versions, rows, val, drv, vchg, solved, by_rows):
-        self.versions = versions
-        self.rows = rows
-        self.val = val
-        self.drv = drv
-        self.vchg = vchg
-        self.solved = solved
-        self.by_rows = by_rows
+_DECIDE_LIST = _DECIDE.tolist()
 
 
 class VectorSwitchSimulator(SwitchSimulator):
@@ -156,7 +154,7 @@ class VectorSwitchSimulator(SwitchSimulator):
         T = self._tables
         # Numpy mirror of self.state, kept in lockstep: the state dict
         # stays authoritative for all API reads, the arrays feed the
-        # batched solves.
+        # solves.
         self._val = np.full(T.n_nets, 2, np.int8)
         self._driven = np.zeros(T.n_nets, bool)
         self._ext = np.zeros(T.n_nets, bool)
@@ -165,7 +163,7 @@ class VectorSwitchSimulator(SwitchSimulator):
             self._val[rid] = level
             self._driven[rid] = True
         # Per stamped path, the condition last found blocking it (-1:
-        # none yet): a hint that only orders the row solves' reads.
+        # none yet): a hint that only orders the batched solves' reads.
         self._watch = np.empty(0, np.int64)
         # Reach scratch per row, all zero between passes, and each row's
         # source bits while the testbench holds it as a port (see _reach).
@@ -173,13 +171,37 @@ class VectorSwitchSimulator(SwitchSimulator):
         self._held = np.zeros(T.n_rows, np.uint8)
         self._net_row = np.full(T.n_nets, -1, np.int64)
         self._net_row[T.row_net] = np.arange(T.n_rows)
+        # Per CCC, as Python ints for the per-CCC path: its rows are
+        # row_ptr[i]:row_ptr[i + 1], its live devices likewise in
+        # dev_ptr.  CCC row ranges are contiguous and in CCC order.
+        self._row_ptr = T.ccc_row_start.tolist() + [T.n_rows]
+        self._dev_ptr = T.dev_ptr.tolist()
+        self._rows_only = T.ccc_rows_only.tolist()
+        self._wave = T.row_wave.tolist()
+        # Per row, the mid-pass expansion rows as positions in its CCC.
+        first = T.ccc_row_start[T.row_ccc]
+        self._later_ptr = T.aff_later_ptr.tolist()
+        self._later = (T.aff_later_rows - np.repeat(
+            first, np.diff(T.aff_later_ptr))).tolist()
+        # Per live device, positions in its CCC: a channel end, the
+        # other end or -1 - the rail's net, and the gate when it is a
+        # channel net of the CCC, else -1 - the gate's net (net 0 for a
+        # device a rail gates on, whose level 2 ignores the gate).
+        dev_first = np.repeat(T.ccc_row_start, np.diff(T.dev_ptr))
+        self._dev_a = (T.dev_a - dev_first).tolist()
+        self._dev_far = np.where(T.dev_b >= 0, T.dev_b - dev_first,
+                                 -1 - T.dev_rail).tolist()
+        self._dev_gate = np.where(
+            T.dev_internal, self._net_row[T.dev_gate] - dev_first,
+            -1 - np.maximum(T.dev_gate, 0)).tolist()
+        self._dev_level3 = (T.dev_level.astype(np.int64) * 3).tolist()
         # Bumped on *every* disturbance of a CCC's fan-in -- including
         # ones that land while its dirty set is None -- so speculative
         # results can detect staleness exactly.
         self._dirty_version = [0] * len(T.cccs)
-        # vector-only: batched passes run, and speculative CCC results
-        # discarded as stale (pure waste, never wrong); applied solves
-        # decided by reach and solved from conduction-path rows.
+        # vector-only: speculative passes run, and speculative CCC
+        # results discarded as stale (pure waste, never wrong); applied
+        # solves decided by reach and solved from conduction-path rows.
         self.counters["vector_passes"] = 0
         self.counters["vector_wasted_evals"] = 0
         self.counters["reach_solves"] = 0
@@ -223,11 +245,10 @@ class VectorSwitchSimulator(SwitchSimulator):
             self._held[self._net_row[nid]] = (_BOTH << st.value.value
                                               if held else 0)
 
-    # -- the batched settle loop ---------------------------------------
+    # -- the speculative settle loop -----------------------------------
 
     def settle(self, max_events: int = 100000) -> int:
-        T = self._tables
-        n = len(T.cccs)
+        n = len(self._tables.cccs)
         dirty = self._dirty
         versions = self._dirty_version
         gate_readers = self._gate_readers
@@ -240,15 +261,15 @@ class VectorSwitchSimulator(SwitchSimulator):
             in_pending[i] = True
             pend[i] = True
         evaluations = 0
-        # Speculation cache: idx -> (version, spec, row slice, solved).
-        # Entries are single-use (dropped at apply, because applying a
-        # CCC changes its own internal nets without bumping its version)
-        # and version-guarded (any disturbance of the CCC's fan-in since
+        # Speculation cache: idx -> (version, result).  Entries are
+        # single-use (dropped at apply, because applying a CCC changes
+        # its own internal nets without bumping its version) and
+        # version-guarded (any disturbance of the CCC's fan-in since
         # speculation invalidates the entry).  The loop always applies
         # the true heap minimum, so apply order is exactly the
         # reference's pop order; the cache only decides whether that
-        # result comes from an earlier batched pass or a fresh one.
-        cache: dict[int, tuple[int, _Speculation, int, int, int]] = {}
+        # result comes from an earlier pass or a fresh one.
+        cache: dict[int, tuple[int, tuple]] = {}
         # Adaptive speculation depth: grow toward the number of entries
         # consumed between refills (wide independent frontiers), shrink
         # when serial propagation invalidates entries quickly.
@@ -281,14 +302,9 @@ class VectorSwitchSimulator(SwitchSimulator):
                     snap.append(i)
                     if len(snap) == batch:
                         break
-                spec = self._speculate(snap)
                 counters["vector_passes"] += 1
-                snap_arr = np.asarray(snap, np.int64)
-                lo = np.searchsorted(spec.rows, T.ccc_row_start[snap_arr])
-                hi = np.searchsorted(spec.rows, T.ccc_row_end[snap_arr])
-                for j, i in enumerate(snap):
-                    cache[i] = (spec.versions[i], spec, int(lo[j]),
-                                int(hi[j]), int(spec.solved[i]))
+                for i, result in zip(snap, self._speculate(snap)):
+                    cache[i] = (versions[i], result)
                 entry = cache[idx]
             evaluations += 1
             if evaluations > max_events:
@@ -301,7 +317,7 @@ class VectorSwitchSimulator(SwitchSimulator):
             heapq.heappop(heap)  # == idx: it was heap[0]
             del cache[idx]
             applied_since_refill += 1
-            changed = self._apply(idx, entry)
+            changed = self._apply(idx, entry[1])
             for net in changed:
                 for r in gate_readers.get(net, ()):
                     d = dirty[r]
@@ -329,14 +345,210 @@ class VectorSwitchSimulator(SwitchSimulator):
 
     # -- speculation ----------------------------------------------------
 
-    def _speculate(self, snap: list[int]) -> _Speculation:
-        """Batch-evaluate every snapshot CCC against current state.
+    def _speculate(self, snap: list[int]) -> list[tuple]:
+        """Evaluate every snapshot CCC against current state; returns,
+        per CCC in snapshot order, ``(changes, naive, solved, by_rows)``:
+        its state-changing rows as ``(row, value, driven, value
+        changed)`` in row order (the reference's history order), its
+        rows the testbench does not hold, and how many of them it
+        solved, from path rows or by reach.
 
-        Pure: writes only overlay copies.  Internal (own-CCC channel)
-        nets read the overlay -- that is the wave-semantics mid-pass
-        visibility -- while external gate nets read the untouched base
-        state, so no speculative cross-CCC leakage is possible.
+        Pure: writes only overlay copies.  A CCC's own channel nets read
+        its evaluation's overlay -- that is the wave-semantics mid-pass
+        visibility -- while every other net reads the untouched base
+        state, so no speculative cross-CCC leakage is possible, and the
+        CCCs can be evaluated apart: those of at least
+        ``_NUMPY_MIN_DEVICES`` live devices in one batched pass, each
+        smaller one on its own.
         """
+        dev_ptr = self._dev_ptr
+        bound = _NUMPY_MIN_DEVICES
+        large = [i for i in snap if dev_ptr[i + 1] - dev_ptr[i] >= bound]
+        batched = self._speculate_batched(large) if large else {}
+        return [batched[i] if i in batched else self._settle_small(i)
+                for i in snap]
+
+    def _settle_small(self, idx: int) -> tuple:
+        """One CCC's speculative evaluation in plain Python.
+
+        The batched pass's steps for a single CCC, on Python lists: pop
+        the queued rows of the lowest wave, decide them by reach over
+        the CCC's live devices (:func:`_reach_small`), solve the rows
+        reach leaves open from their paths (:meth:`_solve_small`), then
+        write the wave's results and queue the later rows a value change
+        re-opens.
+        """
+        T = self._tables
+        base = self._val
+        r0, r1 = self._row_ptr[idx], self._row_ptr[idx + 1]
+        nets = T.row_net[r0:r1]
+        owned = self._ext[nets].tolist()  # the testbench holds those
+        naive = owned.count(False)
+        dirty = self._dirty[idx]
+        if dirty is None:
+            queued = set(range(r1 - r0))
+        else:
+            aff = T.affected_rows[idx]
+            hits = [aff[t] for t in dirty if t in aff]
+            queued = set((np.concatenate(hits) - r0).tolist()
+                         if hits else ())
+        changes: list[tuple[int, int, bool, bool]] = []
+        if not queued:
+            return changes, naive, 0, 0
+        cur = base[nets].tolist()  # the overlay, by row position
+        drv = self._driven[nets].tolist()
+        wave = self._wave[r0:r1]
+        rows_only = self._rows_only[idx]
+        if not rows_only:
+            src_bits = self._held[r0:r1].tolist()
+            devices = self._small_devices(idx)
+        later, later_ptr = self._later, self._later_ptr
+        solved = by_rows = 0
+        while queued:
+            w = min([wave[p] for p in queued])
+            todo = sorted([p for p in queued if wave[p] == w])
+            queued.difference_update(todo)
+            todo = [p for p in todo if not owned[p]]
+            if not todo:
+                continue
+            solved += len(todo)
+            if rows_only:
+                codes = [-1] * len(todo)
+            else:
+                bits = _reach_small(devices, cur, src_bits)
+                codes = [_DECIDE_LIST[bits[p] * 3 + cur[p]] for p in todo]
+            open_ = [k for k, code in enumerate(codes) if code < 0]
+            if open_:
+                by_rows += len(open_)
+                for k, code in zip(open_, self._solve_small(
+                        idx, r0, [todo[k] for k in open_], cur)):
+                    codes[k] = code
+            for p, code in zip(todo, codes):
+                v, d = code % 3, code >= 3
+                vc = v != cur[p]
+                if vc or d != drv[p]:
+                    changes.append((r0 + p, v, d, vc))
+                    cur[p] = v
+                    drv[p] = d
+                if vc:
+                    # Mid-pass expansion: only rows at later positions,
+                    # which sit at strictly greater waves.
+                    queued.update(later[later_ptr[r0 + p]:
+                                        later_ptr[r0 + p + 1]])
+        changes.sort()
+        return changes, naive, solved, by_rows
+
+    def _small_devices(self, idx: int) -> list[tuple[int, int, int, int,
+                                                      int]]:
+        """The live devices of CCC ``idx`` that committed state leaves
+        able to conduct, as ``(a, far, gate, level3, passes)`` (see
+        :func:`_reach_small`): for a gate inside the CCC, its row
+        position and ``level * 3``, the pass mask then read per wave
+        from the overlay; for any other, -1 and its fixed pass mask."""
+        d0, d1 = self._dev_ptr[idx], self._dev_ptr[idx + 1]
+        value = self._val.item
+        both = int(_BOTH)
+        devices = []
+        for a, far, gate, level3 in zip(
+                self._dev_a[d0:d1], self._dev_far[d0:d1],
+                self._dev_gate[d0:d1], self._dev_level3[d0:d1]):
+            passes = 0
+            if gate < 0:
+                passes = _PASS_LIST[level3 + value(-1 - gate)]
+                if not passes:
+                    continue
+                gate = -1
+            if far < 0:
+                far = -(both << value(-1 - far))
+            devices.append((a, far, gate, level3, passes))
+        return devices
+
+    def _solve_small(self, idx: int, r0: int, todo: list[int],
+                     cur: list[int]) -> list[int]:
+        """:meth:`SwitchSimulator._solve_net` for rows ``r0 + p`` of CCC
+        ``idx`` (stamping it first), each as a reach code: the value,
+        plus 3 when driven.  ``cur`` is the overlay by row position.
+
+        Walks each row's paths in path order and adds conductances as
+        the reference does, so the sums agree bit for bit.  An active
+        source is a rail or a port the testbench holds, which no solve
+        writes, so its committed value is its overlay value.
+        """
+        T = self._tables
+        if not T.ccc_stamped[idx]:
+            T.stamp((idx,))
+        base = self._val
+        ratio = self.dominance_ratio
+        codes = []
+        for p in todo:
+            start = T.row_path_start.item(r0 + p)
+            stop = start + T.row_path_count.item(r0 + p)
+            src = T.path_src[start:stop]
+            live = (T.path_src_rail[start:stop] | self._ext[src]).tolist()
+            source = base[src].tolist()
+            path_g = T.path_g[start:stop].tolist()
+            cond_ptr = T.cond_ptr[start:stop + 1].tolist()
+            c0, c1 = cond_ptr[0], cond_ptr[-1]
+            gate = T.cond_gate[c0:c1]
+            # A gate inside the CCC as its row position, any other as
+            # minus one minus its committed value.
+            gate_at = np.where(T.cond_internal[c0:c1],
+                               self._net_row[gate] - r0,
+                               -1 - base[gate].astype(np.int64)).tolist()
+            level = T.cond_level[c0:c1].tolist()
+            def0 = def1 = may0 = may1 = 0.0
+            poss0 = poss1 = definite_x = False
+            for k, active in enumerate(live):
+                if not active:
+                    continue
+                maybe = False
+                for c in range(cond_ptr[k] - c0, cond_ptr[k + 1] - c0):
+                    at = gate_at[c]
+                    value = cur[at] if at >= 0 else -1 - at
+                    if value + level[c] == 1:
+                        break
+                    if value == 2:
+                        maybe = True
+                else:
+                    sv = source[k]
+                    g = path_g[k]
+                    if sv == 2:
+                        poss0 = poss1 = True
+                        may0 += g
+                        may1 += g
+                        if not maybe:
+                            definite_x = True
+                    elif sv == 0:
+                        poss0 = True
+                        if maybe:
+                            may0 += g
+                        else:
+                            def0 += g
+                    else:
+                        poss1 = True
+                        if maybe:
+                            may1 += g
+                        else:
+                            def1 += g
+            if def0 > 0.0 or def1 > 0.0:
+                if def0 >= ratio * (def1 + may1) and not definite_x:
+                    codes.append(0 + 3)
+                elif def1 >= ratio * (def0 + may0) and not definite_x:
+                    codes.append(1 + 3)
+                else:
+                    codes.append(2 + 3)
+            elif definite_x:
+                codes.append(2 + 3)
+            elif poss0 != poss1 and cur[p] == (0 if poss0 else 1):
+                codes.append(cur[p])  # the only disturbance agrees
+            else:
+                codes.append(2 if poss0 or poss1 else cur[p])
+        return codes
+
+    def _speculate_batched(self, snap: list[int]) -> dict[int, tuple]:
+        """:meth:`_speculate` for CCCs ``snap`` (ascending) in one
+        batched numpy pass: every wave's queued rows of all of them
+        together, decided by :meth:`_reach` and :meth:`_solve_rows`."""
         T = self._tables
         base = self._val  # read-only during speculation
         val = base.copy()
@@ -346,10 +558,8 @@ class VectorSwitchSimulator(SwitchSimulator):
         # The wave queue: a mask over the snapshot's rows (every row a
         # pass can reach is a snapshot CCC's).  Popping takes all queued
         # rows of the lowest wave, ascending.
-        base_row = int(T.ccc_row_start[min(snap)])
-        queued = np.zeros(int(T.ccc_row_end[max(snap)]) - base_row, bool)
-
-        versions = {idx: self._dirty_version[idx] for idx in snap}
+        base_row = int(T.ccc_row_start[snap[0]])
+        queued = np.zeros(int(T.ccc_row_end[snap[-1]]) - base_row, bool)
         for idx in snap:
             dirty = self._dirty[idx]
             if dirty is None:
@@ -407,28 +617,36 @@ class VectorSwitchSimulator(SwitchSimulator):
                 queued[T.aff_later_rows[csr_gather(starts, counts)]
                        - base_row] = True
 
-        n_cccs = len(T.cccs)
+        cccs = np.asarray(snap, np.int64)
+        first, last = T.ccc_row_start[cccs], T.ccc_row_end[cccs]
+        counts = last - first
+        owner = np.repeat(np.arange(cccs.size), counts)
+        naive = np.bincount(owner[~ext[T.row_net[csr_gather(first, counts)]]],
+                            minlength=cccs.size).tolist()
 
-        def per_ccc(parts: list[np.ndarray]) -> np.ndarray:
+        def per_ccc(parts: list[np.ndarray]) -> list[int]:
             if not parts:
-                return np.zeros(n_cccs, np.int64)
+                return [0] * cccs.size
             return np.bincount(T.row_ccc[np.concatenate(parts)],
-                               minlength=n_cccs)
+                               minlength=len(T.cccs))[cccs].tolist()
 
         solved = per_ccc(solved_parts)
         by_rows = per_ccc(row_parts)
+        changes: list[list] = [[] for _ in snap]
         if chg_rows:
             rows = np.concatenate(chg_rows)
             order = np.argsort(rows)
-            return _Speculation(versions, rows[order],
-                                np.concatenate(chg_val)[order],
-                                np.concatenate(chg_drv)[order],
-                                np.concatenate(chg_vc)[order], solved,
-                                by_rows)
-        empty = np.empty(0, np.int64)
-        return _Speculation(versions, empty, empty.astype(np.int8),
-                            empty.astype(bool), empty.astype(bool), solved,
-                            by_rows)
+            rows = rows[order]
+            flat = list(zip(rows.tolist(),
+                            np.concatenate(chg_val)[order].tolist(),
+                            np.concatenate(chg_drv)[order].tolist(),
+                            np.concatenate(chg_vc)[order].tolist()))
+            for j, (lo, hi) in enumerate(zip(
+                    np.searchsorted(rows, first).tolist(),
+                    np.searchsorted(rows, last).tolist())):
+                changes[j] = flat[lo:hi]
+        return {i: (changes[j], naive[j], solved[j], by_rows[j])
+                for j, i in enumerate(snap)}
 
     def _reach(self, rows: np.ndarray, val: np.ndarray, base: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -592,15 +810,10 @@ class VectorSwitchSimulator(SwitchSimulator):
 
     # -- applying a surviving speculative result ------------------------
 
-    def _apply(self, idx: int,
-               entry: tuple[int, _Speculation, int, int, int]) -> list[str]:
-        T = self._tables
+    def _apply(self, idx: int, result: tuple) -> list[str]:
+        changes, naive, solved, by_rows = result
         counters = self.counters
         self._dirty[idx] = set()
-        _, spec, lo, hi, solved = entry
-        naive = int(np.count_nonzero(
-            ~self._ext[T.row_net[T.ccc_rows_arr[idx]]]))
-        by_rows = int(spec.by_rows[idx])
         counters["naive_net_solves"] += naive
         counters["net_solves"] += solved
         counters["solve_count"] += solved
@@ -608,18 +821,16 @@ class VectorSwitchSimulator(SwitchSimulator):
         counters["reach_solves"] += solved - by_rows
         counters["row_solves"] += by_rows
         changed: list[str] = []
-        if lo == hi:
+        if not changes:
             return changed
+        T = self._tables
         state = self.state
         history = self.history
         record = self.record_history
         now = self.time
         row_name = T.row_name
         row_net = T.row_net
-        for r, v, d, vc in zip(spec.rows[lo:hi].tolist(),
-                               spec.val[lo:hi].tolist(),
-                               spec.drv[lo:hi].tolist(),
-                               spec.vchg[lo:hi].tolist()):
+        for r, v, d, vc in changes:
             name = row_name[r]
             nid = row_net[r]
             self._val[nid] = v
@@ -631,3 +842,35 @@ class VectorSwitchSimulator(SwitchSimulator):
                     history.append((now, name, logic))
                 changed.append(name)
         return changed
+
+
+def _reach_small(devices: list, cur: list[int], src_bits: list[int]
+                 ) -> list[int]:
+    """:meth:`VectorSwitchSimulator._reach`'s node bits for one small
+    CCC, by row position: the pass masks of ``devices`` (see
+    ``_small_devices``) under the overlay ``cur``, spread from the
+    held ports' ``src_bits`` and the rails to a fixpoint."""
+    bits = list(src_bits)
+    pairs = []
+    for a, far, gate, level3, passes in devices:
+        if gate >= 0:
+            passes = _PASS_LIST[level3 + cur[gate]]
+            if not passes:
+                continue
+        if far >= 0:
+            pairs.append((a, far, passes))
+        else:
+            bits[a] |= passes & -far
+    grew = bool(pairs)
+    while grew:
+        grew = False
+        for a, b, mask in pairs:
+            x, y = bits[a], bits[b]
+            u = (x | y) & mask
+            if u & ~x:
+                bits[a] = x | u
+                grew = True
+            if u & ~y:
+                bits[b] = y | u
+                grew = True
+    return bits

@@ -20,10 +20,12 @@ oracle (:func:`tests.oracles.direct_tables`) byte for byte.
 import random
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.netlist.builder import CellBuilder
 from repro.netlist.flatten import flatten
+from repro.switchsim import vector as vector_mod
 from repro.switchsim.engine import OscillationError, SwitchSimulator
 from repro.switchsim.tables import PackedSwitchTables
 from repro.switchsim.values import Logic
@@ -91,10 +93,24 @@ def test_vector_identical_on_random_networks(devices, steps):
     _lockstep(devices, steps)
 
 
-def test_soups_exercise_reach_and_rows():
-    """Soups drawn as the property tests draw them, from a fixed seed:
-    over the sample, reach decides some solves and path rows settle
-    others, both in lockstep with the reference."""
+@given(network, stimulus)
+@settings(max_examples=60, deadline=None)
+def test_vector_identical_on_random_networks_batched(devices, steps):
+    """The same soups with every CCC through the batched numpy pass; by
+    default a soup's CCCs, under ``_NUMPY_MIN_DEVICES`` devices, take
+    the per-CCC Python one."""
+    saved = vector_mod._NUMPY_MIN_DEVICES
+    vector_mod._NUMPY_MIN_DEVICES = 0
+    try:
+        _lockstep(devices, steps)
+    finally:
+        vector_mod._NUMPY_MIN_DEVICES = saved
+
+
+def _sampled_solves() -> dict[str, int]:
+    """Soups drawn as the property tests draw them, from a fixed seed,
+    each run in lockstep with the reference; returns the vector engine's
+    reach and row solves over the sample."""
     rng = random.Random(20261019)
     solves = {"reach_solves": 0, "row_solves": 0}
     for _ in range(60):
@@ -107,6 +123,22 @@ def test_soups_exercise_reach_and_rows():
         if vec is not None:
             for key in solves:
                 solves[key] += vec.counters[key]
+    return solves
+
+
+def test_soups_exercise_reach_and_rows():
+    """Over the seeded sample, reach decides some solves and path rows
+    settle others, both in lockstep with the reference."""
+    solves = _sampled_solves()
+    assert solves["reach_solves"] > 0 and solves["row_solves"] > 0, solves
+
+
+@pytest.mark.parametrize("numpy_min", [0, 1 << 30], ids=["numpy", "python"])
+def test_soups_exercise_either_branch(numpy_min, monkeypatch):
+    """The seeded sample with every CCC forced through one branch of the
+    vector engine runs both kinds of solve there, in lockstep."""
+    monkeypatch.setattr(vector_mod, "_NUMPY_MIN_DEVICES", numpy_min)
+    solves = _sampled_solves()
     assert solves["reach_solves"] > 0 and solves["row_solves"] > 0, solves
 
 

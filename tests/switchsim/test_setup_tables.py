@@ -7,8 +7,10 @@ per-instance build from per-pair walks
 (:func:`tests.oracles.direct_tables`), and the exact counts the build
 reports without stamping match them, path overflow included -- plus
 the cache-sharing contracts (`DesignCache.cccs`, `switch_tables`), a
-chip-scale reference-vs-vector regression under two stimuli, and which
-CCCs the vector engine stamps under contention-free stimulus.
+chip-scale reference-vs-vector regression under two stimuli (also with
+every CCC forced through either branch of the vector engine), the pass
+schedule it speculates on, and which CCCs it stamps under
+contention-free stimulus.
 """
 
 import random
@@ -22,6 +24,7 @@ from repro.perf.cache import DesignCache
 from repro.recognition import conduction
 from repro.switchsim import SwitchSimulator, VectorSwitchSimulator
 from repro.switchsim import tables as tables_mod
+from repro.switchsim import vector as vector_mod
 from repro.switchsim.tables import PackedSwitchTables
 from perfbench.designs import chip_vectors
 from tests.oracles import direct_tables, table_mismatches
@@ -158,16 +161,18 @@ def chip_steps(cs):
     return chip_vectors(cs, random.Random(0))
 
 
-@pytest.mark.parametrize("steps", [lcg_steps, chip_steps],
-                         ids=["lcg_plan", "chip_vectors"])
-def test_chipscale_vector_matches_reference_bit_for_bit(steps):
-    """The tier-1 guard for the whole setup path: a chip-scale design
-    built through the shared cache, its CCCs stamped only as solves need
-    them, must simulate bit-identically to the scalar reference engine
-    on a build of its own, under random drives (where the bus CCCs
-    fight) and under perfbench's stimulus (where they never do).
-    (CHIPSCALE_REF_TARGET=10000 runs the full 10k comparison; 1k is the
-    always-on tier.)"""
+STIMULI = pytest.mark.parametrize("steps", [lcg_steps, chip_steps],
+                                  ids=["lcg_plan", "chip_vectors"])
+
+#: ``_NUMPY_MIN_DEVICES`` forced so that every CCC takes one branch of
+#: the vector engine: the batched numpy pass, or the per-CCC Python one.
+BRANCHES = pytest.mark.parametrize("numpy_min", [0, 1 << 30],
+                                   ids=["numpy", "python"])
+
+
+def _chipscale_lockstep(steps) -> VectorSwitchSimulator:
+    """A chip-scale design through both engines in lockstep, asserting
+    bit identity; returns the vector engine."""
     import os
 
     target = int(os.environ.get("CHIPSCALE_REF_TARGET", "1000"))
@@ -189,6 +194,49 @@ def test_chipscale_vector_matches_reference_bit_for_bit(steps):
         assert ref.counters[key] == vec.counters[key], key
     assert (vec.counters["reach_solves"] + vec.counters["row_solves"]
             == vec.counters["solve_count"])
+    return vec
+
+
+@STIMULI
+def test_chipscale_vector_matches_reference_bit_for_bit(steps):
+    """The tier-1 guard for the whole setup path: a chip-scale design
+    built through the shared cache, its CCCs stamped only as solves need
+    them, must simulate bit-identically to the scalar reference engine
+    on a build of its own, under random drives (where the bus CCCs
+    fight) and under perfbench's stimulus (where they never do).
+    (CHIPSCALE_REF_TARGET=10000 runs the full 10k comparison; 1k is the
+    always-on tier.)"""
+    _chipscale_lockstep(steps)
+
+
+@STIMULI
+@BRANCHES
+def test_chipscale_either_branch_matches_reference(steps, numpy_min,
+                                                   monkeypatch):
+    """The same guard with every CCC through one branch: the bus CCCs in
+    Python, and the small CCCs in the batched pass."""
+    monkeypatch.setattr(vector_mod, "_NUMPY_MIN_DEVICES", numpy_min)
+    _chipscale_lockstep(steps)
+
+
+@pytest.mark.parametrize("numpy_min", [None, 0, 1 << 30],
+                         ids=["split", "numpy", "python"])
+def test_chip_steps_pass_schedule_is_pinned(numpy_min, monkeypatch):
+    """The speculation schedule of ``chip_scale(1000)`` under perfbench's
+    stimulus, whichever branch evaluates the CCCs: how a CCC is
+    evaluated must not change which CCCs each pass speculates on."""
+    if numpy_min is not None:
+        monkeypatch.setattr(vector_mod, "_NUMPY_MIN_DEVICES", numpy_min)
+    cs = chip_scale(1000)
+    sim = VectorSwitchSimulator(flatten(cs.cell), record_history=False)
+    for drives in chip_steps(cs):
+        for net in sorted(drives):
+            sim.drive(net, drives[net])
+        sim.settle()
+    assert {key: sim.counters[key] for key in (
+        "vector_passes", "vector_wasted_evals", "solve_count")} == {
+        "vector_passes": 678, "vector_wasted_evals": 236,
+        "solve_count": 6099}
 
 
 def test_contention_free_stimulus_stamps_no_bus_ccc():

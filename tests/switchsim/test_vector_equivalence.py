@@ -10,6 +10,7 @@ harness drives both engines with identical seeded-random stimulus
 """
 
 import random
+import zlib
 
 import pytest
 
@@ -37,6 +38,7 @@ from repro.switchsim import (
     SwitchSimulator,
     VectorSwitchSimulator,
 )
+from repro.switchsim import vector as vector_mod
 
 # Counters both engines must agree on (the vector engine adds its own
 # vector_* keys on top; those are not part of the identity contract).
@@ -108,6 +110,21 @@ def test_vector_matches_reference_on_seed_design(name):
     flat = flatten(SEED_DESIGNS[name]())
     for seed in (1, 2):
         _random_stimulus_run(flat, seed=hash((name, seed)) & 0xFFFF)
+
+
+@pytest.mark.parametrize("numpy_min", [0, 1 << 30], ids=["numpy", "python"])
+def test_either_branch_matches_reference_on_seed_designs(numpy_min,
+                                                         monkeypatch):
+    """Every seed design again, with every CCC forced through one branch
+    of the vector engine: the batched numpy pass, or the per-CCC Python
+    one (which, under ``_NUMPY_MIN_DEVICES`` devices, all of them take
+    by default)."""
+    monkeypatch.setattr(vector_mod, "_NUMPY_MIN_DEVICES", numpy_min)
+    for name in sorted(SEED_DESIGNS):
+        flat = flatten(SEED_DESIGNS[name]())
+        for seed in (1, 2):
+            _random_stimulus_run(
+                flat, seed=zlib.crc32(f"{name}:{seed}".encode()))
 
 
 def test_vector_oscillation_detection_matches():
