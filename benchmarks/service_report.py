@@ -17,21 +17,32 @@ and measures the three properties the service front end promises:
   fairness numbers;
 * **verdict cache** -- resubmitting a sealed design must answer
   ``cached`` with zero additional launches and a byte-identical
-  canonical report.
+  canonical report;
+* **retention** -- a long-running service keeps memory only for its
+  campaign records.  A child process runs a one-worker service, warms
+  it up, then answers fresh and cached requests from a client that
+  keeps nothing; the service process's ``tracemalloc`` growth across
+  them, per request, must stay at or below ``RETENTION_CEILING_KIB``.
 
 Results land in ``benchmarks/BENCH_service.json``, stamped with the
-commit and ``cpu_count``.
+commit and ``cpu_count``.  ``--parent DIR`` also measures the retention
+phase on another checkout's ``src/`` (a ``git clone`` of the parent
+commit, say) and records it beside this tree's number; without it, the
+parent entry already in the file is kept.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/service_report.py
+    PYTHONPATH=src python benchmarks/service_report.py --parent ../parent
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import pathlib
+import subprocess
 import sys
 import time
 
@@ -46,6 +57,7 @@ from repro.service import (
 )
 from setup_report import current_commit
 
+REPO = pathlib.Path(__file__).resolve().parent.parent
 OUT_JSON = pathlib.Path(__file__).parent / "BENCH_service.json"
 
 #: Campaigns per tenant; both tenants submit this many distinct
@@ -64,8 +76,99 @@ FLOOR_MIN_CPUS = 2
 
 WARMUP_REF = "repro.fleet.suite:alpha_slice"
 
+#: The retention phase: warm-up designs, then fresh designs in blocks
+#: of ``RETENTION_BLOCK`` each followed by one cached repeat of a design
+#: sealed before the block (perfbench ``service_closed``'s mix).
+RETENTION_WARMUP = 8
+RETENTION_FRESH = 48
+RETENTION_BLOCK = 3
+#: Ceiling on the service process's retained memory per request.  A
+#: service that kept every relayed event, scheduler event, finished
+#: job and live report read about 124 KiB here.
+RETENTION_CEILING_KIB = 32.0
 
-def main() -> int:
+
+def measure_retention() -> dict:
+    """Retained service memory per request, measured in this process.
+
+    The client keeps nothing it is sent.  ``tracemalloc`` starts after
+    the warm-up, so its traced total after the measured requests (and a
+    full collection) is what they left behind.
+    """
+    import gc
+    import tempfile
+    import tracemalloc
+
+    store = tempfile.TemporaryDirectory(prefix="repro-retention-")
+    handle = ServiceThread(ServiceConfig(
+        workers=1, fleet=FleetConfig(store_dir=store.name)))
+    client = ServiceClient(*handle.start(), timeout_s=600.0)
+
+    def request(index: int) -> bool:
+        sub = client.submit(variant_ref(index), tenant="retention")
+        client.report(sub["campaign"], canonical=True)
+        return bool(sub["cached"])
+
+    fresh = list(range(RETENTION_WARMUP, RETENTION_WARMUP + RETENTION_FRESH))
+    plan = []
+    for start in range(0, len(fresh), RETENTION_BLOCK):
+        plan += [(i, False) for i in fresh[start:start + RETENTION_BLOCK]]
+        plan.append((fresh[start] - RETENTION_WARMUP, True))
+    try:
+        for index in range(RETENTION_WARMUP):
+            request(index)
+        gc.collect()
+        tracemalloc.start()
+        wrong = [index for index, cached in plan if request(index) != cached]
+        # The last fresh campaign's verdict write may still be running.
+        seals = RETENTION_WARMUP + RETENTION_FRESH
+        deadline = time.monotonic() + 60.0
+        while (client.status()["verdict_cache"]["verdict_seals"] < seals
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        time.sleep(0.2)
+        gc.collect()
+        retained, _peak = tracemalloc.get_traced_memory()
+        top = tracemalloc.take_snapshot().statistics("lineno")[:3]
+        tracemalloc.stop()
+    finally:
+        handle.stop()
+        store.cleanup()
+    return {
+        "warmup": RETENTION_WARMUP,
+        "fresh": RETENTION_FRESH,
+        "cached": len(plan) - RETENTION_FRESH,
+        "unexpected_cache_answers": wrong,
+        "retained_kib_per_request": round(retained / 1024 / len(plan), 2),
+        "top_sites": [f"{s.traceback[0].filename.rsplit('/', 1)[-1]}:"
+                      f"{s.traceback[0].lineno} {s.size // 1024} KiB"
+                      for s in top],
+    }
+
+
+def retention(tree: pathlib.Path) -> dict:
+    """:func:`measure_retention` in a child process on ``tree``'s src."""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(tree / "src"), str(tree)]))
+    out = subprocess.run([sys.executable, __file__, "--retention-child"],
+                         env=env, check=True, stdout=subprocess.PIPE,
+                         text=True)
+    row = json.loads(out.stdout.strip().splitlines()[-1])
+    row.update(commit=current_commit(tree), cpu_count=os.cpu_count() or 1)
+    return row
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--retention-child", action="store_true",
+                        help=argparse.SUPPRESS)
+    parser.add_argument(
+        "--parent", type=pathlib.Path,
+        help="also measure the retention phase on this checkout's src/")
+    args = parser.parse_args(argv)
+    if args.retention_child:
+        print(json.dumps(measure_retention()))
+        return 0
     cpus = os.cpu_count() or 1
     print(f"service bench: 2 tenants at 4:1, {2 * PER_TENANT} variant "
           f"campaigns, {cpus} CPU(s)")
@@ -189,20 +292,46 @@ def main() -> int:
             payload["floor_waived_reason"] = (
                 f"host has {cpus} CPU(s); a contended fair-share window "
                 f"is only meaningful with >= {FLOOR_MIN_CPUS}")
-        OUT_JSON.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-        print(f"wrote {OUT_JSON.name} "
-              f"(floor {'enforced' if floor_enforced else 'waived'})")
     finally:
         handle.stop()
+
+    # Retention runs after the fair-share service has stopped, on a
+    # service of its own in a child process.
+    kept = payload["retention"] = retention(REPO)
+    print(f"retention: {kept['retained_kib_per_request']} KiB per request "
+          f"over {kept['fresh']} fresh + {kept['cached']} cached "
+          f"(ceiling {RETENTION_CEILING_KIB} KiB); top sites "
+          f"{kept['top_sites']}")
+    if args.parent is not None:
+        kept["parent"] = retention(args.parent.resolve())
+    elif OUT_JSON.exists():
+        previous = json.loads(OUT_JSON.read_text(encoding="utf-8"))
+        parent = previous.get("retention", {}).get("parent")
+        if parent is not None:
+            kept["parent"] = parent
+    if "parent" in kept:
+        print(f"retention at {kept['parent']['commit']}: "
+              f"{kept['parent']['retained_kib_per_request']} KiB per request")
+    kept["ceiling_kib"] = RETENTION_CEILING_KIB
+    if kept["retained_kib_per_request"] > RETENTION_CEILING_KIB:
+        failures.append(
+            f"service retained {kept['retained_kib_per_request']} KiB per "
+            f"request, above the {RETENTION_CEILING_KIB} KiB ceiling")
+    if kept["unexpected_cache_answers"]:
+        failures.append(f"retention phase: designs "
+                        f"{kept['unexpected_cache_answers']} were not "
+                        f"answered as planned (fresh or cached)")
+    OUT_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                        encoding="utf-8")
+    print(f"wrote {OUT_JSON.name} "
+          f"(floor {'enforced' if floor_enforced else 'waived'})")
 
     if failures:
         print("\nFAIL:", file=sys.stderr)
         for line in failures:
             print(f"  {line}", file=sys.stderr)
         return 1
-    print("service bench: fair share, byte identity, and cache "
+    print("service bench: fair share, byte identity, cache and retention "
           "contracts all hold")
     return 0
 

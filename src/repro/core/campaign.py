@@ -283,13 +283,17 @@ class CbvCampaign:
         art: dict[str, object] = report.artifacts
         watch = Stopwatch()
         keys: dict[FlowStage, str] = {}
-        # Imported here, not at module top: repro.store fingerprints
-        # FlowStage-keyed inputs, so a module-level import would be
-        # circular (store -> core.stages -> core -> campaign -> store).
-        from repro.store.checkpoint import CheckpointWriter, load_checkpoint
-        writer = CheckpointWriter(store, trace)
         if store is not None:
-            from repro.store.checkpoint import stage_keys
+            # Imported here, not at module top: repro.store fingerprints
+            # FlowStage-keyed inputs, so a module-level import would be
+            # circular (store -> core.stages -> core -> campaign ->
+            # store).  A campaign without a store never needs it.
+            from repro.store.checkpoint import (
+                CheckpointWriter,
+                load_checkpoint,
+                stage_keys,
+            )
+            writer = CheckpointWriter(store, trace)
             # A fleet design session fingerprinted its bundle once per
             # worker (repro.fleet.session); any other store gets keys
             # derived here, from the bundle as it is now.

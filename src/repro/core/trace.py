@@ -92,13 +92,15 @@ scenario run interleaves are stripped, which is how serial, resumed, and
 fleet scenario reports stay byte-comparable.
 
 The verification service (:mod:`repro.service`) gives every campaign a
-per-campaign *stream* trace (worker id ``service``) whose ``seq`` is the
-client's resume cursor (see :meth:`CampaignTrace.since`).  It adds a
+per-campaign event *stream* (worker id ``service``) whose ``seq`` is the
+client's resume cursor (see
+:meth:`repro.service.server.CampaignRecord.events`).  It adds a
 ``service.*`` namespace -- ``service.submitted`` / ``service.admitted``
 / ``service.cache_hit`` / ``service.coalesced`` / ``service.progress``
 / ``service.sealed`` / ``service.failed`` -- around a replay of the
-campaign's own events.  Stream traces are a delivery channel, never part
-of a report, so the canonical form is unaffected.
+campaign's own events, each stamped with the moment the report sealed.
+Streams are a delivery channel, never part of a report, so the
+canonical form is unaffected.
 """
 
 from __future__ import annotations
@@ -233,24 +235,6 @@ class CampaignTrace:
 
     # -- queries -------------------------------------------------------------
 
-    def since(self, cursor: int) -> list[TraceEvent]:
-        """Events with ``seq >= cursor``, in emission order.
-
-        The streaming cursor: a consumer that has seen events up to
-        (excluding) ``cursor`` calls ``since(cursor)`` to pick up the
-        tail -- the :mod:`repro.service` event stream resumes exactly
-        this way after a dropped connection.  For a self-emitted trace
-        ``seq`` equals list position, so the common case is a slice;
-        merged traces (whose sequences interleave per worker) fall back
-        to a filter.
-        """
-        if cursor <= 0:
-            return list(self.events)
-        events = self.events
-        if events and events[0].seq == 0 and events[-1].seq == len(events) - 1:
-            return events[cursor:]
-        return [e for e in events if e.seq >= cursor]
-
     def of(self, event: str) -> list[TraceEvent]:
         """Every event of one kind, in emission order."""
         return [e for e in self.events if e.event == event]
@@ -300,7 +284,8 @@ class CampaignTrace:
         """Deterministically merge per-worker logs into one fleet log.
 
         ``sources`` is an iterable of :class:`CampaignTrace` instances
-        and/or lists of event dicts.  Events keep their original
+        and/or lists of events (:class:`TraceEvent` objects or their
+        dict forms).  Events keep their original
         ``(worker, seq)`` identity and are ordered by it -- a total,
         input-order-independent order, so the merged log is byte-stable
         no matter how worker results raced in.  The merged trace is a
@@ -311,7 +296,8 @@ class CampaignTrace:
             if isinstance(src, CampaignTrace):
                 events.extend(src.events)
             else:
-                events.extend(TraceEvent.from_dict(d) for d in src)
+                events.extend(e if isinstance(e, TraceEvent)
+                              else TraceEvent.from_dict(e) for e in src)
         merged = cls()
         merged.events = sorted(events, key=lambda e: (e.worker, e.seq))
         return merged

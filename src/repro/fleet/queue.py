@@ -23,7 +23,9 @@ to the front of its affinity deque with the retry count bumped --
 requeue-on-worker-death is this same path driven by the supervisor.
 Completion is idempotent and first-wins: if an expired job was requeued
 and the original worker's result arrives late, the straggler's
-completion simply removes the duplicate from the deques.
+completion simply removes the duplicate from the deques.  Once a
+design has finished or failed, :meth:`WorkQueue.forget` drops its jobs'
+ids, so a long-running scheduler holds ids only for designs in flight.
 """
 
 from __future__ import annotations
@@ -198,6 +200,21 @@ class WorkQueue:
         for job in dropped:
             self._cancelled.add(job.job_id)
         return dropped
+
+    def forget(self, job_ids) -> None:
+        """Drop every record of these jobs: done and cancelled ids,
+        leases, queued and blocked copies.  The scheduler forgets a
+        design's jobs once the design has finished or failed, so the
+        queue's state stays bounded by the designs in flight."""
+        ids = set(job_ids)
+        self._done -= ids
+        self._cancelled -= ids
+        for job_id in ids:
+            self._leases.pop(job_id, None)
+            self._blocked.pop(job_id, None)
+        for dq in self._ready.values():
+            for job in [j for j in dq if j.job_id in ids]:
+                dq.remove(job)
 
     def is_done(self, job_id: str) -> bool:
         return job_id in self._done

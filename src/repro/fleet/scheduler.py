@@ -43,16 +43,22 @@ the service keeps adding names until it shuts down.  The loop:
   rest of the flow still ships, see ``_Pool._poison_shard``);
 * what happens when a job *succeeds* is the front door's business: the
   engine hands completions to an ``on_job_done`` hook, which submits
-  follow-up jobs (prepare -> shards -> finalize) and records finished
-  designs.
+  follow-up jobs (prepare -> shards -> finalize) and keeps finished
+  designs' results.
 
-Everything the fleet did is observable: live counters in
+The pool keeps state only for the names in flight.  A name that
+finishes or fails leaves it with its jobs and their queue ids, and
+every trace event -- each worker's relayed slice, the scheduler's own
+events -- goes to the front door's ``on_events`` hook as it arrives.
+What to keep is the front door's decision: the batch front doors keep
+everything and merge it into a :class:`FleetResult` (live counters in
 :class:`~repro.fleet.metrics.FleetMetrics`, and a merged
 :class:`~repro.core.trace.CampaignTrace` assembling the scheduler's own
 events with every worker's event slices in deterministic
-``(worker, seq)`` order.  The per-design reports come back through
-their dict forms and their canonical JSON is byte-identical to
-single-process runs -- the property the fleet and scenario tests pin.
+``(worker, seq)`` order); the service keeps none of it.  The
+per-design reports come back through their dict forms and their
+canonical JSON is byte-identical to single-process runs -- the property
+the fleet and scenario tests pin.
 """
 
 from __future__ import annotations
@@ -124,9 +130,6 @@ class _WorkerHandle:
         #: from this worker, or at job assignment; the heartbeat-age
         #: watchdog ages against this.
         self.last_beat = 0.0
-        #: Accumulated worker-trace event dicts (arrive piggybacked on
-        #: done/error/bye messages, so they survive the worker's death).
-        self.events: list[dict] = []
         self.store_counters: dict[str, int] = {}
         #: The worker's peak RSS as of its last ``done`` message.
         self.peak_rss_mb = 0.0
@@ -158,31 +161,44 @@ def _pick_context():
 
 
 class _Pool:
-    """The generic engine: spawn, lease, supervise, retry, merge.
+    """The generic engine: spawn, lease, supervise, retry.
 
     ``on_job_done(pool, job, result)`` is called for every successful
-    job; it submits follow-up work via ``pool.submit`` and records
-    finished names via ``pool.finish``.  The pool itself is agnostic
-    about job kinds -- that is the hook's whole purpose.
+    job; it submits follow-up work via ``pool.submit``, keeps what it
+    wants of a finished name's result and tells the pool via
+    ``pool.finish``.  The pool itself is agnostic about job kinds --
+    that is the hook's whole purpose.  ``on_design_failed(pool, name,
+    reason)`` hears of every failed name, and ``on_events(pool,
+    events)`` receives every trace event as it arrives: a worker's
+    relayed slice (event dicts) or the scheduler's own events
+    (:class:`~repro.core.trace.TraceEvent`).  The pool keeps no result,
+    failure or event itself.
 
     Names arrive only through :meth:`add_design`, and :meth:`run`
     returns once :meth:`request_stop` has been called and every
-    accepted name has finished.  ``config`` is copied, never mutated:
-    with ``store_dir`` unset, each pool gets a fresh temporary store.
+    accepted name has finished.  A name that finishes or fails leaves
+    the pool, its jobs and their queue ids with it, so a pool that runs
+    for as long as the service holds state only for the names in
+    flight.  ``config`` is copied, never mutated: with ``store_dir``
+    unset, each pool gets a fresh temporary store.
     """
 
     def __init__(self, *, workers: int, config: FleetConfig,
-                 on_job_done, on_design_failed=None) -> None:
+                 on_job_done, on_design_failed=None,
+                 on_events=None) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         config = replace(config, store_dir=(
             config.store_dir
             or tempfile.mkdtemp(prefix="repro-fleet-store-")))
-        self.names: list[str] = []
+        #: The names in flight, in arrival order (a dict used as an
+        #: ordered set).
+        self.names: dict[str, None] = {}
         self.workers = workers
         self.config = config
         self.on_job_done = on_job_done
         self.on_design_failed = on_design_failed
+        self.on_events = on_events
         self._stopping = False
         #: Thread-safe injection point: callables queued here run on
         #: the scheduler thread, the only thread allowed to touch pool
@@ -202,8 +218,8 @@ class _Pool:
         self.handles: dict[str, _WorkerHandle] = {}
         self.retired: list[_WorkerHandle] = []
         self.jobs_by_id: dict[str, Job] = {}
-        self.results: dict = {}
-        self.failed: dict[str, str] = {}
+        #: Name in flight -> the ids of the jobs submitted for it.
+        self._job_ids: dict[str, list[str]] = {}
         self._next_wid = 0
         #: Chaos clock state: lease arithmetic runs on ``now()`` =
         #: real elapsed + skew, so an injected jump ages every lease at
@@ -242,10 +258,14 @@ class _Pool:
         self.outbox.put(_WAKE)
 
     def add_design(self, name: str) -> None:
-        """Accept one more name (scheduler thread, or before :meth:`run`)."""
+        """Accept one more name (scheduler thread, or before :meth:`run`).
+
+        A name must not be in flight already; the front doors never
+        reuse a name over a pool's life.
+        """
         if name in self.names:
             raise ValueError(f"duplicate design name: {name}")
-        self.names.append(name)
+        self.names[name] = None
         self.metrics.designs += 1
         self.ftrace.emit("design_added", name=name)
 
@@ -257,33 +277,58 @@ class _Pool:
         """
         self._stopping = True
         if abort:
-            for name in list(self.names):
-                if name not in self.results and name not in self.failed:
-                    self.fail_design(name, "pool stop requested")
+            self._fail_all("pool stop requested")
 
     def submit(self, job: Job) -> None:
         self.jobs_by_id[job.job_id] = job
+        self._job_ids.setdefault(job.design, []).append(job.job_id)
         self.wq.submit(job)
         self.metrics.jobs_submitted += 1
         self.ftrace.emit("job_submit", name=job.job_id)
 
-    def finish(self, name: str, value) -> None:
-        """Record one name's finished result."""
-        self.results[name] = value
+    def finish(self, name: str, ok: bool) -> None:
+        """``name`` finished (its front door has the result; ``ok`` is
+        its verdict) and leaves the pool."""
         self.metrics.designs_done += 1
+        self.ftrace.emit("design_done", name=name,
+                         status="ok" if ok else "needs-triage")
+        self._forget(name)
 
     def fail_design(self, design: str, reason: str) -> None:
-        if design in self.failed or design in self.results:
+        if design not in self.names:
             return
-        self.failed[design] = reason
         self.metrics.designs_failed += 1
         for dropped in self.wq.cancel_design(design):
             self.ftrace.emit("job_cancel", name=dropped.job_id)
         self.ftrace.emit("design_failed", name=design, detail=reason)
+        self._forget(design)
         if self.on_design_failed is not None:
             self.on_design_failed(self, design, reason)
 
     # -- internals -----------------------------------------------------------
+
+    def _forget(self, name: str) -> None:
+        """Drop a finished or failed name: its jobs and their queue ids.
+
+        A straggler's later message about one of its jobs finds no job
+        and is ignored, as a failed design's completions always were.
+        """
+        del self.names[name]
+        job_ids = self._job_ids.pop(name, ())
+        for job_id in job_ids:
+            self.jobs_by_id.pop(job_id, None)
+        self.wq.forget(job_ids)
+
+    def _fail_all(self, reason: str) -> None:
+        for name in list(self.names):
+            self.fail_design(name, reason)
+
+    def _hand_over_trace(self) -> None:
+        """Pass the scheduler's events since the last hand-over to
+        ``on_events``; the pool keeps none of them."""
+        events = self.ftrace.drain()
+        if events and self.on_events is not None:
+            self.on_events(self, events)
 
     def _spawn_worker(self) -> _WorkerHandle:
         wid = f"w{self._next_wid}"
@@ -313,7 +358,7 @@ class _Pool:
         if job is None or self.wq.is_done(job_id):
             return
         if job.retries >= self.config.max_retries:
-            if job.kind is JobKind.BATTERY and job.design not in self.failed:
+            if job.kind is JobKind.BATTERY:
                 self._poison_shard(job, why)
                 return
             self.wq.fail(job_id)
@@ -385,7 +430,8 @@ class _Pool:
             handle = next((h for h in self.retired if h.wid == wid), None)
         if handle is None:
             return
-        handle.events.extend(events)
+        if events and self.on_events is not None:
+            self.on_events(self, events)
         handle.last_beat = self.watch.elapsed()
         if kind == "ready":
             handle.ready = True
@@ -406,8 +452,8 @@ class _Pool:
             if self.wq.is_done(job_id):
                 return  # duplicate completion from a requeued straggler
             job = self.jobs_by_id.get(job_id)
-            if job is None or job.design in self.failed:
-                return
+            if job is None:
+                return  # its design already finished or failed
             self.wq.complete(job_id)
             self.metrics.record_job(job.kind.value,
                                     payload.get("job_seconds", 0.0))
@@ -417,8 +463,7 @@ class _Pool:
             self.on_job_done(self, job, payload.get("result") or {})
 
     def _done(self) -> bool:
-        return (self._stopping and len(self.results) + len(self.failed)
-                >= len(self.names))
+        return self._stopping and not self.names
 
     def _run_injected(self) -> None:
         """Drain the thread-safe callback queue (one tick's worth)."""
@@ -507,8 +552,8 @@ class _Pool:
             self.ftrace.emit("clock_jump", detail=f"+{jump}s",
                              counters={"skew_s": self._clock_skew})
 
-    def run(self, initial_jobs) -> FleetResult:
-        """Drive the event loop to completion; returns the merged result."""
+    def run(self, initial_jobs) -> FleetMetrics:
+        """Drive the event loop to completion; returns its counters."""
         config = self.config
         self.ftrace.emit("fleet_start", counters={
             "designs": float(len(self.names)),
@@ -522,15 +567,11 @@ class _Pool:
             while not self._done():
                 if (config.fleet_timeout_s is not None
                         and self.watch.elapsed() > config.fleet_timeout_s):
-                    for name in self.names:
-                        self.fail_design(
-                            name, "fleet wall-clock bound exceeded")
+                    self._fail_all("fleet wall-clock bound exceeded")
                     break
                 if not self.handles:
-                    for name in self.names:
-                        self.fail_design(
-                            name, "every worker died and the respawn "
-                                  "budget is spent")
+                    self._fail_all("every worker died and the respawn "
+                                   "budget is spent")
                     break
                 try:
                     self._on_message(self.outbox.get(timeout=config.poll_s))
@@ -540,6 +581,7 @@ class _Pool:
                 self._chaos_tick()
                 self._supervise()
                 self._assign()
+                self._hand_over_trace()
         finally:
             for handle in self.handles.values():
                 try:
@@ -586,18 +628,15 @@ class _Pool:
             metrics.store_stats = {}
         self.ftrace.emit(
             "fleet_end",
-            status="ok" if not self.failed else "degraded",
+            status="ok" if not metrics.designs_failed else "degraded",
             wall_s=metrics.wall_s,
             counters={"designs_done": float(metrics.designs_done),
                       "designs_failed": float(metrics.designs_failed),
                       "jobs_done": float(metrics.jobs_done),
                       "steals": float(metrics.steals),
                       "requeues": float(metrics.requeues)})
-        merged = CampaignTrace.merge(
-            [self.ftrace] + [h.events for h in all_handles])
-        return FleetResult(reports=self.results, failed=self.failed,
-                           metrics=metrics, trace=merged,
-                           store_dir=str(config.store_dir))
+        self._hand_over_trace()
+        return metrics
 
 
 def design_flow_hook(config: FleetConfig, *, finish):
@@ -607,7 +646,8 @@ def design_flow_hook(config: FleetConfig, *, finish):
     single degraded finalize when the front half errored -- shard
     batteries would diverge from, or crash unlike, a single-process
     run); FINALIZE hands its merged report dict to ``finish(pool, job,
-    result)``.  Both :func:`run_fleet` and the service front end
+    result)``, which keeps what it wants of it and calls
+    ``pool.finish``.  Both :func:`run_fleet` and the service front end
     (:mod:`repro.service`) drive their pools with this hook -- only
     what *finish* does with a sealed report differs.
     """
@@ -628,6 +668,39 @@ def design_flow_hook(config: FleetConfig, *, finish):
     return on_job_done
 
 
+def _run_batch(names, initial_jobs, hook, report_from, *, workers: int,
+               config: FleetConfig) -> FleetResult:
+    """Run a whole suite on one pool and keep everything it reports.
+
+    ``hook(finish)`` builds the pool's ``on_job_done``; it calls
+    ``finish(pool, job, result)`` with a name's final result, whose
+    ``"report"`` dict ``report_from`` turns into the report object.
+    """
+    reports: dict = {}
+    failed: dict[str, str] = {}
+    slices: list = []
+
+    def finish(pool: _Pool, job: Job, result: dict) -> None:
+        reports[job.design] = report_from(result["report"])
+        pool.finish(job.design, bool(result.get("ok")))
+
+    def design_failed(pool: _Pool, name: str, reason: str) -> None:
+        failed[name] = reason
+
+    def events(pool: _Pool, batch: list) -> None:
+        slices.append(batch)
+
+    pool = _Pool(workers=workers, config=config, on_job_done=hook(finish),
+                 on_design_failed=design_failed, on_events=events)
+    for name in names:
+        pool.add_design(name)
+    pool.request_stop()
+    metrics = pool.run(initial_jobs)
+    return FleetResult(reports=reports, failed=failed, metrics=metrics,
+                       trace=CampaignTrace.merge(slices),
+                       store_dir=str(pool.config.store_dir))
+
+
 def run_fleet(suite: dict, *, workers: int = 4,
               config: FleetConfig | None = None) -> FleetResult:
     """Verify every design in ``suite`` on a worker-process fleet.
@@ -641,19 +714,10 @@ def run_fleet(suite: dict, *, workers: int = 4,
     if not suite:
         raise ValueError("suite is empty")
     config = config or FleetConfig()
-
-    def finish(pool: _Pool, job: Job, result: dict) -> None:
-        pool.finish(job.design, report_from_dict(result["report"]))
-        pool.ftrace.emit(
-            "design_done", name=job.design,
-            status="ok" if result.get("ok") else "needs-triage")
-
-    pool = _Pool(workers=workers, config=config,
-                 on_job_done=design_flow_hook(config, finish=finish))
-    for name in suite:
-        pool.add_design(name)
-    pool.request_stop()
-    return pool.run([prepare_job(name, ref) for name, ref in suite.items()])
+    return _run_batch(
+        suite, [prepare_job(name, ref) for name, ref in suite.items()],
+        lambda finish: design_flow_hook(config, finish=finish),
+        report_from_dict, workers=workers, config=config)
 
 
 def run_scenario_fleet(scenarios: dict, *, workers: int = 4,
@@ -681,12 +745,11 @@ def run_scenario_fleet(scenarios: dict, *, workers: int = 4,
     from repro.scenarios.report import ScenarioReport
     from repro.scenarios.spec import resolve_scenario
 
-    def on_job_done(pool: _Pool, job: Job, result: dict) -> None:
-        if job.kind is JobKind.ROLLUP:
-            pool.finish(job.design, ScenarioReport.from_dict(result["report"]))
-            pool.ftrace.emit(
-                "design_done", name=job.design,
-                status="ok" if result.get("ok") else "needs-triage")
+    def rollup_hook(finish):
+        def on_job_done(pool: _Pool, job: Job, result: dict) -> None:
+            if job.kind is JobKind.ROLLUP:
+                finish(pool, job, result)
+        return on_job_done
 
     initial: list[Job] = []
     for name, ref in scenarios.items():
@@ -694,9 +757,6 @@ def run_scenario_fleet(scenarios: dict, *, workers: int = 4,
         shard_jobs = scenario_jobs(name, ref, spec.total_samples(), shards)
         initial.extend(shard_jobs)
         initial.append(scenario_rollup_job(name, ref, shard_jobs))
-
-    pool = _Pool(workers=workers, config=config, on_job_done=on_job_done)
-    for name in scenarios:
-        pool.add_design(name)
-    pool.request_stop()
-    return pool.run(initial)
+    return _run_batch(scenarios, initial, rollup_hook,
+                      ScenarioReport.from_dict, workers=workers,
+                      config=config)

@@ -507,14 +507,7 @@ class PathSet:
         ``0.0`` padding adds nothing.
         """
         if not self._walks_in_python():
-            cols = np.append(np.asarray(values, np.float64),
-                             0.0)[self._chain_rows()]
-            if ascending:
-                cols.sort(axis=1)
-            total = np.zeros(len(cols))
-            for col in cols.T:
-                total += col
-            return total.tolist()
+            return self.sum_array(values, ascending).tolist()
         sums = []
         for slots in self._slot_lists():
             # From 0.0, two values add to the same sum in either order:
@@ -526,6 +519,20 @@ class PathSet:
                 total += values[slot]
             sums.append(total)
         return sums
+
+    def sum_array(self, values: Sequence[float],
+                  ascending: bool = False) -> np.ndarray:
+        """:meth:`sums` as a float64 array, added with numpy over
+        :meth:`chains` columns (the way :meth:`sums` adds a set too large
+        to walk in Python)."""
+        cols = np.append(np.asarray(values, np.float64),
+                         0.0)[self._chain_rows()]
+        if ascending:
+            cols.sort(axis=1)
+        total = np.zeros(len(cols))
+        for col in cols.T:
+            total += col
+        return total
 
 
 def conduction_paths(

@@ -19,22 +19,29 @@ A submitted design flows: fingerprint -> in-flight coalesce check ->
 verdict-cache probe -> tenant admission (fair-share queue, or
 backpressure) -> DRR grant -> prepare/battery/finalize jobs on the pool
 -> sealed report + verdict-cache write.  Every transition is narrated
-on the campaign's own stream trace (worker id ``service``), which is
+on the campaign's own event stream (worker id ``service``), which is
 what the ``events`` op serves and what ``since`` cursors resume.
+
+The service's memory grows only by one compact record per campaign
+id.  The pool keeps nothing of a finished campaign and hands the
+service no trace event, and a record that can no longer change freezes
+to bytes (see :class:`CampaignRecord`).
 """
 
 from __future__ import annotations
 
 import asyncio
+import pickle
 import tempfile
 import threading
 from dataclasses import dataclass, replace
 
 from repro.core.report import report_from_dict, report_to_json
-from repro.core.trace import CampaignTrace
+from repro.core.trace import TraceEvent
 from repro.fleet.jobs import FleetConfig, JobKind, prepare_job, resolve_bundle
 from repro.fleet.scheduler import _Pool, design_flow_hook
 from repro.perf.metrics import prometheus_text
+from repro.perf.stopwatch import Stopwatch
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
     MAX_LINE,
@@ -74,8 +81,30 @@ class ServiceConfig:
     fleet: FleetConfig | None = None
 
 
+#: The stream's worker id.
+STREAM_WORKER = "service"
+
+
 class CampaignRecord:
-    """One submission's service-side state (event-loop-owned)."""
+    """One submission's service-side state (event-loop-owned).
+
+    The record narrates the campaign on its own event stream: the
+    ``service.*`` transitions it :meth:`emit` s, and -- once sealed --
+    a replay of the report's own trace between them, stamped with the
+    moment of sealing, worker id ``service`` and stream sequence
+    numbers.  ``seq`` is the client's resume cursor.  The replay is not
+    stored: :meth:`events` rebuilds it from the report on demand.
+
+    A record that can no longer change -- sealed with its verdict write
+    returned, answered from the cache, or failed -- freezes
+    (:meth:`freeze`): its report dict and its own events become one
+    pickled blob, which :meth:`report` and :meth:`events` decode on
+    demand into the same values.
+    """
+
+    __slots__ = ("id", "tenant", "name", "bundle_ref", "key", "state",
+                 "reason", "cached", "report_dict", "_events", "_watch",
+                 "_replay", "_update", "_frozen")
 
     def __init__(self, cid: str, tenant: str, name: str,
                  bundle_ref, key: str) -> None:
@@ -85,17 +114,22 @@ class CampaignRecord:
         self.bundle_ref = bundle_ref
         self.key = key
         self.state = CampaignState.QUEUED
+        #: The sealed report dict, while the record is live.
         self.report_dict: dict | None = None
         self.reason = ""
         self.cached = False
-        #: The per-campaign stream trace: ``service.*`` transitions
-        #: around a replay of the campaign's own events.  Its ``seq``
-        #: is the client's resume cursor.
-        self.stream = CampaignTrace(worker_id="service")
-        self._update = asyncio.Event()
+        #: The record's own events, while it is live.
+        self._events: list[TraceEvent] = []
+        self._watch = Stopwatch()
+        #: ``(position, count, t_s)`` of the report trace's replay in
+        #: the stream: nothing until the record is sealed.
+        self._replay = (0, 0, 0.0)
+        self._update: asyncio.Event | None = asyncio.Event()
+        self._frozen: bytes | None = None
 
-    def update_event(self) -> asyncio.Event:
-        """The event the *next* :meth:`touch` will set.
+    def update_event(self) -> asyncio.Event | None:
+        """The event the *next* :meth:`touch` will set (None once the
+        record is frozen: nothing will change).
 
         Grab it **before** inspecting the stream/state snapshot: a
         touch replaces the event and sets the old one, so a waiter
@@ -107,6 +141,55 @@ class CampaignRecord:
     def touch(self) -> None:
         prev, self._update = self._update, asyncio.Event()
         prev.set()
+
+    def emit(self, event: str, name: str = "", status: str | None = None,
+             counters: dict[str, float] | None = None,
+             detail: str = "") -> None:
+        """Append one event to the stream (live records only)."""
+        self._events.append(TraceEvent(
+            seq=len(self._events) + self._replay[1],
+            t_s=self._watch.elapsed(), event=event, name=name,
+            status=status, counters=dict(counters or {}), detail=detail,
+            worker=STREAM_WORKER))
+
+    def seal(self, report_dict: dict) -> None:
+        """Take the sealed report; its trace joins the stream."""
+        self.report_dict = report_dict
+        self.state = CampaignState.SEALED
+        self._replay = (len(self._events),
+                        len(report_dict.get("trace") or []),
+                        self._watch.elapsed())
+        self.emit("service.sealed", name=self.name,
+                  status="ok" if report_dict.get("ok") else "needs-triage")
+
+    def freeze(self) -> None:
+        """Turn the report and the stream into bytes (terminal only)."""
+        self._frozen = pickle.dumps(
+            (self.report_dict, [e.to_dict() for e in self._events],
+             self._replay),
+            protocol=pickle.HIGHEST_PROTOCOL)
+        self.report_dict = self._events = self._watch = self._update = None
+
+    def report(self) -> dict | None:
+        """The sealed report dict (None when there is none)."""
+        if self._frozen is None:
+            return self.report_dict
+        return pickle.loads(self._frozen)[0]
+
+    def events(self, cursor: int = 0) -> list[dict]:
+        """The stream's events with ``seq >= cursor``, in wire form."""
+        if self._frozen is None:
+            report, own = self.report_dict, [e.to_dict() for e in self._events]
+            at, count, t_s = self._replay
+        else:
+            report, own, (at, count, t_s) = pickle.loads(self._frozen)
+        replayed = []
+        for seq, data in enumerate(report["trace"] if count else (), at):
+            # What CampaignTrace.replay would have emitted, at t_s.
+            event = TraceEvent.from_dict(data)
+            event.seq, event.t_s, event.worker = seq, t_s, STREAM_WORKER
+            replayed.append(event.to_dict())
+        return (own[:at] + replayed + own[at:])[max(cursor, 0):]
 
 
 class VerificationService:
@@ -204,12 +287,9 @@ class VerificationService:
         self._flow(pool, job, result)
 
     def _pool_finish(self, pool, job, result) -> None:
-        # The pool only needs to know the design finished; the report
-        # dict crosses to the loop, which owns it from here.
-        pool.finish(job.design, True)
-        pool.ftrace.emit(
-            "design_done", name=job.design,
-            status="ok" if result.get("ok") else "needs-triage")
+        # The pool forgets the design; the report dict crosses to the
+        # loop, which owns it from here.
+        pool.finish(job.design, bool(result.get("ok")))
         self.loop.call_soon_threadsafe(
             self._sealed, job.design, result["report"])
 
@@ -222,28 +302,24 @@ class VerificationService:
         record = self.campaigns.get(design)
         if record is None or record.state.terminal:
             return
-        record.stream.emit("service.progress", name=job_id, status=kind)
+        record.emit("service.progress", name=job_id, status=kind)
         record.touch()
 
     def _sealed(self, design: str, report_dict: dict) -> None:
         record = self.campaigns.get(design)
         if record is None or record.state.terminal:
             return
-        record.report_dict = report_dict
-        record.state = CampaignState.SEALED
+        record.seal(report_dict)
         self.metrics.sealed += 1
         self._inflight -= 1
         self.tenants.release(record.tenant)
-        record.stream.replay(report_dict.get("trace") or [])
-        record.stream.emit(
-            "service.sealed", name=record.name,
-            status="ok" if report_dict.get("ok") else "needs-triage")
         record.touch()
         self.loop.create_task(self._seal_verdict(record))
         self._pump()
 
     async def _seal_verdict(self, record: CampaignRecord) -> None:
-        """Write the verdict cache, then retire the coalescing entry."""
+        """Write the verdict cache, then retire the coalescing entry
+        and freeze the record (a racing duplicate read its report)."""
         try:
             await self.loop.run_in_executor(
                 None, self.verdicts.seal, record.key, record.report_dict,
@@ -251,6 +327,7 @@ class VerificationService:
         finally:
             if self._by_key.get(record.key) == record.id:
                 del self._by_key[record.key]
+            record.freeze()
 
     def _failed(self, design: str, reason: str) -> None:
         record = self.campaigns.get(design)
@@ -263,8 +340,9 @@ class VerificationService:
         if was_running:
             self._inflight -= 1
             self.tenants.release(record.tenant)
-        record.stream.emit("service.failed", name=record.name, detail=reason)
+        record.emit("service.failed", name=record.name, detail=reason)
         record.touch()
+        record.freeze()
         if self._by_key.get(record.key) == record.id:
             del self._by_key[record.key]
         self._pump()
@@ -285,10 +363,8 @@ class VerificationService:
         # launch_index is the service-wide grant ordinal -- the
         # observable the fair-share benchmark reconstructs DRR grant
         # order from.
-        record.stream.emit("service.progress", name=record.id,
-                           status="launched",
-                           counters={"launch_index":
-                                     float(self.metrics.launched)})
+        record.emit("service.progress", name=record.id, status="launched",
+                    counters={"launch_index": float(self.metrics.launched)})
         record.touch()
         if self._pool_thread is None or not self._pool_thread.is_alive():
             self._failed(record.id, "fleet pool is not running")
@@ -302,17 +378,13 @@ class VerificationService:
         self._pool.call_soon(start)
 
     def _cache_hit(self, record: CampaignRecord, report_dict: dict) -> None:
-        record.report_dict = report_dict
         record.cached = True
-        record.state = CampaignState.SEALED
         self.metrics.cache_hits += 1
         self.metrics.sealed += 1
-        record.stream.emit("service.cache_hit", name=record.name)
-        record.stream.replay(report_dict.get("trace") or [])
-        record.stream.emit(
-            "service.sealed", name=record.name,
-            status="ok" if report_dict.get("ok") else "needs-triage")
+        record.emit("service.cache_hit", name=record.name)
+        record.seal(report_dict)
         record.touch()
+        record.freeze()
         if self._by_key.get(record.key) == record.id:
             del self._by_key[record.key]
 
@@ -344,14 +416,14 @@ class VerificationService:
             record = self.campaigns[existing]
             if record.state is not CampaignState.SEALED:
                 self.metrics.coalesced += 1
-                record.stream.emit("service.coalesced", name=tenant)
+                record.emit("service.coalesced", name=tenant)
                 record.touch()
                 return {"ok": True, "v": PROTOCOL_VERSION,
                         "campaign": record.id, "state": record.state.value,
                         "cached": False, "coalesced": True}
             # Its verdict write is still in flight: answer from the
             # sealed report itself, and leave its stream closed.
-            sealed = record.report_dict
+            sealed = record.report()
         self._seq += 1
         cid = f"c{self._seq:06d}"
         record = CampaignRecord(cid, tenant, name or str(bundle_ref),
@@ -359,8 +431,7 @@ class VerificationService:
         self.campaigns[cid] = record
         if sealed is None:
             self._by_key[key] = cid
-        record.stream.emit("service.submitted", name=record.name,
-                           detail=tenant)
+        record.emit("service.submitted", name=record.name, detail=tenant)
         record.touch()
         cached = sealed if sealed is not None else (
             await self.loop.run_in_executor(None, self.verdicts.load, key))
@@ -378,8 +449,7 @@ class VerificationService:
             self._failed(cid, f"backpressure: {exc}")
             return error("backpressure", str(exc))
         self.metrics.admitted += 1
-        record.stream.emit("service.admitted", name=record.name,
-                           detail=tenant)
+        record.emit("service.admitted", name=record.name, detail=tenant)
         record.touch()
         self._pump()
         return {"ok": True, "v": PROTOCOL_VERSION, "campaign": cid,
@@ -442,14 +512,13 @@ class VerificationService:
             # then the tail -- anything emitted after the tail was read
             # sets this event, so the wait below cannot oversleep.
             update = record.update_event()
-            tail = record.stream.since(cursor)
+            tail = record.events(cursor)
             for event in tail:
                 if writer.is_closing():
                     return  # subscriber hung up mid-stream
-                writer.write(encode({"stream": "event",
-                                     "event": event.to_dict()}))
+                writer.write(encode({"stream": "event", "event": event}))
             if tail:
-                cursor = tail[-1].seq + 1
+                cursor = tail[-1]["seq"] + 1
             terminal = record.state.terminal
             await writer.drain()
             if terminal or not follow:
@@ -479,9 +548,9 @@ class VerificationService:
                 "state": record.state.value, "cached": record.cached}
         if bool(request.get("canonical", False)):
             body["canonical_json"] = await self.loop.run_in_executor(
-                None, _canonical_text, record.report_dict)
+                None, _canonical_text, record.report())
         else:
-            body["report"] = record.report_dict
+            body["report"] = record.report()
         writer.write(encode(body))
 
     async def _op_status(self, request: dict, writer) -> None:

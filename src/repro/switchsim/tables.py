@@ -597,7 +597,9 @@ class PackedSwitchTables:
         # pair's path count, condition count and gate support -- a bit
         # per distinct gate, ascending.
         gated = np.flatnonzero(dev_gate >= 0)
-        gates = np.unique(dev_gate[gated])
+        # The distinct gate ids, ascending (``np.unique`` would import
+        # ``numpy.ma``, which nothing else here needs).
+        gates = np.flatnonzero(np.bincount(dev_gate[gated]))
         bit = np.searchsorted(gates, dev_gate[gated])
         dev_bits = np.zeros((n_dev + 1, max(1, -(-gates.size // 64))),
                             np.uint64)

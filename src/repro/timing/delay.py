@@ -15,8 +15,11 @@ honest without full slew propagation.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.extraction.annotate import AnnotatedDesign
 from repro.process.corners import Corner
@@ -134,13 +137,21 @@ class ArcDelayCalculator:
         makes it the cacheable unit shared by identical bit-slices
         (:mod:`repro.timing.arccache`).  ``prices`` is a
         :class:`PathPrices` shared by the caller's arcs; without one,
-        the arc is priced alone.
+        the arc is priced alone.  Rows in an ``array`` -- the selection
+        of a set large enough to be walked with numpy -- are read with
+        numpy, from the pair's sums as arrays (:meth:`PathPrices.arrays`).
         """
         if prices is None:
             prices = PathPrices(self)
         lows: list[float] = []
         highs: list[float] = []
         for pair, rows in paths:
+            if isinstance(rows, array):
+                fast, slow = prices.arrays(pair)
+                at = np.frombuffer(rows, np.intc)
+                lows.append(fast[at].min().item())
+                highs.append(slow[at].max().item())
+                continue
             fast, slow = prices[pair]
             if rows is None:
                 lows.append(min(fast))
@@ -223,14 +234,27 @@ class PathPrices(dict):
     a set already priced is a plain dict lookup.
     """
 
-    __slots__ = ("_calculator", "_devices")
+    __slots__ = ("_calculator", "_devices", "_arrays")
 
     def __init__(self, calculator: ArcDelayCalculator) -> None:
         super().__init__()
         self._calculator = calculator
         self._devices: dict[int, tuple[list[float], list[float]]] = {}
+        self._arrays: dict[PathSet, tuple[np.ndarray, np.ndarray]] = {}
 
-    def __missing__(self, paths: PathSet) -> tuple[list[float], list[float]]:
+    def arrays(self, paths: PathSet) -> tuple[np.ndarray, np.ndarray]:
+        """``self[paths]`` as float64 arrays, summed with numpy the way
+        a set too large to walk in Python is summed, and kept."""
+        got = self._arrays.get(paths)
+        if got is None:
+            fast, slow = self._device_values(paths)
+            got = self._arrays[paths] = (
+                paths.sum_array(fast, ascending=True),
+                paths.sum_array(slow, ascending=True))
+        return got
+
+    def _device_values(self, paths: PathSet) -> tuple[list[float],
+                                                      list[float]]:
         # Keyed by the CCC's device-name list, which the sets priced
         # keep alive.
         names = paths.device_names
@@ -238,5 +262,9 @@ class PathPrices(dict):
         if devices is None:
             devices = self._devices[id(names)] = (
                 self._calculator.device_resistances(names))
-        sums = self[paths] = self._calculator.path_resistances(paths, devices)
+        return devices
+
+    def __missing__(self, paths: PathSet) -> tuple[list[float], list[float]]:
+        sums = self[paths] = self._calculator.path_resistances(
+            paths, self._device_values(paths))
         return sums

@@ -95,6 +95,52 @@ def test_campaign_functional_sim_leg(tech):
     assert cache.misses >= 1
 
 
+STORELESS_SCRIPT = """
+import sys
+import repro.core
+from repro.core.campaign import CbvCampaign, DesignBundle
+from repro.core.stages import FlowStage
+from repro.netlist.builder import CellBuilder
+from repro.process.technology import strongarm_technology
+from repro.timing.clocking import TwoPhaseClock
+
+b = CellBuilder("dp", ports=["a", "b", "c", "y", "q", "clk", "clk_b"])
+b.nand(["a", "b"], "n1")
+b.inverter("n1", "and_ab")
+b.nor(["and_ab", "c"], "y")
+b.transparent_latch("y", "q", "clk", "clk_b")
+bundle = DesignBundle(
+    name="dp", cell=b.build(), technology=strongarm_technology(),
+    clock=TwoPhaseClock(period_s=6.25e-9, non_overlap_s=0.1e-9),
+    clock_hints=("clk", "clk_b"),
+    functional_vectors=({"a": 1, "b": 1, "c": 0, "clk": 0, "clk_b": 1},
+                        {"clk": 1, "clk_b": 0}, {"clk": 0, "clk_b": 1}),
+    functional_probes=("y", "q"))
+before = set(sys.modules)
+report = CbvCampaign(bundle).run()
+logic = report.stage(FlowStage.LOGIC_VERIFICATION)
+print(sorted(set(sys.modules) - before), logic.metrics.get("sim_steps"))
+"""
+
+
+def test_storeless_campaign_imports_no_module():
+    """A campaign without a store imports nothing its design has not:
+    no store module, and no ``numpy.ma`` from the switch-table build
+    (which its functional vectors run)."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", STORELESS_SCRIPT],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True)
+    assert out.stdout.split() == ["[]", "3.0"]
+
+
 def test_campaign_functional_probe_x_fails(tech):
     bundle = make_bundle(
         tech,

@@ -121,3 +121,18 @@ def test_fail_drops_leased_job():
     assert failed is lease.job
     assert wq.unfinished() == 0
     assert not wq.submit(job("dp:a"))  # stays cancelled
+
+
+def test_forget_drops_every_record_of_the_jobs():
+    wq = two_worker_queue()
+    for job_id in ("dp:a", "dp:b", "dp:c"):
+        wq.submit(job(job_id))
+    wq.submit(job("dp:fin", deps=["dp:a", "dp:b", "dp:c"]))
+    worker = next(w for w in ("w0", "w1") if wq._ready[w])
+    wq.complete(wq.next_job(worker, now=0.0).job.job_id)  # dp:a done
+    wq.next_job(worker, now=0.0)  # dp:b leased, dp:c still queued
+    wq.fail("dp:x")
+    wq.forget(["dp:a", "dp:b", "dp:c", "dp:fin", "dp:x"])
+    assert not wq.is_done("dp:a")
+    assert (wq.depth(), wq.blocked_count(), wq.lease_count()) == (0, 0, 0)
+    assert wq.submit(job("dp:x"))  # no longer refused as cancelled

@@ -21,9 +21,11 @@ def test_injection_into_an_idle_pool_runs_without_waiting_out_the_tick(
     config = FleetConfig(store_dir=str(tmp_path / "store"), poll_s=POLL_S,
                          fleet_timeout_s=120.0)
     sealed = threading.Event()
+    finished = []
 
     def finish(pool, job, result):
-        pool.finish(job.design, result["report"])
+        finished.append(job.design)
+        pool.finish(job.design, result.get("ok"))
         sealed.set()
 
     pool = _Pool(workers=1, config=config,
@@ -58,6 +60,7 @@ def test_injection_into_an_idle_pool_runs_without_waiting_out_the_tick(
             pool.call_soon(lambda p: p.request_stop(abort=True))
             runner.join(timeout=4 * POLL_S)
 
-    assert list(pool.results) == ["adder8"]
+    assert finished == ["adder8"]
+    assert not pool.names and not pool.jobs_by_id
     # The service's stop path may call in after the loop has exited.
     pool.call_soon(lambda p: p.request_stop(abort=True))
